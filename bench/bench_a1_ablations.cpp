@@ -43,8 +43,8 @@ void window_sweep() {
     config.piggyback_window = std::max<Time>(window, msec(1));
     config.enable_piggybacking = window > 0;
     config.mux_provision_factor = 8;
-    Lan lan(2, net::ethernet_traits(), 7, net::Discipline::kDeadline,
-            sim::CpuPolicy::kEdf, config);
+    auto lan = node::ethernet_world(2, net::ethernet_traits(), 7,
+                                    net::Discipline::kDeadline, {.st = config});
 
     auto request = small_message_request();
     Samples delay_ms;
@@ -94,8 +94,8 @@ void idle_flush_ablation() {
     st::StConfig config;
     config.piggyback_window = msec(5);
     config.mux_provision_factor = 8;
-    Lan lan(2, net::ethernet_traits(), 7, net::Discipline::kDeadline,
-            sim::CpuPolicy::kEdf, config);
+    auto lan = node::ethernet_world(2, net::ethernet_traits(), 7,
+                                    net::Discipline::kDeadline, {.st = config});
 
     rms::Port probe_port;
     lan.node(2).ports.bind(90, &probe_port);
@@ -149,7 +149,7 @@ void rto_sweep() {
   for (Time rto : {msec(100), msec(200), msec(400), msec(800)}) {
     auto traits = net::ethernet_traits();
     traits.bit_error_rate = 1e-5;
-    Lan lan(2, traits, 7);
+    auto lan = node::ethernet_world(2, traits, 7);
     transport::StreamConfig cfg;
     cfg.retransmit_timeout = rto;
     transport::StreamReceiver rx(*lan.node(2).st, lan.node(2).ports, 60, cfg);

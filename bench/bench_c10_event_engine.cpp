@@ -17,15 +17,11 @@
 // Both workloads run under the calendar-queue engine and the reference
 // binary-heap engine; numbers are written to BENCH_c10_event_engine.json.
 //
-// CLI (mirrors bench_c9_datapath; the CI gate uses --check):
-//   --write-baseline <path>   write current numbers as the new baseline
-//   --check <path> <tol%>     exit 1 if allocations regress > tol% over the
-//                             baseline; exit 2 if the counting allocator is
-//                             not linked in
+// CLI: the shared baseline gate (bench_util.h Gate; the CI gate uses
+// --check), lower is better. Exits 2 if the counting allocator is not
+// linked in.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -166,23 +162,6 @@ ChurnResult run_churn(sim::EngineMode mode) {
   return r;
 }
 
-// ---- baseline bookkeeping (same scheme as bench_c9_datapath) ----
-
-std::map<std::string, double> read_baseline(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream in(path);
-  std::string key;
-  double value = 0;
-  while (in >> key >> value) out[key] = value;
-  return out;
-}
-
-void write_baseline(const std::string& path,
-                    const std::map<std::string, double>& vals) {
-  std::ofstream out(path);
-  for (const auto& [k, v] : vals) out << k << " " << v << "\n";
-}
-
 const char* mode_name(sim::EngineMode m) {
   return m == sim::EngineMode::kCalendar ? "calendar" : "heap";
 }
@@ -190,17 +169,8 @@ const char* mode_name(sim::EngineMode m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string write_path;
-  std::string check_path;
-  double tolerance_pct = 20.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--write-baseline") == 0 && i + 1 < argc) {
-      write_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 2 < argc) {
-      check_path = argv[++i];
-      tolerance_pct = std::atof(argv[++i]);
-    }
-  }
+  // Allocation metrics can be ~0: the absolute slack keeps the gate sane.
+  const Gate gate(argc, argv, Gate::Better::kLower, 0.05);
 
   if (!alloc_count::instrumented()) {
     std::fprintf(stderr,
@@ -258,31 +228,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!write_path.empty()) {
-    write_baseline(write_path, current);
-    std::printf("wrote baseline to %s\n", write_path.c_str());
-  }
-
-  if (!check_path.empty()) {
-    const auto base = read_baseline(check_path);
-    if (base.empty()) {
-      std::fprintf(stderr, "no baseline at %s\n", check_path.c_str());
-      return 1;
-    }
-    bool ok = true;
-    for (const auto& [key, base_v] : base) {
-      auto it = current.find(key);
-      if (it == current.end()) continue;
-      // Allocation metrics can be ~0; gate on absolute slack in that case.
-      const double limit = base_v * (1.0 + tolerance_pct / 100.0) + 0.05;
-      if (it->second > limit) {
-        std::fprintf(stderr, "REGRESSION: %s %.4f > limit %.4f (baseline %.4f)\n",
-                     key.c_str(), it->second, limit, base_v);
-        ok = false;
-      }
-    }
-    if (!ok) return 1;
-    std::printf("allocation gate passed (tolerance %.0f%%)\n", tolerance_pct);
-  }
-  return 0;
+  return gate.finish(current, "allocation");
 }

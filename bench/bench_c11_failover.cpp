@@ -15,23 +15,14 @@
 // The score is the fraction of messages delivered within the stream's
 // requested delay bound ("on time"). Numbers go to BENCH_c11_failover.json.
 //
-// CLI (mirrors bench_c9/c10; the CI gate uses --check):
-//   --write-baseline <path>   write current numbers as the new baseline
-//   --check <path> <tol%>     exit 1 if an on-time fraction drops > tol%
-//                             BELOW the baseline (higher is better here,
-//                             so the gate is inverted relative to c9/c10)
+// CLI: the shared baseline gate (bench_util.h Gate; the CI gate uses
+// --check). Higher is better: an on-time fraction that drops more than the
+// tolerance below its baseline fails.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 
 #include "bench_util.h"
-#include "fault/fault.h"
-#include "net/ethernet.h"
-#include "netrms/fabric.h"
-#include "node/node.h"
-#include "path/path.h"
 
 using namespace dash;
 using namespace dash::bench;
@@ -77,16 +68,6 @@ struct RunResult {
 enum class Mode { kNoFailover, kPathManager, kMakeBeforeBreak };
 
 RunResult run_one(Mode mode) {
-  sim::Simulator sim;
-  net::EthernetNetwork net_a(sim, net::ethernet_traits("eth-a"), 1);
-  net::EthernetNetwork net_b(sim, net::ethernet_traits("eth-b"), 2);
-  netrms::NetRmsFabric fab_a(sim, net_a);
-  netrms::NetRmsFabric fab_b(sim, net_b);
-
-  // Silent outage on A: packets vanish, nothing is notified.
-  fault::FaultInjector faults(sim, fault::FaultPlan().outage(sec(1), sec(9)), 7);
-  faults.attach(net_a);
-
   node::NodeConfig cfg;
   cfg.path.enabled = mode != Mode::kNoFailover;
   if (mode == Mode::kMakeBeforeBreak) {
@@ -99,25 +80,27 @@ RunResult run_one(Mode mode) {
     cfg.path.degraded_after = 1;
     cfg.path.unhealthy_after = 2;
   }
-  node::DashNode sender(sim, 1, cfg);
-  node::DashNode receiver(sim, 2, cfg);
-  for (auto* fab : {&fab_a, &fab_b}) {
-    sender.join(*fab);
-    receiver.join(*fab);
-  }
+  node::World<net::EthernetNetwork> world(
+      {node::ethernet(net::ethernet_traits("eth-a"), 1),
+       node::ethernet(net::ethernet_traits("eth-b"), 2)},
+      {1, 2}, cfg);
+  // Silent outage on A: packets vanish, nothing is notified.
+  world.with_faults(fault::FaultPlan().outage(sec(1), sec(9)), 7);
+  sim::Simulator& sim = world.sim;
+  node::DashNode& sender = world.node(1);
 
   const rms::Request request = stream_request();
   const Time bound = request.desired.delay.bound_for(kPayloadBytes);
 
   RunResult r;
   rms::Port inbox;
-  receiver.bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
   inbox.set_handler([&](rms::Message m) {
     ++r.delivered;
     if (m.sent_at >= 0 && sim.now() - m.sent_at <= bound) ++r.ontime;
   });
 
-  auto stream = sender.create_stream(request, {2, 50});
+  auto stream = sender.st->create(request, {2, 50});
   if (!stream.ok()) {
     std::fprintf(stderr, "stream creation failed: %s\n",
                  stream.error().message.c_str());
@@ -134,43 +117,18 @@ RunResult run_one(Mode mode) {
   }
   sim.run_until(sec(12));
 
-  if (mode != Mode::kNoFailover && sender.path() != nullptr) {
-    r.failovers = sender.path()->stats().failovers;
-    r.hitless = sender.path()->stats().hitless_switches;
+  if (sender.path != nullptr) {
+    r.failovers = sender.path->stats().failovers;
+    r.hitless = sender.path->stats().hitless_switches;
   }
-  r.replayed = sender.st().stats().handoff_replayed;
+  r.replayed = sender.st->stats().handoff_replayed;
   return r;
-}
-
-std::map<std::string, double> read_baseline(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream in(path);
-  std::string key;
-  double value = 0;
-  while (in >> key >> value) out[key] = value;
-  return out;
-}
-
-void write_baseline(const std::string& path,
-                    const std::map<std::string, double>& vals) {
-  std::ofstream out(path);
-  for (const auto& [k, v] : vals) out << k << " " << v << "\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string write_path;
-  std::string check_path;
-  double tolerance_pct = 20.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--write-baseline") == 0 && i + 1 < argc) {
-      write_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 2 < argc) {
-      check_path = argv[++i];
-      tolerance_pct = std::atof(argv[++i]);
-    }
-  }
+  const Gate gate(argc, argv, Gate::Better::kHigher, 0.001);
 
   title("C11", "path failover: on-time delivery across a silent network outage");
 
@@ -224,32 +182,5 @@ int main(int argc, char** argv) {
   current["ontime_with_mbb"] = mbb.ontime_fraction();
   current["ontime_ratio"] = ratio;
 
-  if (!write_path.empty()) {
-    write_baseline(write_path, current);
-    std::printf("wrote baseline to %s\n", write_path.c_str());
-  }
-
-  if (!check_path.empty()) {
-    const auto base = read_baseline(check_path);
-    if (base.empty()) {
-      std::fprintf(stderr, "no baseline at %s\n", check_path.c_str());
-      return 1;
-    }
-    bool ok = true;
-    for (const auto& [key, base_v] : base) {
-      auto it = current.find(key);
-      if (it == current.end()) continue;
-      // Higher is better for every metric here: fail when the current
-      // value drops more than the tolerance below the baseline.
-      const double limit = base_v * (1.0 - tolerance_pct / 100.0) - 0.001;
-      if (it->second < limit) {
-        std::fprintf(stderr, "REGRESSION: %s %.4f < limit %.4f (baseline %.4f)\n",
-                     key.c_str(), it->second, limit, base_v);
-        ok = false;
-      }
-    }
-    if (!ok) return 1;
-    std::printf("on-time gate passed (tolerance %.0f%%)\n", tolerance_pct);
-  }
-  return 0;
+  return gate.finish(current, "on-time");
 }

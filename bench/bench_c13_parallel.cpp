@@ -15,14 +15,10 @@
 //     counters are bit-identical across every shard count. This is the
 //     hard gate: parallelism must never change the simulated history.
 //
-// CLI (mirrors bench_c11_failover; the CI gate uses --check):
-//   --write-baseline <path>   write current numbers as the new baseline
-//   --check <path> <tol%>     exit 1 if events/sec drops > tol% below the
-//                             baseline floor or determinism breaks
+// CLI: the shared baseline gate (bench_util.h Gate; the CI gate uses
+// --check), higher is better: events/sec floors plus determinism_ok.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -88,35 +84,11 @@ RunResult run_one(sim::ShardId shards) {
   return r;
 }
 
-std::map<std::string, double> read_baseline(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream in(path);
-  std::string key;
-  double value = 0;
-  while (in >> key >> value) out[key] = value;
-  return out;
-}
-
-void write_baseline(const std::string& path,
-                    const std::map<std::string, double>& vals) {
-  std::ofstream out(path);
-  for (const auto& [k, v] : vals) out << k << " " << v << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string write_path;
-  std::string check_path;
-  double tolerance_pct = 20.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--write-baseline") == 0 && i + 1 < argc) {
-      write_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 2 < argc) {
-      check_path = argv[++i];
-      tolerance_pct = std::atof(argv[++i]);
-    }
-  }
+  // With determinism_ok baselined at 1, any break lands under the floor.
+  const Gate gate(argc, argv, Gate::Better::kHigher, 0.001);
 
   title("C13", "sharded parallel core: scaling + cross-shard determinism");
 
@@ -190,33 +162,6 @@ int main(int argc, char** argv) {
   json.record("determinism_ok", deterministic ? 1.0 : 0.0, "bool", {});
   current["determinism_ok"] = deterministic ? 1.0 : 0.0;
 
-  if (!write_path.empty()) {
-    write_baseline(write_path, current);
-    std::printf("wrote baseline to %s\n", write_path.c_str());
-  }
-
-  if (!check_path.empty()) {
-    const auto base = read_baseline(check_path);
-    if (base.empty()) {
-      std::fprintf(stderr, "no baseline at %s\n", check_path.c_str());
-      return 1;
-    }
-    bool ok = true;
-    for (const auto& [key, base_v] : base) {
-      auto it = current.find(key);
-      if (it == current.end()) continue;
-      // Higher is better for every metric here: fail when the current
-      // value drops more than the tolerance below the baseline. With
-      // determinism_ok baselined at 1, any break lands under the floor.
-      const double limit = base_v * (1.0 - tolerance_pct / 100.0) - 0.001;
-      if (it->second < limit) {
-        std::fprintf(stderr, "REGRESSION: %s %.4f < limit %.4f (baseline %.4f)\n",
-                     key.c_str(), it->second, limit, base_v);
-        ok = false;
-      }
-    }
-    if (!ok) return 1;
-    std::printf("parallel-core gate passed (tolerance %.0f%%)\n", tolerance_pct);
-  }
+  if (const int rc = gate.finish(current, "parallel-core")) return rc;
   return deterministic ? 0 : 1;
 }

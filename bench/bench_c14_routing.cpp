@@ -24,14 +24,10 @@
 //   * determinism_ok — hard gate: the whole bench run twice produces
 //     identical table digests and an identical flash-crowd trace hash.
 //
-// CLI (mirrors bench_c13_parallel; the CI gate uses --check):
-//   --write-baseline <path>   write current numbers as the new baseline
-//   --check <path> <tol%>     exit 1 if a gated metric drops > tol% below
-//                             its baseline floor or a hard gate breaks
+// CLI: the shared baseline gate (bench_util.h Gate; the CI gate uses
+// --check), higher is better; --check also fails below a 10x speedup.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -187,35 +183,12 @@ double regional_burst_us() {
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
 }
 
-std::map<std::string, double> read_baseline(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream in(path);
-  std::string key;
-  double value = 0;
-  while (in >> key >> value) out[key] = value;
-  return out;
-}
-
-void write_baseline(const std::string& path,
-                    const std::map<std::string, double>& vals) {
-  std::ofstream out(path);
-  for (const auto& [k, v] : vals) out << k << " " << v << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string write_path;
-  std::string check_path;
-  double tolerance_pct = 20.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--write-baseline") == 0 && i + 1 < argc) {
-      write_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 2 < argc) {
-      check_path = argv[++i];
-      tolerance_pct = std::atof(argv[++i]);
-    }
-  }
+  // The hard gates are baselined at 1, so any break lands under the floor
+  // regardless of tolerance.
+  const Gate gate(argc, argv, Gate::Better::kHigher, 0.001);
 
   title("C14", "routing at scale: incremental repair vs full recompute");
 
@@ -273,41 +246,14 @@ int main(int argc, char** argv) {
   current["equivalence_ok"] = equivalent ? 1.0 : 0.0;
   current["determinism_ok"] = deterministic ? 1.0 : 0.0;
 
-  if (!write_path.empty()) {
-    write_baseline(write_path, current);
-    std::printf("wrote baseline to %s\n", write_path.c_str());
+  // The headline claim is absolute, not merely non-regressing: a
+  // single-trunk repair at ≥1000 routers must beat the full recompute by
+  // 10× or more.
+  if (gate.checking() && (speedup_ft < 10.0 || speedup_wm < 10.0)) {
+    std::fprintf(stderr, "REGRESSION: incremental speedup below 10x "
+                 "(fattree %.1fx, wanmesh %.1fx)\n", speedup_ft, speedup_wm);
+    return 1;
   }
-
-  if (!check_path.empty()) {
-    const auto base = read_baseline(check_path);
-    if (base.empty()) {
-      std::fprintf(stderr, "no baseline at %s\n", check_path.c_str());
-      return 1;
-    }
-    bool ok = true;
-    for (const auto& [key, base_v] : base) {
-      auto it = current.find(key);
-      if (it == current.end()) continue;
-      // Floor check: fail when current drops more than the tolerance
-      // below baseline. The hard gates are baselined at 1, so any break
-      // lands under the floor regardless of tolerance.
-      const double limit = base_v * (1.0 - tolerance_pct / 100.0) - 0.001;
-      if (it->second < limit) {
-        std::fprintf(stderr, "REGRESSION: %s %.4f < limit %.4f (baseline %.4f)\n",
-                     key.c_str(), it->second, limit, base_v);
-        ok = false;
-      }
-    }
-    // The ISSUE's acceptance claim is absolute, not merely non-regressing:
-    // a single-trunk repair at ≥1000 routers must beat the full recompute
-    // by 10× or more.
-    if (speedup_ft < 10.0 || speedup_wm < 10.0) {
-      std::fprintf(stderr, "REGRESSION: incremental speedup below 10x "
-                   "(fattree %.1fx, wanmesh %.1fx)\n", speedup_ft, speedup_wm);
-      ok = false;
-    }
-    if (!ok) return 1;
-    std::printf("routing gate passed (tolerance %.0f%%)\n", tolerance_pct);
-  }
+  if (const int rc = gate.finish(current, "routing")) return rc;
   return (equivalent && deterministic) ? 0 : 1;
 }

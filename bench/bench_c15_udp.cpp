@@ -15,13 +15,10 @@
 // baseline therefore carries ONLY the delivery invariants. The mbps
 // numbers go to BENCH_c15_udp.json for trend tracking.
 //
-// CLI (mirrors bench_c13_parallel):
-//   --write-baseline <path>   write current invariant values
-//   --check <path> <tol%>     exit 1 if an invariant drops below baseline
+// CLI: the shared baseline gate (bench_util.h Gate) over the invariants,
+// higher is better.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 
@@ -150,35 +147,10 @@ std::uint64_t codec_errors(const net::UdpNetwork::UdpStats& u,
          u.decode_bad_version + u.decode_bad_length + u.decode_bad_checksum;
 }
 
-std::map<std::string, double> read_baseline(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream in(path);
-  std::string key;
-  double value = 0;
-  while (in >> key >> value) out[key] = value;
-  return out;
-}
-
-void write_baseline(const std::string& path,
-                    const std::map<std::string, double>& vals) {
-  std::ofstream out(path);
-  for (const auto& [k, v] : vals) out << k << " " << v << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string write_path;
-  std::string check_path;
-  double tolerance_pct = 20.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--write-baseline") == 0 && i + 1 < argc) {
-      write_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 2 < argc) {
-      check_path = argv[++i];
-      tolerance_pct = std::atof(argv[++i]);
-    }
-  }
+  const Gate gate(argc, argv, Gate::Better::kHigher, 0.001);
 
   title("C15", "real-UDP backend: loopback throughput + delivery invariants");
 
@@ -232,30 +204,6 @@ int main(int argc, char** argv) {
   current["delivery_ok"] = stack.delivery_ok ? 1.0 : 0.0;
   current["codec_ok"] = codec_ok ? 1.0 : 0.0;
 
-  if (!write_path.empty()) {
-    write_baseline(write_path, current);
-    std::printf("wrote baseline to %s\n", write_path.c_str());
-  }
-
-  if (!check_path.empty()) {
-    const auto base = read_baseline(check_path);
-    if (base.empty()) {
-      std::fprintf(stderr, "no baseline at %s\n", check_path.c_str());
-      return 1;
-    }
-    bool ok = true;
-    for (const auto& [key, base_v] : base) {
-      auto it = current.find(key);
-      if (it == current.end()) continue;
-      const double limit = base_v * (1.0 - tolerance_pct / 100.0) - 0.001;
-      if (it->second < limit) {
-        std::fprintf(stderr, "REGRESSION: %s %.4f < limit %.4f (baseline %.4f)\n",
-                     key.c_str(), it->second, limit, base_v);
-        ok = false;
-      }
-    }
-    if (!ok) return 1;
-    std::printf("udp gate passed (tolerance %.0f%%)\n", tolerance_pct);
-  }
+  if (const int rc = gate.finish(current, "udp")) return rc;
   return stack.delivery_ok && codec_ok ? 0 : 1;
 }

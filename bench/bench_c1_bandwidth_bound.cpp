@@ -23,7 +23,7 @@ int main() {
 
   for (std::uint64_t capacity : {4096u, 16384u, 49152u}) {
     for (Time delay_a : {msec(20), msec(60), msec(200)}) {
-      Lan lan(2);
+      auto lan = node::ethernet_world(2);
       rms::Params desired;
       desired.capacity = capacity;
       desired.max_message_size = 1024;

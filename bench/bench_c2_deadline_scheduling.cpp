@@ -23,7 +23,7 @@ struct Row {
 };
 
 Row run(net::Discipline discipline) {
-  Lan lan(4, net::ethernet_traits(), 11, discipline);
+  auto lan = node::ethernet_world(4, net::ethernet_traits(), 11, discipline);
 
   // Voice calls 1->2, 3->4, 2->3, 4->1.
   struct Call {

@@ -30,7 +30,7 @@ struct Row {
 };
 
 Row run_rms(net::NetworkTraits traits) {
-  Lan lan(2, traits, 21);
+  auto lan = node::ethernet_world(2, traits, 21);
   net::Eavesdropper eve(*lan.network);
 
   auto request = transport::bulk_data_request(48 * 1024, 1400);

@@ -47,7 +47,8 @@ CacheResult run(Time session_gap, bool caching, Time idle_timeout,
   config.cache_idle_timeout = idle_timeout;
   auto traits = net::ethernet_traits();
   traits.rms_setup_cost = rms_setup_cost;
-  Lan lan(2, traits, 31, net::Discipline::kDeadline, sim::CpuPolicy::kEdf, config);
+  auto lan =
+      node::ethernet_world(2, traits, 31, net::Discipline::kDeadline, {.st = config});
 
   rms::Port port;
   lan.node(2).ports.bind(70, &port);

@@ -25,7 +25,7 @@ struct FragResult {
 FragResult run(std::size_t message_size, double ber) {
   auto traits = net::ethernet_traits();
   traits.bit_error_rate = ber;
-  Lan lan(2, traits, 41);
+  auto lan = node::ethernet_world(2, traits, 41);
 
   rms::Params desired;
   desired.capacity = 128 * 1024;

@@ -24,7 +24,7 @@ struct AdmissionRow {
 };
 
 AdmissionRow run(rms::BoundType type, int offered) {
-  Lan lan(2, net::ethernet_traits(), 51);
+  auto lan = node::ethernet_world(2, net::ethernet_traits(), 51);
 
   AdmissionRow out{};
   out.offered = offered;

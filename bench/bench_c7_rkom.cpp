@@ -143,12 +143,12 @@ int main() {
   };
 
   {
-    Lan lan(2);
+    auto lan = node::ethernet_world(2);
     emit("RKOM / LAN", run_rkom(lan, 1, 2, kCalls));
   }
   emit("stream RPC / LAN", run_stream_rpc(net::ethernet_traits(), false, kCalls));
   {
-    Wan wan({1}, {2});
+    auto wan = node::dumbbell_world({1}, {2});
     emit("RKOM / WAN (40ms RTT)", run_rkom(wan, 1, 2, kCalls));
   }
   emit("stream RPC / WAN", run_stream_rpc(net::internet_traits(), true, kCalls));
@@ -158,7 +158,7 @@ int main() {
   auto lossy = net::internet_traits();
   lossy.bit_error_rate = 2e-6;
   {
-    Wan wan({1}, {2}, lossy);
+    auto wan = node::dumbbell_world({1}, {2}, lossy);
     emit("RKOM / lossy WAN x8", run_rkom(wan, 1, 2, kCalls, /*concurrency=*/8));
   }
   emit("stream RPC / lossy WAN x8",

@@ -26,12 +26,8 @@
 // the overload regime's drops by an order of magnitude and leaves the
 // deterministic class untouched.
 //
-// CLI (mirrors bench_c9/c10/c11; the CI gate uses --check):
-//   --write-baseline <path>   write current cc numbers as the new baseline
-//   --check <path> <tol%>     exit 1 if a metric drops > tol% BELOW the
-//                             baseline (higher is better for every key)
-#include <cstring>
-#include <fstream>
+// CLI: the shared baseline gate (bench_util.h Gate; the CI gate uses
+// --check) over the cc metrics, higher is better for every key.
 
 #include "bench_util.h"
 #include "baseline/sliding_window.h"
@@ -72,7 +68,7 @@ CongestionRow run_rms(rms::BoundType type, RmsOpts opts = {}) {
   std::vector<rms::HostId> left, right;
   for (int i = 0; i < kSenders; ++i) left.push_back(static_cast<rms::HostId>(i + 1));
   right.push_back(100);
-  Wan wan(left, right, congested_traits(), 71);
+  auto wan = node::dumbbell_world(left, right, congested_traits(), 71);
   if (opts.quench) wan.network->enable_source_quench(true);
 
   struct Flow {
@@ -125,7 +121,7 @@ CongestionRow run_rms(rms::BoundType type, RmsOpts opts = {}) {
     // A non-conforming source blasts raw packets through the same gateway
     // at twice the trunk rate — the §4.4 scenario reservations exist for.
     auto inject = std::make_shared<std::function<void()>>();
-    net::InternetNetwork* network = wan.network.get();
+    net::InternetNetwork* network = wan.network;
     sim::Simulator* simp = &wan.sim;
     *inject = [network, simp, inject] {
       net::Packet p;
@@ -175,7 +171,7 @@ MixedRow run_mixed() {
   std::vector<rms::HostId> left, right;
   for (int i = 0; i < kSenders; ++i) left.push_back(static_cast<rms::HostId>(i + 1));
   right.push_back(100);
-  Wan wan(left, right, congested_traits(), 71);
+  auto wan = node::dumbbell_world(left, right, congested_traits(), 71);
   wan.network->enable_source_quench(true);
 
   struct Flow {
@@ -329,35 +325,10 @@ CongestionRow run_tcp(bool quench) {
   return out;
 }
 
-std::map<std::string, double> read_baseline(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream in(path);
-  std::string key;
-  double value = 0;
-  while (in >> key >> value) out[key] = value;
-  return out;
-}
-
-void write_baseline(const std::string& path,
-                    const std::map<std::string, double>& vals) {
-  std::ofstream out(path);
-  for (const auto& [k, v] : vals) out << k << " " << v << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string write_path;
-  std::string check_path;
-  double tolerance_pct = 20.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--write-baseline") == 0 && i + 1 < argc) {
-      write_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 2 < argc) {
-      check_path = argv[++i];
-      tolerance_pct = std::atof(argv[++i]);
-    }
-  }
+  const Gate gate(argc, argv, Gate::Better::kHigher, 0.001);
 
   title("C8", "gateway congestion: RMS capacity vs TCP-like + source quench");
 
@@ -463,32 +434,5 @@ int main(int argc, char** argv) {
   note("goodput with far fewer drops, and paced best-effort bulk shares the");
   note("gateway with deterministic reservations without touching them.");
 
-  if (!write_path.empty()) {
-    write_baseline(write_path, current);
-    std::printf("wrote baseline to %s\n", write_path.c_str());
-  }
-
-  if (!check_path.empty()) {
-    const auto base = read_baseline(check_path);
-    if (base.empty()) {
-      std::fprintf(stderr, "no baseline at %s\n", check_path.c_str());
-      return 1;
-    }
-    bool ok = true;
-    for (const auto& [key, base_v] : base) {
-      auto it = current.find(key);
-      if (it == current.end()) continue;
-      // Higher is better for every metric here: fail when the current
-      // value drops more than the tolerance below the baseline.
-      const double limit = base_v * (1.0 - tolerance_pct / 100.0) - 0.001;
-      if (it->second < limit) {
-        std::fprintf(stderr, "REGRESSION: %s %.4f < limit %.4f (baseline %.4f)\n",
-                     key.c_str(), it->second, limit, base_v);
-        ok = false;
-      }
-    }
-    if (!ok) return 1;
-    std::printf("cc gate passed (tolerance %.0f%%)\n", tolerance_pct);
-  }
-  return 0;
+  return gate.finish(current, "cc");
 }

@@ -13,20 +13,14 @@
 //   * piggy — several small-message streams multiplexed onto one channel,
 //             so components share network packets (§4.3.1).
 //
-// Modes:
-//   bench_c9_datapath                          run, write BENCH json
-//   bench_c9_datapath --write-baseline <path>  also record numbers to a file
-//   bench_c9_datapath --check <path> <tol%>    exit 1 if allocs/msg exceeds
-//                                              the recorded baseline by more
-//                                              than <tol%> (CI smoke gate)
+// CLI: the shared baseline gate (bench_util.h Gate; the CI gate uses
+// --check), lower is better: allocs/msg may not exceed the baseline by more
+// than the tolerance.
 //
 // The checked-in `bench/baselines/c9_prerefactor.txt` holds the counts
 // recorded before the zero-copy datapath refactor; the default run reports
 // the reduction against it when the file is reachable.
 #include <chrono>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "bench_util.h"
 #include "util/alloc_count.h"
@@ -44,7 +38,7 @@ struct DatapathResult {
 };
 
 DatapathResult run_frag(std::size_t message_size, std::size_t messages) {
-  Lan lan(2, net::ethernet_traits(), 41);
+  auto lan = node::ethernet_world(2, net::ethernet_traits(), 41);
 
   rms::Params desired;
   desired.capacity = 128 * 1024;
@@ -106,8 +100,8 @@ DatapathResult run_piggyback(int streams, std::size_t message_size,
                              std::size_t messages_per_stream) {
   st::StConfig config;
   config.piggyback_window = msec(2);
-  Lan lan(2, net::ethernet_traits(), 43, net::Discipline::kDeadline,
-          sim::CpuPolicy::kEdf, config);
+  auto lan = node::ethernet_world(2, net::ethernet_traits(), 43,
+                                  net::Discipline::kDeadline, {.st = config});
 
   rms::Params desired;
   desired.capacity = 64 * 1024;
@@ -166,38 +160,12 @@ DatapathResult run_piggyback(int streams, std::size_t message_size,
   return r;
 }
 
-std::map<std::string, double> read_baseline(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream in(path);
-  std::string key;
-  double value;
-  while (in >> key >> value) out[key] = value;
-  return out;
-}
-
-void write_baseline(const std::string& path,
-                    const std::map<std::string, double>& values) {
-  std::ofstream out(path);
-  for (const auto& [k, v] : values) out << k << ' ' << v << '\n';
-  std::printf("wrote baseline %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   title("C9", "datapath heap allocations and throughput per delivered message");
 
-  std::string write_path;
-  std::string check_path;
-  double check_tolerance_pct = 20.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--write-baseline") == 0 && i + 1 < argc) {
-      write_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      check_path = argv[++i];
-      if (i + 1 < argc) check_tolerance_pct = std::atof(argv[++i]);
-    }
-  }
+  const Gate gate(argc, argv, Gate::Better::kLower, 0.0);
 
   if (!alloc_count::instrumented()) {
     std::fprintf(stderr, "binary is not linked against dash_alloc_count\n");
@@ -251,26 +219,7 @@ int main(int argc, char** argv) {
     break;
   }
 
-  if (!write_path.empty()) write_baseline(write_path, current);
-
-  if (!check_path.empty()) {
-    const auto baseline = read_baseline(check_path);
-    if (baseline.empty()) {
-      std::fprintf(stderr, "no baseline at %s\n", check_path.c_str());
-      return 2;
-    }
-    bool ok = true;
-    for (const auto& [key, value] : current) {
-      auto it = baseline.find(key);
-      if (it == baseline.end()) continue;
-      const double limit = it->second * (1.0 + check_tolerance_pct / 100.0);
-      const bool pass = value <= limit;
-      std::printf("check %-22s %8.1f vs baseline %8.1f (limit %8.1f): %s\n",
-                  key.c_str(), value, it->second, limit, pass ? "ok" : "REGRESSED");
-      ok = ok && pass;
-    }
-    if (!ok) return 1;
-  }
+  if (const int rc = gate.finish(current, "allocation")) return rc;
 
   note("\nShape check: the zero-copy datapath serializes each network packet");
   note("exactly once into a shared arena; fragments and piggybacked components");

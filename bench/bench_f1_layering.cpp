@@ -101,41 +101,22 @@ EchoResult run_echo(World& world, rms::HostId a, rms::HostId b) {
 
 }  // namespace
 
-/// A third world: two stations on a token ring.
-struct RingWorld {
-  sim::Simulator sim;
-  std::unique_ptr<net::TokenRingNetwork> network;
-  std::unique_ptr<netrms::NetRmsFabric> fabric;
-  std::vector<std::unique_ptr<Node>> nodes;
-
-  RingWorld() {
-    network = std::make_unique<net::TokenRingNetwork>(
-        sim, net::token_ring_traits("token-ring", 2), 1);
-    fabric = std::make_unique<netrms::NetRmsFabric>(sim, *network);
-    for (int i = 1; i <= 2; ++i) {
-      auto node = std::make_unique<Node>();
-      node->id = static_cast<rms::HostId>(i);
-      node->cpu = std::make_unique<sim::CpuScheduler>(sim, sim::CpuPolicy::kEdf);
-      fabric->register_host(node->id, *node->cpu, node->ports);
-      node->st = std::make_unique<st::SubtransportLayer>(sim, node->id, *node->cpu,
-                                                         node->ports);
-      node->st->add_network(*fabric);
-      nodes.push_back(std::move(node));
-    }
-  }
-  Node& node(rms::HostId id) { return *nodes.at(id - 1); }
-};
-
 int main() {
   title("F1", "network-independent layering: same client, three networks");
 
-  Lan lan(2);
+  auto lan = node::ethernet_world(2);
   const EchoResult ethernet = run_echo(lan, 1, 2);
 
-  RingWorld ring_world;
+  // Two stations on a token ring.
+  node::World<net::TokenRingNetwork> ring_world(
+      {[](sim::Simulator& sim) {
+        return std::make_unique<net::TokenRingNetwork>(
+            sim, net::token_ring_traits("token-ring", 2), 1);
+      }},
+      {1, 2});
   const EchoResult ring = run_echo(ring_world, 1, 2);
 
-  Wan wan({1}, {2});
+  auto wan = node::dumbbell_world({1}, {2});
   const EchoResult internet = run_echo(wan, 1, 2);
 
   std::printf("%-28s %14s %14s %14s\n", "stage (256-byte messages)", "ethernet",

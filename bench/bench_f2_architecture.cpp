@@ -13,7 +13,7 @@ using namespace dash::bench;
 int main() {
   title("F2", "the DASH architecture: RKOM + stream protocol + voice over one ST");
 
-  Lan lan(3);
+  auto lan = node::ethernet_world(3);
 
   // --- voice: host 1 -> host 2, statistical RMS ------------------------
   rms::Port voice_port;

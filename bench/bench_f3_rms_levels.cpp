@@ -39,7 +39,8 @@ struct PolicyResult {
 };
 
 PolicyResult run_policy(sim::CpuPolicy policy) {
-  Lan lan(2, net::ethernet_traits(), /*seed=*/5, net::Discipline::kDeadline, policy);
+  auto lan = node::ethernet_world(2, net::ethernet_traits(), /*seed=*/5,
+                                  net::Discipline::kDeadline, {.cpu_policy = policy});
 
   // The measured stream: 8 ms sub-user bound.
   const Time bound = msec(8);
@@ -108,7 +109,7 @@ int main() {
 
   // ---- Part 1: the Figure-3 stage tower -------------------------------
   {
-    Lan lan(2);
+    auto lan = node::ethernet_world(2);
     rms::Port port;
     lan.node(2).ports.bind(70, &port);
     auto stream = lan.node(1).st->create(tight_request(msec(50)), {2, 70});

@@ -27,8 +27,8 @@ MuxResult run(int streams, bool piggyback) {
   config.enable_piggybacking = piggyback;
   config.piggyback_window = msec(4);
   config.mux_provision_factor = 16;  // allow all streams on one network RMS
-  Lan lan(2, net::ethernet_traits(), 7, net::Discipline::kDeadline,
-          sim::CpuPolicy::kEdf, config);
+  auto lan = node::ethernet_world(2, net::ethernet_traits(), 7,
+                                  net::Discipline::kDeadline, {.st = config});
 
   rms::Params desired;
   desired.capacity = 4 * 1024;

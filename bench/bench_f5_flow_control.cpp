@@ -29,7 +29,7 @@ struct FcResult {
 };
 
 FcResult run(transport::CapacityMode capacity, bool rfc) {
-  Lan lan(2);
+  auto lan = node::ethernet_world(2);
 
   constexpr std::size_t kTotal = 512 * 1024;
   transport::StreamConfig cfg;

@@ -1,11 +1,14 @@
 // Shared scaffolding for the experiment benches (see DESIGN.md §4).
 //
 // Each bench binary regenerates one figure/claim of the paper as a printed
-// table. Worlds are assembled here; the benches sweep parameters and
-// report the series.
+// table. Worlds are node::World (node/world.h); the benches sweep
+// parameters and report the series.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -13,87 +16,14 @@
 #include <vector>
 
 #include "baseline/datagram.h"
-#include "net/ethernet.h"
-#include "net/internet.h"
-#include "netrms/fabric.h"
+#include "node/world.h"
 #include "rkom/rkom.h"
-#include "rms/rms.h"
-#include "sim/cpu_scheduler.h"
-#include "sim/simulator.h"
-#include "st/st.h"
 #include "telemetry/export.h"
 #include "transport/stream.h"
 #include "util/stats.h"
 #include "workload/workload.h"
 
 namespace dash::bench {
-
-/// One simulated machine with the full DASH stack.
-struct Node {
-  rms::HostId id;
-  std::unique_ptr<sim::CpuScheduler> cpu;
-  rms::PortRegistry ports;
-  std::unique_ptr<st::SubtransportLayer> st;
-};
-
-/// Hosts 1..n on an Ethernet-like segment.
-struct Lan {
-  sim::Simulator sim;
-  std::unique_ptr<net::EthernetNetwork> network;
-  std::unique_ptr<netrms::NetRmsFabric> fabric;
-  std::vector<std::unique_ptr<Node>> nodes;
-
-  explicit Lan(int n, net::NetworkTraits traits = net::ethernet_traits(),
-               std::uint64_t seed = 1,
-               net::Discipline discipline = net::Discipline::kDeadline,
-               sim::CpuPolicy cpu_policy = sim::CpuPolicy::kEdf,
-               st::StConfig st_config = {}) {
-    network =
-        std::make_unique<net::EthernetNetwork>(sim, std::move(traits), seed, discipline);
-    fabric = std::make_unique<netrms::NetRmsFabric>(sim, *network);
-    for (int i = 1; i <= n; ++i) {
-      auto node = std::make_unique<Node>();
-      node->id = static_cast<rms::HostId>(i);
-      node->cpu = std::make_unique<sim::CpuScheduler>(sim, cpu_policy);
-      fabric->register_host(node->id, *node->cpu, node->ports);
-      node->st = std::make_unique<st::SubtransportLayer>(sim, node->id, *node->cpu,
-                                                         node->ports, st_config);
-      node->st->add_network(*fabric);
-      nodes.push_back(std::move(node));
-    }
-  }
-
-  Node& node(rms::HostId id) { return *nodes.at(id - 1); }
-};
-
-/// `left` and `right` host groups behind a two-gateway dumbbell.
-struct Wan {
-  sim::Simulator sim;
-  std::unique_ptr<net::InternetNetwork> network;
-  std::unique_ptr<netrms::NetRmsFabric> fabric;
-  std::map<rms::HostId, std::unique_ptr<Node>> nodes;
-
-  Wan(std::vector<rms::HostId> left, std::vector<rms::HostId> right,
-      net::NetworkTraits traits = net::internet_traits(), std::uint64_t seed = 1,
-      net::Discipline discipline = net::Discipline::kDeadline) {
-    network = net::make_dumbbell(sim, std::move(traits), seed, left, right, discipline);
-    fabric = std::make_unique<netrms::NetRmsFabric>(sim, *network);
-    for (auto side : {&left, &right}) {
-      for (rms::HostId id : *side) {
-        auto node = std::make_unique<Node>();
-        node->id = id;
-        node->cpu = std::make_unique<sim::CpuScheduler>(sim, sim::CpuPolicy::kEdf);
-        fabric->register_host(id, *node->cpu, node->ports);
-        node->st = std::make_unique<st::SubtransportLayer>(sim, id, *node->cpu,
-                                                           node->ports);
-        node->st->add_network(*fabric);
-        nodes[id] = std::move(node);
-      }
-    }
-  }
-
-  Node& node(rms::HostId id) { return *nodes.at(id); }
-};
 
 /// A saturating feeder for a StreamSender (keeps the IPC port full).
 class Feeder {
@@ -169,6 +99,99 @@ class BenchJson {
  private:
   std::string name_;
   std::vector<std::string> rows_;
+};
+
+/// Reads a baseline file: one `key value` pair per line. Empty when the
+/// file is missing.
+inline std::map<std::string, double> read_baseline(const std::string& path) {
+  std::map<std::string, double> out;
+  std::ifstream in(path);
+  std::string key;
+  double value = 0;
+  while (in >> key >> value) out[key] = value;
+  return out;
+}
+
+/// The baseline gate every gated bench shares:
+///   --write-baseline <path>   record this run's gated metrics
+///   --check <path> [<tol%>]   compare them against a recorded baseline
+/// A metric regresses when it moves past its baseline by more than the
+/// tolerance (percent, default 20) plus an absolute slack, in the bench's
+/// direction: below base·(1 − tol) − slack when higher is better, above
+/// base·(1 + tol) + slack when lower is better. A missing baseline file, or
+/// a baseline key the run did not produce, fails the check too.
+class Gate {
+ public:
+  enum class Better { kHigher, kLower };
+
+  /// Parses the command line; exits with status 2 on anything else.
+  Gate(int argc, char** argv, Better better, double slack)
+      : better_(better), slack_(slack) {
+    for (int i = 1; i < argc; ++i) {
+      const bool check = std::strcmp(argv[i], "--check") == 0;
+      if (!check && std::strcmp(argv[i], "--write-baseline") != 0) usage(argv[0]);
+      if (i + 1 >= argc) usage(argv[0]);
+      (check ? check_path_ : write_path_) = argv[++i];
+      if (check && i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+        char* end = nullptr;
+        tolerance_pct_ = std::strtod(argv[++i], &end);
+        if (*end != '\0') usage(argv[0]);
+      }
+    }
+  }
+
+  bool checking() const { return !check_path_.empty(); }
+
+  /// Writes and/or checks `current`. Returns the exit status: 1 when the
+  /// check fails, else 0; on success prints "<name> gate passed".
+  int finish(const std::map<std::string, double>& current, const char* name) const {
+    if (!write_path_.empty()) {
+      std::ofstream out(write_path_);
+      for (const auto& [k, v] : current) out << k << " " << v << "\n";
+      std::printf("wrote baseline to %s\n", write_path_.c_str());
+    }
+    if (!checking()) return 0;
+    const auto base = read_baseline(check_path_);
+    if (base.empty()) {
+      std::fprintf(stderr, "no baseline at %s\n", check_path_.c_str());
+      return 1;
+    }
+    const bool higher = better_ == Better::kHigher;
+    const double tol = tolerance_pct_ / 100.0;
+    bool ok = true;
+    for (const auto& [key, base_v] : base) {
+      auto it = current.find(key);
+      if (it == current.end()) {
+        std::fprintf(stderr, "MISSING: baseline key %s not measured\n", key.c_str());
+        ok = false;
+        continue;
+      }
+      const double limit =
+          higher ? base_v * (1.0 - tol) - slack_ : base_v * (1.0 + tol) + slack_;
+      if (higher ? it->second < limit : it->second > limit) {
+        std::fprintf(stderr, "REGRESSION: %s %.4f %s limit %.4f (baseline %.4f)\n",
+                     key.c_str(), it->second, higher ? "<" : ">", limit, base_v);
+        ok = false;
+      }
+    }
+    if (!ok) return 1;
+    std::printf("%s gate passed (tolerance %.0f%%)\n", name, tolerance_pct_);
+    return 0;
+  }
+
+ private:
+  [[noreturn]] static void usage(const char* argv0) {
+    std::fprintf(stderr,
+                 "usage: %s [--write-baseline <path>] [--check <path> [<tol%%>]]\n",
+                 argv0);
+    std::exit(2);
+  }
+
+  Better better_;
+  double slack_;
+  double tolerance_pct_ = 20.0;
+  std::string write_path_;
+  std::string check_path_;
 };
 
 inline void title(const char* id, const char* what) {

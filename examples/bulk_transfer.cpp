@@ -14,7 +14,7 @@
 using namespace dash;
 
 int main() {
-  examples::Wan wan(/*left=*/{1}, /*right=*/{2});
+  auto wan = node::dumbbell_world(/*left=*/{1}, /*right=*/{2});
 
   examples::print_header("2 MB reliable transfer over a T1 dumbbell");
 

@@ -126,51 +126,35 @@ Options parse(int argc, char** argv) {
   return opt;
 }
 
-/// A world that is either a LAN or a WAN dumbbell, uniformly accessed.
-struct World {
-  sim::Simulator sim;
-  std::unique_ptr<net::Network> network;
-  std::unique_ptr<netrms::NetRmsFabric> fabric;
-  std::vector<std::unique_ptr<examples::Node>> nodes;
-
-  World(const Options& opt, int hosts) {
-    if (opt.ring) {
-      auto traits = net::token_ring_traits("token-ring", hosts);
-      traits.bit_error_rate = opt.ber;
-      traits.trusted = opt.trusted;
-      network = std::make_unique<net::TokenRingNetwork>(
+/// The medium --ring / --wan (default: Ethernet) selects, with --ber and
+/// --trusted applied to its traits.
+node::MediumFactory<net::Network> medium(const Options& opt, int hosts) {
+  auto tune = [&opt](net::NetworkTraits traits) {
+    traits.bit_error_rate = opt.ber;
+    traits.trusted = opt.trusted;
+    return traits;
+  };
+  if (opt.ring) {
+    return [traits = tune(net::token_ring_traits("token-ring", hosts)), opt](
+               sim::Simulator& sim) {
+      return std::make_unique<net::TokenRingNetwork>(
           sim, traits, opt.seed, net::TokenRingNetwork::RingConfig{}, opt.discipline);
-    } else if (opt.wan) {
-      auto traits = net::internet_traits();
-      traits.bit_error_rate = opt.ber;
-      traits.trusted = opt.trusted;
-      std::vector<rms::HostId> left, right;
-      for (int i = 1; i <= hosts; ++i) {
-        (i % 2 == 1 ? left : right).push_back(static_cast<rms::HostId>(i));
-      }
-      network = net::make_dumbbell(sim, traits, opt.seed, left, right, opt.discipline);
-    } else {
-      auto traits = net::ethernet_traits();
-      traits.bit_error_rate = opt.ber;
-      traits.trusted = opt.trusted;
-      network = std::make_unique<net::EthernetNetwork>(sim, traits, opt.seed,
-                                                       opt.discipline);
-    }
-    fabric = std::make_unique<netrms::NetRmsFabric>(sim, *network);
-    for (int i = 1; i <= hosts; ++i) {
-      auto node = std::make_unique<examples::Node>();
-      node->id = static_cast<rms::HostId>(i);
-      node->cpu = std::make_unique<sim::CpuScheduler>(sim, opt.cpu);
-      fabric->register_host(node->id, *node->cpu, node->ports);
-      node->st = std::make_unique<st::SubtransportLayer>(sim, node->id, *node->cpu,
-                                                         node->ports);
-      node->st->add_network(*fabric);
-      nodes.push_back(std::move(node));
-    }
+    };
   }
+  if (opt.wan) {
+    std::vector<rms::HostId> left, right;
+    for (int i = 1; i <= hosts; ++i) {
+      (i % 2 == 1 ? left : right).push_back(static_cast<rms::HostId>(i));
+    }
+    return [traits = tune(net::internet_traits()), left, right,
+            opt](sim::Simulator& sim) {
+      return net::make_dumbbell(sim, traits, opt.seed, left, right, opt.discipline);
+    };
+  }
+  return node::ethernet(tune(net::ethernet_traits()), opt.seed, opt.discipline);
+}
 
-  examples::Node& node(rms::HostId id) { return *nodes.at(id - 1); }
-};
+using World = node::World<>;
 
 struct VoiceCall {
   std::unique_ptr<rms::Rms> stream;
@@ -240,7 +224,7 @@ int main(int argc, char** argv) {
   const bool rpc_on = opt.scenario == "rpc" || opt.scenario == "mixed";
   if (!voice_on && !bulk_on && !rpc_on) usage(argv[0]);
 
-  World world(opt, /*hosts=*/4);
+  World world({medium(opt, 4)}, node::host_ids(4), {.cpu_policy = opt.cpu});
   std::printf("dashsim: scenario=%s network=%s discipline=%s cpu=%s seconds=%d "
               "ber=%g trusted=%d seed=%llu\n",
               opt.scenario.c_str(),
@@ -290,6 +274,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<rkom::RkomNode> rpc_client, rpc_server;
   Samples rpc_ms;
   int rpc_done = 0;
+  std::function<void()> rpc_loop;
   if (rpc_on) {
     rpc_client = std::make_unique<rkom::RkomNode>(*world.node(3).st,
                                                   world.node(3).ports);
@@ -298,18 +283,17 @@ int main(int argc, char** argv) {
     rpc_server->register_operation(1, {[](BytesView in) {
       return Bytes(in.begin(), in.end());
     }, usec(200)});
-    auto call = std::make_shared<std::function<void()>>();
-    *call = [&world, &rpc_ms, &rpc_done, call, client = rpc_client.get()] {
+    rpc_loop = [&world, &rpc_ms, &rpc_done, &rpc_loop, client = rpc_client.get()] {
       const Time t0 = world.sim.now();
-      client->call(2, 1, patterned_bytes(128, 1), [&, call, t0](Result<Bytes> r) {
+      client->call(2, 1, patterned_bytes(128, 1), [&, t0](Result<Bytes> r) {
         if (r.ok()) {
           ++rpc_done;
           rpc_ms.add(to_millis(world.sim.now() - t0));
         }
-        world.sim.after(msec(25), [call] { (*call)(); });
+        world.sim.after(msec(25), [&rpc_loop] { rpc_loop(); });
       });
     };
-    (*call)();
+    rpc_loop();
   }
 
   world.sim.run_until(sec(opt.seconds));

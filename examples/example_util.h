@@ -1,86 +1,13 @@
-// Shared scaffolding for the example programs: simulated hosts wired with
-// a subtransport layer over an Ethernet segment or a wide-area dumbbell.
+// Shared scaffolding for the example programs. Their worlds — simulated
+// hosts running the DASH stack over an Ethernet segment, a wide-area
+// dumbbell or a token ring — are node::World (node/world.h).
 #pragma once
 
 #include <cstdio>
-#include <map>
-#include <memory>
-#include <vector>
 
-#include "net/ethernet.h"
-#include "net/internet.h"
-#include "netrms/fabric.h"
-#include "rms/rms.h"
-#include "sim/cpu_scheduler.h"
-#include "sim/simulator.h"
-#include "st/st.h"
+#include "node/world.h"
 
 namespace dash::examples {
-
-/// One simulated machine: CPU, port registry, subtransport layer.
-struct Node {
-  rms::HostId id;
-  std::unique_ptr<sim::CpuScheduler> cpu;
-  rms::PortRegistry ports;
-  std::unique_ptr<st::SubtransportLayer> st;
-};
-
-/// A LAN world: hosts 1..n on one Ethernet-like segment.
-struct Lan {
-  sim::Simulator sim;
-  std::unique_ptr<net::EthernetNetwork> network;
-  std::unique_ptr<netrms::NetRmsFabric> fabric;
-  std::vector<std::unique_ptr<Node>> nodes;
-
-  explicit Lan(int n, net::NetworkTraits traits = net::ethernet_traits(),
-               std::uint64_t seed = 1) {
-    network = std::make_unique<net::EthernetNetwork>(sim, std::move(traits), seed);
-    fabric = std::make_unique<netrms::NetRmsFabric>(sim, *network);
-    for (int i = 1; i <= n; ++i) add_node(static_cast<rms::HostId>(i));
-  }
-
-  void add_node(rms::HostId id) {
-    auto node = std::make_unique<Node>();
-    node->id = id;
-    node->cpu = std::make_unique<sim::CpuScheduler>(sim, sim::CpuPolicy::kEdf);
-    fabric->register_host(id, *node->cpu, node->ports);
-    node->st = std::make_unique<st::SubtransportLayer>(sim, id, *node->cpu,
-                                                       node->ports);
-    node->st->add_network(*fabric);
-    nodes.push_back(std::move(node));
-  }
-
-  Node& node(rms::HostId id) { return *nodes.at(id - 1); }
-};
-
-/// A WAN world: `left` and `right` host groups behind two gateways joined
-/// by a slow long-haul trunk.
-struct Wan {
-  sim::Simulator sim;
-  std::unique_ptr<net::InternetNetwork> network;
-  std::unique_ptr<netrms::NetRmsFabric> fabric;
-  std::map<rms::HostId, std::unique_ptr<Node>> nodes;
-
-  Wan(std::vector<rms::HostId> left, std::vector<rms::HostId> right,
-      net::NetworkTraits traits = net::internet_traits(), std::uint64_t seed = 1) {
-    network = net::make_dumbbell(sim, std::move(traits), seed, left, right);
-    fabric = std::make_unique<netrms::NetRmsFabric>(sim, *network);
-    for (auto side : {&left, &right}) {
-      for (rms::HostId id : *side) {
-        auto node = std::make_unique<Node>();
-        node->id = id;
-        node->cpu = std::make_unique<sim::CpuScheduler>(sim, sim::CpuPolicy::kEdf);
-        fabric->register_host(id, *node->cpu, node->ports);
-        node->st = std::make_unique<st::SubtransportLayer>(sim, id, *node->cpu,
-                                                           node->ports);
-        node->st->add_network(*fabric);
-        nodes[id] = std::move(node);
-      }
-    }
-  }
-
-  Node& node(rms::HostId id) { return *nodes.at(id); }
-};
 
 inline void print_header(const char* title) {
   std::printf("\n=== %s ===\n", title);

@@ -13,7 +13,7 @@
 using namespace dash;
 
 int main() {
-  examples::Lan lan(/*hosts=*/2);
+  auto lan = node::ethernet_world(/*hosts=*/2);
 
   examples::print_header("1. Request an ST RMS from host 1 to host 2");
 

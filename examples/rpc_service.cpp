@@ -7,6 +7,7 @@
 // at-most-once execution keeps the store consistent despite duplicate
 // requests.
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -19,7 +20,7 @@ using namespace dash;
 int main() {
   auto traits = net::internet_traits();
   traits.bit_error_rate = 2e-6;  // lossy long-haul: retransmissions will happen
-  examples::Wan wan(/*left=*/{1, 2, 3}, /*right=*/{10}, traits);
+  auto wan = node::dumbbell_world(/*left=*/{1, 2, 3}, /*right=*/{10}, traits);
 
   examples::print_header("Key-value service over RKOM (lossy WAN)");
 
@@ -49,6 +50,7 @@ int main() {
     Samples latency_ms;
     int completed = 0;
     int failed = 0;
+    std::function<void(int)> issue;  ///< the closed loop's next operation
   };
   std::map<rms::HostId, Client> clients;
   for (rms::HostId id : {1u, 2u, 3u}) {
@@ -61,14 +63,13 @@ int main() {
   for (auto& [id, client] : clients) {
     auto* c = &client;
     const auto host = id;
-    auto issue = std::make_shared<std::function<void(int)>>();
-    *issue = [c, host, issue, &wan](int remaining) {
+    c->issue = [c, host, &wan](int remaining) {
       if (remaining == 0) return;
       const Time started = wan.sim.now();
       const std::string key =
           "k" + std::to_string(host) + "." + std::to_string(remaining % 10);
       const bool is_put = remaining % 2 == 0;
-      auto done = [c, issue, remaining, started, &wan](Result<Bytes> r) {
+      auto done = [c, remaining, started, &wan](Result<Bytes> r) {
         if (r.ok()) {
           ++c->completed;
           c->latency_ms.add(to_millis(wan.sim.now() - started));
@@ -76,7 +77,7 @@ int main() {
           ++c->failed;
         }
         // Think time before the next operation.
-        wan.sim.after(msec(20), [issue, remaining] { (*issue)(remaining - 1); });
+        wan.sim.after(msec(20), [c, remaining] { c->issue(remaining - 1); });
       };
       if (is_put) {
         c->rpc->call("kv.put", to_bytes(key + "=v" + std::to_string(remaining)),
@@ -85,7 +86,7 @@ int main() {
         c->rpc->call("kv.get", to_bytes(key), done);
       }
     };
-    (*issue)(100);
+    c->issue(100);
   }
 
   wan.sim.run_until(sec(120));

@@ -65,7 +65,7 @@ rms::Request request_for(rms::BoundType type, Time bound) {
 int main() {
   print_header("telemetry: guarantee ledger, metrics registry, trace export");
 
-  Lan lan(3, net::ethernet_traits(), /*seed=*/17);
+  auto lan = node::ethernet_world(3, net::ethernet_traits(), /*seed=*/17);
 
   // An adversarial medium: background loss / reordering / corruption, plus
   // host 3 losing its link for half a second mid-run.
@@ -160,15 +160,14 @@ int main() {
   rk_client.set_metrics(&metrics);
   rk_server.register_operation(
       7, {[](BytesView in) { return Bytes(in.begin(), in.end()); }, usec(200)});
-  auto issue = std::make_shared<std::function<void()>>();
-  *issue = [&lan, &rk_client, issue] {
+  std::function<void()> issue = [&lan, &rk_client, &issue] {
     if (lan.sim.now() >= sec(10)) return;
-    rk_client.call(3, 7, patterned_bytes(64, 1), [&lan, issue](Result<Bytes> r) {
+    rk_client.call(3, 7, patterned_bytes(64, 1), [&lan, &issue](Result<Bytes> r) {
       (void)r;  // timeouts during the outage are part of the story
-      lan.sim.after(msec(100), [issue] { (*issue)(); });
+      lan.sim.after(msec(100), [&issue] { issue(); });
     });
   };
-  (*issue)();
+  issue();
 
   for (auto& w : streams) w.source->start();
   lan.sim.run_until(sec(10));

@@ -22,40 +22,20 @@ using namespace dash;
 
 namespace {
 
-struct RingWorld {
-  sim::Simulator sim;
-  std::unique_ptr<net::TokenRingNetwork> network;
-  std::unique_ptr<netrms::NetRmsFabric> fabric;
-  std::vector<std::unique_ptr<examples::Node>> nodes;
-
-  explicit RingWorld(int stations) {
-    // A media-friendly ring: 3 ms of token holding lets a whole video
-    // frame (<= 1500 B at 4 Mb/s) go out in one visit; worst-case rotation
-    // with 4 stations is ~12 ms, comfortably inside the voice bound.
-    net::TokenRingNetwork::RingConfig ring_cfg;
-    ring_cfg.token_holding_time = msec(3);
-    network = std::make_unique<net::TokenRingNetwork>(
-        sim, net::token_ring_traits("studio-ring", stations, ring_cfg), 1,
-        ring_cfg);
-    fabric = std::make_unique<netrms::NetRmsFabric>(sim, *network);
-    for (int i = 1; i <= stations; ++i) {
-      auto node = std::make_unique<examples::Node>();
-      node->id = static_cast<rms::HostId>(i);
-      node->cpu = std::make_unique<sim::CpuScheduler>(sim, sim::CpuPolicy::kEdf);
-      fabric->register_host(node->id, *node->cpu, node->ports);
-      node->st = std::make_unique<st::SubtransportLayer>(sim, node->id, *node->cpu,
-                                                         node->ports);
-      node->st->add_network(*fabric);
-      nodes.push_back(std::move(node));
-    }
-  }
-  examples::Node& node(rms::HostId id) { return *nodes.at(id - 1); }
-};
+/// A media-friendly ring: 3 ms of token holding lets a whole video frame
+/// (<= 1500 B at 4 Mb/s) go out in one visit; worst-case rotation with 4
+/// stations is ~12 ms, comfortably inside the voice bound.
+std::unique_ptr<net::TokenRingNetwork> studio_ring(sim::Simulator& sim) {
+  net::TokenRingNetwork::RingConfig ring_cfg;
+  ring_cfg.token_holding_time = msec(3);
+  return std::make_unique<net::TokenRingNetwork>(
+      sim, net::token_ring_traits("studio-ring", 4, ring_cfg), 1, ring_cfg);
+}
 
 }  // namespace
 
 int main() {
-  RingWorld ring(4);
+  node::World<net::TokenRingNetwork> ring({studio_ring}, node::host_ids(4));
   examples::print_header("Video phone between stations 1 and 2 (token ring)");
 
   // --- media streams as user-level RMS (codec CPU inside the bound) ----

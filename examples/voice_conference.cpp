@@ -16,7 +16,7 @@
 using namespace dash;
 
 int main() {
-  examples::Lan lan(/*hosts=*/4);
+  auto lan = node::ethernet_world(/*hosts=*/4);
 
   examples::print_header("Voice calls with a bulk transfer in the background");
 

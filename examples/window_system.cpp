@@ -19,7 +19,7 @@
 using namespace dash;
 
 int main() {
-  examples::Lan lan(/*hosts=*/2);
+  auto lan = node::ethernet_world(/*hosts=*/2);
 
   examples::print_header("Remote window system: events up, graphics down");
 

@@ -1,54 +1,54 @@
-// DashNode: one simulated DASH host, fully assembled.
+// DashNode: one DASH host, fully assembled.
 //
 // Bundles the pieces every host needs — CPU scheduler, port registry,
-// subtransport layer, and (lazily) an RKOM node — so applications,
-// examples, and tests don't re-wire the stack by hand. This is the
-// intended top-level entry point of the library.
+// subtransport layer, a path manager when the host has somewhere to fail
+// over to, and (lazily) an RKOM node — so applications, examples, and tests
+// don't re-wire the stack by hand. Worlds of several hosts are built with
+// node::World (node/world.h).
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "netrms/fabric.h"
 #include "path/path.h"
 #include "rkom/rkom.h"
 #include "rms/rms.h"
 #include "sim/cpu_scheduler.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "st/st.h"
 
 namespace dash::node {
 
 using rms::HostId;
-using rms::Label;
 
 struct NodeConfig {
   sim::CpuPolicy cpu_policy = sim::CpuPolicy::kEdf;
-  st::StConfig st;
-  path::PathConfig path;
-  rkom::RkomConfig rkom;
+  st::StConfig st = {};
+  path::PathConfig path = {};
+  rkom::RkomConfig rkom = {};
 };
 
 class DashNode {
  public:
-  DashNode(sim::Simulator& sim, HostId id, NodeConfig config = {})
-      : sim_(sim),
-        id_(id),
-        config_(config),
-        cpu_(std::make_unique<sim::CpuScheduler>(sim, config.cpu_policy)),
-        st_(std::make_unique<st::SubtransportLayer>(sim, id, *cpu_, ports_,
-                                                    config.st)) {
-    if (config_.path.enabled) {
-      path_ = std::make_unique<path::PathManager>(sim, *st_, ports_, config_.path);
+  /// Builds the stack and joins `fabrics` in order. This is the one place
+  /// that decides whether a host gets a path manager: it does iff
+  /// config.path.enabled and it joins two or more fabrics. With one there
+  /// is nowhere to fail over, and a manager is not inert — it turns on ST
+  /// handoff retention and internal fast acks — so single-network hosts
+  /// run the plain stack. A node that join()s more networks later keeps
+  /// the decision made here.
+  DashNode(sim::Simulator& sim, HostId id,
+           const std::vector<netrms::NetRmsFabric*>& fabrics = {},
+           NodeConfig config = {})
+      : id(id),
+        cpu(std::make_unique<sim::CpuScheduler>(sim, config.cpu_policy)),
+        st(std::make_unique<st::SubtransportLayer>(sim, id, *cpu, ports, config.st)),
+        rkom_config_(config.rkom) {
+    if (config.path.enabled && fabrics.size() >= 2) {
+      path = std::make_unique<path::PathManager>(sim, *st, ports, config.path);
     }
-  }
-
-  /// Sharded-run variant: builds the node inside `ctx`'s shard. The whole
-  /// stack runs on that shard's engine; only the shard affinity is
-  /// recorded beyond what the Simulator& overload does.
-  DashNode(sim::ShardContext& ctx, HostId id, NodeConfig config = {})
-      : DashNode(ctx.sim(), id, config) {
-    shard_ = ctx.shard();
+    for (netrms::NetRmsFabric* fabric : fabrics) join(*fabric);
   }
 
   DashNode(const DashNode&) = delete;
@@ -56,55 +56,36 @@ class DashNode {
 
   /// Attaches this node to a network: registers the host with the fabric
   /// and makes the network available to the subtransport layer (and the
-  /// path manager, which scores it as a failover candidate).
+  /// path manager, which scores it as a failover candidate; both index
+  /// fabrics by join order).
   void join(netrms::NetRmsFabric& fabric) {
-    fabric.register_host(id_, *cpu_, ports_);
-    st_->add_network(fabric);
-    if (path_ != nullptr) path_->add_network(fabric);
+    fabric.register_host(id, *cpu, ports);
+    st->add_network(fabric);
+    if (path != nullptr) path->add_network(fabric);
   }
-
-  /// Creates an ST RMS to `target` (see SubtransportLayer::create).
-  Result<std::unique_ptr<rms::Rms>> create_stream(const rms::Request& request,
-                                                  const Label& target) {
-    return st_->create(request, target);
-  }
-
-  /// Binds a receive port. The caller keeps ownership of `port`.
-  void bind(rms::PortId id, rms::Port* port) { ports_.bind(id, port); }
-  void unbind(rms::PortId id) { ports_.unbind(id); }
 
   /// The RKOM request/reply endpoint, constructed on first use (§3.3).
   rkom::RkomNode& rkom() {
     if (rkom_ == nullptr) {
-      rkom_ = std::make_unique<rkom::RkomNode>(*st_, ports_, config_.rkom);
+      rkom_ = std::make_unique<rkom::RkomNode>(*st, ports, rkom_config_);
     }
     return *rkom_;
   }
 
-  HostId id() const { return id_; }
-  sim::Simulator& simulator() { return sim_; }
-  sim::CpuScheduler& cpu() { return *cpu_; }
-  rms::PortRegistry& ports() { return ports_; }
-  st::SubtransportLayer& st() { return *st_; }
-
-  /// The path manager; nullptr when NodeConfig::path.enabled is false.
-  path::PathManager* path() { return path_.get(); }
-
-  /// Which shard this node lives on (0 in single-engine runs).
-  sim::ShardId shard() const { return shard_; }
+  const HostId id;
+  rms::PortRegistry ports;
+  std::unique_ptr<sim::CpuScheduler> cpu;
+  std::unique_ptr<st::SubtransportLayer> st;
 
  private:
-  sim::Simulator& sim_;
-  HostId id_;
-  sim::ShardId shard_ = 0;
-  NodeConfig config_;
-  rms::PortRegistry ports_;
-  std::unique_ptr<sim::CpuScheduler> cpu_;
-  std::unique_ptr<st::SubtransportLayer> st_;
+  rkom::RkomConfig rkom_config_;
   std::unique_ptr<rkom::RkomNode> rkom_;
-  // Declared last: destroyed first, so its destructor can still detach the
-  // observer from st_ and unbind its probe port from ports_.
-  std::unique_ptr<path::PathManager> path_;
+
+ public:
+  /// nullptr unless the constructor gave the node a manager. Declared
+  /// last: destroyed first, so its destructor can still detach the
+  /// observer from `st` and unbind its probe port from `ports`.
+  std::unique_ptr<path::PathManager> path;
 };
 
 }  // namespace dash::node

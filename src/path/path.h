@@ -154,6 +154,8 @@ class PathManager final : public st::StreamObserver {
   const ProbeHealth* probe_health(HostId peer,
                                   const netrms::NetRmsFabric& fabric) const;
 
+  /// The candidate fabrics, in add_network order (indexes are positions).
+  const std::vector<netrms::NetRmsFabric*>& networks() const { return fabrics_; }
   const Stats& stats() const { return stats_; }
   const PathConfig& config() const { return config_; }
   HostId host() const { return host_; }

@@ -75,14 +75,8 @@ void MultiRegionWorld::build_region(sim::ShardedSimulator& ssim,
   region->fabric = std::make_unique<netrms::NetRmsFabric>(sim, *region->lan);
 
   for (int i = 0; i < config_.hosts_per_region; ++i) {
-    auto host = std::make_unique<Host>();
-    host->id = host_id(r, i);
-    host->cpu = std::make_unique<sim::CpuScheduler>(sim, sim::CpuPolicy::kEdf);
-    region->fabric->register_host(host->id, *host->cpu, host->ports);
-    host->st = std::make_unique<st::SubtransportLayer>(sim, host->id, *host->cpu,
-                                                       host->ports);
-    host->st->add_network(*region->fabric);
-    region->hosts.push_back(std::move(host));
+    region->hosts.push_back(
+        std::make_unique<Host>(sim, host_id(r, i), std::vector{region->fabric.get()}));
   }
   regions_.push_back(std::move(region));
 }

@@ -28,10 +28,9 @@
 #include "net/internet.h"
 #include "net/shard_link.h"
 #include "netrms/fabric.h"
+#include "node/node.h"
 #include "rms/rms.h"
-#include "sim/cpu_scheduler.h"
 #include "sim/parallel.h"
-#include "st/st.h"
 
 namespace dash::workload {
 
@@ -61,11 +60,9 @@ struct MultiRegionConfig {
 
 class MultiRegionWorld {
  public:
-  struct Host {
-    rms::HostId id = 0;
-    std::unique_ptr<sim::CpuScheduler> cpu;
-    rms::PortRegistry ports;
-    std::unique_ptr<st::SubtransportLayer> st;
+  /// A region host: the DASH stack plus its workload state.
+  struct Host : node::DashNode {
+    using node::DashNode::DashNode;
     rms::Port inbox;                   ///< frame streams land here
     std::unique_ptr<rms::Rms> stream;  ///< to the next host in the region
     std::uint64_t frames_received = 0;

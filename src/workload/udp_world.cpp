@@ -3,40 +3,18 @@
 namespace dash::workload {
 
 UdpLoopbackWorld::UdpLoopbackWorld(UdpWorldConfig cfg) {
-  network = std::make_unique<net::UdpNetwork>(driver, cfg.traits, cfg.udp);
-  fabric = std::make_unique<netrms::NetRmsFabric>(sim, *network);
+  add_network(std::make_unique<net::UdpNetwork>(driver, cfg.traits, cfg.udp));
   if (cfg.with_path_manager) {
-    network_b = std::make_unique<net::UdpNetwork>(driver, cfg.traits, cfg.udp);
-    fabric_b = std::make_unique<netrms::NetRmsFabric>(sim, *network_b);
+    add_network(std::make_unique<net::UdpNetwork>(driver, cfg.traits, cfg.udp));
   }
   for (int i = 1; i <= cfg.hosts; ++i) {
-    auto node = std::make_unique<Node>();
-    node->id = static_cast<rms::HostId>(i);
-    node->cpu = std::make_unique<sim::CpuScheduler>(sim, sim::CpuPolicy::kEdf);
-    fabric->register_host(node->id, *node->cpu, node->ports);
-    if (fabric_b) fabric_b->register_host(node->id, *node->cpu, node->ports);
-    node->st = std::make_unique<st::SubtransportLayer>(
-        sim, node->id, *node->cpu, node->ports, cfg.st_config);
-    node->st->add_network(*fabric);
-    if (fabric_b) node->st->add_network(*fabric_b);
-    if (cfg.with_path_manager) {
-      node->path = std::make_unique<path::PathManager>(sim, *node->st,
-                                                       node->ports,
-                                                       cfg.path_config);
-      // Same order as SubtransportLayer::add_network (the managers index
-      // fabrics positionally).
-      node->path->add_network(*fabric);
-      node->path->add_network(*fabric_b);
-    }
-    nodes.push_back(std::move(node));
+    add_node(static_cast<rms::HostId>(i), {.st = cfg.st_config, .path = cfg.path_config});
   }
 }
 
-fault::FaultInjector& UdpLoopbackWorld::with_faults(fault::FaultPlan plan,
-                                                    std::uint64_t seed) {
-  faults = std::make_unique<fault::FaultInjector>(sim, std::move(plan), seed);
-  faults->attach(*network);
-  return *faults;
+UdpLoopbackWorld::~UdpLoopbackWorld() {
+  nodes.clear();
+  media.clear();
 }
 
 }  // namespace dash::workload

@@ -1,27 +1,18 @@
 // Real-endpoint loopback topology (DESIGN.md §16).
 //
-// N full node stacks — CPU scheduler, port registry, subtransport layer,
-// optionally a path manager — on ONE shared UdpNetwork over 127.0.0.1.
-// Each registered host gets its own kernel socket (ephemeral port), so
-// every packet genuinely crosses the kernel loopback path; the single
+// N full node stacks on ONE shared UdpNetwork over 127.0.0.1. Each
+// registered host gets its own kernel socket (ephemeral port), so every
+// packet genuinely crosses the kernel loopback path; the single
 // network/fabric pair exists because stream state (netrms negotiation)
 // is looked up in the fabric that created it, exactly as a process-wide
 // protocol switch would hold it. The simulator under the stacks is run
 // by an rt::Driver, so all protocol timers fire in wall time.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
-#include "fault/fault.h"
 #include "net/udp/udp.h"
-#include "netrms/fabric.h"
+#include "node/world.h"
 #include "path/path.h"
-#include "rms/rms.h"
 #include "rt/driver.h"
-#include "sim/cpu_scheduler.h"
-#include "sim/simulator.h"
 #include "st/st.h"
 
 namespace dash::workload {
@@ -31,9 +22,9 @@ struct UdpWorldConfig {
   net::NetworkTraits traits = net::udp_traits();
   net::UdpConfig udp = {};
   st::StConfig st_config = {};
-  /// Also builds a second UdpNetwork/fabric pair (`network_b`): a second
-  /// "NIC" on 127.0.0.1 with its own sockets. The path manager stays
-  /// quiescent with fewer than two networks (nowhere to fail over), so
+  /// Also builds a second UdpNetwork/fabric pair (`media[1]`): a second
+  /// "NIC" on 127.0.0.1 with its own sockets. A node gets a path manager
+  /// only with two networks (nowhere to fail over otherwise), so
   /// with_path_manager implies this.
   bool with_path_manager = false;
   path::PathConfig path_config = {};
@@ -41,37 +32,13 @@ struct UdpWorldConfig {
 
 /// The live loopback harness: build it, create streams through st(id),
 /// then run `driver` until the workload's done-condition holds.
-struct UdpLoopbackWorld {
-  sim::Simulator sim;
+struct UdpLoopbackWorld : node::World<net::UdpNetwork> {
   rt::Driver driver{sim};
-  std::unique_ptr<net::UdpNetwork> network;
-  std::unique_ptr<netrms::NetRmsFabric> fabric;
-  // Second medium (null unless with_path_manager): distinct sockets, same
-  // loopback wire — gives the path manager a real alternative path.
-  std::unique_ptr<net::UdpNetwork> network_b;
-  std::unique_ptr<netrms::NetRmsFabric> fabric_b;
-
-  struct Node {
-    rms::HostId id = 0;
-    std::unique_ptr<sim::CpuScheduler> cpu;
-    rms::PortRegistry ports;
-    std::unique_ptr<st::SubtransportLayer> st;
-    // Declared after st: destroyed first, so it can detach its observer.
-    std::unique_ptr<path::PathManager> path;
-  };
-  // Heap-allocated: the fabric and ST hold references into each node.
-  std::vector<std::unique_ptr<Node>> nodes;
-  std::unique_ptr<fault::FaultInjector> faults;
 
   explicit UdpLoopbackWorld(UdpWorldConfig cfg = {});
-
-  /// Interposes a scripted fault plan on the loopback medium (judged at
-  /// datagram arrival, after decode). Attach before traffic starts.
-  fault::FaultInjector& with_faults(fault::FaultPlan plan,
-                                    std::uint64_t seed = 7);
-
-  st::SubtransportLayer& st(rms::HostId id) { return *nodes.at(id - 1)->st; }
-  Node& node(rms::HostId id) { return *nodes.at(id - 1); }
+  /// The sockets deregister from `driver` as they close, and the base's
+  /// members outlive this struct's: tears nodes and media down first.
+  ~UdpLoopbackWorld();
 };
 
 }  // namespace dash::workload

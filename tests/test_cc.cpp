@@ -20,7 +20,7 @@
 namespace dash::cc {
 namespace {
 
-using dash::testing::StWorld;
+using dash::testing::st_world;
 
 // ------------------------------------------------------------ MinRttFilter
 
@@ -258,7 +258,7 @@ TEST(RackState, ReorderingWindowSuppressesSpuriousLoss) {
 // --------------------------------------------- ModelEnforcer + StreamSender
 
 struct ModelStreamFixture {
-  StWorld world;
+  node::World<net::EthernetNetwork> world;
   transport::StreamConfig config;
   std::unique_ptr<transport::StreamReceiver> receiver;
   std::unique_ptr<transport::StreamSender> sender;
@@ -267,12 +267,12 @@ struct ModelStreamFixture {
   explicit ModelStreamFixture(transport::StreamConfig cfg = model_config(),
                               net::NetworkTraits traits = net::ethernet_traits(),
                               std::uint64_t seed = 42)
-      : world(2, traits, seed), config(cfg) {
+      : world(st_world(2, traits, seed)), config(cfg) {
     receiver = std::make_unique<transport::StreamReceiver>(
-        world.st(2), world.host(2).ports, /*data_port=*/60, config);
+        world.st(2), world.node(2).ports, /*data_port=*/60, config);
     receiver->on_data([this](Bytes b) { append(received, b); });
     sender = std::make_unique<transport::StreamSender>(
-        world.st(1), world.host(1).ports, rms::Label{2, 60}, config);
+        world.st(1), world.node(1).ports, rms::Label{2, 60}, config);
   }
 
   static transport::StreamConfig model_config() {
@@ -366,31 +366,12 @@ TEST(ModelStream, AdaptiveRtoConvergesBelowFixedDefault) {
 
 // ------------------------------------- paced best-effort vs deterministic
 
-/// A dumbbell internet with ST layers, a 32 KB gateway, and source quench
-/// on — the C8 world in miniature.
-struct GatewayWorld {
-  dash::testing::DumbbellWorld base;
-  std::map<rms::HostId, std::unique_ptr<st::SubtransportLayer>> sts;
-
-  GatewayWorld()
-      : base({1, 2}, {100}, congested_traits(), /*seed=*/71) {
-    base.network->enable_source_quench(true);
-    for (rms::HostId id : {rms::HostId{1}, rms::HostId{2}, rms::HostId{100}}) {
-      auto st = std::make_unique<st::SubtransportLayer>(
-          base.sim, id, base.host(id).cpu, base.host(id).ports);
-      st->add_network(*base.fabric);
-      sts[id] = std::move(st);
-    }
-  }
-
-  static net::NetworkTraits congested_traits() {
-    auto traits = net::internet_traits();
-    traits.buffer_bytes = 32 * 1024;
-    return traits;
-  }
-
-  dash::testing::SimHost& host(rms::HostId id) { return base.host(id); }
-};
+/// A 32 KB gateway: the C8 world in miniature.
+net::NetworkTraits congested_traits() {
+  auto traits = net::internet_traits();
+  traits.buffer_bytes = 32 * 1024;
+  return traits;
+}
 
 /// Runs a deterministic metered stream 1→100, optionally alongside a
 /// paced best-effort bulk stream 2→100, and returns the deterministic
@@ -404,7 +385,8 @@ struct DetVerdict {
 };
 
 DetVerdict run_det_with_optional_cc(bool with_cc) {
-  GatewayWorld w;
+  auto w = dash::testing::wan_world({1, 2}, {100}, congested_traits(), /*seed=*/71);
+  w.network->enable_source_quench(true);
 
   // Deterministic stream: 200 × 256 B messages, one every 5 ms (the C8
   // bench's reservation shape).
@@ -413,21 +395,21 @@ DetVerdict run_det_with_optional_cc(bool with_cc) {
   det_request.acceptable.delay.type = rms::BoundType::kDeterministic;
   det_request.desired.delay.a = msec(500);
   det_request.acceptable.delay.a = sec(30);
-  auto det_stream = w.sts[1]->create(det_request, rms::Label{100, 70});
+  auto det_stream = w.st(1).create(det_request, rms::Label{100, 70});
   EXPECT_TRUE(det_stream.ok()) << det_stream.error().message;
   if (!det_stream.ok()) return {};
 
   telemetry::GuaranteeLedger ledger;
   ledger.open(1, "det 1->100", det_stream.value()->params(), 1, 100);
   rms::Port det_port;
-  w.host(100).ports.bind(70, &det_port);
-  sim::Simulator* simp = &w.base.sim;
+  w.node(100).ports.bind(70, &det_port);
+  sim::Simulator* simp = &w.sim;
   ledger.watch(det_port, 1, [simp] { return simp->now(); });
 
   rms::Rms* raw = det_stream.value().get();
   telemetry::GuaranteeLedger* lp = &ledger;
   for (int i = 0; i < 200; ++i) {
-    w.base.sim.at(msec(5) * (i + 1), [raw, lp] {
+    w.sim.at(msec(5) * (i + 1), [raw, lp] {
       rms::Message m;
       m.data = Bytes(256);
       lp->on_send(1, m.data.size());
@@ -442,13 +424,13 @@ DetVerdict run_det_with_optional_cc(bool with_cc) {
     transport::StreamConfig cfg;
     cfg.capacity = transport::CapacityMode::kModel;
     cfg.message_size = 500;
-    rx = std::make_unique<transport::StreamReceiver>(*w.sts[100],
-                                                     w.host(100).ports, 60, cfg);
+    rx = std::make_unique<transport::StreamReceiver>(w.st(100),
+                                                     w.node(100).ports, 60, cfg);
     auto request = transport::bulk_data_request(8 * 1024, 500);
     request.desired.delay.a = msec(500);
     request.acceptable.delay.a = sec(30);
     tx = std::make_unique<transport::StreamSender>(
-        *w.sts[2], w.host(2).ports, rms::Label{100, 60}, cfg, request);
+        w.st(2), w.node(2).ports, rms::Label{100, 60}, cfg, request);
     EXPECT_TRUE(tx->ok()) << tx->creation_error().message;
     if (!tx->ok()) return {};
     for (std::size_t off = 0; off < 128 * 1024; off += 2048) {
@@ -456,14 +438,14 @@ DetVerdict run_det_with_optional_cc(bool with_cc) {
     }
   }
 
-  w.base.sim.run_until(sec(20));
+  w.sim.run_until(sec(20));
 
   DetVerdict out;
   const telemetry::StreamAccount* a = ledger.find(1);
   out.delivered = a->delivered;
   out.misses = a->misses;
   out.holds = a->guarantee_holds();
-  out.gateway_drops = w.base.network->gateway_drops();
+  out.gateway_drops = w.network->gateway_drops();
   if (tx && tx->model()) out.be_delivered_bytes = tx->model()->delivered_bytes();
   return out;
 }

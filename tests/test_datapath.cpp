@@ -20,7 +20,7 @@
 namespace dash::st {
 namespace {
 
-using dash::testing::StWorld;
+using dash::testing::st_world;
 
 rms::Request datapath_request(std::uint64_t capacity = 64 * 1024,
                               std::uint64_t mms = 16 * 1024) {
@@ -51,9 +51,9 @@ TEST(Datapath, SenderMutationAfterSendCannotCorruptDelivery) {
   // The last size fragments (> one 1500-byte frame).
   for (const std::size_t size : {std::size_t{64}, std::size_t{700},
                                  std::size_t{6000}}) {
-    StWorld world(2);
+    auto world = st_world(2);
     rms::Port port;
-    world.host(2).ports.bind(50, &port);
+    world.node(2).ports.bind(50, &port);
     auto rms = world.st(1).create(datapath_request(), {2, 50});
     ASSERT_TRUE(rms.ok()) << rms.error().message;
 
@@ -78,10 +78,10 @@ TEST(Datapath, SenderMutationAfterSendCannotCorruptDelivery) {
 // a slice of the very packet buffer the network handed up — no copy — and
 // a wiretap holding the same packet sees consistent bytes.
 TEST(Datapath, DeliveryIsSliceOfPacketBuffer) {
-  StWorld world(2);
+  auto world = st_world(2);
   net::Eavesdropper tap(*world.network);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(datapath_request(), {2, 50});
   ASSERT_TRUE(rms.ok()) << rms.error().message;
 
@@ -103,10 +103,10 @@ TEST(Datapath, DeliveryIsSliceOfPacketBuffer) {
 // Send-side arena property: every fragment packet of one burst is a slice
 // of a single allocation.
 TEST(Datapath, FragmentBurstSharesOneAllocation) {
-  StWorld world(2);
+  auto world = st_world(2);
   net::Eavesdropper tap(*world.network);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(datapath_request(), {2, 50});
   ASSERT_TRUE(rms.ok()) << rms.error().message;
 
@@ -135,7 +135,7 @@ TEST(Datapath, FragmentBurstSharesOneAllocation) {
 // lands; the discarded slices must release cleanly and later traffic must
 // be delivered intact.
 TEST(Datapath, FragmentSlicesSurviveDiscardPartial) {
-  StWorld world(2);
+  auto world = st_world(2);
   // Lossy window covering the first burst's time on the wire: some
   // fragments of the first message die, the follow-up (sent after the
   // window closes) sails through. The seed makes the mix deterministic.
@@ -144,7 +144,7 @@ TEST(Datapath, FragmentSlicesSurviveDiscardPartial) {
   auto& faults = world.with_faults(plan);
 
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(datapath_request(), {2, 50});
   ASSERT_TRUE(rms.ok()) << rms.error().message;
   world.sim.run_until(msec(10));  // establishment done before the window
@@ -172,9 +172,9 @@ TEST(Datapath, FragmentSlicesSurviveDiscardPartial) {
 // invalidate_peer mid-reassembly drops the demux entry and every fragment
 // slice it holds; the conversation can then start over from scratch.
 TEST(Datapath, FragmentSlicesSurviveInvalidatePeerMidReassembly) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   {
     auto rms = world.st(1).create(datapath_request(), {2, 50});
     ASSERT_TRUE(rms.ok()) << rms.error().message;
@@ -217,9 +217,9 @@ TEST(Datapath, FragmentSlicesSurviveInvalidatePeerMidReassembly) {
 TEST(Datapath, EndToEndAllocationStaysNearTwoCopies) {
   if (!alloc_count::instrumented()) GTEST_SKIP() << "counting allocator absent";
 
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(datapath_request(), {2, 50});
   ASSERT_TRUE(rms.ok()) << rms.error().message;
 
@@ -261,9 +261,9 @@ TEST(Datapath, EndToEndAllocationStaysNearTwoCopies) {
 TEST(Datapath, PiggybackSendAllocationIsFlat) {
   if (!alloc_count::instrumented()) GTEST_SKIP() << "counting allocator absent";
 
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(datapath_request(), {2, 50});
   ASSERT_TRUE(rms.ok()) << rms.error().message;
   for (int i = 0; i < 8; ++i) {

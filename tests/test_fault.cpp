@@ -22,8 +22,7 @@
 namespace dash {
 namespace {
 
-using testing::EthernetWorld;
-using testing::StWorld;
+using testing::st_world;
 
 rms::Message text_message(const char* text) {
   rms::Message m;
@@ -34,12 +33,12 @@ rms::Message text_message(const char* text) {
 // ---------------------------------------------------------------- windows
 
 TEST(FaultWindows, LinkDownBlocksOnlyInsideTheWindow) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   auto& faults = world.with_faults(
       fault::FaultPlan{}.link_down(2, msec(10), msec(20)));
 
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   auto stream = world.fabric->create(1, testing::loose_request(), {2, 10});
   ASSERT_TRUE(stream.ok());
 
@@ -55,13 +54,13 @@ TEST(FaultWindows, LinkDownBlocksOnlyInsideTheWindow) {
 }
 
 TEST(FaultWindows, PartitionBlocksBothDirectionsUntilHeal) {
-  EthernetWorld world(3);
+  auto world = st_world(3);
   auto& faults = world.with_faults(
       fault::FaultPlan{}.partition({1}, {2}, msec(0), msec(50)));
 
   rms::Port on2, on3;
-  world.host(2).ports.bind(10, &on2);
-  world.host(3).ports.bind(10, &on3);
+  world.node(2).ports.bind(10, &on2);
+  world.node(3).ports.bind(10, &on3);
   auto to2 = world.fabric->create(1, testing::loose_request(), {2, 10});
   auto to3 = world.fabric->create(1, testing::loose_request(), {3, 10});
   ASSERT_TRUE(to2.ok());
@@ -91,7 +90,7 @@ struct ChaosResult {
 
 // A best-effort ST stream under a plan exercising every impairment class.
 ChaosResult run_chaos(std::uint64_t fault_seed) {
-  StWorld world(2);
+  auto world = st_world(2);
   fault::FaultPlan plan;
   plan.iid_loss(0.08)
       .burst_loss(0.05, 0.3, 0.9)
@@ -101,7 +100,7 @@ ChaosResult run_chaos(std::uint64_t fault_seed) {
   auto& faults = world.with_faults(std::move(plan), fault_seed);
 
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   ChaosResult result;
   port.set_handler([&result](rms::Message m) {
     Reader r(m.data);
@@ -146,13 +145,13 @@ TEST(FaultDeterminism, SameSeedSamePlanSameWorkloadIsBitIdentical) {
 }
 
 TEST(FaultDeterminism, TraceRecordsImpairmentCategories) {
-  StWorld world(2);
+  auto world = st_world(2);
   auto& faults = world.with_faults(fault::FaultPlan{}.iid_loss(0.3).duplicate(0.3));
   sim::Trace trace;
   faults.set_trace(&trace);
 
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto stream = world.st(1).create(testing::loose_request(), {2, 50});
   ASSERT_TRUE(stream.ok());
   for (int i = 0; i < 60; ++i) {
@@ -169,12 +168,12 @@ TEST(FaultDeterminism, TraceRecordsImpairmentCategories) {
 // ------------------------------------------------------------- burst loss
 
 TEST(FaultLoss, GilbertElliottBurstsDropRunsOfPackets) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   auto& faults = world.with_faults(
       fault::FaultPlan{}.burst_loss(0.1, 0.3, 1.0), /*seed=*/11);
 
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   auto stream = world.fabric->create(1, testing::loose_request(), {2, 10});
   ASSERT_TRUE(stream.ok());
   constexpr int kSent = 300;
@@ -195,11 +194,11 @@ TEST(FaultLoss, GilbertElliottBurstsDropRunsOfPackets) {
 // ---------------------------------------------------- duplication at the ST
 
 TEST(FaultDuplication, DemuxSequencingDeliversExactlyOnce) {
-  StWorld world(2);
+  auto world = st_world(2);
   world.with_faults(fault::FaultPlan{}.duplicate(1.0, 1, usec(80)));
 
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   std::vector<int> received;
   port.set_handler([&received](rms::Message m) {
     Reader r(m.data);
@@ -235,11 +234,11 @@ TEST(FaultCorruption, SoftwareChecksumCatchesFlippedBits) {
   // (a clean medium elides it, §2.5).
   auto traits = net::ethernet_traits();
   traits.bit_error_rate = 1e-9;
-  EthernetWorld world(2, traits);
+  auto world = st_world(2, traits);
   auto& faults = world.with_faults(fault::FaultPlan{}.corrupt(0.5));
 
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   auto request = testing::loose_request(8192, 512, 1.0);
   request.desired.bit_error_rate = 1e-12;  // want integrity, tolerate less
   auto stream = world.fabric->create(1, request, {2, 10});
@@ -271,11 +270,11 @@ TEST(FaultCorruption, SoftwareChecksumCatchesFlippedBits) {
 // --------------------------------------------------- ST partition recovery
 
 TEST(FaultPartition, StEstablishmentRidesOutAHealingPartition) {
-  StWorld world(2);
+  auto world = st_world(2);
   world.with_faults(fault::FaultPlan{}.partition({1}, {2}, 0, msec(600)));
 
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto stream = world.st(1).create(testing::loose_request(), {2, 50});
   ASSERT_TRUE(stream.ok());
   ASSERT_TRUE(stream.value()->send(text_message("queued across the cut")).ok());
@@ -288,11 +287,11 @@ TEST(FaultPartition, StEstablishmentRidesOutAHealingPartition) {
 }
 
 TEST(FaultPartition, StGivesUpCleanlyWhenThePartitionNeverHeals) {
-  StWorld world(2);
+  auto world = st_world(2);
   world.with_faults(fault::FaultPlan{}.partition({1}, {2}, 0, kTimeNever));
 
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto stream = world.st(1).create(testing::loose_request(), {2, 50});
   ASSERT_TRUE(stream.ok());
   bool failed = false;
@@ -315,7 +314,7 @@ TEST(FaultPartition, ControlRetryBudgetIsConfigurable) {
   st::StConfig st_config;
   st_config.control_retry_timeout = msec(50);
   st_config.control_retries = 2;
-  StWorld world(2, net::ethernet_traits(), 42, st_config);
+  auto world = st_world(2, net::ethernet_traits(), 42, st_config);
   world.with_faults(fault::FaultPlan{}.partition({1}, {2}, 0, msec(600)));
 
   auto stream = world.st(1).create(testing::loose_request(), {2, 50});
@@ -327,9 +326,9 @@ TEST(FaultPartition, ControlRetryBudgetIsConfigurable) {
 // ------------------------------------------------- peer-restart invalidation
 
 TEST(FaultRestart, InvalidatePeerDropsCachedChannelsAndReauthenticates) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   {
     auto stream = world.st(1).create(testing::loose_request(), {2, 50});
     ASSERT_TRUE(stream.ok());
@@ -363,7 +362,7 @@ TEST(FaultRestart, InvalidatePeerDropsCachedChannelsAndReauthenticates) {
 TEST(FaultReassembly, DiscardedPartialsAreAccounted) {
   // Lose exactly the traffic window that carries fragments of the first
   // large message; the next message then obsoletes the partial (§4.3).
-  StWorld world(2);
+  auto world = st_world(2);
   // Establishment (t < 5ms) stays clean; the loss window covers the data
   // phase only, so fragments (not the control handshake) take the hits.
   world.with_faults(
@@ -372,7 +371,7 @@ TEST(FaultReassembly, DiscardedPartialsAreAccounted) {
   world.st(2).set_trace(&trace);
 
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto stream = world.st(1).create(testing::loose_request(64 * 1024, 16 * 1024),
                                    {2, 50});
   ASSERT_TRUE(stream.ok());
@@ -401,10 +400,10 @@ TEST(FaultRkom, CallGivesUpAfterBoundedRetriesThenChannelReestablishes) {
   rkom::RkomConfig config;
   config.retry_timeout = msec(50);
   config.max_retries = 3;
-  StWorld world(2);
+  auto world = st_world(2);
   world.with_faults(fault::FaultPlan{}.partition({1}, {2}, 0, sec(3)));
-  rkom::RkomNode client(world.st(1), world.host(1).ports, config);
-  rkom::RkomNode server(world.st(2), world.host(2).ports, config);
+  rkom::RkomNode client(world.st(1), world.node(1).ports, config);
+  rkom::RkomNode server(world.st(2), world.node(2).ports, config);
   server.register_operation(1, {[](BytesView in) { return Bytes(in.begin(), in.end()); }, 0});
 
   // First call: the partition eats everything; the call must give up after

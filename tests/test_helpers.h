@@ -1,24 +1,20 @@
-// Shared test scaffolding: a simulated host (CPU + port registry) and
-// ready-made single-segment / dumbbell worlds with a network RMS fabric.
+// Shared test scaffolding: ready-made worlds of full DASH hosts
+// (node::World on the tests' seed), the baseline comparator's bare
+// datagram host, and a request any clean network accepts.
 #pragma once
 
-#include <map>
-#include <memory>
 #include <vector>
 
-#include "fault/fault.h"
-#include "net/ethernet.h"
-#include "net/internet.h"
-#include "netrms/fabric.h"
+#include "node/world.h"
 #include "path/path.h"
 #include "rms/rms.h"
 #include "sim/cpu_scheduler.h"
 #include "sim/simulator.h"
-#include "st/st.h"
 
 namespace dash::testing {
 
-/// One simulated machine: identity, CPU, and port registry.
+/// A bare machine — identity, CPU and port registry, no DASH stack — for
+/// the baseline comparator's datagram hosts.
 struct SimHost {
   rms::HostId id;
   sim::CpuScheduler cpu;
@@ -29,170 +25,32 @@ struct SimHost {
       : id(id_), cpu(sim, policy) {}
 };
 
-/// Creates a host and registers its CPU + ports with the fabric (the
-/// construction step every world repeats).
-inline std::unique_ptr<SimHost> make_registered_host(rms::HostId id,
-                                                     sim::Simulator& sim,
-                                                     netrms::NetRmsFabric& fabric) {
-  auto host = std::make_unique<SimHost>(id, sim);
-  fabric.register_host(id, host->cpu, host->ports);
-  return host;
+/// Hosts 1..n on one Ethernet segment.
+inline node::World<net::EthernetNetwork> st_world(
+    int n = 2, net::NetworkTraits traits = net::ethernet_traits(),
+    std::uint64_t seed = 42, st::StConfig st_config = {}) {
+  return node::ethernet_world(n, std::move(traits), seed, net::Discipline::kDeadline,
+                              {.st = st_config});
 }
 
-/// A single Ethernet-like segment with `n` hosts and a network-RMS fabric.
-struct EthernetWorld {
-  sim::Simulator sim;
-  std::unique_ptr<net::EthernetNetwork> network;
-  std::unique_ptr<netrms::NetRmsFabric> fabric;
-  std::vector<std::unique_ptr<SimHost>> hosts;
-  std::unique_ptr<fault::FaultInjector> faults;
+/// `left` + `right` hosts behind a two-gateway dumbbell.
+inline node::World<net::InternetNetwork> wan_world(
+    std::vector<rms::HostId> left, std::vector<rms::HostId> right,
+    net::NetworkTraits traits = net::internet_traits(), std::uint64_t seed = 42) {
+  return node::dumbbell_world(std::move(left), std::move(right), std::move(traits), seed);
+}
 
-  explicit EthernetWorld(int n, net::NetworkTraits traits = net::ethernet_traits(),
-                         std::uint64_t seed = 42,
-                         net::Discipline discipline = net::Discipline::kDeadline,
-                         netrms::CostModel cost = {}) {
-    network = std::make_unique<net::EthernetNetwork>(sim, std::move(traits), seed,
-                                                     discipline);
-    fabric = std::make_unique<netrms::NetRmsFabric>(sim, *network, cost);
-    for (int i = 1; i <= n; ++i) {
-      hosts.push_back(make_registered_host(static_cast<rms::HostId>(i), sim, *fabric));
-    }
-  }
-
-  /// Interposes a scripted fault plan on the segment. Returns the injector
-  /// for counter assertions; call before traffic starts.
-  fault::FaultInjector& with_faults(fault::FaultPlan plan, std::uint64_t seed = 7) {
-    faults = std::make_unique<fault::FaultInjector>(sim, std::move(plan), seed);
-    faults->attach(*network);
-    return *faults;
-  }
-
-  SimHost& host(rms::HostId id) { return *hosts.at(id - 1); }
-};
-
-/// A two-gateway dumbbell internet with `left` + `right` hosts.
-struct DumbbellWorld {
-  sim::Simulator sim;
-  std::unique_ptr<net::InternetNetwork> network;
-  std::unique_ptr<netrms::NetRmsFabric> fabric;
-  std::map<rms::HostId, std::unique_ptr<SimHost>> hosts;
-  std::unique_ptr<fault::FaultInjector> faults;
-
-  DumbbellWorld(std::vector<rms::HostId> left, std::vector<rms::HostId> right,
-                net::NetworkTraits traits = net::internet_traits(),
-                std::uint64_t seed = 42,
-                net::Discipline discipline = net::Discipline::kDeadline) {
-    network = net::make_dumbbell(sim, std::move(traits), seed, left, right, discipline);
-    fabric = std::make_unique<netrms::NetRmsFabric>(sim, *network);
-    for (auto side : {&left, &right}) {
-      for (rms::HostId id : *side) {
-        hosts[id] = make_registered_host(id, sim, *fabric);
-      }
-    }
-  }
-
-  fault::FaultInjector& with_faults(fault::FaultPlan plan, std::uint64_t seed = 7) {
-    faults = std::make_unique<fault::FaultInjector>(sim, std::move(plan), seed);
-    faults->attach(*network);
-    return *faults;
-  }
-
-  SimHost& host(rms::HostId id) { return *hosts.at(id); }
-};
-
-/// A single Ethernet segment whose hosts each run a subtransport layer.
-struct StWorld {
-  sim::Simulator sim;
-  std::unique_ptr<net::EthernetNetwork> network;
-  std::unique_ptr<netrms::NetRmsFabric> fabric;
-  struct Node {
-    std::unique_ptr<SimHost> host;
-    std::unique_ptr<st::SubtransportLayer> st;
-  };
-  std::vector<Node> nodes;
-  std::unique_ptr<fault::FaultInjector> faults;
-
-  explicit StWorld(int n, net::NetworkTraits traits = net::ethernet_traits(),
-                   std::uint64_t seed = 42, st::StConfig st_config = {},
-                   net::Discipline discipline = net::Discipline::kDeadline,
-                   netrms::CostModel cost = {}) {
-    network = std::make_unique<net::EthernetNetwork>(sim, std::move(traits), seed,
-                                                     discipline);
-    fabric = std::make_unique<netrms::NetRmsFabric>(sim, *network, cost);
-    for (int i = 1; i <= n; ++i) {
-      Node node;
-      node.host = make_registered_host(static_cast<rms::HostId>(i), sim, *fabric);
-      node.st = std::make_unique<st::SubtransportLayer>(
-          sim, node.host->id, node.host->cpu, node.host->ports, st_config);
-      node.st->add_network(*fabric);
-      nodes.push_back(std::move(node));
-    }
-  }
-
-  /// Interposes a scripted fault plan on the segment's medium. The injector
-  /// must be attached before traffic starts; the returned reference exposes
-  /// the impairment counters for assertions.
-  fault::FaultInjector& with_faults(fault::FaultPlan plan, std::uint64_t seed = 7) {
-    faults = std::make_unique<fault::FaultInjector>(sim, std::move(plan), seed);
-    faults->attach(*network);
-    return *faults;
-  }
-
-  st::SubtransportLayer& st(rms::HostId id) { return *nodes.at(id - 1).st; }
-  SimHost& host(rms::HostId id) { return *nodes.at(id - 1).host; }
-};
-
-/// Two clean (zero-BER) Ethernet segments, every host on both, each host
-/// running an ST with a path manager registered on both fabrics — the
-/// minimal world where failover (and striping) has somewhere to go.
-struct TwoNetWorld {
-  sim::Simulator sim;
-  std::unique_ptr<net::EthernetNetwork> net_a, net_b;
-  std::unique_ptr<netrms::NetRmsFabric> fab_a, fab_b;
-  struct Node {
-    std::unique_ptr<SimHost> host;
-    std::unique_ptr<st::SubtransportLayer> st;
-    // Declared after st: destroyed first, so it can detach its observer.
-    std::unique_ptr<path::PathManager> path;
-  };
-  std::vector<Node> nodes;
-  std::unique_ptr<fault::FaultInjector> faults;
-
-  explicit TwoNetWorld(int n, net::NetworkTraits traits_a = net::ethernet_traits("eth-a"),
-                       net::NetworkTraits traits_b = net::ethernet_traits("eth-b"),
-                       path::PathConfig pc = {}) {
-    net_a = std::make_unique<net::EthernetNetwork>(sim, std::move(traits_a), 1);
-    net_b = std::make_unique<net::EthernetNetwork>(sim, std::move(traits_b), 2);
-    fab_a = std::make_unique<netrms::NetRmsFabric>(sim, *net_a);
-    fab_b = std::make_unique<netrms::NetRmsFabric>(sim, *net_b);
-    for (int i = 1; i <= n; ++i) {
-      Node node;
-      node.host = std::make_unique<SimHost>(static_cast<rms::HostId>(i), sim);
-      fab_a->register_host(node.host->id, node.host->cpu, node.host->ports);
-      fab_b->register_host(node.host->id, node.host->cpu, node.host->ports);
-      node.st = std::make_unique<st::SubtransportLayer>(
-          sim, node.host->id, node.host->cpu, node.host->ports);
-      node.st->add_network(*fab_a);
-      node.st->add_network(*fab_b);
-      node.path = std::make_unique<path::PathManager>(sim, *node.st,
-                                                      node.host->ports, pc);
-      node.path->add_network(*fab_a);
-      node.path->add_network(*fab_b);
-      nodes.push_back(std::move(node));
-    }
-  }
-
-  /// Interposes a scripted fault plan on segment A only (B stays clean).
-  fault::FaultInjector& with_faults_on_a(fault::FaultPlan plan, std::uint64_t seed = 7) {
-    faults = std::make_unique<fault::FaultInjector>(sim, std::move(plan), seed);
-    faults->attach(*net_a);
-    return *faults;
-  }
-
-  st::SubtransportLayer& st(rms::HostId id) { return *nodes.at(id - 1).st; }
-  path::PathManager& path(rms::HostId id) { return *nodes.at(id - 1).path; }
-  SimHost& host(rms::HostId id) { return *nodes.at(id - 1).host; }
-};
+/// Two clean (zero-BER) Ethernet segments, every host on both — the minimal
+/// world where failover (and striping) has somewhere to go, so every host
+/// runs a path manager. with_faults() impairs segment A only.
+inline node::World<net::EthernetNetwork> two_net_world(
+    int n = 2, net::NetworkTraits traits_a = net::ethernet_traits("eth-a"),
+    net::NetworkTraits traits_b = net::ethernet_traits("eth-b"),
+    path::PathConfig pc = {}) {
+  return node::World<net::EthernetNetwork>(
+      {node::ethernet(std::move(traits_a), 1), node::ethernet(std::move(traits_b), 2)},
+      node::host_ids(n), {.path = pc});
+}
 
 /// A generous best-effort request that any clean network accepts. Tests on
 /// deliberately lossy media should pass an explicit `acceptable_ber` of 1.0

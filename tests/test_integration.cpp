@@ -15,19 +15,18 @@
 namespace dash {
 namespace {
 
-using testing::DumbbellWorld;
-using testing::SimHost;
-using testing::StWorld;
+using testing::wan_world;
+using testing::st_world;
 
 // --------------------------------------------------------------------
 // Mixed workload: voice + bulk + RPC share one segment and one ST per
 // host; each service must meet its own goal.
 TEST(Integration, MixedWorkloadCoexists) {
-  StWorld world(3);
+  auto world = st_world(3);
 
   // Voice 1 -> 2.
   rms::Port voice_port;
-  world.host(2).ports.bind(70, &voice_port);
+  world.node(2).ports.bind(70, &voice_port);
   auto voice = world.st(1).create(workload::voice_request(msec(40)), {2, 70});
   ASSERT_TRUE(voice.ok()) << voice.error().message;
   Samples voice_ms;
@@ -43,10 +42,10 @@ TEST(Integration, MixedWorkloadCoexists) {
 
   // Bulk 1 -> 3, saturating.
   transport::StreamConfig cfg;
-  transport::StreamReceiver bulk_rx(world.st(3), world.host(3).ports, 60, cfg);
+  transport::StreamReceiver bulk_rx(world.st(3), world.node(3).ports, 60, cfg);
   std::size_t bulk_bytes = 0;
   bulk_rx.on_data([&](Bytes b) { bulk_bytes += b.size(); });
-  transport::StreamSender bulk_tx(world.st(1), world.host(1).ports, {3, 60}, cfg,
+  transport::StreamSender bulk_tx(world.st(1), world.node(1).ports, {3, 60}, cfg,
                                   transport::bulk_data_request(64 * 1024, 1400));
   ASSERT_TRUE(bulk_tx.ok());
   std::function<void()> feed = [&] {
@@ -57,8 +56,8 @@ TEST(Integration, MixedWorkloadCoexists) {
   feed();
 
   // RPC 2 -> 3.
-  rkom::RkomNode rpc_client(world.st(2), world.host(2).ports);
-  rkom::RkomNode rpc_server(world.st(3), world.host(3).ports);
+  rkom::RkomNode rpc_client(world.st(2), world.node(2).ports);
+  rkom::RkomNode rpc_server(world.st(3), world.node(3).ports);
   rpc_server.register_operation(1, {[](BytesView in) {
     return Bytes(in.begin(), in.end());
   }, usec(100)});
@@ -92,12 +91,12 @@ TEST(Integration, MixedWorkloadCoexists) {
 // Failure injection mid-transfer: the stream's RMS fails, the client is
 // notified, and writes start failing.
 TEST(Integration, NetworkFailureMidTransferNotifies) {
-  StWorld world(2);
+  auto world = st_world(2);
   transport::StreamConfig cfg;
-  transport::StreamReceiver rx(world.st(2), world.host(2).ports, 60, cfg);
+  transport::StreamReceiver rx(world.st(2), world.node(2).ports, 60, cfg);
   std::size_t got = 0;
   rx.on_data([&](Bytes b) { got += b.size(); });
-  transport::StreamSender tx(world.st(1), world.host(1).ports, {2, 60}, cfg);
+  transport::StreamSender tx(world.st(1), world.node(1).ports, {2, 60}, cfg);
   ASSERT_TRUE(tx.ok());
   ASSERT_TRUE(tx.write(patterned_bytes(8 * 1024, 1)).ok());
   world.sim.run_until(msec(50));
@@ -113,12 +112,12 @@ TEST(Integration, NetworkFailureMidTransferNotifies) {
 // Establishment race: many streams created at the same instant to the
 // same peer share one control channel and authenticate exactly once.
 TEST(Integration, ConcurrentEstablishmentSharesOneHandshake) {
-  StWorld world(2);
+  auto world = st_world(2);
   std::vector<std::unique_ptr<rms::Port>> ports;
   std::vector<std::unique_ptr<rms::Rms>> streams;
   for (int i = 0; i < 10; ++i) {
     auto port = std::make_unique<rms::Port>();
-    world.host(2).ports.bind(100 + static_cast<rms::PortId>(i), port.get());
+    world.node(2).ports.bind(100 + static_cast<rms::PortId>(i), port.get());
     auto s = world.st(1).create(dash::testing::loose_request(),
                                 {2, 100 + static_cast<rms::PortId>(i)});
     ASSERT_TRUE(s.ok());
@@ -137,10 +136,12 @@ TEST(Integration, ConcurrentEstablishmentSharesOneHandshake) {
 // Multi-hop WAN with deterministic reservations: a reserved voice stream
 // crosses three gateways beside a flood and still meets its bound.
 TEST(Integration, ReservedStreamSurvivesMultiHopCongestion) {
-  sim::Simulator sim;
   auto traits = net::internet_traits();
   traits.buffer_bytes = 16 * 1024;
-  net::InternetNetwork net(sim, traits, 3);
+  node::World<net::InternetNetwork> world;
+  sim::Simulator& sim = world.sim;
+  net::InternetNetwork& net =
+      world.add_network(std::make_unique<net::InternetNetwork>(sim, traits, 3));
   const auto r0 = net.add_router();
   const auto r1 = net.add_router();
   const auto r2 = net.add_router();
@@ -154,22 +155,14 @@ TEST(Integration, ReservedStreamSurvivesMultiHopCongestion) {
   net.attach_host(2, r0, access);
   net.attach_host(9, r2, access);
 
-  netrms::NetRmsFabric fabric(sim, net);
-  SimHost h1(1, sim), h2(2, sim), h9(9, sim);
-  fabric.register_host(1, h1.cpu, h1.ports);
-  fabric.register_host(2, h2.cpu, h2.ports);
-  fabric.register_host(9, h9.cpu, h9.ports);
-  st::SubtransportLayer st1(sim, 1, h1.cpu, h1.ports);
-  st::SubtransportLayer st9(sim, 9, h9.cpu, h9.ports);
-  st1.add_network(fabric);
-  st9.add_network(fabric);
+  for (rms::HostId id : {1, 2, 9}) world.add_node(id);
 
   // Deterministic voice 1 -> 9 across both trunks.
   rms::Port voice_port;
-  h9.ports.bind(70, &voice_port);
+  world.node(9).ports.bind(70, &voice_port);
   auto request = workload::voice_request(msec(120), /*statistical=*/false);
   request.acceptable.delay.a = msec(250);
-  auto voice = st1.create(request, {9, 70});
+  auto voice = world.st(1).create(request, {9, 70});
   ASSERT_TRUE(voice.ok()) << voice.error().message;
   // Let establishment finish before the flood starts; per-message delay
   // bounds do not cover stream setup (§4.2 covers that via caching).
@@ -216,11 +209,7 @@ TEST(Integration, ReservedStreamSurvivesMultiHopCongestion) {
 // Security end to end on a WAN: private + authenticated stream crossing
 // gateways; a tap on the network never sees plaintext.
 TEST(Integration, PrivateStreamAcrossWan) {
-  DumbbellWorld wan({1}, {2});
-  st::SubtransportLayer st1(wan.sim, 1, wan.host(1).cpu, wan.host(1).ports);
-  st::SubtransportLayer st2(wan.sim, 2, wan.host(2).cpu, wan.host(2).ports);
-  st1.add_network(*wan.fabric);
-  st2.add_network(*wan.fabric);
+  auto wan = wan_world({1}, {2});
   net::Eavesdropper eve(*wan.network);
 
   // The WAN's residual loss compounds over ST fragments; accept it.
@@ -231,8 +220,8 @@ TEST(Integration, PrivateStreamAcrossWan) {
   request.acceptable.quality.authenticated = true;
 
   rms::Port inbox;
-  wan.host(2).ports.bind(50, &inbox);
-  auto stream = st1.create(request, {2, 50});
+  wan.node(2).ports.bind(50, &inbox);
+  auto stream = wan.st(1).create(request, {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
 
   const Bytes secret = to_bytes("attack at dawn via the north gateway");
@@ -252,19 +241,15 @@ TEST(Integration, PrivateStreamAcrossWan) {
 TEST(Integration, ReliableStreamOverLossyWan) {
   auto traits = net::internet_traits();
   traits.bit_error_rate = 1e-6;
-  DumbbellWorld wan({1}, {2}, traits, /*seed=*/5);
-  st::SubtransportLayer st1(wan.sim, 1, wan.host(1).cpu, wan.host(1).ports);
-  st::SubtransportLayer st2(wan.sim, 2, wan.host(2).cpu, wan.host(2).ports);
-  st1.add_network(*wan.fabric);
-  st2.add_network(*wan.fabric);
+  auto wan = wan_world({1}, {2}, traits, /*seed=*/5);
 
   transport::StreamConfig cfg;
   cfg.message_size = 400;
   cfg.retransmit_timeout = msec(200);
-  transport::StreamReceiver rx(st2, wan.host(2).ports, 60, cfg);
+  transport::StreamReceiver rx(wan.st(2), wan.node(2).ports, 60, cfg);
   Bytes received;
   rx.on_data([&](Bytes b) { append(received, b); });
-  transport::StreamSender tx(st1, wan.host(1).ports, {2, 60}, cfg,
+  transport::StreamSender tx(wan.st(1), wan.node(1).ports, {2, 60}, cfg,
                              transport::bulk_data_request(16 * 1024, 400));
   ASSERT_TRUE(tx.ok()) << tx.creation_error().message;
 
@@ -291,13 +276,9 @@ TEST(Integration, ReliableStreamOverLossyWan) {
 // simulated internet (separate stacks cannot share one network object, so
 // the competing load is a raw packet flood).
 TEST(Integration, RkomSurvivesCompetingLoad) {
-  DumbbellWorld wan({1}, {2});
-  st::SubtransportLayer st1(wan.sim, 1, wan.host(1).cpu, wan.host(1).ports);
-  st::SubtransportLayer st2(wan.sim, 2, wan.host(2).cpu, wan.host(2).ports);
-  st1.add_network(*wan.fabric);
-  st2.add_network(*wan.fabric);
-  rkom::RkomNode client(st1, wan.host(1).ports);
-  rkom::RkomNode server(st2, wan.host(2).ports);
+  auto wan = wan_world({1}, {2});
+  rkom::RkomNode client(wan.st(1), wan.node(1).ports);
+  rkom::RkomNode server(wan.st(2), wan.node(2).ports);
   server.register_operation(1, {[](BytesView in) {
     return Bytes(in.begin(), in.end());
   }, 0});
@@ -342,10 +323,10 @@ TEST(Integration, RkomSurvivesCompetingLoad) {
 // The §2.5 window-system scenario as an assertion: event latency under
 // graphics bursts stays within the human budget.
 TEST(Integration, WindowSystemLatencyUnderGraphicsLoad) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port event_port, gfx_port;
-  world.host(2).ports.bind(80, &event_port);
-  world.host(1).ports.bind(81, &gfx_port);
+  world.node(2).ports.bind(80, &event_port);
+  world.node(1).ports.bind(81, &gfx_port);
   auto events = world.st(1).create(workload::window_event_request(), {2, 80});
   auto gfx = world.st(2).create(workload::window_graphics_request(), {1, 81});
   ASSERT_TRUE(events.ok());
@@ -381,9 +362,9 @@ TEST(Integration, WindowSystemLatencyUnderGraphicsLoad) {
 // Closing a stream tears down cleanly: the peer drops its demux state and
 // later spoofed components for the dead id are counted as unknown.
 TEST(Integration, CloseRemovesPeerState) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto a = world.st(1).create(dash::testing::loose_request(), {2, 50});
   ASSERT_TRUE(a.ok());
   a.value()->send([] {
@@ -415,13 +396,13 @@ TEST(Integration, SimulationIsDeterministic) {
   auto run_once = [] {
     auto traits = net::ethernet_traits();
     traits.bit_error_rate = 1e-5;
-    StWorld world(2, traits, /*seed=*/77);
+    auto world = st_world(2, traits, /*seed=*/77);
     transport::StreamConfig cfg;
     cfg.retransmit_timeout = msec(150);
-    transport::StreamReceiver rx(world.st(2), world.host(2).ports, 60, cfg);
+    transport::StreamReceiver rx(world.st(2), world.node(2).ports, 60, cfg);
     std::size_t got = 0;
     rx.on_data([&](Bytes b) { got += b.size(); });
-    transport::StreamSender tx(world.st(1), world.host(1).ports, {2, 60}, cfg);
+    transport::StreamSender tx(world.st(1), world.node(1).ports, {2, 60}, cfg);
     (void)tx.write(patterned_bytes(20'000, 1));
     world.sim.run_until(sec(20));
     return std::make_tuple(got, tx.stats().retransmissions,

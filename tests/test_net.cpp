@@ -806,32 +806,33 @@ TEST(TokenRing, BroadcastAndTaps) {
   EXPECT_EQ(eve.count(), 1u);  // the tap saw the circulating frame
 }
 
+/// Hosts 1..n, each running the DASH stack, on a token ring.
+node::World<TokenRingNetwork> ring_world(NetworkTraits traits, int hosts) {
+  return node::World<TokenRingNetwork>(
+      {[traits](sim::Simulator& sim) {
+        return std::make_unique<TokenRingNetwork>(sim, traits, 1);
+      }},
+      node::host_ids(hosts));
+}
+
 TEST(TokenRing, WorksUnderNetRmsAndSt) {
   // The §3.1 claim in action: the unchanged upper layers run over the
   // third network type.
-  sim::Simulator sim;
-  TokenRingNetwork ring(sim, token_ring_traits(), 1);
-  netrms::NetRmsFabric fabric(sim, ring);
-  dash::testing::SimHost h1(1, sim), h2(2, sim);
-  fabric.register_host(1, h1.cpu, h1.ports);
-  fabric.register_host(2, h2.cpu, h2.ports);
-  st::SubtransportLayer st1(sim, 1, h1.cpu, h1.ports);
-  st::SubtransportLayer st2(sim, 2, h2.cpu, h2.ports);
-  st1.add_network(fabric);
-  st2.add_network(fabric);
+  auto world = ring_world(token_ring_traits(), 2);
 
   rms::Port inbox;
-  h2.ports.bind(50, &inbox);
-  auto stream = st1.create(dash::testing::loose_request(16 * 1024, 2048), {2, 50});
+  world.node(2).ports.bind(50, &inbox);
+  auto stream =
+      world.st(1).create(dash::testing::loose_request(16 * 1024, 2048), {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
   rms::Message m;
   m.data = patterned_bytes(2000, 3);  // bigger than an Ethernet frame: ring fits it
   ASSERT_TRUE(stream.value()->send(std::move(m)).ok());
-  sim.run();
+  world.sim.run();
   ASSERT_EQ(inbox.delivered(), 1u);
   EXPECT_EQ(inbox.poll()->data.size(), 2000u);
   // No fragmentation needed: the ring's 4 KB frames carried it whole.
-  EXPECT_EQ(st1.stats().fragments_sent, 0u);
+  EXPECT_EQ(world.st(1).stats().fragments_sent, 0u);
 }
 
 TEST(TokenRing, DownNotifiesAndDrops) {
@@ -858,12 +859,8 @@ namespace dash::net {
 namespace {
 
 TEST(TokenRing, DeterministicBoundRespectsRotationFloor) {
-  sim::Simulator sim;
-  TokenRingNetwork ring(sim, token_ring_traits("ring", 4), 1);
-  netrms::NetRmsFabric fabric(sim, ring);
-  dash::testing::SimHost h1(1, sim), h2(2, sim);
-  fabric.register_host(1, h1.cpu, h1.ports);
-  fabric.register_host(2, h2.cpu, h2.ports);
+  auto world = ring_world(token_ring_traits("ring", 4), 2);
+  netrms::NetRmsFabric& fabric = *world.fabric;
 
   rms::Params p;
   p.capacity = 4 * 1024;
@@ -878,20 +875,17 @@ TEST(TokenRing, DeterministicBoundRespectsRotationFloor) {
   p.delay.a = msec(30);  // above the ~5.2 ms floor for 4 stations
   auto feasible = fabric.negotiate({p, p});
   ASSERT_TRUE(feasible.ok()) << feasible.error().message;
-  EXPECT_GE(feasible.value().delay.a, ring.traits().propagation_delay);
+  EXPECT_GE(feasible.value().delay.a, world.network->traits().propagation_delay);
 }
 
 TEST(TokenRing, DeterministicStreamMeetsBoundBesideTraffic) {
-  sim::Simulator sim;
-  TokenRingNetwork ring(sim, token_ring_traits("ring", 3), 1);
-  netrms::NetRmsFabric fabric(sim, ring);
-  dash::testing::SimHost h1(1, sim), h2(2, sim), h3(3, sim);
-  fabric.register_host(1, h1.cpu, h1.ports);
-  fabric.register_host(2, h2.cpu, h2.ports);
-  fabric.register_host(3, h3.cpu, h3.ports);
+  auto world = ring_world(token_ring_traits("ring", 3), 3);
+  sim::Simulator& sim = world.sim;
+  TokenRingNetwork& ring = *world.network;
+  netrms::NetRmsFabric& fabric = *world.fabric;
 
   rms::Port port;
-  h2.ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   rms::Params p;
   p.capacity = 4 * 1024;
   p.max_message_size = 256;

@@ -12,8 +12,8 @@
 namespace dash::netrms {
 namespace {
 
-using dash::testing::DumbbellWorld;
-using dash::testing::EthernetWorld;
+using dash::testing::wan_world;
+using dash::testing::st_world;
 using dash::testing::loose_request;
 
 rms::Message text_message(std::string_view s) {
@@ -25,9 +25,9 @@ rms::Message text_message(std::string_view s) {
 // ------------------------------------------------------------- creation
 
 TEST(NetRms, CreateAndDeliver) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
 
   auto rms = world.fabric->create(1, loose_request(), {2, 10});
   ASSERT_TRUE(rms.ok()) << rms.error().message;
@@ -42,9 +42,9 @@ TEST(NetRms, CreateAndDeliver) {
 }
 
 TEST(NetRms, MessagesDeliveredInSequence) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   auto rms = world.fabric->create(1, loose_request(), {2, 10});
   ASSERT_TRUE(rms.ok());
   for (int i = 0; i < 20; ++i) {
@@ -59,14 +59,14 @@ TEST(NetRms, MessagesDeliveredInSequence) {
 }
 
 TEST(NetRms, UnknownTargetHostRejected) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   auto rms = world.fabric->create(1, loose_request(), {99, 10});
   ASSERT_FALSE(rms.ok());
   EXPECT_EQ(rms.error().code, Errc::kNoRoute);
 }
 
 TEST(NetRms, UnboundPortCountsDrop) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   auto rms = world.fabric->create(1, loose_request(), {2, 77});
   ASSERT_TRUE(rms.ok());
   rms.value()->send(text_message("nobody home"));
@@ -75,9 +75,9 @@ TEST(NetRms, UnboundPortCountsDrop) {
 }
 
 TEST(NetRms, OversizedMessageRejectedAtSend) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   auto rms = world.fabric->create(1, loose_request(8192, 100), {2, 10});
   ASSERT_TRUE(rms.ok());
   rms::Message big;
@@ -88,7 +88,7 @@ TEST(NetRms, OversizedMessageRejectedAtSend) {
 }
 
 TEST(NetRms, SendOnClosedFails) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   auto rms = world.fabric->create(1, loose_request(), {2, 10});
   ASSERT_TRUE(rms.ok());
   rms.value()->close();
@@ -100,7 +100,7 @@ TEST(NetRms, SendOnClosedFails) {
 // ----------------------------------------------------------- negotiation
 
 TEST(NetRmsNegotiate, PrivacyUnsupportedOnOpenNetwork) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   auto req = loose_request();
   req.desired.quality.privacy = true;
   req.acceptable.quality.privacy = true;
@@ -112,7 +112,7 @@ TEST(NetRmsNegotiate, PrivacyUnsupportedOnOpenNetwork) {
 TEST(NetRmsNegotiate, PrivacyGrantedWithLinkEncryption) {
   auto traits = net::ethernet_traits();
   traits.link_encryption = true;
-  EthernetWorld world(2, traits);
+  auto world = st_world(2, traits);
   auto req = loose_request();
   req.desired.quality.privacy = true;
   req.acceptable.quality.privacy = true;
@@ -122,7 +122,7 @@ TEST(NetRmsNegotiate, PrivacyGrantedWithLinkEncryption) {
 }
 
 TEST(NetRmsNegotiate, DesiredPrivacyDroppedWhenOptional) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   auto req = loose_request();
   req.desired.quality.privacy = true;  // want it, don't require it
   auto result = world.fabric->negotiate(req);
@@ -133,7 +133,7 @@ TEST(NetRmsNegotiate, DesiredPrivacyDroppedWhenOptional) {
 TEST(NetRmsNegotiate, TrustedNetworkGrantsAuthAndPrivacy) {
   auto traits = net::ethernet_traits();
   traits.trusted = true;
-  EthernetWorld world(2, traits);
+  auto world = st_world(2, traits);
   auto req = loose_request();
   req.desired.quality.privacy = true;
   req.desired.quality.authenticated = true;
@@ -147,7 +147,7 @@ TEST(NetRmsNegotiate, TrustedNetworkGrantsAuthAndPrivacy) {
 TEST(NetRmsNegotiate, ReliabilityImpossibleOnLossyMedium) {
   auto traits = net::ethernet_traits();
   traits.bit_error_rate = 1e-6;
-  EthernetWorld world(2, traits);
+  auto world = st_world(2, traits);
   // Tolerate the medium's raw loss; this test is about the reliable bit.
   auto req = loose_request(8192, 512, 1.0);
   req.desired.quality.reliable = true;
@@ -163,7 +163,7 @@ TEST(NetRmsNegotiate, ReliabilityImpossibleOnLossyMedium) {
 }
 
 TEST(NetRmsNegotiate, MessageSizeCappedByFrameLimit) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   auto req = loose_request(1 << 20, 100);
   req.desired.max_message_size = 1 << 20;
   auto result = world.fabric->negotiate(req);
@@ -173,7 +173,7 @@ TEST(NetRmsNegotiate, MessageSizeCappedByFrameLimit) {
 }
 
 TEST(NetRmsNegotiate, AcceptableMessageSizeAboveFrameLimitRejected) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   auto req = loose_request(1 << 20, 2000);  // acceptable mms > frame limit
   auto result = world.fabric->negotiate(req);
   ASSERT_FALSE(result.ok());
@@ -181,7 +181,7 @@ TEST(NetRmsNegotiate, AcceptableMessageSizeAboveFrameLimitRejected) {
 }
 
 TEST(NetRmsNegotiate, DelayFloorRespected) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   auto req = loose_request();
   req.desired.delay.a = 1;  // 1 ns: impossible
   req.acceptable.delay.a = msec(100);
@@ -194,7 +194,7 @@ TEST(NetRmsNegotiate, DelayFloorRespected) {
 }
 
 TEST(NetRmsNegotiate, ImpossibleAcceptableDelayRejected) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   auto req = loose_request();
   req.desired.delay.a = 1;
   req.acceptable.delay.a = 1;
@@ -205,7 +205,7 @@ TEST(NetRmsNegotiate, ImpossibleAcceptableDelayRejected) {
 TEST(NetRmsNegotiate, ActualAlwaysCompatibleWithAcceptable) {
   // Property: for a grid of requests, a successful negotiation returns
   // parameters compatible with the acceptable set (§2.4).
-  EthernetWorld world(2);
+  auto world = st_world(2);
   for (std::uint64_t cap : {512u, 4096u, 65536u}) {
     for (Time a : {msec(5), msec(50), sec(1)}) {
       for (auto type : {rms::BoundType::kBestEffort, rms::BoundType::kStatistical,
@@ -327,9 +327,9 @@ TEST(Admission, StatisticalAdmitsMoreThanDeterministic) {
 }
 
 TEST(NetRms, DeterministicAdmissionThroughFabric) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   auto p = deterministic_params(64 * 1024, msec(100));
   const rms::Request req{p, p};
   auto first = world.fabric->create(1, req, {2, 10});
@@ -346,9 +346,9 @@ TEST(NetRms, DeterministicAdmissionThroughFabric) {
 // ------------------------------------------------------ delay & deadline
 
 TEST(NetRms, DeliveryMeetsDeterministicBound) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   auto p = deterministic_params(32 * 1024, msec(50));
   auto rms = world.fabric->create(1, rms::Request{p, p}, {2, 10});
   ASSERT_TRUE(rms.ok()) << rms.error().message;
@@ -372,9 +372,9 @@ TEST(NetRms, DeliveryMeetsDeterministicBound) {
 TEST(NetRms, EstablishmentDelaysFirstMessage) {
   auto traits = net::ethernet_traits();
   traits.rms_setup_cost = msec(5);
-  EthernetWorld world(2, traits);
+  auto world = st_world(2, traits);
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   auto rms = world.fabric->create(1, loose_request(), {2, 10});
   ASSERT_TRUE(rms.ok());
   rms.value()->send(text_message("eager"));
@@ -389,9 +389,9 @@ TEST(NetRms, EstablishmentDelaysFirstMessage) {
 TEST(NetRms, SoftwareChecksumDropsCorruptMessages) {
   auto traits = net::ethernet_traits();
   traits.bit_error_rate = 5e-5;  // lossy medium, no hardware checksum
-  EthernetWorld world(2, traits, /*seed=*/9);
+  auto world = st_world(2, traits, /*seed=*/9);
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   auto req = loose_request(1 << 16, 1000);
   req.desired.bit_error_rate = 1e-9;    // wants integrity -> checksummed
   req.acceptable.bit_error_rate = 0.5;  // will settle for the raw rate
@@ -416,9 +416,9 @@ TEST(NetRms, SoftwareChecksumDropsCorruptMessages) {
 TEST(NetRms, TolerantClientGetsCorruptDataWithoutChecksumCost) {
   auto traits = net::ethernet_traits();
   traits.bit_error_rate = 5e-5;
-  EthernetWorld world(2, traits, /*seed=*/9);
+  auto world = st_world(2, traits, /*seed=*/9);
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   auto req = loose_request(1 << 16, 1000);
   req.acceptable.bit_error_rate = 1.0;  // voice-like: tolerate raw errors
   req.desired.bit_error_rate = 1.0;
@@ -443,7 +443,7 @@ TEST(NetRms, TolerantClientGetsCorruptDataWithoutChecksumCost) {
 // --------------------------------------------------------------- failure
 
 TEST(NetRms, NetworkDownNotifiesClients) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   auto rms = world.fabric->create(1, loose_request(), {2, 10});
   ASSERT_TRUE(rms.ok());
   Error seen{Errc::kInternal, ""};
@@ -454,7 +454,7 @@ TEST(NetRms, NetworkDownNotifiesClients) {
   EXPECT_EQ(seen.code, Errc::kRmsFailed);
 
   // Same notification path on the internet network.
-  DumbbellWorld wan({1}, {2});
+  auto wan = wan_world({1}, {2});
   auto wrms = wan.fabric->create(1, loose_request(8192, 500, 1.0), {2, 10});
   ASSERT_TRUE(wrms.ok()) << wrms.error().message;
   bool notified = false;
@@ -473,9 +473,9 @@ TEST(NetRms, NetworkDownNotifiesClients) {
 // -------------------------------------------------------------- dumbbell
 
 TEST(NetRms, WorksAcrossInternet) {
-  DumbbellWorld wan({1}, {2});
+  auto wan = wan_world({1}, {2});
   rms::Port port;
-  wan.host(2).ports.bind(10, &port);
+  wan.node(2).ports.bind(10, &port);
   auto rms = wan.fabric->create(1, loose_request(8192, 500, 1.0), {2, 10});
   ASSERT_TRUE(rms.ok()) << rms.error().message;
   rms.value()->send(text_message("over the wide area"));
@@ -488,9 +488,9 @@ TEST(NetRms, WorksAcrossInternet) {
 TEST(NetRms, ImpliedBandwidthIsAchievable) {
   // §2.2: sending a maximum-size message every D*M/C achieves ~C/D B/s
   // without violating capacity. Verify the schedule meets its bounds.
-  EthernetWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   rms::Params p;
   p.capacity = 4096;
   p.max_message_size = 1024;
@@ -533,16 +533,16 @@ TEST(NetRms, ImpliedBandwidthIsAchievable) {
 namespace dash::netrms {
 namespace {
 
-using dash::testing::EthernetWorld;
+using dash::testing::st_world;
 using dash::testing::loose_request;
 
 TEST(Accounting, SetupBytesAndConnectTime) {
   Accounting accounting;  // outlives the world: teardown bills closes
-  EthernetWorld world(2);
+  auto world = st_world(2);
   world.fabric->set_accounting(&accounting);
 
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   auto stream = world.fabric->create(1, loose_request(), {2, 10});
   ASSERT_TRUE(stream.ok());
   const std::uint64_t id =
@@ -576,10 +576,10 @@ TEST(Accounting, SetupBytesAndConnectTime) {
 
 TEST(Accounting, ReservedStreamsCostMoreThanBestEffort) {
   Accounting accounting;  // outlives the world: teardown bills closes
-  EthernetWorld world(2);
+  auto world = st_world(2);
   world.fabric->set_accounting(&accounting);
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
 
   auto best_effort = world.fabric->create(1, loose_request(), {2, 10});
   ASSERT_TRUE(best_effort.ok());
@@ -607,10 +607,10 @@ TEST(Accounting, ReservedStreamsCostMoreThanBestEffort) {
 
 TEST(Accounting, BillAggregatesPerOwner) {
   Accounting accounting;  // outlives the world: teardown bills closes
-  EthernetWorld world(3);
+  auto world = st_world(3);
   world.fabric->set_accounting(&accounting);
   rms::Port port;
-  world.host(3).ports.bind(10, &port);
+  world.node(3).ports.bind(10, &port);
 
   auto a1 = world.fabric->create(1, loose_request(), {3, 10});
   auto a2 = world.fabric->create(1, loose_request(), {3, 10});
@@ -632,11 +632,11 @@ TEST(Accounting, StLayerStreamsAreBilledToTheirHost) {
   // initiating host and show up on its bill — accounting reaches through
   // the whole stack.
   Accounting accounting;  // outlives the world: teardown bills closes
-  dash::testing::StWorld world(2);
+  auto world = dash::testing::st_world(2);
   world.fabric->set_accounting(&accounting);
 
   rms::Port inbox;
-  world.host(2).ports.bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
   auto stream = world.st(1).create(dash::testing::loose_request(), {2, 50});
   ASSERT_TRUE(stream.ok());
   rms::Message m;
@@ -660,13 +660,13 @@ TEST(Accounting, StLayerStreamsAreBilledToTheirHost) {
 namespace dash::netrms {
 namespace {
 
-using dash::testing::EthernetWorld;
+using dash::testing::st_world;
 using dash::testing::loose_request;
 
 TEST(NetRmsRefinement, EqualOrLaterDeadlinesNeverOvertake) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   auto rms = world.fabric->create(1, loose_request(), {2, 10});
   ASSERT_TRUE(rms.ok());
 
@@ -688,9 +688,9 @@ TEST(NetRmsRefinement, EqualOrLaterDeadlinesNeverOvertake) {
 }
 
 TEST(NetRmsRefinement, TighterDeadlineMayOvertakeQueuedLazyMessage) {
-  EthernetWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(10, &port);
+  world.node(2).ports.bind(10, &port);
   auto rms = world.fabric->create(1, loose_request(64 * 1024, 1400), {2, 10});
   ASSERT_TRUE(rms.ok());
 
@@ -729,7 +729,7 @@ TEST(NetRmsRefinement, TighterDeadlineMayOvertakeQueuedLazyMessage) {
 TEST(NetRms, ReadyAtReflectsSetupCost) {
   auto traits = net::ethernet_traits();
   traits.rms_setup_cost = msec(7);
-  EthernetWorld world(2, traits);
+  auto world = st_world(2, traits);
   auto rms = world.fabric->create(1, loose_request(), {2, 10});
   ASSERT_TRUE(rms.ok());
   auto* net_rms = static_cast<NetworkRms*>(rms.value().get());

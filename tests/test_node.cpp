@@ -1,5 +1,5 @@
-// Tests for the top-level DashNode bundle, the DelayMonitor (§2.3
-// guarantee checking), and the ST's event tracing.
+// Tests for the top-level DashNode bundle and its World assembly, the
+// DelayMonitor (§2.3 guarantee checking), and the ST's event tracing.
 #include <gtest/gtest.h>
 
 #include "net/ethernet.h"
@@ -12,34 +12,16 @@
 namespace dash {
 namespace {
 
-struct NodeWorld {
-  sim::Simulator sim;
-  std::unique_ptr<net::EthernetNetwork> network;
-  std::unique_ptr<netrms::NetRmsFabric> fabric;
-  std::vector<std::unique_ptr<node::DashNode>> nodes;
-
-  explicit NodeWorld(int n, net::NetworkTraits traits = net::ethernet_traits(),
-                     std::uint64_t seed = 42) {
-    network = std::make_unique<net::EthernetNetwork>(sim, std::move(traits), seed);
-    fabric = std::make_unique<netrms::NetRmsFabric>(sim, *network);
-    for (int i = 1; i <= n; ++i) {
-      nodes.push_back(
-          std::make_unique<node::DashNode>(sim, static_cast<rms::HostId>(i)));
-      nodes.back()->join(*fabric);
-    }
-  }
-
-  node::DashNode& node(rms::HostId id) { return *nodes.at(id - 1); }
-};
+using dash::testing::st_world;
 
 // ----------------------------------------------------------------- DashNode
 
 TEST(DashNode, StreamEndToEnd) {
-  NodeWorld world(2);
+  auto world = st_world(2);
   rms::Port inbox;
-  world.node(2).bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
   auto stream =
-      world.node(1).create_stream(dash::testing::loose_request(), {2, 50});
+      world.node(1).st->create(dash::testing::loose_request(), {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
   rms::Message m;
   m.data = to_bytes("via DashNode");
@@ -50,7 +32,7 @@ TEST(DashNode, StreamEndToEnd) {
 }
 
 TEST(DashNode, RkomLazilyConstructedAndWorks) {
-  NodeWorld world(2);
+  auto world = st_world(2);
   world.node(2).rkom().register_operation(1, {[](BytesView in) {
     return Bytes(in.begin(), in.end());
   }, 0});
@@ -66,28 +48,63 @@ TEST(DashNode, RkomLazilyConstructedAndWorks) {
 TEST(DashNode, ExposesComponents) {
   sim::Simulator sim;
   node::DashNode node(sim, 7);
-  EXPECT_EQ(node.id(), 7u);
-  EXPECT_EQ(&node.simulator(), &sim);
-  EXPECT_EQ(node.st().host(), 7u);
-  EXPECT_EQ(node.cpu().policy(), sim::CpuPolicy::kEdf);
+  EXPECT_EQ(node.id, 7u);
+  EXPECT_EQ(node.st->host(), 7u);
+  EXPECT_EQ(node.cpu->policy(), sim::CpuPolicy::kEdf);
 }
 
 TEST(DashNode, UnjoinedNodeRejectsStreams) {
   sim::Simulator sim;
   node::DashNode node(sim, 1);
-  auto stream = node.create_stream(dash::testing::loose_request(), {2, 50});
+  auto stream = node.st->create(dash::testing::loose_request(), {2, 50});
   ASSERT_FALSE(stream.ok());
   EXPECT_EQ(stream.error().code, Errc::kNoRoute);
+}
+
+// -------------------------------------------------------- assembly contract
+
+TEST(World, TwoMediaGiveEveryNodeAPathManagerInStOrder) {
+  auto world = dash::testing::two_net_world(3);
+  const std::vector<netrms::NetRmsFabric*> order = {world.media[0].fabric.get(),
+                                                    world.media[1].fabric.get()};
+  for (const auto& n : world.nodes) {
+    ASSERT_NE(n->path, nullptr);
+    EXPECT_EQ(n->st->stream_observer(), n->path.get());
+    EXPECT_EQ(n->st->networks(), order);
+    // The manager indexes fabrics by position: its order must be the ST's.
+    EXPECT_EQ(n->path->networks(), order);
+  }
+}
+
+TEST(World, OneMediumGivesNoPathManager) {
+  auto world = st_world(3);
+  for (const auto& n : world.nodes) {
+    EXPECT_EQ(n->path, nullptr);
+    EXPECT_EQ(n->st->stream_observer(), nullptr);
+  }
+}
+
+TEST(World, DisabledPathConfigGivesNoManagerOnTwoMedia) {
+  // The no-failover row of the C11 bench.
+  path::PathConfig pc;
+  pc.enabled = false;
+  auto world = dash::testing::two_net_world(2, net::ethernet_traits("eth-a"),
+                                            net::ethernet_traits("eth-b"), pc);
+  for (const auto& n : world.nodes) {
+    EXPECT_EQ(n->path, nullptr);
+    EXPECT_EQ(n->st->stream_observer(), nullptr);
+    EXPECT_EQ(n->st->networks().size(), 2u);
+  }
 }
 
 // ------------------------------------------------------------- DelayMonitor
 
 TEST(DelayMonitor, MeasuresAgainstTheBound) {
-  NodeWorld world(2);
+  auto world = st_world(2);
   rms::Port inbox;
-  world.node(2).bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
   auto stream =
-      world.node(1).create_stream(dash::testing::loose_request(), {2, 50});
+      world.node(1).st->create(dash::testing::loose_request(), {2, 50});
   ASSERT_TRUE(stream.ok());
 
   int passthrough = 0;
@@ -172,11 +189,11 @@ TEST(DelayMonitor, StatisticalGuaranteeTolerance) {
 TEST(DelayMonitor, StatisticalStreamHonorsItsProbabilityEndToEnd) {
   // The §2.3 statistical contract verified empirically: a voice stream on
   // a busy segment must miss its bound no more often than promised.
-  NodeWorld world(2);
+  auto world = st_world(2);
   rms::Port inbox;
-  world.node(2).bind(70, &inbox);
+  world.node(2).ports.bind(70, &inbox);
   auto stream =
-      world.node(1).create_stream(workload::voice_request(msec(40)), {2, 70});
+      world.node(1).st->create(workload::voice_request(msec(40)), {2, 70});
   ASSERT_TRUE(stream.ok());
   rms::DelayMonitor monitor(inbox, stream.value()->params(),
                             [&] { return world.sim.now(); });
@@ -200,14 +217,14 @@ TEST(DelayMonitor, StatisticalStreamHonorsItsProbabilityEndToEnd) {
 // ------------------------------------------------------------------- trace
 
 TEST(StTrace, RecordsStreamLifecycle) {
-  NodeWorld world(2);
+  auto world = st_world(2);
   sim::Trace trace;
-  world.node(1).st().set_trace(&trace);
+  world.node(1).st->set_trace(&trace);
 
   rms::Port inbox;
-  world.node(2).bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
   auto stream =
-      world.node(1).create_stream(dash::testing::loose_request(), {2, 50});
+      world.node(1).st->create(dash::testing::loose_request(), {2, 50});
   ASSERT_TRUE(stream.ok());
   rms::Message m;
   m.data = to_bytes("traced");
@@ -235,14 +252,14 @@ TEST(StTrace, RecordsStreamLifecycle) {
 }
 
 TEST(StTrace, RecordsFragmentationAndReassembly) {
-  NodeWorld world(2);
+  auto world = st_world(2);
   sim::Trace tx_trace, rx_trace;
-  world.node(1).st().set_trace(&tx_trace);
-  world.node(2).st().set_trace(&rx_trace);
+  world.node(1).st->set_trace(&tx_trace);
+  world.node(2).st->set_trace(&rx_trace);
 
   rms::Port inbox;
-  world.node(2).bind(50, &inbox);
-  auto stream = world.node(1).create_stream(
+  world.node(2).ports.bind(50, &inbox);
+  auto stream = world.node(1).st->create(
       dash::testing::loose_request(64 * 1024, 16 * 1024), {2, 50});
   ASSERT_TRUE(stream.ok());
   rms::Message m;
@@ -258,16 +275,16 @@ TEST(StTrace, RecordsFragmentationAndReassembly) {
 TEST(StTrace, ElisionVisibleInTrace) {
   auto traits = net::ethernet_traits();
   traits.trusted = true;
-  NodeWorld world(2, traits);
+  auto world = st_world(2, traits);
   sim::Trace trace;
-  world.node(1).st().set_trace(&trace);
+  world.node(1).st->set_trace(&trace);
 
   rms::Port inbox;
-  world.node(2).bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
   auto request = dash::testing::loose_request();
   request.desired.quality.privacy = true;
   request.acceptable.quality.privacy = true;
-  auto stream = world.node(1).create_stream(request, {2, 50});
+  auto stream = world.node(1).st->create(request, {2, 50});
   ASSERT_TRUE(stream.ok());
   world.sim.run();
 
@@ -282,14 +299,14 @@ TEST(StTrace, ElisionVisibleInTrace) {
 }
 
 TEST(StTrace, DetachStopsRecording) {
-  NodeWorld world(2);
+  auto world = st_world(2);
   sim::Trace trace;
-  world.node(1).st().set_trace(&trace);
-  world.node(1).st().set_trace(nullptr);
+  world.node(1).st->set_trace(&trace);
+  world.node(1).st->set_trace(nullptr);
   rms::Port inbox;
-  world.node(2).bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
   auto stream =
-      world.node(1).create_stream(dash::testing::loose_request(), {2, 50});
+      world.node(1).st->create(dash::testing::loose_request(), {2, 50});
   ASSERT_TRUE(stream.ok());
   world.sim.run();
   EXPECT_TRUE(trace.records().empty());

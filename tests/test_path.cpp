@@ -22,8 +22,7 @@
 namespace dash::path {
 namespace {
 
-using dash::testing::SimHost;
-using dash::testing::TwoNetWorld;
+using dash::testing::two_net_world;
 
 rms::Request reliable_request() {
   rms::Params desired;
@@ -59,18 +58,18 @@ std::vector<int> collect_ints(rms::Port& port) {
 // ------------------------------------------------------------------ probes
 
 TEST(Path, ProbesTrackHealthOnEveryNetwork) {
-  TwoNetWorld world(2);
+  auto world = two_net_world(2);
   rms::Port inbox;
-  world.host(2).ports.bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
 
   auto stream = world.st(1).create(reliable_request(), {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
   ASSERT_TRUE(stream.value()->send(numbered(0)).ok());
   world.sim.run_until(sec(2));
 
-  PathManager& pm = world.path(1);
-  const ProbeHealth* ha = pm.probe_health(2, *world.fab_a);
-  const ProbeHealth* hb = pm.probe_health(2, *world.fab_b);
+  PathManager& pm = *world.node(1).path;
+  const ProbeHealth* ha = pm.probe_health(2, *world.fabric);
+  const ProbeHealth* hb = pm.probe_health(2, *world.media[1].fabric);
   ASSERT_NE(ha, nullptr);
   ASSERT_NE(hb, nullptr);
   EXPECT_GT(ha->pongs_received, 0u);
@@ -81,16 +80,16 @@ TEST(Path, ProbesTrackHealthOnEveryNetwork) {
   EXPECT_GT(pm.stats().probes_sent, 0u);
   EXPECT_EQ(pm.stats().probe_timeouts, 0u);
   // The peer answers pings without managing any stream of its own.
-  EXPECT_GT(world.path(2).stats().pongs_sent, 0u);
+  EXPECT_GT(world.node(2).path->stats().pongs_sent, 0u);
   // Healthy paths on both networks: both better than the unknown floor.
-  EXPECT_GT(pm.score(2, *world.fab_a), -1e3);
-  EXPECT_GT(pm.score(2, *world.fab_b), -1e3);
+  EXPECT_GT(pm.score(2, *world.fabric), -1e3);
+  EXPECT_GT(pm.score(2, *world.media[1].fabric), -1e3);
 }
 
 TEST(Path, DataAcksFeedHealthAndSuppressProbes) {
-  TwoNetWorld world(2);
+  auto world = two_net_world(2);
   rms::Port inbox;
-  world.host(2).ports.bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
 
   auto stream = world.st(1).create(reliable_request(), {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
@@ -105,13 +104,13 @@ TEST(Path, DataAcksFeedHealthAndSuppressProbes) {
   }
   world.sim.run_until(sec(3));
 
-  PathManager& pm = world.path(1);
+  PathManager& pm = *world.node(1).path;
   EXPECT_GT(pm.stats().data_ack_samples, 0u);
   EXPECT_GT(pm.stats().probes_suppressed, 0u);
   // The fabric carrying the data channel was fed by ack RTTs: its health
   // has samples and a live EWMA without (necessarily) any pong traffic.
-  const ProbeHealth* ha = pm.probe_health(2, *world.fab_a);
-  const ProbeHealth* hb = pm.probe_health(2, *world.fab_b);
+  const ProbeHealth* ha = pm.probe_health(2, *world.fabric);
+  const ProbeHealth* hb = pm.probe_health(2, *world.media[1].fabric);
   const ProbeHealth* fed = (ha && ha->data_ack_samples > 0) ? ha
                            : (hb && hb->data_ack_samples > 0) ? hb
                                                               : nullptr;
@@ -123,32 +122,32 @@ TEST(Path, DataAcksFeedHealthAndSuppressProbes) {
 TEST(Path, IdleManagerLeavesSimulationQuiescent) {
   // Without a managed stream nothing may keep the event queue alive — a
   // bare run() must terminate (the existing test suites rely on this).
-  TwoNetWorld world(2);
+  auto world = two_net_world(2);
   world.sim.run();
-  EXPECT_EQ(world.path(1).stats().probes_sent, 0u);
+  EXPECT_EQ(world.node(1).path->stats().probes_sent, 0u);
 }
 
 // ---------------------------------------------------------------- failover
 
 TEST(Path, FailsOverWhenNetworkDies) {
-  TwoNetWorld world(2);
+  auto world = two_net_world(2);
   rms::Port inbox;
-  world.host(2).ports.bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
 
   auto stream = world.st(1).create(reliable_request(), {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
   auto* srms = dynamic_cast<st::StRms*>(stream.value().get());
   ASSERT_NE(srms, nullptr);
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_a.get());
+  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric);
 
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(stream.value()->send(numbered(i)).ok());
   world.sim.run_until(msec(500));
 
   // Hard death: the network notifies the fabric, which fails every RMS on
   // it; the path manager must rebind the stream instead of letting it die.
-  world.net_a->set_down(true);
+  world.network->set_down(true);
   world.sim.run_until(sec(1));
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_b.get());
+  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.media[1].fabric.get());
   EXPECT_FALSE(srms->failed());
 
   for (int i = 5; i < 10; ++i) ASSERT_TRUE(stream.value()->send(numbered(i)).ok());
@@ -158,12 +157,12 @@ TEST(Path, FailsOverWhenNetworkDies) {
   ASSERT_EQ(got.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(got[i], i) << "at " << i;
 
-  const PathManager::Stats& ps = world.path(1).stats();
+  const PathManager::Stats& ps = world.node(1).path->stats();
   EXPECT_EQ(ps.failovers, 1u);
   EXPECT_EQ(ps.death_failovers, 1u);
   EXPECT_GE(ps.fabric_failures, 1u);
   EXPECT_EQ(world.st(1).stats().streams_rebound, 1u);
-  EXPECT_GT(world.path(1).failover_latency().count(), 0u);
+  EXPECT_GT(world.node(1).path->failover_latency().count(), 0u);
 }
 
 TEST(Path, ReliableStreamSurvivesSilentOutage) {
@@ -172,15 +171,15 @@ TEST(Path, ReliableStreamSurvivesSilentOutage) {
   // reliable stream is mid-flight. Probing must detect the dead path,
   // fail the stream over to network B, and replay the handoff buffer so
   // the receiver sees every message exactly once, in order.
-  TwoNetWorld world(2);
-  world.with_faults_on_a(fault::FaultPlan().outage(msec(800), sec(30)), 7);
+  auto world = two_net_world(2);
+  world.with_faults(fault::FaultPlan().outage(msec(800), sec(30)), 7);
   rms::Port inbox;
-  world.host(2).ports.bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
 
   auto stream = world.st(1).create(reliable_request(), {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
   auto* srms = dynamic_cast<st::StRms*>(stream.value().get());
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_a.get());
+  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric);
 
   constexpr int kMessages = 200;  // one every 10 ms: the outage hits mid-stream
   rms::Rms* raw = stream.value().get();
@@ -196,11 +195,11 @@ TEST(Path, ReliableStreamSurvivesSilentOutage) {
     ASSERT_EQ(got[i], i) << "out of order at position " << i;
   }
 
-  const PathManager::Stats& ps = world.path(1).stats();
+  const PathManager::Stats& ps = world.node(1).path->stats();
   EXPECT_GE(ps.probe_timeouts, static_cast<std::uint64_t>(
-                                   world.path(1).config().unhealthy_after));
+                                   world.node(1).path->config().unhealthy_after));
   EXPECT_GE(ps.failovers, 1u);
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_b.get());
+  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.media[1].fabric.get());
   EXPECT_GT(world.st(1).stats().handoff_replayed, 0u);
   // After the dust settles the stream keeps running on B with no losses.
   EXPECT_FALSE(srms->failed());
@@ -213,16 +212,16 @@ TEST(Path, DowngradeNotifiedWhenOnlyWeakerNetworkRemains) {
   // downgraded, and the client callback must fire.
   auto slow_b = net::ethernet_traits("eth-b");
   slow_b.propagation_delay = msec(30);
-  TwoNetWorld world(2, net::ethernet_traits("eth-a"), slow_b);
+  auto world = two_net_world(2, net::ethernet_traits("eth-a"), slow_b);
   rms::Port inbox;
-  world.host(2).ports.bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
 
   rms::Request request = reliable_request();
   request.desired.delay.a = msec(5);  // A grants this; B's floor is above it
   auto stream = world.st(1).create(request, {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
   auto* srms = dynamic_cast<st::StRms*>(stream.value().get());
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_a.get());
+  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric);
   const Time delay_on_a = srms->params().delay.a;
 
   int downgrades = 0;
@@ -235,7 +234,7 @@ TEST(Path, DowngradeNotifiedWhenOnlyWeakerNetworkRemains) {
 
   ASSERT_TRUE(stream.value()->send(numbered(0)).ok());
   world.sim.run_until(msec(300));
-  world.net_a->set_down(true);
+  world.network->set_down(true);
   world.sim.run_until(sec(1));
   ASSERT_TRUE(stream.value()->send(numbered(1)).ok());
   world.sim.run_until(sec(2));
@@ -243,7 +242,7 @@ TEST(Path, DowngradeNotifiedWhenOnlyWeakerNetworkRemains) {
   EXPECT_EQ(downgrades, 1);
   EXPECT_EQ(old_seen.delay.a, delay_on_a);
   EXPECT_GT(new_seen.delay.a, delay_on_a);
-  EXPECT_EQ(world.path(1).stats().downgrades, 1u);
+  EXPECT_EQ(world.node(1).path->stats().downgrades, 1u);
   EXPECT_EQ(world.st(1).stats().rebind_downgrades, 1u);
   const std::vector<int> got = collect_ints(inbox);
   ASSERT_EQ(got.size(), 2u);
@@ -254,28 +253,21 @@ TEST(Path, DowngradeNotifiedWhenOnlyWeakerNetworkRemains) {
 TEST(Path, FailoverFailureLeavesStreamFailedWhenNoAlternate) {
   // Only one network: channel death has nowhere to go, the observer
   // declines, and the stream fails exactly as it did pre-path-manager.
-  sim::Simulator sim;
-  net::EthernetNetwork lan(sim, net::ethernet_traits("only"), 1);
-  netrms::NetRmsFabric fabric(sim, lan);
-  SimHost h1(1, sim), h2(2, sim);
-  fabric.register_host(1, h1.cpu, h1.ports);
-  fabric.register_host(2, h2.cpu, h2.ports);
-  st::SubtransportLayer st1(sim, 1, h1.cpu, h1.ports);
-  st1.add_network(fabric);
-  PathManager pm(sim, st1, h1.ports);
-  pm.add_network(fabric);
+  auto world = dash::testing::st_world(2, net::ethernet_traits("only"), 1);
+  PathManager pm(world.sim, world.st(1), world.node(1).ports);
+  pm.add_network(*world.fabric);
 
   rms::Port inbox;
-  h2.ports.bind(50, &inbox);
-  auto stream = st1.create(reliable_request(), {2, 50});
+  world.node(2).ports.bind(50, &inbox);
+  auto stream = world.st(1).create(reliable_request(), {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
   Error seen;
   stream.value()->on_failure([&](const Error& e) { seen = e; });
   stream.value()->send(numbered(0));
-  sim.run_until(msec(200));
+  world.sim.run_until(msec(200));
 
-  lan.set_down(true);
-  sim.run_until(sec(1));
+  world.network->set_down(true);
+  world.sim.run_until(sec(1));
   EXPECT_TRUE(stream.value()->failed());
   EXPECT_EQ(pm.stats().failovers, 0u);
   EXPECT_EQ(pm.stats().failover_failures, 1u);
@@ -288,15 +280,15 @@ TEST(Path, MakeBeforeBreakCommitsOntoStagedChannel) {
   // the unhealthy verdict two probes later commits onto it. The switch is
   // hitless — no negotiation RTT at failover time — and the stream's
   // messages arrive exactly once, in order.
-  TwoNetWorld world(2);
-  world.with_faults_on_a(fault::FaultPlan().outage(msec(800), sec(30)), 7);
+  auto world = two_net_world(2);
+  world.with_faults(fault::FaultPlan().outage(msec(800), sec(30)), 7);
   rms::Port inbox;
-  world.host(2).ports.bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
 
   auto stream = world.st(1).create(reliable_request(), {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
   auto* srms = dynamic_cast<st::StRms*>(stream.value().get());
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_a.get());
+  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric);
 
   constexpr int kMessages = 200;
   rms::Rms* raw = stream.value().get();
@@ -309,7 +301,7 @@ TEST(Path, MakeBeforeBreakCommitsOntoStagedChannel) {
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kMessages));
   for (int i = 0; i < kMessages; ++i) ASSERT_EQ(got[i], i) << "at " << i;
 
-  const PathManager::Stats& ps = world.path(1).stats();
+  const PathManager::Stats& ps = world.node(1).path->stats();
   EXPECT_GE(ps.prepares, 1u);
   EXPECT_EQ(ps.failovers, 1u);
   EXPECT_EQ(ps.hitless_switches, 1u) << "failover renegotiated instead of "
@@ -317,7 +309,7 @@ TEST(Path, MakeBeforeBreakCommitsOntoStagedChannel) {
   const st::SubtransportLayer::Stats& ss = world.st(1).stats();
   EXPECT_GE(ss.rebinds_prepared, 1u);
   EXPECT_EQ(ss.rebinds_committed, 1u);
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_b.get());
+  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.media[1].fabric.get());
   EXPECT_FALSE(srms->failed());
 }
 
@@ -326,10 +318,10 @@ TEST(Path, StagedChannelTornDownWhenPathRecovers) {
   // stage a replacement, then the path recovers before the unhealthy
   // verdict. The staged channel must be aborted, not leaked, and the
   // stream must stay on its original network.
-  TwoNetWorld world(2);
-  world.with_faults_on_a(fault::FaultPlan().outage(msec(800), msec(1150)), 7);
+  auto world = two_net_world(2);
+  world.with_faults(fault::FaultPlan().outage(msec(800), msec(1150)), 7);
   rms::Port inbox;
-  world.host(2).ports.bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
 
   auto stream = world.st(1).create(reliable_request(), {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
@@ -338,7 +330,7 @@ TEST(Path, StagedChannelTornDownWhenPathRecovers) {
 
   world.sim.run_until(sec(2));
 
-  const PathManager::Stats& ps = world.path(1).stats();
+  const PathManager::Stats& ps = world.node(1).path->stats();
   EXPECT_GE(ps.prepares, 1u);
   EXPECT_GE(ps.staged_aborts, 1u) << "staged channel survived the recovery";
   EXPECT_EQ(ps.failovers, 0u);
@@ -346,16 +338,16 @@ TEST(Path, StagedChannelTornDownWhenPathRecovers) {
   EXPECT_GE(world.st(1).stats().rebinds_aborted, 1u);
   EXPECT_EQ(world.st(1).stats().rebinds_committed, 0u);
   EXPECT_EQ(world.st(1).staged_fabric(srms->id()), nullptr);
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_a.get());
+  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric);
   EXPECT_FALSE(srms->failed());
 
   // The abort returned the staged capacity share: a real failover to B
   // afterwards must still succeed (a leak would hold B's mux share).
   ASSERT_TRUE(stream.value()->send(numbered(1)).ok());
   world.sim.run_until(msec(2200));
-  world.net_a->set_down(true);
+  world.network->set_down(true);
   world.sim.run_until(sec(3));
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_b.get());
+  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.media[1].fabric.get());
   EXPECT_FALSE(srms->failed());
   ASSERT_TRUE(stream.value()->send(numbered(2)).ok());
   world.sim.run_until(sec(4));
@@ -372,10 +364,10 @@ TEST(Path, PrepareFailsWhenAdmissionRejectsReplacement) {
   // outage on its home network.
   auto thin_b = net::ethernet_traits("eth-b");
   thin_b.bits_per_second = 1'000'000;  // ~5 Mbps committed won't fit
-  TwoNetWorld world(2, net::ethernet_traits("eth-a"), thin_b);
-  world.with_faults_on_a(fault::FaultPlan().outage(msec(800), msec(1450)), 7);
+  auto world = two_net_world(2, net::ethernet_traits("eth-a"), thin_b);
+  world.with_faults(fault::FaultPlan().outage(msec(800), msec(1450)), 7);
   rms::Port inbox;
-  world.host(2).ports.bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
 
   rms::Request request = reliable_request();
   request.desired.delay.type = rms::BoundType::kDeterministic;
@@ -384,19 +376,19 @@ TEST(Path, PrepareFailsWhenAdmissionRejectsReplacement) {
   auto stream = world.st(1).create(request, {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
   auto* srms = dynamic_cast<st::StRms*>(stream.value().get());
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_a.get());
+  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric);
   ASSERT_TRUE(stream.value()->send(numbered(0)).ok());
 
   world.sim.run_until(sec(3));
 
-  const PathManager::Stats& ps = world.path(1).stats();
+  const PathManager::Stats& ps = world.node(1).path->stats();
   EXPECT_GE(ps.prepare_failures, 1u);
   EXPECT_GE(world.st(1).stats().prepare_failures, 1u);
   EXPECT_EQ(ps.hitless_switches, 0u);
   EXPECT_EQ(ps.failovers, 0u);
   EXPECT_GE(ps.failover_failures, 1u);  // the unhealthy verdict tried and failed
   EXPECT_EQ(world.st(1).staged_fabric(srms->id()), nullptr);
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_a.get());
+  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric);
   EXPECT_FALSE(srms->failed());
 
   // After the outage heals the stream keeps delivering on A.
@@ -415,18 +407,18 @@ TEST(Path, ShedsStreamOnDelayPressureBeforeViolation) {
   // — the account must never actually violate.
   PathConfig pc;
   pc.upgrade_back = false;  // keep the shed stream where it lands
-  TwoNetWorld world(2, net::ethernet_traits("eth-a"),
+  auto world = two_net_world(2, net::ethernet_traits("eth-a"),
                     net::ethernet_traits("eth-b"), pc);
   telemetry::GuaranteeLedger ledger;
-  world.path(1).set_ledger(&ledger);
+  world.node(1).path->set_ledger(&ledger);
 
   rms::Port inbox;
-  world.host(2).ports.bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
   auto stream = world.st(1).create(reliable_request(), {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
   auto* srms = dynamic_cast<st::StRms*>(stream.value().get());
   ASSERT_NE(srms, nullptr);
-  ASSERT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_a.get());
+  ASSERT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric);
 
   // Contract: deterministic 10 ms flat bound. The account is fed directly
   // so the test controls the observed delays exactly.
@@ -435,7 +427,7 @@ TEST(Path, ShedsStreamOnDelayPressureBeforeViolation) {
   contract.delay.a = msec(10);
   contract.delay.b_per_byte = 0;
   ledger.open(7, "pressured", contract, 1, 2);
-  world.path(1).watch_stream(srms->id(), 7);
+  world.node(1).path->watch_stream(srms->id(), 7);
 
   // Healthy regime (~1 ms), then a degrading one (~9 ms): over the 85%
   // pressure threshold, still under the 10 ms bound — zero misses.
@@ -447,10 +439,10 @@ TEST(Path, ShedsStreamOnDelayPressureBeforeViolation) {
   }
   world.sim.run_until(sec(2));
 
-  const PathManager::Stats& ps = world.path(1).stats();
+  const PathManager::Stats& ps = world.node(1).path->stats();
   EXPECT_GE(ps.pressure_sheds, 1u);
   EXPECT_EQ(ps.violation_failovers, 0u) << "must move before violating";
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_b.get());
+  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.media[1].fabric.get());
   EXPECT_FALSE(srms->failed());
 
   telemetry::StreamAccount* account = ledger.find(7);
@@ -470,13 +462,13 @@ TEST(Path, DelayPressureIgnoredWhileWindowViolates) {
   // don't double-count.
   PathConfig pc;
   pc.upgrade_back = false;
-  TwoNetWorld world(2, net::ethernet_traits("eth-a"),
+  auto world = two_net_world(2, net::ethernet_traits("eth-a"),
                     net::ethernet_traits("eth-b"), pc);
   telemetry::GuaranteeLedger ledger;
-  world.path(1).set_ledger(&ledger);
+  world.node(1).path->set_ledger(&ledger);
 
   rms::Port inbox;
-  world.host(2).ports.bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
   auto stream = world.st(1).create(reliable_request(), {2, 50});
   ASSERT_TRUE(stream.ok());
   auto* srms = dynamic_cast<st::StRms*>(stream.value().get());
@@ -485,7 +477,7 @@ TEST(Path, DelayPressureIgnoredWhileWindowViolates) {
   contract.delay.type = rms::BoundType::kDeterministic;
   contract.delay.a = msec(10);
   ledger.open(8, "violating", contract, 1, 2);
-  world.path(1).watch_stream(srms->id(), 8);
+  world.node(1).path->watch_stream(srms->id(), 8);
 
   // Every delivery breaks the bound outright.
   for (Time t = 0; t < msec(900); t += msec(20)) {
@@ -493,7 +485,7 @@ TEST(Path, DelayPressureIgnoredWhileWindowViolates) {
   }
   world.sim.run_until(sec(2));
 
-  const PathManager::Stats& ps = world.path(1).stats();
+  const PathManager::Stats& ps = world.node(1).path->stats();
   EXPECT_EQ(ps.pressure_sheds, 0u);
   EXPECT_GE(ps.violation_failovers, 1u);
 }
@@ -503,10 +495,10 @@ TEST(Path, UpgradesBackToHomeNetworkAfterRecovery) {
   // home within a bounded number of probe intervals once A answers
   // cleanly again — with no loss, duplication, or reordering across either
   // migration.
-  TwoNetWorld world(2);
-  world.with_faults_on_a(fault::FaultPlan().outage(msec(800), sec(4)), 7);
+  auto world = two_net_world(2);
+  world.with_faults(fault::FaultPlan().outage(msec(800), sec(4)), 7);
   rms::Port inbox;
-  world.host(2).ports.bind(50, &inbox);
+  world.node(2).ports.bind(50, &inbox);
 
   auto stream = world.st(1).create(reliable_request(), {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
@@ -520,16 +512,16 @@ TEST(Path, UpgradesBackToHomeNetworkAfterRecovery) {
 
   // Away on B while A is dark.
   world.sim.run_until(sec(3));
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_b.get());
-  EXPECT_GE(world.path(1).stats().failovers, 1u);
+  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.media[1].fabric.get());
+  EXPECT_GE(world.node(1).path->stats().failovers, 1u);
 
   // Bounded return: healed at 4 s, the stream must be home within
   // upgrade_after clean ticks plus staging/commit slack.
-  const PathConfig& pc = world.path(1).config();
+  const PathConfig& pc = world.node(1).path->config();
   world.sim.run_until(sec(4) + pc.probe_interval * (pc.upgrade_after + 4));
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fab_a.get())
+  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric)
       << "stream did not migrate home within the bounded window";
-  EXPECT_GE(world.path(1).stats().upgrades_back, 1u);
+  EXPECT_GE(world.node(1).path->stats().upgrades_back, 1u);
   EXPECT_FALSE(srms->failed());
 
   world.sim.run_until(sec(8));
@@ -538,16 +530,16 @@ TEST(Path, UpgradesBackToHomeNetworkAfterRecovery) {
       << "messages lost or duplicated across failover + upgrade-back";
   for (int i = 0; i < kMessages; ++i) ASSERT_EQ(got[i], i) << "at " << i;
   // The away trip was counted as a failover; the return was not.
-  EXPECT_EQ(world.path(1).stats().failovers, 1u);
+  EXPECT_EQ(world.node(1).path->stats().failovers, 1u);
 }
 
 // ---------------------------------------------------------------- striping
 
 constexpr rms::PortId kStripeTarget = 60;
 
-std::unique_ptr<StripedStream> make_stripe(TwoNetWorld& world,
+std::unique_ptr<StripedStream> make_stripe(node::World<net::EthernetNetwork>& world,
                                            StripeConfig config = {}) {
-  auto stream = StripedStream::create(world.st(1), &world.path(1),
+  auto stream = StripedStream::create(world.st(1), world.node(1).path.get(),
                                       reliable_request(), {2, kStripeTarget},
                                       config);
   EXPECT_TRUE(stream.ok()) << stream.error().message;
@@ -555,10 +547,10 @@ std::unique_ptr<StripedStream> make_stripe(TwoNetWorld& world,
 }
 
 TEST(Stripe, SplitsLoadAcrossBothNetworksInOrder) {
-  TwoNetWorld world(2);
-  StripeEndpoint endpoint(world.sim, world.host(2).ports);
+  auto world = two_net_world(2);
+  StripeEndpoint endpoint(world.sim, world.node(2).ports);
   rms::Port inbox;
-  world.host(2).ports.bind(kStripeTarget, &inbox);
+  world.node(2).ports.bind(kStripeTarget, &inbox);
 
   auto stripe = make_stripe(world);
   ASSERT_NE(stripe, nullptr);
@@ -594,10 +586,10 @@ TEST(Stripe, SubpathDeathDegradesBandwidthNotDelivery) {
   // its in-flight messages move to the survivor, the path manager keeps
   // its hands off (substreams are pinned), and every message still
   // arrives exactly once, in order.
-  TwoNetWorld world(2);
-  StripeEndpoint endpoint(world.sim, world.host(2).ports);
+  auto world = two_net_world(2);
+  StripeEndpoint endpoint(world.sim, world.node(2).ports);
   rms::Port inbox;
-  world.host(2).ports.bind(kStripeTarget, &inbox);
+  world.node(2).ports.bind(kStripeTarget, &inbox);
 
   auto stripe = make_stripe(world);
   ASSERT_NE(stripe, nullptr);
@@ -614,7 +606,7 @@ TEST(Stripe, SubpathDeathDegradesBandwidthNotDelivery) {
     if (i >= 240 && i < 260) at = msec(500) - usec(50) + usec(2) * (i - 240);
     world.sim.at(at, [raw, i] { (void)raw->send(numbered(i)); });
   }
-  world.sim.at(msec(500), [&world] { world.net_a->set_down(true); });
+  world.sim.at(msec(500), [&world] { world.network->set_down(true); });
   world.sim.run_until(sec(10));
 
   const std::vector<int> got = collect_ints(inbox);
@@ -628,7 +620,7 @@ TEST(Stripe, SubpathDeathDegradesBandwidthNotDelivery) {
   EXPECT_GT(stripe->stats().retransmits, 0u);  // redistributed in-flight sends
   // The stripe owned the failure: the path manager must not have rebound
   // the pinned substream.
-  EXPECT_EQ(world.path(1).stats().failovers, 0u);
+  EXPECT_EQ(world.node(1).path->stats().failovers, 0u);
   EXPECT_EQ(stripe->inflight(), 0u);
 }
 
@@ -637,15 +629,15 @@ TEST(Stripe, TwoStripesFromOneHostKeepIndependentSequences) {
   // sequence at 1. The receiver keys its dedup/ordering state by
   // (host, stripe id), so the second stripe's messages must not be
   // mistaken for duplicates of the first's.
-  TwoNetWorld world(2);
-  StripeEndpoint endpoint(world.sim, world.host(2).ports);
+  auto world = two_net_world(2);
+  StripeEndpoint endpoint(world.sim, world.node(2).ports);
   rms::Port inbox_a, inbox_b;
-  world.host(2).ports.bind(kStripeTarget, &inbox_a);
-  world.host(2).ports.bind(kStripeTarget + 1, &inbox_b);
+  world.node(2).ports.bind(kStripeTarget, &inbox_a);
+  world.node(2).ports.bind(kStripeTarget + 1, &inbox_b);
 
   auto first = make_stripe(world);
   ASSERT_NE(first, nullptr);
-  auto second = StripedStream::create(world.st(1), &world.path(1),
+  auto second = StripedStream::create(world.st(1), world.node(1).path.get(),
                                       reliable_request(),
                                       {2, kStripeTarget + 1});
   ASSERT_TRUE(second.ok()) << second.error().message;
@@ -679,15 +671,15 @@ TEST(Stripe, FragmentedPayloadsSurviveLoss) {
   // make the stripe erase the message from its ARQ while loss of a later
   // fragment can still kill it — a permanent hole in the global sequence
   // that wedges in-order delivery for good.
-  TwoNetWorld world(2);
-  world.with_faults_on_a(fault::FaultPlan().iid_loss(0.2), 3);
-  StripeEndpoint endpoint(world.sim, world.host(2).ports);
+  auto world = two_net_world(2);
+  world.with_faults(fault::FaultPlan().iid_loss(0.2), 3);
+  StripeEndpoint endpoint(world.sim, world.node(2).ports);
   rms::Port inbox;
-  world.host(2).ports.bind(kStripeTarget, &inbox);
+  world.node(2).ports.bind(kStripeTarget, &inbox);
 
   rms::Request request = reliable_request();
   request.desired.max_message_size = 8 * 1024;  // well above the 1500 B frame
-  auto stream = StripedStream::create(world.st(1), &world.path(1), request,
+  auto stream = StripedStream::create(world.st(1), world.node(1).path.get(), request,
                                       {2, kStripeTarget});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
   auto stripe = std::move(stream).value();
@@ -756,11 +748,11 @@ class StripeFaults
 
 TEST_P(StripeFaults, ExactlyOnceInOrderUnderImpairment) {
   const auto [kind, seed] = GetParam();
-  TwoNetWorld world(2);
-  world.with_faults_on_a(stripe_fault_plan(kind), seed);
-  StripeEndpoint endpoint(world.sim, world.host(2).ports);
+  auto world = two_net_world(2);
+  world.with_faults(stripe_fault_plan(kind), seed);
+  StripeEndpoint endpoint(world.sim, world.node(2).ports);
   rms::Port inbox;
-  world.host(2).ports.bind(kStripeTarget, &inbox);
+  world.node(2).ports.bind(kStripeTarget, &inbox);
 
   auto stripe = make_stripe(world);
   ASSERT_NE(stripe, nullptr);

@@ -22,7 +22,7 @@
 namespace dash {
 namespace {
 
-using testing::StWorld;
+using testing::st_world;
 
 // ---------------------------------------------------------------------
 // P1: per-stream ordering through the whole stack, randomized.
@@ -35,7 +35,7 @@ class OrderingProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(OrderingProperty, PerStreamOrderSurvivesTheStack) {
   const std::uint64_t seed = GetParam();
-  StWorld world(2, net::ethernet_traits(), seed);
+  auto world = st_world(2, net::ethernet_traits(), seed);
   Rng rng(seed * 7919 + 1);
 
   constexpr int kStreams = 4;
@@ -50,7 +50,7 @@ TEST_P(OrderingProperty, PerStreamOrderSurvivesTheStack) {
   for (int i = 0; i < kStreams; ++i) {
     auto& s = streams[static_cast<std::size_t>(i)];
     s.port = std::make_unique<rms::Port>();
-    world.host(2).ports.bind(100 + static_cast<rms::PortId>(i), s.port.get());
+    world.node(2).ports.bind(100 + static_cast<rms::PortId>(i), s.port.get());
     auto request = dash::testing::loose_request(64 * 1024, 8 * 1024);
     // Random delay bounds so streams have different urgencies.
     request.desired.delay.a = msec(rng.range(5, 200));
@@ -117,7 +117,7 @@ class OrderingFaultProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(OrderingFaultProperty, OrderSurvivesLossReorderingAndDuplication) {
   const std::uint64_t seed = GetParam();
-  StWorld world(2, net::ethernet_traits(), seed);
+  auto world = st_world(2, net::ethernet_traits(), seed);
   world.with_faults(fault::FaultPlan{}
                         .iid_loss(0.03)
                         .burst_loss(0.02, 0.3, 0.9)
@@ -138,7 +138,7 @@ TEST_P(OrderingFaultProperty, OrderSurvivesLossReorderingAndDuplication) {
   for (int i = 0; i < kStreams; ++i) {
     auto& s = streams[static_cast<std::size_t>(i)];
     s.port = std::make_unique<rms::Port>();
-    world.host(2).ports.bind(100 + static_cast<rms::PortId>(i), s.port.get());
+    world.node(2).ports.bind(100 + static_cast<rms::PortId>(i), s.port.get());
     auto created = world.st(1).create(dash::testing::loose_request(64 * 1024, 8 * 1024),
                                       {2, 100 + static_cast<rms::PortId>(i)});
     ASSERT_TRUE(created.ok());
@@ -199,9 +199,9 @@ class FragmentationProperty : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FragmentationProperty, RoundTripsExactly) {
   const std::size_t size = GetParam();
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto stream =
       world.st(1).create(dash::testing::loose_request(128 * 1024, 64 * 1024), {2, 50});
   ASSERT_TRUE(stream.ok());
@@ -232,12 +232,12 @@ class FragmentationFaultProperty
 
 TEST_P(FragmentationFaultProperty, ExactlyOnceUnderDuplicationAndReordering) {
   const auto [size, seed] = GetParam();
-  StWorld world(2);
+  auto world = st_world(2);
   world.with_faults(
       fault::FaultPlan{}.duplicate(0.5, 2, usec(60)).reorder(0.4, usec(100), msec(3)),
       seed);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto stream =
       world.st(1).create(dash::testing::loose_request(128 * 1024, 64 * 1024), {2, 50});
   ASSERT_TRUE(stream.ok());
@@ -318,7 +318,7 @@ TEST(CompatibilityProperty, PartialOrderOverRandomParams) {
 // ST's own negotiation preserves the same contract one layer up.
 TEST(NegotiationProperty, ActualAlwaysCompatibleWithAcceptable) {
   Rng rng(777);
-  StWorld world(2);
+  auto world = st_world(2);
   int granted = 0;
   for (int i = 0; i < 200; ++i) {
     rms::Params desired;
@@ -439,13 +439,13 @@ TEST_P(ReliabilityProperty, ByteExactAcrossLoss) {
   const auto [seed, ber] = GetParam();
   auto traits = net::ethernet_traits();
   traits.bit_error_rate = ber;
-  StWorld world(2, traits, seed);
+  auto world = st_world(2, traits, seed);
   transport::StreamConfig cfg;
   cfg.retransmit_timeout = msec(120);
-  transport::StreamReceiver rx(world.st(2), world.host(2).ports, 60, cfg);
+  transport::StreamReceiver rx(world.st(2), world.node(2).ports, 60, cfg);
   Bytes received;
   rx.on_data([&](Bytes b) { append(received, b); });
-  transport::StreamSender tx(world.st(1), world.host(1).ports, {2, 60}, cfg);
+  transport::StreamSender tx(world.st(1), world.node(1).ports, {2, 60}, cfg);
   ASSERT_TRUE(tx.ok());
 
   const Bytes payload = patterned_bytes(30'000, seed);
@@ -497,14 +497,14 @@ class ReliabilityFaultProperty
 
 TEST_P(ReliabilityFaultProperty, ByteExactUnderScriptedImpairments) {
   const auto [seed, kind] = GetParam();
-  StWorld world(2, net::ethernet_traits(), seed);
+  auto world = st_world(2, net::ethernet_traits(), seed);
   world.with_faults(plan_for(kind), seed * 17 + 3);
   transport::StreamConfig cfg;
   cfg.retransmit_timeout = msec(120);
-  transport::StreamReceiver rx(world.st(2), world.host(2).ports, 60, cfg);
+  transport::StreamReceiver rx(world.st(2), world.node(2).ports, 60, cfg);
   Bytes received;
   rx.on_data([&](Bytes b) { append(received, b); });
-  transport::StreamSender tx(world.st(1), world.host(1).ports, {2, 60}, cfg);
+  transport::StreamSender tx(world.st(1), world.node(1).ports, {2, 60}, cfg);
   ASSERT_TRUE(tx.ok());
 
   const Bytes payload = patterned_bytes(20'000, seed);

@@ -9,18 +9,18 @@
 namespace dash::rkom {
 namespace {
 
-using dash::testing::StWorld;
+using dash::testing::st_world;
 
 struct RkomFixture {
-  StWorld world;
+  node::World<net::EthernetNetwork> world;
   std::unique_ptr<RkomNode> client;
   std::unique_ptr<RkomNode> server;
 
   explicit RkomFixture(net::NetworkTraits traits = net::ethernet_traits(),
                        std::uint64_t seed = 42, RkomConfig config = {})
-      : world(2, traits, seed) {
-    client = std::make_unique<RkomNode>(world.st(1), world.host(1).ports, config);
-    server = std::make_unique<RkomNode>(world.st(2), world.host(2).ports, config);
+      : world(st_world(2, traits, seed)) {
+    client = std::make_unique<RkomNode>(world.st(1), world.node(1).ports, config);
+    server = std::make_unique<RkomNode>(world.st(2), world.node(2).ports, config);
   }
 };
 
@@ -248,12 +248,12 @@ TEST(Rpc, OpIdsAreStableAndDistinct) {
 namespace dash::rkom {
 namespace {
 
-using dash::testing::TwoNetWorld;
+using dash::testing::two_net_world;
 
 TEST(Rkom, InFlightCallSurvivesNetworkDeathWithPathManager) {
-  TwoNetWorld world(2);
-  RkomNode client(world.st(1), world.host(1).ports);
-  RkomNode server(world.st(2), world.host(2).ports);
+  auto world = two_net_world(2);
+  RkomNode client(world.st(1), world.node(1).ports);
+  RkomNode server(world.st(2), world.node(2).ports);
   server.register_operation(1, {[](BytesView in) {
     return Bytes(in.begin(), in.end());
   }, msec(300) /* slow enough that network A dies mid-call */});
@@ -265,7 +265,7 @@ TEST(Rkom, InFlightCallSurvivesNetworkDeathWithPathManager) {
       r.ok() ? (void)(reply = to_string(r.value())) : (void)++failures;
     });
   });
-  world.sim.at(msec(200), [&world] { world.net_a->set_down(true); });
+  world.sim.at(msec(200), [&world] { world.network->set_down(true); });
   world.sim.run_until(sec(10));
 
   EXPECT_EQ(failures, 0);
@@ -273,7 +273,9 @@ TEST(Rkom, InFlightCallSurvivesNetworkDeathWithPathManager) {
   // The channel object survived: its streams were rebound, not rebuilt.
   EXPECT_EQ(client.channels(), 1u);
   // Both sides had streams on the dead network moved over.
-  EXPECT_GE(world.path(1).stats().failovers + world.path(2).stats().failovers, 1u);
+  EXPECT_GE(world.node(1).path->stats().failovers +
+                world.node(2).path->stats().failovers,
+            1u);
 
   // A fresh call after the death works on the surviving network too.
   std::string second;
@@ -292,8 +294,8 @@ TEST(Rkom, InFlightCallSurvivesStreamDeathViaChannelRebuild) {
   // the failed RMS and the rendezvous timed out.
   path::PathConfig pc;
   pc.enabled = false;
-  TwoNetWorld world(2, net::ethernet_traits("eth-a"), net::ethernet_traits("eth-b"),
-                    pc);
+  auto world = two_net_world(2, net::ethernet_traits("eth-a"),
+                             net::ethernet_traits("eth-b"), pc);
   RkomConfig config;
   config.retry_timeout = msec(100);
   // The zombie channel on the dead network only reports failure once ST
@@ -301,8 +303,8 @@ TEST(Rkom, InFlightCallSurvivesStreamDeathViaChannelRebuild) {
   // control_retry_timeout = 1.25 s); the call's retry budget must outlast
   // that so a later retry observes the failure and rebuilds.
   config.max_retries = 20;
-  RkomNode client(world.st(1), world.host(1).ports, config);
-  RkomNode server(world.st(2), world.host(2).ports, config);
+  RkomNode client(world.st(1), world.node(1).ports, config);
+  RkomNode server(world.st(2), world.node(2).ports, config);
   server.register_operation(1, {[](BytesView in) {
     return Bytes(in.begin(), in.end());
   }, 0});
@@ -315,7 +317,7 @@ TEST(Rkom, InFlightCallSurvivesStreamDeathViaChannelRebuild) {
     });
   });
   // The request is still in the establishment handshake when A dies.
-  world.sim.at(msec(100) + usec(1), [&world] { world.net_a->set_down(true); });
+  world.sim.at(msec(100) + usec(1), [&world] { world.network->set_down(true); });
   world.sim.run_until(sec(10));
 
   EXPECT_EQ(failures, 0);
@@ -332,14 +334,14 @@ TEST(Rkom, InFlightCallSurvivesStreamDeathViaChannelRebuild) {
 namespace dash::rkom {
 namespace {
 
-using dash::testing::StWorld;
+using dash::testing::st_world;
 
 TEST(Rkom, ReplyCacheExpiresAfterTtl) {
   RkomConfig config;
   config.reply_cache_ttl = msec(200);
-  StWorld world(2);
-  RkomNode client(world.st(1), world.host(1).ports, config);
-  RkomNode server(world.st(2), world.host(2).ports, config);
+  auto world = st_world(2);
+  RkomNode client(world.st(1), world.node(1).ports, config);
+  RkomNode server(world.st(2), world.node(2).ports, config);
   int executions = 0;
   server.register_operation(1, {[&executions](BytesView) {
     ++executions;
@@ -361,10 +363,10 @@ TEST(Rkom, ReplyCacheExpiresAfterTtl) {
 }
 
 TEST(Rkom, SeparateChannelsPerPeer) {
-  StWorld world(3);
-  RkomNode client(world.st(1), world.host(1).ports);
-  RkomNode server_a(world.st(2), world.host(2).ports);
-  RkomNode server_b(world.st(3), world.host(3).ports);
+  auto world = st_world(3);
+  RkomNode client(world.st(1), world.node(1).ports);
+  RkomNode server_a(world.st(2), world.node(2).ports);
+  RkomNode server_b(world.st(3), world.node(3).ports);
   auto echo = [](BytesView in) { return Bytes(in.begin(), in.end()); };
   server_a.register_operation(1, {echo, 0});
   server_b.register_operation(1, {echo, 0});
@@ -386,9 +388,9 @@ TEST(Rkom, SeparateChannelsPerPeer) {
 }
 
 TEST(Rkom, LargeArgumentsFragmentAndReassemble) {
-  StWorld world(2);
-  RkomNode client(world.st(1), world.host(1).ports);
-  RkomNode server(world.st(2), world.host(2).ports);
+  auto world = st_world(2);
+  RkomNode client(world.st(1), world.node(1).ports);
+  RkomNode server(world.st(2), world.node(2).ports);
   server.register_operation(1, {[](BytesView in) {
     // Return a digest-sized answer about a large argument.
     return to_bytes(std::to_string(in.size()));
@@ -406,9 +408,9 @@ TEST(Rkom, LargeArgumentsFragmentAndReassemble) {
 }
 
 TEST(Rkom, CallbacksAreIndependentAcrossOutstandingCalls) {
-  StWorld world(2);
-  RkomNode client(world.st(1), world.host(1).ports);
-  RkomNode server(world.st(2), world.host(2).ports);
+  auto world = st_world(2);
+  RkomNode client(world.st(1), world.node(1).ports);
+  RkomNode server(world.st(2), world.node(2).ports);
   // Slow op and fast op; the fast one must not wait for the slow one.
   server.register_operation(1, {[](BytesView) { return to_bytes("slow"); }, msec(300)});
   server.register_operation(2, {[](BytesView) { return to_bytes("fast"); }, 0});

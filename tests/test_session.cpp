@@ -10,18 +10,18 @@
 namespace dash::session {
 namespace {
 
-using dash::testing::StWorld;
+using dash::testing::st_world;
 
 struct SessionWorld {
-  StWorld world{2};
+  node::World<net::EthernetNetwork> world = st_world(2);
   std::unique_ptr<rkom::RkomNode> rkom1, rkom2;
   std::unique_ptr<SessionHost> host1, host2;
 
   SessionWorld() {
-    rkom1 = std::make_unique<rkom::RkomNode>(world.st(1), world.host(1).ports);
-    rkom2 = std::make_unique<rkom::RkomNode>(world.st(2), world.host(2).ports);
-    host1 = std::make_unique<SessionHost>(world.st(1), world.host(1).ports, *rkom1);
-    host2 = std::make_unique<SessionHost>(world.st(2), world.host(2).ports, *rkom2);
+    rkom1 = std::make_unique<rkom::RkomNode>(world.st(1), world.node(1).ports);
+    rkom2 = std::make_unique<rkom::RkomNode>(world.st(2), world.node(2).ports);
+    host1 = std::make_unique<SessionHost>(world.st(1), world.node(1).ports, *rkom1);
+    host2 = std::make_unique<SessionHost>(world.st(2), world.node(2).ports, *rkom2);
   }
 };
 
@@ -192,14 +192,14 @@ TEST(Session, FailureSurfacesThroughTheSession) {
 namespace dash::session {
 namespace {
 
-using dash::testing::TwoNetWorld;
+using dash::testing::two_net_world;
 
 TEST(Session, SurvivesNetworkDeathAndStillAcceptsNewRendezvous) {
-  TwoNetWorld world(2);
-  rkom::RkomNode rkom1(world.st(1), world.host(1).ports);
-  rkom::RkomNode rkom2(world.st(2), world.host(2).ports);
-  SessionHost host1(world.st(1), world.host(1).ports, rkom1);
-  SessionHost host2(world.st(2), world.host(2).ports, rkom2);
+  auto world = two_net_world(2);
+  rkom::RkomNode rkom1(world.st(1), world.node(1).ports);
+  rkom::RkomNode rkom2(world.st(2), world.node(2).ports);
+  SessionHost host1(world.st(1), world.node(1).ports, rkom1);
+  SessionHost host2(world.st(2), world.node(2).ports, rkom2);
 
   rms::Request request;
   request.desired.capacity = 16 * 1024;
@@ -238,7 +238,7 @@ TEST(Session, SurvivesNetworkDeathAndStillAcceptsNewRendezvous) {
   ASSERT_TRUE(server_session->send(to_bytes("down-before")).ok());
   world.sim.run_until(msec(600));
 
-  world.net_a->set_down(true);
+  world.network->set_down(true);
   world.sim.run_until(sec(2));
 
   // Both directions keep working after the death: the path manager moved
@@ -278,15 +278,11 @@ namespace {
 TEST(Session, ConnectsAcrossLossyWan) {
   auto traits = net::internet_traits();
   traits.bit_error_rate = 2e-6;
-  dash::testing::DumbbellWorld wan({1}, {2}, traits, /*seed=*/3);
-  st::SubtransportLayer st1(wan.sim, 1, wan.host(1).cpu, wan.host(1).ports);
-  st::SubtransportLayer st2(wan.sim, 2, wan.host(2).cpu, wan.host(2).ports);
-  st1.add_network(*wan.fabric);
-  st2.add_network(*wan.fabric);
-  rkom::RkomNode rkom1(st1, wan.host(1).ports);
-  rkom::RkomNode rkom2(st2, wan.host(2).ports);
-  SessionHost host1(st1, wan.host(1).ports, rkom1);
-  SessionHost host2(st2, wan.host(2).ports, rkom2);
+  auto wan = dash::testing::wan_world({1}, {2}, traits, /*seed=*/3);
+  rkom::RkomNode rkom1(wan.st(1), wan.node(1).ports);
+  rkom::RkomNode rkom2(wan.st(2), wan.node(2).ports);
+  SessionHost host1(wan.st(1), wan.node(1).ports, rkom1);
+  SessionHost host2(wan.st(2), wan.node(2).ports, rkom2);
 
   std::unique_ptr<Session> server_session;
   host2.listen("wan-svc", [&](std::unique_ptr<Session> s) {

@@ -16,7 +16,11 @@
 namespace dash::st {
 namespace {
 
-using dash::testing::StWorld;
+using dash::testing::st_world;
+
+/// For the multi-network hosts below: these tests pin the ST's own network
+/// choice, which a path manager would otherwise weigh in on.
+const node::NodeConfig kNoPathManager{.path = {.enabled = false}};
 
 rms::Request st_request(std::uint64_t capacity = 32 * 1024,
                         std::uint64_t mms = 8 * 1024) {
@@ -46,9 +50,9 @@ rms::Message text(std::string_view s) {
 // ---------------------------------------------------------- establishment
 
 TEST(St, CreateAndDeliver) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
 
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok()) << rms.error().message;
@@ -63,9 +67,9 @@ TEST(St, CreateAndDeliver) {
 }
 
 TEST(St, EstablishmentRunsAuthHandshake) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok());
   auto* st_rms = dynamic_cast<StRms*>(rms.value().get());
@@ -80,9 +84,9 @@ TEST(St, EstablishmentRunsAuthHandshake) {
 }
 
 TEST(St, ControlRepliesCancelRetryTimers) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok());
   auto* st_rms = dynamic_cast<StRms*>(rms.value().get());
@@ -99,10 +103,10 @@ TEST(St, ControlRepliesCancelRetryTimers) {
 }
 
 TEST(St, SecondStreamReusesAuthentication) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port p1, p2;
-  world.host(2).ports.bind(50, &p1);
-  world.host(2).ports.bind(51, &p2);
+  world.node(2).ports.bind(50, &p1);
+  world.node(2).ports.bind(51, &p2);
 
   auto a = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(a.ok());
@@ -119,9 +123,9 @@ TEST(St, SecondStreamReusesAuthentication) {
 TEST(St, TrustedNetworkElidesAuthentication) {
   auto traits = net::ethernet_traits();
   traits.trusted = true;
-  StWorld world(2, traits);
+  auto world = st_world(2, traits);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok());
   rms.value()->send(text("trusted"));
@@ -132,9 +136,9 @@ TEST(St, TrustedNetworkElidesAuthentication) {
 }
 
 TEST(St, MessagesQueuedUntilEstablished) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok());
   // Send a burst before any control exchange could complete.
@@ -149,14 +153,14 @@ TEST(St, MessagesQueuedUntilEstablished) {
 }
 
 TEST(St, NoRouteRejectedSynchronously) {
-  StWorld world(2);
+  auto world = st_world(2);
   auto rms = world.st(1).create(st_request(), {99, 50});
   ASSERT_FALSE(rms.ok());
   EXPECT_EQ(rms.error().code, Errc::kNoRoute);
 }
 
 TEST(St, ImpossibleDelayRejected) {
-  StWorld world(2);
+  auto world = st_world(2);
   auto req = st_request();
   req.acceptable.delay.a = usec(1);  // smaller than the ST processing budget
   auto rms = world.st(1).create(req, {2, 50});
@@ -167,9 +171,9 @@ TEST(St, ImpossibleDelayRejected) {
 // --------------------------------------------------------------- ordering
 
 TEST(St, InOrderDeliveryUnderLoad) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok());
 
@@ -192,9 +196,9 @@ TEST(St, InOrderDeliveryUnderLoad) {
 TEST(St, PiggybackingCombinesSmallMessages) {
   st::StConfig config;
   config.piggyback_window = msec(5);
-  StWorld world(2, net::ethernet_traits(), 42, config);
+  auto world = st_world(2, net::ethernet_traits(), 42, config);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(32 * 1024, 64), {2, 50});
   ASSERT_TRUE(rms.ok());
   world.sim.run();  // establish first
@@ -213,9 +217,9 @@ TEST(St, PiggybackingCombinesSmallMessages) {
 TEST(St, PiggybackingDisabledSendsOnePacketEach) {
   st::StConfig config;
   config.enable_piggybacking = false;
-  StWorld world(2, net::ethernet_traits(), 42, config);
+  auto world = st_world(2, net::ethernet_traits(), 42, config);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(32 * 1024, 64), {2, 50});
   ASSERT_TRUE(rms.ok());
   world.sim.run();
@@ -233,10 +237,10 @@ TEST(St, PiggybackingDisabledSendsOnePacketEach) {
 TEST(St, PiggybackingAcrossStreams) {
   st::StConfig config;
   config.piggyback_window = msec(5);
-  StWorld world(2, net::ethernet_traits(), 42, config);
+  auto world = st_world(2, net::ethernet_traits(), 42, config);
   rms::Port p1, p2;
-  world.host(2).ports.bind(50, &p1);
-  world.host(2).ports.bind(51, &p2);
+  world.node(2).ports.bind(50, &p1);
+  world.node(2).ports.bind(51, &p2);
   auto a = world.st(1).create(st_request(8 * 1024, 64), {2, 50});
   auto b = world.st(1).create(st_request(8 * 1024, 64), {2, 51});
   ASSERT_TRUE(a.ok());
@@ -261,9 +265,9 @@ TEST(St, UrgentMessageNotDelayedPastItsDeadline) {
   // window would allow more piggybacking.
   st::StConfig config;
   config.piggyback_window = msec(10);
-  StWorld world(2, net::ethernet_traits(), 42, config);
+  auto world = st_world(2, net::ethernet_traits(), 42, config);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto req = st_request(32 * 1024, 64);
   req.desired.delay.a = msec(15);
   auto rms = world.st(1).create(req, {2, 50});
@@ -282,9 +286,9 @@ TEST(St, UrgentMessageNotDelayedPastItsDeadline) {
 // ----------------------------------------------------------- fragmentation
 
 TEST(St, LargeMessageFragmentsAndReassembles) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(64 * 1024, 16 * 1024), {2, 50});
   ASSERT_TRUE(rms.ok()) << rms.error().message;
 
@@ -301,9 +305,9 @@ TEST(St, LargeMessageFragmentsAndReassembles) {
 }
 
 TEST(St, FragmentedAndSmallMessagesInterleave) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(64 * 1024, 16 * 1024), {2, 50});
   ASSERT_TRUE(rms.ok());
   world.sim.run();
@@ -327,9 +331,9 @@ TEST(St, LostFragmentDiscardsPartialMessage) {
   // the ST must discard partial messages and deliver only complete ones.
   auto traits = net::ethernet_traits();
   traits.bit_error_rate = 2e-5;  // ~20%+ per full frame
-  StWorld world(2, traits, /*seed=*/11);
+  auto world = st_world(2, traits, /*seed=*/11);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto req = st_request(64 * 1024, 16 * 1024);
   req.desired.bit_error_rate = 1e-12;  // ask for integrity -> checksummed
   auto rms = world.st(1).create(req, {2, 50});
@@ -358,9 +362,9 @@ TEST(St, LostFragmentDiscardsPartialMessage) {
 // ----------------------------------------------------------------- caching
 
 TEST(St, ClosedStreamLeavesChannelCached) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok());
   world.sim.run();
@@ -371,9 +375,9 @@ TEST(St, ClosedStreamLeavesChannelCached) {
 }
 
 TEST(St, CacheHitAvoidsNetworkRmsCreation) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto first = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(first.ok());
   world.sim.run();
@@ -391,9 +395,9 @@ TEST(St, CacheHitAvoidsNetworkRmsCreation) {
 TEST(St, CachedChannelExpiresAfterIdleTimeout) {
   st::StConfig config;
   config.cache_idle_timeout = msec(100);
-  StWorld world(2, net::ethernet_traits(), 42, config);
+  auto world = st_world(2, net::ethernet_traits(), 42, config);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok());
   world.sim.run();
@@ -412,7 +416,7 @@ TEST(St, CachedChannelExpiresAfterIdleTimeout) {
 TEST(St, CachingDisabledClosesChannelImmediately) {
   st::StConfig config;
   config.enable_caching = false;
-  StWorld world(2, net::ethernet_traits(), 42, config);
+  auto world = st_world(2, net::ethernet_traits(), 42, config);
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok());
   world.sim.run();
@@ -424,10 +428,10 @@ TEST(St, CachingDisabledClosesChannelImmediately) {
 // ---------------------------------------------------------------- security
 
 TEST(St, PrivacyEncryptsOnUntrustedNetwork) {
-  StWorld world(2);
+  auto world = st_world(2);
   net::Eavesdropper eve(*world.network);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
 
   auto req = st_request();
   req.desired.quality.privacy = true;
@@ -450,10 +454,10 @@ TEST(St, PrivacyEncryptsOnUntrustedNetwork) {
 TEST(St, PrivacyElidedOnTrustedNetwork) {
   auto traits = net::ethernet_traits();
   traits.trusted = true;
-  StWorld world(2, traits);
+  auto world = st_world(2, traits);
   net::Eavesdropper eve(*world.network);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
 
   auto req = st_request();
   req.desired.quality.privacy = true;
@@ -475,7 +479,7 @@ TEST(St, PrivacyElidedOnTrustedNetwork) {
 TEST(St, PrivacyElidedWithLinkEncryptionHardware) {
   auto traits = net::ethernet_traits();
   traits.link_encryption = true;
-  StWorld world(2, traits);
+  auto world = st_world(2, traits);
   auto req = st_request();
   req.desired.quality.privacy = true;
   req.acceptable.quality.privacy = true;
@@ -486,9 +490,9 @@ TEST(St, PrivacyElidedWithLinkEncryptionHardware) {
 }
 
 TEST(St, AuthenticationMacsOnUntrustedNetwork) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto req = st_request();
   req.desired.quality.authenticated = true;
   req.acceptable.quality.authenticated = true;
@@ -509,9 +513,9 @@ TEST(St, CorruptedMacMessageDropped) {
   // caught by the MAC instead of being delivered.
   auto traits = net::ethernet_traits();
   traits.bit_error_rate = 3e-5;
-  StWorld world(2, traits, /*seed=*/13);
+  auto world = st_world(2, traits, /*seed=*/13);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto req = st_request(32 * 1024, 1000);
   req.desired.quality.authenticated = true;
   req.acceptable.quality.authenticated = true;
@@ -533,9 +537,9 @@ TEST(St, CorruptedMacMessageDropped) {
 }
 
 TEST(St, ThirdPartyCannotInjectIntoForeignStream) {
-  StWorld world(3);
+  auto world = st_world(3);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok());
   rms.value()->send(text("legit"));
@@ -559,9 +563,9 @@ TEST(St, ThirdPartyCannotInjectIntoForeignStream) {
 // --------------------------------------------------------------- fast acks
 
 TEST(St, FastAcknowledgement) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok());
   auto* st_rms = dynamic_cast<StRms*>(rms.value().get());
@@ -581,9 +585,9 @@ TEST(St, FastAcknowledgement) {
 TEST(St, FastAckIsFasterThanClientTurnaround) {
   // The receiving ST acks before the receiving *client* even sees the
   // message — measure that the ack arrives within roughly one RTT.
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;  // no handler: the client never wakes up
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok());
   world.sim.run();
@@ -602,9 +606,9 @@ TEST(St, FastAckIsFasterThanClientTurnaround) {
 // ----------------------------------------------------------------- failure
 
 TEST(St, NetworkFailureNotifiesStream) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok());
   world.sim.run();
@@ -622,9 +626,9 @@ TEST(St, NetworkFailureNotifiesStream) {
 // --------------------------------------------------------------- delay bound
 
 TEST(St, DeliveredWithinStBound) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok());
   world.sim.run();  // establishment excluded from per-message delay
@@ -659,22 +663,13 @@ TEST(St, PicksNetworkWherePeerIsAttached) {
   net::EthernetNetwork lan_b(sim, net::ethernet_traits("lan-b"), 2);
   netrms::NetRmsFabric fab_a(sim, lan_a);
   netrms::NetRmsFabric fab_b(sim, lan_b);
-
-  dash::testing::SimHost h1(1, sim), h2(2, sim), h3(3, sim);
-  fab_a.register_host(1, h1.cpu, h1.ports);
-  fab_a.register_host(3, h3.cpu, h3.ports);
-  fab_b.register_host(1, h1.cpu, h1.ports);
-  fab_b.register_host(2, h2.cpu, h2.ports);
-
-  st::SubtransportLayer st1(sim, 1, h1.cpu, h1.ports);
-  st::SubtransportLayer st2(sim, 2, h2.cpu, h2.ports);
-  st1.add_network(fab_a);
-  st1.add_network(fab_b);
-  st2.add_network(fab_b);
+  node::DashNode h1(sim, 1, {&fab_a, &fab_b}, kNoPathManager);
+  node::DashNode h2(sim, 2, {&fab_b});
+  node::DashNode h3(sim, 3, {&fab_a});
 
   rms::Port port;
   h2.ports.bind(50, &port);
-  auto rms = st1.create(st_request(), {2, 50});
+  auto rms = h1.st->create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok()) << rms.error().message;
   rms.value()->send(text("via lan-b"));
   sim.run();
@@ -702,28 +697,17 @@ TEST(St, PrefersNetworkThatProvidesSecurityNatively) {
   net::EthernetNetwork trusted_lan(sim, trusted_traits, 2);
   netrms::NetRmsFabric open_fabric(sim, open_lan);
   netrms::NetRmsFabric trusted_fabric(sim, trusted_lan);
-
-  dash::testing::SimHost h1(1, sim), h2(2, sim);
-  open_fabric.register_host(1, h1.cpu, h1.ports);
-  open_fabric.register_host(2, h2.cpu, h2.ports);
-  trusted_fabric.register_host(1, h1.cpu, h1.ports);
-  trusted_fabric.register_host(2, h2.cpu, h2.ports);
-
-  st::SubtransportLayer st1(sim, 1, h1.cpu, h1.ports);
-  st::SubtransportLayer st2(sim, 2, h2.cpu, h2.ports);
   // The open network is listed FIRST: only the preference logic can pick
   // the trusted one.
-  st1.add_network(open_fabric);
-  st1.add_network(trusted_fabric);
-  st2.add_network(open_fabric);
-  st2.add_network(trusted_fabric);
+  node::DashNode h1(sim, 1, {&open_fabric, &trusted_fabric}, kNoPathManager);
+  node::DashNode h2(sim, 2, {&open_fabric, &trusted_fabric}, kNoPathManager);
 
   rms::Port inbox;
   h2.ports.bind(50, &inbox);
   auto request = st_request();
   request.desired.quality.privacy = true;
   request.acceptable.quality.privacy = true;
-  auto stream = st1.create(request, {2, 50});
+  auto stream = h1.st->create(request, {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
   auto* st_rms = dynamic_cast<StRms*>(stream.value().get());
   EXPECT_FALSE(st_rms->encrypts());  // elided: the trusted network was chosen
@@ -745,20 +729,14 @@ TEST(St, NetworkSelectionIsDeterministicAcrossRunsAndSeeds) {
     net::EthernetNetwork lan_b(sim, net::ethernet_traits("twin-b"), seed + 1);
     netrms::NetRmsFabric fab_a(sim, lan_a);
     netrms::NetRmsFabric fab_b(sim, lan_b);
-    dash::testing::SimHost h1(1, sim), h2(2, sim);
-    for (auto* f : {&fab_a, &fab_b}) {
-      f->register_host(1, h1.cpu, h1.ports);
-      f->register_host(2, h2.cpu, h2.ports);
-    }
-    st::SubtransportLayer st1(sim, 1, h1.cpu, h1.ports);
-    st1.add_network(fab_a);
-    st1.add_network(fab_b);
+    node::DashNode h1(sim, 1, {&fab_a, &fab_b}, kNoPathManager);
+    node::DashNode h2(sim, 2, {&fab_a, &fab_b}, kNoPathManager);
     rms::Port inbox;
     h2.ports.bind(50, &inbox);
-    auto stream = st1.create(st_request(), {2, 50});
+    auto stream = h1.st->create(st_request(), {2, 50});
     EXPECT_TRUE(stream.ok());
     auto* srms = dynamic_cast<StRms*>(stream.value().get());
-    return st1.stream_fabric(srms->id())->traits().name;
+    return h1.st->stream_fabric(srms->id())->traits().name;
   };
 
   const std::string first = chosen_network(1);
@@ -778,17 +756,8 @@ TEST(St, CreationFallsBackWhenFirstFabricRejectsAdmission) {
   net::EthernetNetwork lan_fat(sim, net::ethernet_traits("fat"), 2);
   netrms::NetRmsFabric fab_thin(sim, lan_thin);
   netrms::NetRmsFabric fab_fat(sim, lan_fat);
-  dash::testing::SimHost h1(1, sim), h2(2, sim);
-  for (auto* f : {&fab_thin, &fab_fat}) {
-    f->register_host(1, h1.cpu, h1.ports);
-    f->register_host(2, h2.cpu, h2.ports);
-  }
-  st::SubtransportLayer st1(sim, 1, h1.cpu, h1.ports);
-  st::SubtransportLayer st2(sim, 2, h2.cpu, h2.ports);
-  st1.add_network(fab_thin);
-  st1.add_network(fab_fat);
-  st2.add_network(fab_thin);
-  st2.add_network(fab_fat);
+  node::DashNode h1(sim, 1, {&fab_thin, &fab_fat}, kNoPathManager);
+  node::DashNode h2(sim, 2, {&fab_thin, &fab_fat}, kNoPathManager);
 
   rms::Port inbox;
   h2.ports.bind(50, &inbox);
@@ -796,10 +765,10 @@ TEST(St, CreationFallsBackWhenFirstFabricRejectsAdmission) {
   request.desired.delay.type = rms::BoundType::kDeterministic;
   request.desired.delay.a = msec(500);
   request.acceptable.delay.type = rms::BoundType::kDeterministic;
-  auto stream = st1.create(request, {2, 50});
+  auto stream = h1.st->create(request, {2, 50});
   ASSERT_TRUE(stream.ok()) << stream.error().message;
   auto* srms = dynamic_cast<StRms*>(stream.value().get());
-  EXPECT_EQ(st1.stream_fabric(srms->id()), &fab_fat);
+  EXPECT_EQ(h1.st->stream_fabric(srms->id()), &fab_fat);
   EXPECT_GE(fab_thin.admission().rejected_count(), 1u);
 
   stream.value()->send(text("rerouted at birth"));
@@ -810,7 +779,7 @@ TEST(St, CreationFallsBackWhenFirstFabricRejectsAdmission) {
 }
 
 TEST(St, FallsBackToSoftwareSecurityWhenOnlyOpenNetworkReaches) {
-  StWorld world(2);
+  auto world = st_world(2);
   auto request = st_request();
   request.desired.quality.privacy = true;
   request.acceptable.quality.privacy = true;
@@ -823,10 +792,10 @@ TEST(St, BoundTypeRuleGovernsMultiplexing) {
   // §4.2: "a deterministic or statistical ST RMS can be multiplexed only
   // onto a deterministic or statistical network RMS." A best-effort
   // channel to the peer must not carry the deterministic stream.
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port p1, p2;
-  world.host(2).ports.bind(50, &p1);
-  world.host(2).ports.bind(51, &p2);
+  world.node(2).ports.bind(50, &p1);
+  world.node(2).ports.bind(51, &p2);
 
   auto best_effort = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(best_effort.ok());
@@ -862,7 +831,7 @@ namespace dash::st {
 namespace {
 
 TEST(St, EstablishmentFailsWhenPeerUnreachable) {
-  StWorld world(2);
+  auto world = st_world(2);
   // Kill the network before anything can be exchanged. Creation still
   // succeeds synchronously (admission is local)...
   auto rms = world.st(1).create(st_request(), {2, 50});
@@ -889,10 +858,10 @@ namespace dash::st {
 namespace {
 
 TEST(StRobustness, GarbageOnDataPortIsDropped) {
-  StWorld world(2);
+  auto world = st_world(2);
   // A healthy stream first, so real state exists to confuse.
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto good = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(good.ok());
   good.value()->send(text("legit"));
@@ -937,7 +906,7 @@ TEST(StRobustness, GarbageOnDataPortIsDropped) {
 }
 
 TEST(StRobustness, GarbageOnControlPortIsDropped) {
-  StWorld world(2);
+  auto world = st_world(2);
   auto raw = world.fabric->create(1, dash::testing::loose_request(4096, 200),
                                   {2, st::kControlPort});
   ASSERT_TRUE(raw.ok());
@@ -954,7 +923,7 @@ TEST(StRobustness, GarbageOnControlPortIsDropped) {
 
   // The ST still establishes real streams afterwards.
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto good = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(good.ok());
   good.value()->send(text("after the garbage"));
@@ -963,9 +932,9 @@ TEST(StRobustness, GarbageOnControlPortIsDropped) {
 }
 
 TEST(StRobustness, ComponentForDeletedStreamCountsUnknown) {
-  StWorld world(2);
+  auto world = st_world(2);
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto stream = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(stream.ok());
   stream.value()->send(text("one"));

@@ -21,7 +21,7 @@
 namespace dash::telemetry {
 namespace {
 
-using dash::testing::StWorld;
+using dash::testing::st_world;
 using dash::testing::loose_request;
 
 // ------------------------------------------------- minimal JSON validator
@@ -476,11 +476,11 @@ TEST(TraceRing, ClearResetsRingState) {
 
 TEST(Collect, StCountersMatchLayerStats) {
   MetricsRegistry m;  // declared first: outlives the world that points at it
-  StWorld world(2);
+  auto world = st_world(2);
   world.st(1).set_metrics(&m);
 
   rms::Port port;
-  world.host(2).ports.bind(50, &port);
+  world.node(2).ports.bind(50, &port);
   auto stream = world.st(1).create(loose_request(), {2, 50});
   ASSERT_TRUE(stream.ok());
   for (int i = 0; i < 5; ++i) {
@@ -509,11 +509,11 @@ TEST(Collect, StCountersMatchLayerStats) {
 
 TEST(Collect, DeliveryHistogramCountsDeliveries) {
   MetricsRegistry m;
-  StWorld world(2);
+  auto world = st_world(2);
   world.st(2).set_metrics(&m);  // the *receiving* ST observes delivery delay
 
   rms::Port port;
-  world.host(2).ports.bind(51, &port);
+  world.node(2).ports.bind(51, &port);
   auto stream = world.st(1).create(loose_request(), {2, 51});
   ASSERT_TRUE(stream.ok());
   for (int i = 0; i < 8; ++i) {

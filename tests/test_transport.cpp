@@ -11,7 +11,7 @@
 namespace dash::transport {
 namespace {
 
-using dash::testing::StWorld;
+using dash::testing::st_world;
 
 // ----------------------------------------------------------------- IpcPort
 
@@ -133,7 +133,7 @@ TEST(AckBasedEnforcer, NextAllowedNeedsAck) {
 // ------------------------------------------------------------ stream E2E
 
 struct StreamFixture {
-  StWorld world{2};
+  node::World<net::EthernetNetwork> world;
   StreamConfig config;
   std::unique_ptr<StreamReceiver> receiver;
   std::unique_ptr<StreamSender> sender;
@@ -143,11 +143,11 @@ struct StreamFixture {
                          net::NetworkTraits traits = net::ethernet_traits(),
                          std::uint64_t seed = 42,
                          const rms::Request& data_request = bulk_data_request())
-      : world(2, traits, seed), config(cfg) {
-    receiver = std::make_unique<StreamReceiver>(world.st(2), world.host(2).ports,
+      : world(st_world(2, traits, seed)), config(cfg) {
+    receiver = std::make_unique<StreamReceiver>(world.st(2), world.node(2).ports,
                                                 /*data_port=*/60, config);
     receiver->on_data([this](Bytes b) { append(received, b); });
-    sender = std::make_unique<StreamSender>(world.st(1), world.host(1).ports,
+    sender = std::make_unique<StreamSender>(world.st(1), world.node(1).ports,
                                             rms::Label{2, 60}, config, data_request);
   }
 
@@ -340,9 +340,9 @@ TEST(Stream, DrainedCallbackFires) {
 }
 
 TEST(Stream, FailsGracefullyWithoutRoute) {
-  StWorld world(2);
+  auto world = st_world(2);
   StreamConfig cfg;
-  StreamSender sender(world.st(1), world.host(1).ports, rms::Label{77, 60}, cfg);
+  StreamSender sender(world.st(1), world.node(1).ports, rms::Label{77, 60}, cfg);
   EXPECT_FALSE(sender.ok());
   EXPECT_EQ(sender.creation_error().code, Errc::kNoRoute);
   EXPECT_FALSE(sender.write(patterned_bytes(10)).ok());
@@ -476,7 +476,7 @@ TEST(TokenBucket, StreamIntegration) {
   // A statistical stream shaped by its own declaration: the transfer rate
   // converges to the declared average even though the client writes as
   // fast as it can.
-  dash::testing::StWorld world(2);
+  auto world = dash::testing::st_world(2);
   StreamConfig cfg;
   cfg.capacity = CapacityMode::kTokenBucket;
   cfg.receiver_flow_control = false;
@@ -489,10 +489,10 @@ TEST(TokenBucket, StreamIntegration) {
   request.desired.statistical.burstiness = 2.0;
   request.desired.statistical.delay_probability = 0.95;
 
-  StreamReceiver rx(world.st(2), world.host(2).ports, 60, cfg);
+  StreamReceiver rx(world.st(2), world.node(2).ports, 60, cfg);
   std::size_t got = 0;
   rx.on_data([&](Bytes b) { got += b.size(); });
-  StreamSender tx(world.st(1), world.host(1).ports, {2, 60}, cfg, request);
+  StreamSender tx(world.st(1), world.node(1).ports, {2, 60}, cfg, request);
   ASSERT_TRUE(tx.ok()) << tx.creation_error().message;
 
   auto feed = std::make_shared<std::function<void()>>();

@@ -461,7 +461,7 @@ TEST(UdpStack, PathManagerProbesOverRealSockets) {
   EXPECT_GT(path1.stats().probes_sent, 0u);
   // Probes really crossed the second medium's sockets: with the data
   // stream carrying one network, the idle one is what gets pinged.
-  EXPECT_GT(f.world.network_b->udp_stats().datagrams_received, 0u);
+  EXPECT_GT(f.world.media[1].network->udp_stats().datagrams_received, 0u);
   const auto* health = path1.probe_health(2, *f.world.fabric);
   ASSERT_NE(health, nullptr);
 }

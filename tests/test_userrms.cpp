@@ -11,7 +11,7 @@
 namespace dash::userrms {
 namespace {
 
-using dash::testing::StWorld;
+using dash::testing::st_world;
 
 rms::Request user_request(Time bound = msec(30)) {
   rms::Params desired;
@@ -30,18 +30,18 @@ rms::Request user_request(Time bound = msec(30)) {
 }
 
 TEST(UserRms, EndToEndDeliveryThroughUserProcesses) {
-  StWorld world(2);
+  auto world = st_world(2);
   UserConfig config;
   config.send_processing = usec(300);
   config.receive_processing = usec(300);
 
-  auto sender = UserRms::create(world.st(1), world.host(1).cpu, user_request(),
+  auto sender = UserRms::create(world.st(1), *world.node(1).cpu, user_request(),
                                 {2, 50}, config);
   ASSERT_TRUE(sender.ok()) << sender.error().message;
 
   Samples delay_ms;
   std::string last;
-  UserEndpoint endpoint(world.sim, world.host(2).cpu, world.host(2).ports, 50,
+  UserEndpoint endpoint(world.sim, *world.node(2).cpu, world.node(2).ports, 50,
                         config, sender.value()->user_bound(),
                         [&](rms::Message m) {
                           last = dash::to_string(m.data);
@@ -60,11 +60,11 @@ TEST(UserRms, EndToEndDeliveryThroughUserProcesses) {
 }
 
 TEST(UserRms, BoundIncludesProcessingStages) {
-  StWorld world(2);
+  auto world = st_world(2);
   UserConfig config;
   config.send_processing = msec(2);
   config.receive_processing = msec(3);
-  auto sender = UserRms::create(world.st(1), world.host(1).cpu, user_request(msec(30)),
+  auto sender = UserRms::create(world.st(1), *world.node(1).cpu, user_request(msec(30)),
                                 {2, 50}, config);
   ASSERT_TRUE(sender.ok());
   // The user-level bound keeps the requested 30 ms; the inner ST bound had
@@ -74,25 +74,25 @@ TEST(UserRms, BoundIncludesProcessingStages) {
 }
 
 TEST(UserRms, RejectsBoundSmallerThanProcessing) {
-  StWorld world(2);
+  auto world = st_world(2);
   UserConfig config;
   config.send_processing = msec(5);
   config.receive_processing = msec(5);
   auto request = user_request(msec(8));
   request.acceptable.delay.a = msec(8);  // < 10 ms of declared processing
-  auto sender = UserRms::create(world.st(1), world.host(1).cpu, request, {2, 50},
+  auto sender = UserRms::create(world.st(1), *world.node(1).cpu, request, {2, 50},
                                 config);
   ASSERT_FALSE(sender.ok());
   EXPECT_EQ(sender.error().code, Errc::kIncompatibleParams);
 }
 
 TEST(UserRms, MeetsItsBoundOnAnIdleHost) {
-  StWorld world(2);
+  auto world = st_world(2);
   UserConfig config;
-  auto sender = UserRms::create(world.st(1), world.host(1).cpu, user_request(msec(30)),
+  auto sender = UserRms::create(world.st(1), *world.node(1).cpu, user_request(msec(30)),
                                 {2, 50}, config);
   ASSERT_TRUE(sender.ok());
-  UserEndpoint endpoint(world.sim, world.host(2).cpu, world.host(2).ports, 50,
+  UserEndpoint endpoint(world.sim, *world.node(2).cpu, world.node(2).ports, 50,
                         config, sender.value()->user_bound(), {});
   for (int i = 0; i < 20; ++i) {
     world.sim.after(msec(5 * i), [&] {
@@ -109,24 +109,24 @@ TEST(UserRms, MeetsItsBoundOnAnIdleHost) {
 TEST(UserRms, ReceiverCpuContentionHandledByDeadlines) {
   // The receiving host's CPU is loaded with lazy user processing; the
   // tight user-level stream must still meet its bound under EDF.
-  StWorld world(2);
+  auto world = st_world(2);
 
   // Lazy stream with heavy receive processing.
   UserConfig heavy;
   heavy.receive_processing = msec(2);
-  auto lazy = UserRms::create(world.st(1), world.host(1).cpu, user_request(sec(2)),
+  auto lazy = UserRms::create(world.st(1), *world.node(1).cpu, user_request(sec(2)),
                               {2, 60}, heavy);
   ASSERT_TRUE(lazy.ok());
-  UserEndpoint lazy_endpoint(world.sim, world.host(2).cpu, world.host(2).ports, 60,
+  UserEndpoint lazy_endpoint(world.sim, *world.node(2).cpu, world.node(2).ports, 60,
                              heavy, lazy.value()->user_bound(), {});
 
   // Tight stream with light processing.
   UserConfig light;
   light.receive_processing = usec(100);
-  auto tight = UserRms::create(world.st(1), world.host(1).cpu, user_request(msec(15)),
+  auto tight = UserRms::create(world.st(1), *world.node(1).cpu, user_request(msec(15)),
                                {2, 61}, light);
   ASSERT_TRUE(tight.ok());
-  UserEndpoint tight_endpoint(world.sim, world.host(2).cpu, world.host(2).ports, 61,
+  UserEndpoint tight_endpoint(world.sim, *world.node(2).cpu, world.node(2).ports, 61,
                               light, tight.value()->user_bound(), {});
 
   // Lazy load: ~80% of the receiving CPU. Tight probe every 10 ms.
@@ -155,8 +155,8 @@ TEST(UserRms, ReceiverCpuContentionHandledByDeadlines) {
 }
 
 TEST(UserRms, CloseClosesInnerStream) {
-  StWorld world(2);
-  auto sender = UserRms::create(world.st(1), world.host(1).cpu, user_request(),
+  auto world = st_world(2);
+  auto sender = UserRms::create(world.st(1), *world.node(1).cpu, user_request(),
                                 {2, 50}, {});
   ASSERT_TRUE(sender.ok());
   world.sim.run();
