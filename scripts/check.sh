@@ -6,8 +6,7 @@
 #   scripts/check.sh [build-dir] [sanitizer] [ctest-regex]
 #
 #   build-dir   default build-sanitize
-#   sanitizer   ON/address (ASan+UBSan, default) or thread (TSan — used by
-#               CI to race-check the sharded parallel core)
+#   sanitizer   ON/address (ASan+UBSan, default)
 #   ctest-regex optional -R filter; default runs everything
 set -e
 BUILD=${1:-build-sanitize}

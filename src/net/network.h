@@ -80,16 +80,7 @@ class Network {
   /// Invoked on transition to down (network RMS failure notification).
   void on_down(std::function<void()> cb) { down_cbs_.push_back(std::move(cb)); }
 
-  /// Virtual so networks that keep per-side counters (ShardLinkNetwork)
-  /// can merge them on read.
-  virtual const Stats& stats() const { return stats_; }
-
-  /// Shard affinity: which shard's thread owns this network's state in a
-  /// sharded run (sim/parallel.h). Purely descriptive in single-shard
-  /// runs; topology builders record it so cross-shard sends can be routed
-  /// through the exchange instead of touching foreign state.
-  void set_shard(sim::ShardId s) { shard_ = s; }
-  sim::ShardId shard() const { return shard_; }
+  const Stats& stats() const { return stats_; }
 
   /// Fresh sequence number for packets entering this network.
   std::uint64_t next_seq() { return ++seq_; }
@@ -155,7 +146,6 @@ class Network {
   std::vector<PacketSink> taps_;
   std::vector<std::function<void()>> down_cbs_;
   std::uint64_t seq_ = 0;
-  sim::ShardId shard_ = 0;
 };
 
 /// Records everything a wiretap sees; security tests scan the captures for

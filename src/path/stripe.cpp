@@ -8,6 +8,51 @@
 namespace dash::path {
 namespace {
 
+/// At most this many subpaths (one per distinct fabric, in registration
+/// order); fewer when fewer networks reach the peer or admit the stream.
+constexpr std::size_t kMaxSubpaths = 4;
+
+/// Retransmission timing: a send is retransmitted when unacknowledged for
+/// max(kMinRto, kRtoMultiplier * subpath smoothed ack RTT), doubled per
+/// retransmission but never past kMaxRto — a run of lost acks must not back
+/// an attempt off beyond the lifetime of the transfer. The scan runs every
+/// kTickInterval while anything is in flight.
+constexpr Time kMinRto = msec(20);
+constexpr Time kMaxRto = sec(1);
+constexpr double kRtoMultiplier = 2.0;
+constexpr Time kTickInterval = msec(10);
+
+/// A subpath with this many consecutive scan rounds containing an expired
+/// send is declared dead: its in-flight messages move to the surviving
+/// subpaths and it is never dispatched to again.
+constexpr int kSubpathDeathAfter = 3;
+
+/// Smoothing for the per-subpath ack RTT estimate, and its optimistic
+/// starting value before the first ack.
+constexpr double kRttEwmaAlpha = 0.3;
+constexpr Time kInitialRtt = msec(5);
+
+/// Receiver-side reorder window (messages buffered past a gap). The ST fast
+/// ack fires at the peer's ST, so a message dropped on overflow is gone for
+/// good — size it for the worst subpath skew, not the average.
+constexpr std::size_t kReorderWindow = 4096;
+
+/// RACK early loss detection (DESIGN.md §13): when an ack confirms a send,
+/// any older send on the same subpath still unacknowledged a reordering
+/// window later is declared lost and retransmitted immediately instead of
+/// waiting out the RTO. The window is half the subpath's smoothed ack RTT,
+/// floored so in-window reordering never triggers a spurious retransmit.
+constexpr cc::RackConfig kRack{0.5, msec(2), kTimeNever};
+
+/// Paced recovery: retransmissions and dead-subpath redistribution are
+/// limited per tick to kPaceGain x the stripe's measured ack rate (floored
+/// at kPaceMinBytesPerTick so recovery starts before the first rate
+/// sample). Re-blasting a dead subpath's whole backlog in one burst just
+/// overruns the survivors' buffers; deferred sends go out on the following
+/// ticks.
+constexpr double kPaceGain = 1.25;
+constexpr std::size_t kPaceMinBytesPerTick = 16 * 1024;
+
 /// Substream request derived from the client's: same quality and delay
 /// envelope, message size widened for the stripe header.
 rms::Request substream_request(const rms::Request& request) {
@@ -23,13 +68,13 @@ rms::Request substream_request(const rms::Request& request) {
 
 Result<std::unique_ptr<StripedStream>> StripedStream::create(
     st::SubtransportLayer& st, PathManager* pm, const rms::Request& request,
-    const rms::Label& target, StripeConfig config) {
+    const rms::Label& target) {
   const rms::Request sub_request = substream_request(request);
   std::vector<Subpath> subpaths;
   Error last_error = make_error(Errc::kNoRoute, "no attached network reaches host " +
                                                     std::to_string(target.host));
   for (netrms::NetRmsFabric* fabric : st.networks()) {
-    if (subpaths.size() >= config.max_subpaths) break;
+    if (subpaths.size() >= kMaxSubpaths) break;
     if (!fabric->network().attached(target.host)) continue;
     auto created =
         st.create_on(*fabric, sub_request, rms::Label{target.host, kStripePort});
@@ -41,7 +86,8 @@ Result<std::unique_ptr<StripedStream>> StripedStream::create(
     sp.stream = std::move(created).value();
     sp.st_rms = static_cast<st::StRms*>(sp.stream.get());
     sp.fabric = fabric;
-    sp.ewma_rtt_ns = static_cast<double>(config.initial_rtt);
+    sp.ewma_rtt_ns = static_cast<double>(kInitialRtt);
+    sp.rack = cc::RackState(kRack);
     subpaths.push_back(std::move(sp));
   }
   if (subpaths.empty()) return last_error;
@@ -63,7 +109,7 @@ Result<std::unique_ptr<StripedStream>> StripedStream::create(
                                                      kStripeHeaderBytes);
 
   auto stream = std::unique_ptr<StripedStream>(
-      new StripedStream(st, pm, std::move(actual), target, config));
+      new StripedStream(st, pm, std::move(actual), target));
   stream->subpaths_ = std::move(subpaths);
   // The first substream's ST id is unique per sending host (ST ids are
   // allocated from one per-host counter), so it serves as the wire-level
@@ -80,15 +126,13 @@ Result<std::unique_ptr<StripedStream>> StripedStream::create(
 }
 
 StripedStream::StripedStream(st::SubtransportLayer& st, PathManager* pm,
-                             rms::Params params, rms::Label target,
-                             StripeConfig config)
+                             rms::Params params, rms::Label target)
     : Rms(std::move(params)),
       st_(st),
       sim_(st.simulator()),
       pm_(pm),
       target_(target),
-      config_(config),
-      pace_budget_(static_cast<double>(config.pace_min_bytes_per_tick)) {}
+      pace_budget_(static_cast<double>(kPaceMinBytesPerTick)) {}
 
 StripedStream::~StripedStream() { sim_.cancel(tick_timer_); }
 
@@ -187,8 +231,8 @@ std::size_t StripedStream::pick_subpath(std::size_t avoid) {
 }
 
 Time StripedStream::rto_for(const Subpath& sp) const {
-  const auto scaled = static_cast<Time>(config_.rto_multiplier * sp.ewma_rtt_ns);
-  return std::max(config_.min_rto, scaled);
+  const auto scaled = static_cast<Time>(kRtoMultiplier * sp.ewma_rtt_ns);
+  return std::max(kMinRto, scaled);
 }
 
 void StripedStream::on_ack(std::size_t idx, std::uint64_t seq) {
@@ -211,11 +255,9 @@ void StripedStream::on_ack(std::size_t idx, std::uint64_t seq) {
   if (it->second.sent_at >= 0) {
     const auto sample = static_cast<double>(sim_.now() - it->second.sent_at);
     if (it->second.retx == 0) {
-      sp.ewma_rtt_ns = config_.rtt_ewma_alpha * sample +
-                       (1.0 - config_.rtt_ewma_alpha) * sp.ewma_rtt_ns;
+      sp.ewma_rtt_ns = kRttEwmaAlpha * sample + (1.0 - kRttEwmaAlpha) * sp.ewma_rtt_ns;
     } else if (sample > sp.ewma_rtt_ns) {
-      sp.ewma_rtt_ns = config_.rtt_ewma_alpha * sample +
-                       (1.0 - config_.rtt_ewma_alpha) * sp.ewma_rtt_ns;
+      sp.ewma_rtt_ns = kRttEwmaAlpha * sample + (1.0 - kRttEwmaAlpha) * sp.ewma_rtt_ns;
     }
   }
   // Smoothed delivery rate, feeding the paced-recovery budget. Same-instant
@@ -224,14 +266,12 @@ void StripedStream::on_ack(std::size_t idx, std::uint64_t seq) {
   const std::size_t acked_bytes = it->second.payload.size() + kStripeHeaderBytes;
   if (sp.last_ack_at >= 0 && now > sp.last_ack_at) {
     const double inst = static_cast<double>(acked_bytes) / to_seconds(now - sp.last_ack_at);
-    sp.ack_rate_Bps = config_.rtt_ewma_alpha * inst +
-                      (1.0 - config_.rtt_ewma_alpha) * sp.ack_rate_Bps;
+    sp.ack_rate_Bps = kRttEwmaAlpha * inst + (1.0 - kRttEwmaAlpha) * sp.ack_rate_Bps;
   }
   sp.last_ack_at = now;
 
-  const bool rack_advance = config_.rack && it->second.subpath == idx &&
-                            it->second.sent_at > sp.rack_xmit;
-  if (rack_advance) sp.rack_xmit = it->second.sent_at;
+  const bool rack_advance =
+      it->second.subpath == idx && sp.rack.on_delivered(it->second.sent_at);
   unacked_.erase(it);
   // A newer send on this subpath was just confirmed: anything older still
   // unacknowledged past the reordering window is lost — recover it now
@@ -240,14 +280,12 @@ void StripedStream::on_ack(std::size_t idx, std::uint64_t seq) {
 }
 
 void StripedStream::rack_scan(std::size_t idx) {
-  Subpath& sp = subpaths_[idx];
-  const Time reo =
-      std::max(config_.rack_min_reo_wnd,
-               static_cast<Time>(config_.rack_reo_wnd_fraction * sp.ewma_rtt_ns));
+  const Subpath& sp = subpaths_[idx];
+  const auto srtt = static_cast<Time>(sp.ewma_rtt_ns);
   std::vector<std::uint64_t> lost;
   for (const auto& [seq, u] : unacked_) {
     if (u.subpath != idx || u.sent_at < 0) continue;
-    if (u.sent_at + reo < sp.rack_xmit) lost.push_back(seq);
+    if (sp.rack.lost(u.sent_at, srtt)) lost.push_back(seq);
   }
   for (std::uint64_t seq : lost) {
     auto it = unacked_.find(seq);
@@ -265,7 +303,6 @@ void StripedStream::rack_scan(std::size_t idx) {
 }
 
 bool StripedStream::pace_allow(std::size_t bytes) {
-  if (!config_.paced_redistribute) return true;
   if (pace_budget_ < static_cast<double>(bytes)) {
     ++stats_.pace_deferred;
     return false;
@@ -279,8 +316,8 @@ void StripedStream::refill_pace_budget() {
   for (const Subpath& sp : subpaths_) {
     if (!sp.dead) rate += sp.ack_rate_Bps;
   }
-  pace_budget_ = std::max(static_cast<double>(config_.pace_min_bytes_per_tick),
-                          rate * to_seconds(config_.tick_interval) * config_.pace_gain);
+  pace_budget_ = std::max(static_cast<double>(kPaceMinBytesPerTick),
+                          rate * to_seconds(kTickInterval) * kPaceGain);
 }
 
 void StripedStream::on_subpath_failed(std::size_t idx) {
@@ -319,7 +356,7 @@ void StripedStream::redistribute_from(std::size_t idx) {
 void StripedStream::arm_tick() {
   if (tick_armed_ || unacked_.empty() || failed() || closed()) return;
   tick_armed_ = true;
-  tick_timer_ = sim_.timer_after(config_.tick_interval, [this] { tick(); });
+  tick_timer_ = sim_.timer_after(kTickInterval, [this] { tick(); });
 }
 
 void StripedStream::tick() {
@@ -346,8 +383,8 @@ void StripedStream::tick() {
       // Without backoff a frozen RTT estimate (retransmitted messages never
       // produce samples) can sit below the real ack latency and every tick
       // becomes a retransmit storm that feeds its own congestion.
-      const Time rto = std::min(config_.max_rto,
-                                rto_for(usp) << std::min<std::uint32_t>(u.retx, 6));
+      const Time rto =
+          std::min(kMaxRto, rto_for(usp) << std::min<std::uint32_t>(u.retx, 6));
       if (now - u.sent_at < rto) continue;
       expired[u.subpath] = true;
     }
@@ -365,7 +402,7 @@ void StripedStream::tick() {
   for (std::size_t i = 0; i < subpaths_.size(); ++i) {
     if (subpaths_[i].dead) continue;
     if (expired[i]) {
-      if (++subpaths_[i].expired_rounds >= config_.subpath_death_after) {
+      if (++subpaths_[i].expired_rounds >= kSubpathDeathAfter) {
         kill_subpath(i, "consecutive ack timeouts");
       }
     } else {
@@ -388,9 +425,8 @@ void StripedStream::do_close() {
 
 // ---------------------------------------------------------------- receiver
 
-StripeEndpoint::StripeEndpoint(sim::Simulator& sim, rms::PortRegistry& ports,
-                               StripeConfig config)
-    : sim_(sim), ports_(ports), config_(config) {
+StripeEndpoint::StripeEndpoint(sim::Simulator& sim, rms::PortRegistry& ports)
+    : sim_(sim), ports_(ports) {
   ports_.bind(kStripePort, &port_);
   port_.set_handler([this](rms::Message m) { on_message(std::move(m)); });
 }
@@ -421,7 +457,7 @@ void StripeEndpoint::on_message(rms::Message msg) {
   out.sent_at = *client_sent_at;
 
   if (*seq != ps.next_expected) {
-    if (ps.buffer.size() >= config_.reorder_window) {
+    if (ps.buffer.size() >= kReorderWindow) {
       ++stats_.window_overflow;  // the exactly-once guarantee just broke
       return;
     }

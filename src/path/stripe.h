@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "cc/rack.h"
 #include "path/path.h"
 #include "rms/rms.h"
 #include "sim/simulator.h"
@@ -43,57 +44,6 @@ inline constexpr rms::PortId kStripePort = 5;
 
 /// Stripe header bytes prepended to every client payload.
 inline constexpr std::size_t kStripeHeaderBytes = 8 + 8 + 8 + 8;
-
-struct StripeConfig {
-  /// At most this many subpaths (one per distinct fabric, in registration
-  /// order); fewer when fewer networks reach the peer or admit the stream.
-  std::size_t max_subpaths = 4;
-
-  /// Retransmission timing: a send is retransmitted when unacknowledged
-  /// for max(min_rto, rto_multiplier * subpath smoothed ack RTT), doubled
-  /// per retransmission but never past max_rto — a run of lost acks must
-  /// not back an attempt off beyond the lifetime of the transfer. The scan
-  /// runs every tick_interval while anything is in flight.
-  Time min_rto = msec(20);
-  Time max_rto = sec(1);
-  double rto_multiplier = 2.0;
-  Time tick_interval = msec(10);
-
-  /// A subpath with this many consecutive scan rounds containing an
-  /// expired send is declared dead: its in-flight messages move to the
-  /// surviving subpaths and it is never dispatched to again.
-  int subpath_death_after = 3;
-
-  /// Smoothing for the per-subpath ack RTT estimate, and its optimistic
-  /// starting value before the first ack.
-  double rtt_ewma_alpha = 0.3;
-  Time initial_rtt = msec(5);
-
-  /// Receiver-side reorder window (messages buffered past a gap). The ST
-  /// fast ack fires at the peer's ST, so a message dropped on overflow is
-  /// gone for good — size it for the worst subpath skew, not the average.
-  std::size_t reorder_window = 4096;
-
-  /// RACK early loss detection (DESIGN.md §13): when an ack confirms a
-  /// send, any older send on the same subpath still unacknowledged a
-  /// reordering window later is declared lost and retransmitted
-  /// immediately instead of waiting out the RTO. The window is a fraction
-  /// of the subpath's smoothed ack RTT, floored so in-window reordering
-  /// never triggers a spurious retransmit.
-  bool rack = true;
-  double rack_reo_wnd_fraction = 0.5;
-  Time rack_min_reo_wnd = msec(2);
-
-  /// Paced recovery: retransmissions and dead-subpath redistribution are
-  /// limited per tick to pace_gain x the stripe's measured ack rate
-  /// (floored at pace_min_bytes_per_tick so recovery starts before the
-  /// first rate sample). Re-blasting a dead subpath's whole backlog in one
-  /// burst just overruns the survivors' buffers; deferred sends go out on
-  /// the following ticks.
-  bool paced_redistribute = true;
-  double pace_gain = 1.25;
-  std::size_t pace_min_bytes_per_tick = 16 * 1024;
-};
 
 /// Sender side: one client-facing RMS fanned out over pinned substreams.
 class StripedStream final : public rms::Rms {
@@ -115,7 +65,7 @@ class StripedStream final : public rms::Rms {
   /// path manager, owns subpath failure.
   static Result<std::unique_ptr<StripedStream>> create(
       st::SubtransportLayer& st, PathManager* pm, const rms::Request& request,
-      const rms::Label& target, StripeConfig config = {});
+      const rms::Label& target);
 
   ~StripedStream() override;
 
@@ -142,7 +92,7 @@ class StripedStream final : public rms::Rms {
     std::uint64_t sent = 0;
     int expired_rounds = 0;       ///< consecutive scan rounds with an expiry
     bool dead = false;
-    Time rack_xmit = -1;          ///< newest delivered transmission (RACK point)
+    cc::RackState rack;           ///< newest delivered transmission (RACK point)
     double ack_rate_Bps = 0.0;    ///< smoothed delivery rate (pacing budget)
     Time last_ack_at = -1;
   };
@@ -155,7 +105,7 @@ class StripedStream final : public rms::Rms {
   };
 
   StripedStream(st::SubtransportLayer& st, PathManager* pm, rms::Params params,
-                rms::Label target, StripeConfig config);
+                rms::Label target);
 
   Status do_send(rms::Message msg, Time transmission_deadline) override;
   void do_close() override;
@@ -177,7 +127,6 @@ class StripedStream final : public rms::Rms {
   sim::Simulator& sim_;
   PathManager* pm_;
   rms::Label target_;
-  StripeConfig config_;
   std::vector<Subpath> subpaths_;
   // Ordered map: the retransmit scan and redistribution iterate it, and
   // iteration order must be deterministic for reproducible runs.
@@ -203,8 +152,7 @@ class StripeEndpoint {
     std::uint64_t malformed = 0;
   };
 
-  StripeEndpoint(sim::Simulator& sim, rms::PortRegistry& ports,
-                 StripeConfig config = {});
+  StripeEndpoint(sim::Simulator& sim, rms::PortRegistry& ports);
   ~StripeEndpoint();
   StripeEndpoint(const StripeEndpoint&) = delete;
   StripeEndpoint& operator=(const StripeEndpoint&) = delete;
@@ -220,7 +168,6 @@ class StripeEndpoint {
 
   sim::Simulator& sim_;
   rms::PortRegistry& ports_;
-  StripeConfig config_;
   rms::Port port_;
   /// Keyed by (source host, stripe id): two StripedStreams from the same
   /// host carry independent global sequences and must not share state.

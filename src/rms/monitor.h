@@ -37,20 +37,10 @@ class DelayMonitor {
     return static_cast<double>(misses_) / static_cast<double>(delays_ns_.count());
   }
 
-  /// True while the observed miss fraction honors the stream's guarantee:
-  /// zero misses for a deterministic bound, miss fraction within
-  /// 1 - delay_probability for a statistical one, always true for
-  /// best-effort (§2.3).
+  /// True while the observed misses honor the stream's guarantee
+  /// (delay_guarantee_holds, §2.3).
   bool guarantee_holds() {
-    switch (params_.delay.type) {
-      case BoundType::kDeterministic:
-        return misses_ == 0;
-      case BoundType::kStatistical:
-        return miss_fraction() <= 1.0 - params_.statistical.delay_probability + 1e-9;
-      case BoundType::kBestEffort:
-        return true;
-    }
-    return true;
+    return delay_guarantee_holds(params_, misses_, delays_ns_.count());
   }
 
   double mean_ms() { return delays_ns_.mean() / 1e6; }

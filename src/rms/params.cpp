@@ -36,6 +36,22 @@ bool compatible(const Params& actual, const Params& requested) {
   return true;
 }
 
+bool delay_guarantee_holds(const Params& p, std::uint64_t misses,
+                           std::uint64_t samples) {
+  switch (p.delay.type) {
+    case BoundType::kDeterministic:
+      return misses == 0;
+    case BoundType::kStatistical: {
+      const double miss_fraction =
+          samples == 0 ? 0.0 : static_cast<double>(misses) / static_cast<double>(samples);
+      return miss_fraction <= 1.0 - p.statistical.delay_probability + 1e-9;
+    }
+    case BoundType::kBestEffort:
+      return true;
+  }
+  return true;
+}
+
 bool well_formed(const Params& p) {
   if (p.max_message_size > p.capacity) return false;
   if (p.bit_error_rate < 0.0 || p.bit_error_rate > 1.0) return false;

@@ -117,6 +117,14 @@ bool compatible(const Params& actual, const Params& requested);
 /// within [0,1], delay probability within [0,1], nonnegative components).
 bool well_formed(const Params& p);
 
+/// The §2.3 verdict on a delay bound after `samples` observed deliveries,
+/// `misses` of them over the bound: zero misses for a deterministic bound,
+/// a miss fraction within 1 - delay_probability for a statistical one,
+/// always true for best-effort. rms::DelayMonitor and the telemetry
+/// ledger both judge through this one rule.
+bool delay_guarantee_holds(const Params& p, std::uint64_t misses,
+                           std::uint64_t samples);
+
 /// The paper's implied bandwidth (§2.2): a client may send a message of
 /// maximum size M every D·M/C seconds, yielding about C/D bytes/second,
 /// where D is the delay bound of a maximum-size message. Returns

@@ -43,11 +43,6 @@ namespace dash::sim {
 
 using dash::Time;
 
-/// Index of one shard of a ShardedSimulator (sim/parallel.h). Plain
-/// single-engine code never touches it; it lives here so lower layers can
-/// declare shard affinity without depending on the parallel core.
-using ShardId = std::uint32_t;
-
 /// Which ready structure the Simulator uses. Both execute events in
 /// identical (time, seq) order; kHeap is the reference path kept for
 /// determinism cross-checks.
@@ -193,8 +188,7 @@ class Simulator {
 
   /// Timestamp of the earliest live pending event, or kTimeNever when the
   /// simulator is idle. May purge tombstones of cancelled timers (the
-  /// answer is authoritative); the ShardedSimulator's lookahead window is
-  /// computed from this.
+  /// answer is authoritative); rt::Driver sizes its poll timeout from this.
   Time next_event_time() {
     Entry* e = peek();
     return e == nullptr ? kTimeNever : e->time;

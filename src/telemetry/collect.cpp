@@ -282,25 +282,4 @@ void collect_sim(MetricsRegistry& m, const sim::Simulator& sim,
   m.gauge(p + "pending").set(static_cast<double>(sim.pending()));
 }
 
-void collect_sharded(MetricsRegistry& m, const sim::ShardedSimulator& ssim) {
-  const sim::ShardedStats& s = ssim.stats();
-  m.counter("sim.shard.shards").set(ssim.shards());
-  m.counter("sim.shard.windows").set(s.windows);
-  m.counter("sim.shard.drains").set(s.drains);
-  m.counter("sim.shard.exchanged").set(s.exchanged);
-  m.counter("sim.shard.late_entries").set(s.late_entries);
-  if (ssim.horizon() != kTimeNever) {
-    m.counter("sim.shard.horizon_ns").set(static_cast<std::uint64_t>(ssim.horizon()));
-  }
-  for (sim::ShardId i = 0; i < ssim.shards(); ++i) {
-    collect_sim(m, ssim.simulator(i), "shard" + std::to_string(i));
-  }
-  const sim::EngineStats total = ssim.aggregate_engine_stats();
-  m.counter("sim.total.events_executed").set(total.executed);
-  m.counter("sim.total.tasks_scheduled").set(total.scheduled);
-  m.counter("sim.total.timers_created").set(total.timers_created);
-  m.counter("sim.total.timers_cancelled").set(total.timers_cancelled);
-  m.counter("sim.total.overflow_events").set(total.overflow_events);
-}
-
 }  // namespace dash::telemetry

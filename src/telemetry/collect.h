@@ -14,7 +14,6 @@
 
 #include "fault/fault.h"
 #include "net/ethernet.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "net/internet.h"
 #include "net/network.h"
@@ -113,11 +112,5 @@ void collect_driver(MetricsRegistry& m, const rt::Driver& d,
 /// events, live/peak pending set (DESIGN.md §10).
 void collect_sim(MetricsRegistry& m, const sim::Simulator& sim,
                  const std::string& prefix = "engine");
-
-/// Sharded-core counters under "sim.shard.*" (DESIGN.md §14): shard count,
-/// lookahead horizon, windows/drains/exchanged/late, each shard's engine
-/// under "sim.shard<s>.*", and the aggregate under "sim.total.*".
-/// Quiescent-only, like every collector.
-void collect_sharded(MetricsRegistry& m, const sim::ShardedSimulator& ssim);
 
 }  // namespace dash::telemetry

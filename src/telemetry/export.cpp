@@ -158,8 +158,11 @@ Status write_file(const std::string& path, std::string_view content) {
     return make_error(Errc::kInternal, "cannot open " + path + " for writing");
   }
   const std::size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  const bool ok = n == content.size() && std::fclose(f) == 0;
-  if (!ok) return make_error(Errc::kInternal, "short write to " + path);
+  // Close unconditionally: a short write must not leak the descriptor.
+  const bool closed = std::fclose(f) == 0;
+  if (n != content.size() || !closed) {
+    return make_error(Errc::kInternal, "short write to " + path);
+  }
   return {};
 }
 

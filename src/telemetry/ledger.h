@@ -3,9 +3,9 @@
 // Every RMS carries a negotiated contract (§2.2–2.3): a delay bound
 // A + B·size with a bound type, a capacity, and a bit error rate. The
 // GuaranteeLedger keeps one StreamAccount per live stream and checks the
-// observed behaviour against that contract, with verdict rules identical to
-// rms::DelayMonitor — so a ledger row and a monitor attached to the same
-// port always agree. Unlike DelayMonitor (one stream, Samples-backed), the
+// observed behaviour against that contract through the same verdict rule
+// as rms::DelayMonitor (rms::delay_guarantee_holds) — so a ledger row and
+// a monitor attached to the same port always agree. Unlike DelayMonitor (one stream, Samples-backed), the
 // ledger spans all streams and stores delays in O(1) log₂ histograms, so it
 // can stay attached for arbitrarily long runs.
 #pragma once
@@ -44,19 +44,10 @@ struct StreamAccount {
                           : static_cast<double>(misses) / static_cast<double>(delivered);
   }
 
-  /// Verdict rules of rms::DelayMonitor::guarantee_holds (§2.3): zero
-  /// misses for deterministic, miss fraction within 1 - delay_probability
-  /// for statistical, always true for best-effort.
+  /// The §2.3 verdict over every delivery so far
+  /// (rms::delay_guarantee_holds, the rule rms::DelayMonitor applies too).
   bool guarantee_holds() const {
-    switch (params.delay.type) {
-      case rms::BoundType::kDeterministic:
-        return misses == 0;
-      case rms::BoundType::kStatistical:
-        return miss_fraction() <= 1.0 - params.statistical.delay_probability + 1e-9;
-      case rms::BoundType::kBestEffort:
-        return true;
-    }
-    return true;
+    return rms::delay_guarantee_holds(params, misses, delivered);
   }
 
   /// Peak outstanding bytes against the contracted capacity (§2.2: clients

@@ -111,17 +111,6 @@ class Histogram {
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
 
-  /// Folds `other` into this histogram (per-shard registries are merged
-  /// into one view at barriers / collection time).
-  void merge(const Histogram& other) {
-    if (other.count_ == 0) return;
-    min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
-    max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
-    count_ += other.count_;
-    sum_ += other.sum_;
-    for (std::size_t b = 0; b < kBuckets; ++b) buckets_[b] += other.buckets_[b];
-  }
-
   /// Interpolated quantile over only the observations made since
   /// `baseline` was copied from this histogram — the windowed view the
   /// path manager uses to judge *recent* delay pressure without the whole
@@ -180,21 +169,6 @@ class MetricsRegistry {
 
   std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();
-  }
-
-  /// Folds `other` into this registry: counters and gauges add, histograms
-  /// merge bucket-wise. Used to combine per-shard registries into the
-  /// single exported view (collect_sharded).
-  void merge(const MetricsRegistry& other) {
-    for (const auto& [name, c] : other.counters_) {
-      counters_[name].add(c.value());
-    }
-    for (const auto& [name, g] : other.gauges_) {
-      gauges_[name].set(gauges_[name].value() + g.value());
-    }
-    for (const auto& [name, h] : other.histograms_) {
-      histograms_[name].merge(h);
-    }
   }
 
  private:

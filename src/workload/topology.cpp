@@ -1,232 +1,13 @@
 #include "workload/topology.h"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 #include <utility>
 
-#include "rms/params.h"
-#include "util/bytes.h"
+#include "util/rng.h"
 
 namespace dash::workload {
-
-namespace {
-
-constexpr std::uint64_t kPingStream = 1;
-constexpr std::uint64_t kPongStream = 2;
-
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// One delivery tuple. XOR-folded per host, so the fold commutes across
-/// same-timestamp deliveries (see topology.h header comment).
-std::uint64_t tuple_hash(Time at, std::uint64_t source, std::uint64_t size) {
-  return mix64(static_cast<std::uint64_t>(at)) ^
-         mix64(mix64(source) + size * 0x9e3779b97f4a7c15ull);
-}
-
-/// A best-effort request every clean LAN accepts (mirrors the test
-/// helpers' loose_request, restated here so src/ does not include tests/).
-rms::Request frame_request(std::size_t frame_bytes) {
-  rms::Params p;
-  p.capacity = 16 * 1024;
-  p.max_message_size = frame_bytes;
-  p.delay.type = rms::BoundType::kBestEffort;
-  p.delay.a = sec(10);
-  p.delay.b_per_byte = usec(100);
-  p.bit_error_rate = 1e-6;
-  rms::Request req = rms::exact_request(p);
-  req.acceptable.capacity = frame_bytes;
-  return req;
-}
-
-}  // namespace
-
-std::uint64_t MultiRegionWorld::host_seed(std::uint64_t seed, std::uint64_t host) {
-  return mix64(seed ^ mix64(host));
-}
-
-MultiRegionWorld::MultiRegionWorld(sim::ShardedSimulator& ssim,
-                                   MultiRegionConfig config)
-    : config_(std::move(config)) {
-  assert(config_.regions >= 1 && config_.hosts_per_region >= 1);
-  regions_.reserve(config_.regions);
-  for (std::uint32_t r = 0; r < config_.regions; ++r) build_region(ssim, r);
-  if (config_.regions >= 2) {
-    wan_.reserve(config_.regions);
-    for (std::uint32_t r = 0; r < config_.regions; ++r) build_ring(r);
-  }
-}
-
-void MultiRegionWorld::build_region(sim::ShardedSimulator& ssim,
-                                    std::uint32_t r) {
-  auto region = std::make_unique<Region>();
-  region->ctx = &ssim.context(r % ssim.shards());
-  sim::Simulator& sim = region->ctx->sim();
-
-  net::NetworkTraits lan = config_.lan;
-  lan.name += "-" + std::to_string(r);
-  region->lan = std::make_unique<net::EthernetNetwork>(
-      sim, std::move(lan), host_seed(config_.seed, 0x1a70ull + r));
-  region->lan->set_shard(region->ctx->shard());
-  region->fabric = std::make_unique<netrms::NetRmsFabric>(sim, *region->lan);
-
-  for (int i = 0; i < config_.hosts_per_region; ++i) {
-    region->hosts.push_back(
-        std::make_unique<Host>(sim, host_id(r, i), std::vector{region->fabric.get()}));
-  }
-  regions_.push_back(std::move(region));
-}
-
-void MultiRegionWorld::build_ring(std::uint32_t r) {
-  const std::uint32_t next = (r + 1) % regions();
-  Region& a = *regions_[r];
-  Region& b = *regions_[next];
-
-  net::NetworkTraits wan;
-  wan.name = "wan-" + std::to_string(r);
-  wan.trusted = true;
-  wan.bits_per_second = config_.wan_bits_per_second;
-  wan.propagation_delay =
-      config_.wan_delay + static_cast<Time>(r) * config_.wan_delay_skew;
-
-  auto link = std::make_unique<net::ShardLinkNetwork>(*a.ctx, *b.ctx, wan);
-  const std::uint32_t index = static_cast<std::uint32_t>(wan_.size());
-  link->attach_on(*a.ctx, a.hosts[0]->id, [this, r, index](net::Packet p) {
-    on_wan_packet(r, index, std::move(p));
-  });
-  link->attach_on(*b.ctx, b.hosts[0]->id, [this, next, index](net::Packet p) {
-    on_wan_packet(next, index, std::move(p));
-  });
-  wan_.push_back(std::move(link));
-}
-
-void MultiRegionWorld::start() {
-  for (std::uint32_t r = 0; r < regions(); ++r) {
-    Region& region = *regions_[r];
-    sim::Simulator& sim = region.ctx->sim();
-    const int n = config_.hosts_per_region;
-    for (int i = 0; i < n; ++i) {
-      Host& src = *region.hosts[i];
-      Host& dst = *region.hosts[(i + 1) % n];
-
-      const rms::PortId port = 100 + i;
-      dst.ports.bind(port, &dst.inbox);
-      Host* sink_host = &dst;
-      sim::Simulator* psim = &sim;
-      dst.inbox.set_handler([sink_host, psim](rms::Message m) {
-        ++sink_host->frames_received;
-        sink_host->trace ^=
-            tuple_hash(psim->now(), m.source.host, m.size());
-      });
-
-      auto stream = src.st->create(frame_request(config_.frame_bytes),
-                                   {dst.id, port});
-      assert(stream.ok() && "frame stream admission failed");
-      src.stream = std::move(stream).value();
-
-      // Phase-stagger the sources by a per-host seed so no two hosts in
-      // the world tick at the same instant (keeps interacting deliveries
-      // time-distinct; the phase depends only on (seed, host id)).
-      const Time phase = static_cast<Time>(
-          host_seed(config_.seed, src.id) % static_cast<std::uint64_t>(
-                                                config_.frame_interval));
-      sim.at(phase, [this, r, i] { send_frame(r, i); });
-    }
-    if (!wan_.empty()) {
-      const Time phase = static_cast<Time>(
-          host_seed(config_.seed, 0xffff0000ull + r) %
-          static_cast<std::uint64_t>(config_.ping_interval));
-      sim.at(phase, [this, r] { send_ping(r); });
-    }
-  }
-}
-
-void MultiRegionWorld::send_frame(std::uint32_t r, int i) {
-  Region& region = *regions_[r];
-  Host& host = *region.hosts[i];
-  if (host.stream == nullptr) return;
-  rms::Message m;
-  m.data = patterned_bytes(config_.frame_bytes, host.id);
-  (void)host.stream->send(std::move(m));
-  region.ctx->sim().after(config_.frame_interval,
-                          [this, r, i] { send_frame(r, i); });
-}
-
-void MultiRegionWorld::send_ping(std::uint32_t r) {
-  Region& region = *regions_[r];
-  net::ShardLinkNetwork& link = *wan_[r];
-
-  net::Packet p;
-  p.src = region.hosts[0]->id;
-  p.dst = regions_[(r + 1) % regions()]->hosts[0]->id;
-  p.stream = kPingStream;
-  p.seq = ++region.pings_sent;
-  p.payload = patterned_bytes(config_.ping_bytes, p.seq);
-  (void)link.send(std::move(p));
-
-  region.ctx->sim().after(config_.ping_interval, [this, r] { send_ping(r); });
-}
-
-void MultiRegionWorld::on_wan_packet(std::uint32_t r, std::uint32_t index,
-                                     net::Packet p) {
-  Region& region = *regions_[r];
-  region.wan_trace ^=
-      tuple_hash(region.ctx->sim().now(), p.src, p.size() + p.stream);
-  if (p.stream == kPingStream) {
-    ++region.pings_received;
-    net::Packet pong;
-    pong.src = p.dst;
-    pong.dst = p.src;
-    pong.stream = kPongStream;
-    pong.seq = p.seq;
-    pong.payload = patterned_bytes(config_.ping_bytes / 2 + 1, p.seq);
-    (void)wan_[index]->send(std::move(pong));
-  } else {
-    ++region.pongs_received;
-  }
-}
-
-std::uint64_t MultiRegionWorld::trace_hash() const {
-  // Combine per-host digests in host-id order (host ids are shard-count
-  // invariant), with a non-commutative outer mix so hosts are
-  // distinguishable.
-  std::uint64_t h = mix64(config_.seed);
-  for (const auto& region : regions_) {
-    for (const auto& host : region->hosts) {
-      h = mix64(h ^ mix64(host->id) ^ host->trace ^
-                mix64(host->frames_received));
-    }
-    h = mix64(h ^ region->wan_trace ^ mix64(region->pings_received) ^
-              mix64(region->pongs_received * 0x51ul));
-  }
-  return h;
-}
-
-std::uint64_t MultiRegionWorld::frames_received() const {
-  std::uint64_t n = 0;
-  for (const auto& region : regions_) {
-    for (const auto& host : region->hosts) n += host->frames_received;
-  }
-  return n;
-}
-
-std::uint64_t MultiRegionWorld::pings_received() const {
-  std::uint64_t n = 0;
-  for (const auto& region : regions_) n += region->pings_received;
-  return n;
-}
-
-std::uint64_t MultiRegionWorld::pongs_received() const {
-  std::uint64_t n = 0;
-  for (const auto& region : regions_) n += region->pongs_received;
-  return n;
-}
-
-// ----------------------------------------------- internet-scale generators
 
 std::vector<std::pair<InternetTopology::RouterId, InternetTopology::RouterId>>
 InternetTopology::region_uplinks(std::uint32_t region) const {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <filesystem>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -192,6 +194,16 @@ TEST(Histogram, SingleValueQuantileIsExact) {
   h.observe(1000);
   EXPECT_DOUBLE_EQ(h.p50(), 1000.0);
   EXPECT_DOUBLE_EQ(h.p99(), 1000.0);
+}
+
+TEST(Histogram, QuantileSinceSeesOnlyTheWindow) {
+  Histogram h;
+  for (int i = 0; i < 100; ++i) h.observe(1000);  // old regime: 1us
+  Histogram snapshot = h;
+  for (int i = 0; i < 100; ++i) h.observe(1 << 20);  // new regime: ~1ms
+  // Cumulative p95 straddles both regimes; windowed p95 sees only the new.
+  EXPECT_GE(h.quantile_since(snapshot, 0.95), static_cast<double>(1 << 19));
+  EXPECT_LT(h.quantile(0.50), static_cast<double>(1 << 19));
 }
 
 TEST(MetricsRegistry, StableHandlesAndLookup) {
@@ -428,6 +440,23 @@ TEST(Export, ChromeTraceMonotoneAfterRingWrap) {
   ASSERT_EQ(ts.size(), 4u);
   EXPECT_DOUBLE_EQ(ts.front(), 7000.0);  // ms 7 in microseconds
   for (std::size_t i = 1; i < ts.size(); ++i) EXPECT_GT(ts[i], ts[i - 1]);
+}
+
+std::ptrdiff_t open_fds() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                       std::filesystem::directory_iterator());
+}
+
+TEST(Export, WriteFileReportsShortWriteAndClosesTheFile) {
+  // /dev/full fails every write with ENOSPC: the write comes up short, and
+  // the file must still be closed rather than leaked.
+  if (!std::filesystem::exists("/dev/full") ||
+      !std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "/dev/full or /proc/self/fd unavailable";
+  }
+  const std::ptrdiff_t before = open_fds();
+  EXPECT_FALSE(write_file("/dev/full", std::string(64 * 1024, 'x')).ok());
+  EXPECT_EQ(open_fds(), before);
 }
 
 // --------------------------------------------------------- trace ring
