@@ -13,7 +13,9 @@
 //
 // Wall-clock throughput on shared CI hardware is noise; the checked
 // baseline therefore carries ONLY the delivery invariants. The mbps
-// numbers go to BENCH_c15_udp.json for trend tracking.
+// numbers and stack_over_raw (stack_mbps / raw_mbps, the share of the
+// medium the reliable stack delivers) go to BENCH_c15_udp.json for trend
+// tracking.
 //
 // CLI: the shared baseline gate (bench_util.h Gate) over the invariants,
 // higher is better.
@@ -180,6 +182,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stack.retransmissions),
               stack.delivery_ok ? "byte-exact" : "BROKEN");
 
+  const double stack_over_raw = raw.mbps > 0 ? stack.mbps / raw.mbps : 0.0;
+  std::printf("stack / raw:       %.3f\n", stack_over_raw);
+
   const std::uint64_t raw_codec = codec_errors(raw.udp, raw.corrupted_dropped);
   const std::uint64_t stack_codec =
       codec_errors(stack.udp, stack.corrupted_dropped);
@@ -195,6 +200,7 @@ int main(int argc, char** argv) {
   json.record("raw_kernel_drops", static_cast<double>(raw.lost), "datagrams",
               {});
   json.record("stack_mbps", stack.mbps, "MB/s", {});
+  json.record("stack_over_raw", stack_over_raw, "ratio", {});
   json.record("stack_retransmissions",
               static_cast<double>(stack.retransmissions), "messages", {});
   json.record("delivery_ok", stack.delivery_ok ? 1.0 : 0.0, "bool", {});

@@ -1,6 +1,7 @@
 #include "baseline/datagram.h"
 
 #include "net/internet.h"
+#include "netrms/cost_model.h"
 #include "util/checksum.h"
 #include "util/serialize.h"
 
@@ -9,9 +10,8 @@ namespace {
 constexpr std::uint8_t kDatagramTag = 0xDA;
 }
 
-DatagramService::DatagramService(sim::Simulator& sim, net::Network& network,
-                                 netrms::CostModel cost)
-    : sim_(sim), network_(network), cost_(cost) {}
+DatagramService::DatagramService(sim::Simulator& sim, net::Network& network)
+    : sim_(sim), network_(network) {}
 
 void DatagramService::register_host(HostId host, sim::CpuScheduler& cpu,
                                     rms::PortRegistry& ports) {
@@ -53,8 +53,9 @@ void DatagramService::send(HostId src, rms::PortId src_port, const Label& target
   // Mandatory software checksum — paid even on hardware that already
   // validates frames (the elision the RMS parameters enable is impossible
   // here).
-  const Time cpu_cost = cost_.message_cost(data.size(), /*checksum=*/true,
-                                           /*crypto=*/false, /*mac=*/false);
+  const netrms::CostModel cost;
+  const Time cpu_cost = cost.message_cost(data.size(), /*checksum=*/true,
+                                          /*crypto=*/false, /*mac=*/false);
   it->second.cpu->submit(
       kTimeNever, cpu_cost,
       [this, src, src_port, target, data = std::move(data)]() mutable {
@@ -90,8 +91,8 @@ void DatagramService::receive(HostId host, net::Packet p) {
 
   const std::size_t payload =
       p.size() > kDatagramHeaderBytes ? p.size() - kDatagramHeaderBytes : 0;
-  const Time cpu_cost =
-      cost_.message_cost(payload, /*checksum=*/true, false, false);
+  const netrms::CostModel cost;
+  const Time cpu_cost = cost.message_cost(payload, /*checksum=*/true, false, false);
   it->second.cpu->submit(kTimeNever, cpu_cost,
                          [this, host, p = std::move(p)]() mutable {
                            process(host, std::move(p));

@@ -21,7 +21,6 @@
 #include <map>
 
 #include "net/network.h"
-#include "netrms/cost_model.h"
 #include "rms/rms.h"
 #include "sim/cpu_scheduler.h"
 
@@ -43,8 +42,7 @@ class DatagramService {
     std::uint64_t quenches_delivered = 0;
   };
 
-  DatagramService(sim::Simulator& sim, net::Network& network,
-                  netrms::CostModel cost = {});
+  DatagramService(sim::Simulator& sim, net::Network& network);
 
   /// Attaches a host (CPU + ports) to this datagram stack.
   void register_host(HostId host, sim::CpuScheduler& cpu, rms::PortRegistry& ports);
@@ -65,7 +63,6 @@ class DatagramService {
   sim::Simulator& simulator() { return sim_; }
   net::Network& network() { return network_; }
   const Stats& stats() const { return stats_; }
-  const netrms::CostModel& cost() const { return cost_; }
 
  private:
   struct HostEntry {
@@ -79,7 +76,6 @@ class DatagramService {
 
   sim::Simulator& sim_;
   net::Network& network_;
-  netrms::CostModel cost_;
   std::map<HostId, HostEntry> hosts_;
   Stats stats_;
 };

@@ -5,9 +5,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <vector>
 
 namespace dash::net {
 
@@ -46,7 +46,20 @@ bool udp_available() {
 UdpNetwork::UdpNetwork(rt::Driver& driver, NetworkTraits traits, UdpConfig cfg)
     : Network(driver.simulator(), std::move(traits)),
       driver_(driver),
-      cfg_(cfg) {}
+      cfg_(cfg) {
+  if (cfg_.batch < 1) cfg_.batch = 1;
+  const auto batch = static_cast<std::size_t>(cfg_.batch);
+  send_msgs_.resize(batch);
+  send_iovs_.resize(batch);
+  recv_bufs_.assign(batch, Bytes(cfg_.datagram_buffer));
+  recv_msgs_.resize(batch);
+  recv_iovs_.resize(batch);
+  for (std::size_t i = 0; i < batch; ++i) {
+    recv_iovs_[i] = iovec{recv_bufs_[i].data(), recv_bufs_[i].size()};
+    recv_msgs_[i].msg_hdr.msg_iov = &recv_iovs_[i];
+    recv_msgs_[i].msg_hdr.msg_iovlen = 1;
+  }
+}
 
 UdpNetwork::~UdpNetwork() {
   for (auto& [host, ep] : endpoints_) {
@@ -202,25 +215,20 @@ void UdpNetwork::flush(HostId host) {
   auto it = endpoints_.find(host);
   if (it == endpoints_.end() || it->second.fd < 0) return;
   Endpoint& ep = it->second;
-  const int batch = cfg_.batch > 0 ? cfg_.batch : 1;
-  std::vector<mmsghdr> msgs(static_cast<std::size_t>(batch));
-  std::vector<iovec> iovs(static_cast<std::size_t>(batch));
   while (!ep.backlog.empty()) {
-    const int n =
-        static_cast<int>(std::min<std::size_t>(ep.backlog.size(),
-                                               static_cast<std::size_t>(batch)));
-    for (int i = 0; i < n; ++i) {
-      Pending& pend = ep.backlog[static_cast<std::size_t>(i)];
-      iovs[static_cast<std::size_t>(i)] =
-          iovec{pend.datagram.data(), pend.datagram.size()};
-      msgs[static_cast<std::size_t>(i)] = mmsghdr{};
-      msghdr& h = msgs[static_cast<std::size_t>(i)].msg_hdr;
+    const std::size_t n = std::min(ep.backlog.size(), send_msgs_.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      Pending& pend = ep.backlog[i];
+      send_iovs_[i] = iovec{pend.datagram.data(), pend.datagram.size()};
+      send_msgs_[i] = mmsghdr{};
+      msghdr& h = send_msgs_[i].msg_hdr;
       h.msg_name = &pend.to;
       h.msg_namelen = sizeof(pend.to);
-      h.msg_iov = &iovs[static_cast<std::size_t>(i)];
+      h.msg_iov = &send_iovs_[i];
       h.msg_iovlen = 1;
     }
-    const int sent = sendmmsg(ep.fd, msgs.data(), static_cast<unsigned>(n), 0);
+    const int sent =
+        sendmmsg(ep.fd, send_msgs_.data(), static_cast<unsigned>(n), 0);
     if (sent < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -273,21 +281,10 @@ void UdpNetwork::on_readable(HostId host) {
   auto it = endpoints_.find(host);
   if (it == endpoints_.end() || it->second.fd < 0) return;
   const int fd = it->second.fd;
-  const int batch = cfg_.batch > 0 ? cfg_.batch : 1;
-  std::vector<Bytes> bufs(static_cast<std::size_t>(batch),
-                          Bytes(cfg_.datagram_buffer));
-  std::vector<mmsghdr> msgs(static_cast<std::size_t>(batch));
-  std::vector<iovec> iovs(static_cast<std::size_t>(batch));
-  for (int i = 0; i < batch; ++i) {
-    auto u = static_cast<std::size_t>(i);
-    iovs[u] = iovec{bufs[u].data(), bufs[u].size()};
-    msgs[u] = mmsghdr{};
-    msgs[u].msg_hdr.msg_iov = &iovs[u];
-    msgs[u].msg_hdr.msg_iovlen = 1;
-  }
+  const int batch = cfg_.batch;
   for (int round = 0; round < cfg_.max_recv_rounds; ++round) {
     const int got =
-        recvmmsg(fd, msgs.data(), static_cast<unsigned>(batch), 0, nullptr);
+        recvmmsg(fd, recv_msgs_.data(), static_cast<unsigned>(batch), 0, nullptr);
     if (got < 0) {
       if (errno == EINTR) continue;
       if (errno != EAGAIN && errno != EWOULDBLOCK) ++ustats_.recv_errors;
@@ -298,7 +295,7 @@ void UdpNetwork::on_readable(HostId host) {
     ustats_.datagrams_received += static_cast<std::uint64_t>(got);
     for (int i = 0; i < got; ++i) {
       auto u = static_cast<std::size_t>(i);
-      BytesView dgram(bufs[u].data(), msgs[u].msg_len);
+      BytesView dgram(recv_bufs_[u].data(), recv_msgs_[u].msg_len);
       Packet p;
       const udp::DecodeError e = udp::decode(dgram, p);
       if (e != udp::DecodeError::kNone) {

@@ -22,11 +22,13 @@
 #pragma once
 
 #include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <cstdint>
 #include <deque>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "net/network.h"
 #include "net/udp/wire.h"
@@ -130,6 +132,14 @@ class UdpNetwork final : public Network {
   UdpConfig cfg_;
   std::unordered_map<HostId, Endpoint> endpoints_;
   UdpStats ustats_;
+  // sendmmsg/recvmmsg arrays, cfg_.batch slots each, built once. Neither
+  // flush() nor on_readable() re-enters itself, so every socket of this
+  // network can share them; recv_iovs_ point into recv_bufs_ for good.
+  std::vector<mmsghdr> send_msgs_;
+  std::vector<iovec> send_iovs_;
+  std::vector<Bytes> recv_bufs_;
+  std::vector<mmsghdr> recv_msgs_;
+  std::vector<iovec> recv_iovs_;
 };
 
 }  // namespace dash::net

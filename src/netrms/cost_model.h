@@ -7,6 +7,11 @@
 // (F3) see real contention. Values are loosely calibrated to a late-1980s
 // workstation (a few MIPS): fixed per-message costs of tens of
 // microseconds, per-byte costs of a fraction of a microsecond.
+//
+// There is one model: every layer charges a default-constructed CostModel,
+// so send, receive and control paths agree by construction. Under an
+// rt::Driver the CpuScheduler measures real task time instead of waiting
+// out these durations; there they shape only the planned delay bounds.
 #pragma once
 
 #include "util/time.h"

@@ -5,6 +5,7 @@
 
 #include "net/internet.h"
 #include "net/traits.h"
+#include "netrms/cost_model.h"
 #include "util/serialize.h"
 
 namespace dash::netrms {
@@ -39,10 +40,9 @@ int priority_class(const rms::Params& p) {
 
 }  // namespace
 
-NetRmsFabric::NetRmsFabric(sim::Simulator& sim, net::Network& network, CostModel cost)
+NetRmsFabric::NetRmsFabric(sim::Simulator& sim, net::Network& network)
     : sim_(sim),
       network_(network),
-      cost_(cost),
       admission_(AdmissionController::Config{network.traits().bits_per_second,
                                              network.traits().buffer_bytes, 0.9}) {
   network_.on_down([this] {
@@ -251,8 +251,9 @@ void NetRmsFabric::send_now(Stream& s, rms::Message msg, Time deadline) {
   if (accounting_ != nullptr) accounting_->on_send(s.id, msg.size());
 
   const bool software_checksum = s.checksum != ChecksumKind::kNone;
-  const Time cpu_cost = cost_.message_cost(msg.size(), software_checksum,
-                                           /*crypto=*/false, /*mac=*/false);
+  const CostModel cost;
+  const Time cpu_cost = cost.message_cost(msg.size(), software_checksum,
+                                          /*crypto=*/false, /*mac=*/false);
   const std::uint64_t seq = s.next_seq++;
   const std::uint64_t stream_id = s.id;
   HostEntry& host = hosts_.at(s.src);
@@ -330,9 +331,10 @@ void NetRmsFabric::host_receive(HostId host, net::Packet p) {
     auto sit = streams_.find(*sid);
     if (sit != streams_.end()) checksummed = sit->second.checksum != ChecksumKind::kNone;
   }
+  const CostModel cost;
   const Time cpu_cost =
-      cost_.message_cost(p.size() > kHeaderBytes ? p.size() - kHeaderBytes : 0,
-                         checksummed, false, false);
+      cost.message_cost(p.size() > kHeaderBytes ? p.size() - kHeaderBytes : 0,
+                        checksummed, false, false);
   const Time deadline = p.deadline;
   const int priority = p.priority;
   it->second.cpu->submit(

@@ -20,7 +20,6 @@
 #include "net/network.h"
 #include "netrms/accounting.h"
 #include "netrms/admission.h"
-#include "netrms/cost_model.h"
 #include "rms/rms.h"
 #include "sim/cpu_scheduler.h"
 #include "telemetry/metrics.h"
@@ -52,7 +51,7 @@ class NetRmsFabric {
     std::uint64_t quenches = 0;         ///< gateway source-quench signals relayed
   };
 
-  NetRmsFabric(sim::Simulator& sim, net::Network& network, CostModel cost = {});
+  NetRmsFabric(sim::Simulator& sim, net::Network& network);
   ~NetRmsFabric();
   NetRmsFabric(const NetRmsFabric&) = delete;
   NetRmsFabric& operator=(const NetRmsFabric&) = delete;
@@ -75,7 +74,6 @@ class NetRmsFabric {
   const net::Network& network() const { return network_; }
   const net::NetworkTraits& traits() const { return network_.traits(); }
   sim::Simulator& simulator() { return sim_; }
-  const CostModel& cost() const { return cost_; }
   const Stats& stats() const { return stats_; }
   AdmissionController& admission() { return admission_; }
   const AdmissionController& admission() const { return admission_; }
@@ -140,7 +138,6 @@ class NetRmsFabric {
 
   sim::Simulator& sim_;
   net::Network& network_;
-  CostModel cost_;
   AdmissionController admission_;
   // Hot path: looked up per packet. unordered_map keeps references stable
   // across rehash (node-based), so Stream& held across a cpu callback stays

@@ -16,6 +16,7 @@ Time monotonic_now() {
 }
 
 Driver::Driver(sim::Simulator& sim) : sim_(sim) {
+  sim_.wall_clock_ = true;
   epfd_ = epoll_create1(EPOLL_CLOEXEC);
 }
 

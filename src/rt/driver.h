@@ -20,6 +20,11 @@
 // world built at sim time 0 starts "now" and Time values stay one
 // currency across the stack. Single-threaded: fd callbacks and simulator
 // events all run on the calling thread, exactly like a simulation run.
+//
+// CPU time: the constructor marks the simulator wall_clock(), so every
+// sim::CpuScheduler on it runs protocol tasks at once (still in EDF /
+// FIFO / priority order) and charges their measured time, instead of
+// sleeping through the modelled 1987-workstation cost.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +59,7 @@ class Driver {
   /// Receives the ready EPOLL* event mask for its file descriptor.
   using IoCallback = std::function<void(std::uint32_t)>;
 
+  /// Takes over `sim`'s clock for good: marks it wall_clock().
   explicit Driver(sim::Simulator& sim);
   ~Driver();
   Driver(const Driver&) = delete;

@@ -11,9 +11,16 @@
 //                  kernel, the paper's "systems that use only priorities").
 // Tasks are non-preemptive, which matches 1987 kernel protocol processing
 // (a process runs until it blocks).
+//
+// In simulation a task's `duration` is modelled CPU time: it completes that
+// long after dispatch. When an rt::Driver owns the clock
+// (Simulator::wall_clock()), waiting out the model would turn it into real
+// idle time, so a dispatched task runs at once and busy_time() charges its
+// measured steady-clock time; the policy still picks the order.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -37,8 +44,9 @@ class CpuScheduler {
   CpuScheduler& operator=(const CpuScheduler&) = delete;
 
   /// Submits a protocol-processing task: `fn` completes after `duration` of
-  /// CPU time once the task is dispatched. `deadline` orders EDF; `priority`
-  /// orders kPriority (lower value = more urgent).
+  /// CPU time once the task is dispatched (at once under a wall clock).
+  /// `deadline` orders EDF; `priority` orders kPriority (lower value = more
+  /// urgent).
   void submit(Time deadline, Time duration, Task fn, int priority = 0) {
     queue_.push_back(
         CpuTask{deadline, priority, next_seq_++, duration, std::move(fn), policy_});
@@ -47,7 +55,8 @@ class CpuScheduler {
     if (!busy_) dispatch();
   }
 
-  /// Total CPU time consumed so far (utilization accounting for benches).
+  /// Total CPU time consumed so far (utilization accounting for benches):
+  /// modelled durations in simulation, measured time under a wall clock.
   Time busy_time() const { return busy_time_; }
   std::uint64_t tasks_completed() const { return completed_; }
   std::uint64_t tasks_submitted() const { return submitted_; }
@@ -89,17 +98,28 @@ class CpuScheduler {
     std::pop_heap(queue_.begin(), queue_.end(), LessUrgent{});
     CpuTask t = std::move(queue_.back());
     queue_.pop_back();
-    busy_time_ += t.duration;
     // The CPU is non-preemptive: exactly one task runs at a time, so it can
     // sit in running_ while the completion event carries only `this` (which
     // keeps the completion closure inside Task's inline storage).
     running_ = std::move(t.fn);
-    sim_.after(t.duration, [this] {
-      ++completed_;
-      Task fn = std::move(running_);
+    const bool measured = sim_.wall_clock();
+    if (!measured) busy_time_ += t.duration;
+    sim_.after(measured ? 0 : t.duration, [this] { finish(); });
+  }
+
+  void finish() {
+    ++completed_;
+    Task fn = std::move(running_);
+    if (sim_.wall_clock()) {
+      const auto start = std::chrono::steady_clock::now();
       fn();
-      dispatch();
-    });
+      busy_time_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    } else {
+      fn();
+    }
+    dispatch();
   }
 
   Simulator& sim_;

@@ -26,6 +26,10 @@
 // generation and destroys the closure immediately, leaving only a 24-byte
 // tombstone in the ready structure that is skipped on contact. pending()
 // counts live work only — cancelled timers leave it at cancel time.
+//
+// A Simulator whose clock an rt::Driver owns reports wall_clock(): its time
+// is the host's monotonic clock, so layers that model CPU time
+// (sim::CpuScheduler) measure it instead of waiting it out.
 #pragma once
 
 #include <algorithm>
@@ -38,6 +42,10 @@
 
 #include "sim/task.h"
 #include "util/time.h"
+
+namespace dash::rt {
+class Driver;
+}  // namespace dash::rt
 
 namespace dash::sim {
 
@@ -87,6 +95,10 @@ class Simulator {
   /// Current simulated time.
   Time now() const { return now_; }
   EngineMode mode() const { return mode_; }
+
+  /// True once an rt::Driver owns this clock (set by its constructor and
+  /// nowhere else): now() is wall time and CPU work is real, not modelled.
+  bool wall_clock() const { return wall_clock_; }
 
   /// Schedules `fn` at absolute time `t` (>= now).
   void at(Time t, Task fn) {
@@ -205,6 +217,8 @@ class Simulator {
   const EngineStats& stats() const { return stats_; }
 
  private:
+  friend class rt::Driver;
+
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   static constexpr int kBucketShift = 13;  // 8192 ns per bucket
   static constexpr int kWheelBits = 9;
@@ -314,6 +328,13 @@ class Simulator {
     auto& b = buckets_[slot];
     if (slot == cur_slot_ && cur_open_) {
       // The bucket being drained is kept sorted; splice into its live tail.
+      // A zero-delay chain parked in front of a later entry keeps the
+      // bucket open indefinitely, so drop the consumed prefix once it is
+      // more than half the bucket (amortized O(1) per entry).
+      if (pos_ > b.size() / 2) {
+        b.erase(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(pos_));
+        pos_ = 0;
+      }
       auto it = std::upper_bound(b.begin() + static_cast<std::ptrdiff_t>(pos_),
                                  b.end(), e, entry_less);
       b.insert(it, std::move(e));
@@ -409,6 +430,7 @@ class Simulator {
   }
 
   EngineMode mode_;
+  bool wall_clock_ = false;  // set only by rt::Driver's constructor
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;    // live pending events

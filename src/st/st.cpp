@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "netrms/cost_model.h"
 #include "util/serialize.h"
 
 namespace dash::st {
@@ -144,7 +145,7 @@ Result<SubtransportLayer::StParamsPlan> SubtransportLayer::plan_params(
   }
 
   const auto& traits = fabric.traits();
-  const netrms::CostModel& cost = fabric.cost();
+  const netrms::CostModel cost;
   const Time window = config_.enable_piggybacking ? config_.piggyback_window : 0;
   const Time stage = config_.cpu_stage_allowance;
 
@@ -1062,7 +1063,7 @@ void SubtransportLayer::emit_component(StRms& rms, rms::Message msg,
 
   const bool encrypts = rms.encrypts();
   const bool macs = rms.macs();
-  const netrms::CostModel& cost = ch.fabric->cost();
+  const netrms::CostModel cost;
   const Time cpu_cost = cost.message_cost(msg.size(), false, encrypts, macs);
 
   // §4.3.1: the preferable (maximum) transmission deadline is
@@ -1324,7 +1325,7 @@ void SubtransportLayer::flush_channel(Channel& ch) {
 // ------------------------------------------------------------- receive path
 
 void SubtransportLayer::on_control_message(rms::Message msg) {
-  const netrms::CostModel cost;  // control messages are small; default costs
+  const netrms::CostModel cost;
   cpu_.submit(sim_.now() + config_.cpu_stage_allowance,
               cost.message_cost(msg.size(), false, false, false),
               [this, msg = std::move(msg)]() mutable { handle_control(std::move(msg)); });

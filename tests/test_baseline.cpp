@@ -7,6 +7,7 @@
 #include "baseline/sliding_window.h"
 #include "net/ethernet.h"
 #include "net/internet.h"
+#include "netrms/cost_model.h"
 #include "test_helpers.h"
 
 namespace dash::baseline {

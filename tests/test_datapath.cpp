@@ -1,8 +1,9 @@
 // Tests for the zero-copy datapath (DESIGN.md §9): payload-aliasing safety
 // across the Buffer-based send/receive paths, storage sharing between
 // network packets and delivered messages, fragment-slice lifetime across
-// reassembly discards, and the counting-allocator bound that pins down the
-// "serialize once into an arena" property of the ST send path.
+// reassembly discards, and the counting-allocator bounds that pin down the
+// "serialize once into an arena" property of the ST send path and the
+// event engine's footprint under zero-delay chains.
 //
 // This binary links dash_alloc_count first, so the global operator
 // new/delete are the counting versions.
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "sim/simulator.h"
 #include "st/st.h"
 #include "test_helpers.h"
 #include "util/alloc_count.h"
@@ -287,6 +289,38 @@ TEST(Datapath, PiggybackSendAllocationIsFlat) {
   // copy-heavy path would show several payload+arena-sized blocks each.
   EXPECT_LT(scope.allocations() / 16, 40u)
       << scope.allocations() << " allocations for 16 messages";
+}
+
+// A zero-delay chain that runs while a later timer holds the calendar
+// wheel's open bucket (the wall-clock driver's steady state, where every
+// CPU task is an after(0) event) must not grow that bucket by one entry
+// per event: the engine drops the bucket's consumed prefix as it goes.
+TEST(Datapath, ZeroDelayChainBehindATimerStaysSmall) {
+  if (!alloc_count::instrumented()) GTEST_SKIP() << "counting allocator absent";
+
+  sim::Simulator sim;
+  bool fired = false;
+  sim.after(msec(1), [&fired] { fired = true; });
+  sim.run_until(sim.now());  // the peek opens the timer's bucket
+
+  struct Chain {
+    sim::Simulator& sim;
+    int left;
+    void step() {
+      if (--left > 0) sim.after(0, [this] { step(); });
+    }
+  } chain{sim, 100'000};
+  alloc_count::Scope scope;
+  sim.after(0, [&chain] { chain.step(); });
+  sim.run_until(sim.now());
+  const std::uint64_t bytes = scope.bytes();
+
+  EXPECT_EQ(chain.left, 0);
+  EXPECT_LT(bytes, 1u << 20) << "a 100000-event chain allocated " << bytes << " B";
+  EXPECT_FALSE(fired);
+  sim.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.now(), msec(1));
 }
 
 }  // namespace

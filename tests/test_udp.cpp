@@ -17,6 +17,7 @@
 #include "net/udp/udp.h"
 #include "net/udp/wire.h"
 #include "rt/driver.h"
+#include "sim/cpu_scheduler.h"
 #include "telemetry/collect.h"
 #include "transport/stream.h"
 #include "workload/udp_world.h"
@@ -152,6 +153,37 @@ TEST(Driver, RunForAdvancesTheClockWithNoEvents) {
   driver.run_for(msec(15));
   EXPECT_GE(sim.now(), msec(15));
   EXPECT_GE(driver.stats().wakeups_timer, 1u);
+}
+
+// Under the wall clock a CPU task's modelled duration is not waited out:
+// the tasks run at once, still in EDF order, and busy_time() is what they
+// really took. Simulation keeps the modelled charge (test_sim.cpp).
+TEST(Driver, CpuTasksRunAtOnceInEdfOrderAndChargeMeasuredTime) {
+  sim::Simulator sim;
+  rt::Driver driver(sim);
+  sim::CpuScheduler cpu(sim, sim::CpuPolicy::kEdf);
+  std::vector<Time> done;
+  // Each task does 100 us of real work, so the measured charge is at least
+  // 300 us on any clock resolution.
+  const auto task = [&](Time deadline) {
+    return [&done, deadline] {
+      const Time start = rt::monotonic_now();
+      while (rt::monotonic_now() - start < usec(100)) {
+      }
+      done.push_back(deadline);
+    };
+  };
+  // The first submit dispatches on the idle CPU; EDF then takes 20 before 30.
+  cpu.submit(msec(10), msec(50), task(msec(10)));
+  cpu.submit(msec(30), msec(50), task(msec(30)));
+  cpu.submit(msec(20), msec(50), task(msec(20)));
+  const Time start = rt::monotonic_now();
+  ASSERT_TRUE(driver.run_until([&] { return done.size() == 3; }, sec(2)));
+  EXPECT_LT(rt::monotonic_now() - start, msec(50));
+  EXPECT_EQ(done, (std::vector<Time>{msec(10), msec(20), msec(30)}));
+  EXPECT_GE(cpu.busy_time(), usec(300));
+  EXPECT_LT(cpu.busy_time(), msec(150));
+  EXPECT_EQ(cpu.tasks_completed(), 3u);
 }
 
 TEST(Driver, DispatchesFdReadiness) {

@@ -2,6 +2,8 @@
 // time, and Result.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "util/bytes.h"
 #include "util/checksum.h"
 #include "util/crypto.h"
@@ -95,6 +97,37 @@ TEST(Checksum, Crc32CatchesAllSingleBitFlips) {
       EXPECT_NE(crc32(data), clean) << "flip at byte " << i << " bit " << b;
       data[i] ^= static_cast<std::byte>(1 << b);
     }
+  }
+}
+
+// Bit-at-a-time CRC-32 straight from the definition (reflected IEEE
+// polynomial): the oracle for the table-driven implementation.
+std::uint32_t crc32_bitwise(BytesView data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::byte b : data) {
+    c ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+// Every length up to 64 walks each mix of eight-byte steps and byte tail.
+TEST(Checksum, Crc32MatchesBitwiseReferenceAtEveryLength) {
+  const Bytes data = patterned_bytes(4096, 3);
+  for (std::size_t n = 0; n <= 64; ++n) {
+    const BytesView v(data.data(), n);
+    EXPECT_EQ(crc32(v), crc32_bitwise(v)) << "length " << n;
+  }
+  EXPECT_EQ(crc32(data), crc32_bitwise(data));
+}
+
+TEST(Checksum, Crc32ChainMatchesReferenceAtEverySplit) {
+  const Bytes data = patterned_bytes(64, 4);
+  const std::uint32_t want = crc32_bitwise(data);
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+    const std::array<BytesView, 2> parts = {
+        BytesView(data.data(), cut), BytesView(data.data() + cut, data.size() - cut)};
+    EXPECT_EQ(crc32(ViewChain(parts)), want) << "split at " << cut;
   }
 }
 
