@@ -71,13 +71,12 @@ RunResult run_one(Mode mode) {
   node::NodeConfig cfg;
   cfg.path.enabled = mode != Mode::kNoFailover;
   if (mode == Mode::kMakeBeforeBreak) {
-    // Aggressive watch: probe fast, declare degradation on the first
-    // missed probe (staging the replacement channel early), and fail over
-    // on the second. The staged channel makes the switch itself hitless,
-    // so detection latency is the only source of late messages.
+    // Aggressive watch: probe fast and fail over on the second missed
+    // probe. The first already staged the replacement channel (the path
+    // manager always does), and the staged channel makes the switch itself
+    // hitless, so detection latency is the only source of late messages.
     cfg.path.probe_interval = msec(50);
     cfg.path.probe_timeout = msec(40);
-    cfg.path.degraded_after = 1;
     cfg.path.unhealthy_after = 2;
   }
   node::World<net::EthernetNetwork> world(

@@ -1,0 +1,49 @@
+#!/bin/sh
+# Prints one "<binary> <sha256 of its stdout>" line for every deterministic
+# binary: the f1-f5, c1-c8, c11 and a1 benches and the eight simulated
+# examples. A change that claims to leave every simulated trace bit-identical
+# is checked by diffing this script's output on a Release build of the parent
+# and of the change:
+#
+#   scripts/stdout_digest.sh [build-dir] > digest.txt   (default build)
+#
+# Each binary runs in its own temporary directory, so the BENCH_*.json and
+# telemetry files it writes land there and not in the caller's tree.
+# telemetry_report's route.recompute_ns line is wall-clock time spent in the
+# routing engine, so it is dropped before hashing. A binary that exits
+# non-zero prints "FAILED (exit N)" instead of a digest, and the script then
+# exits 1.
+set -e
+BUILD=$(cd "${1:-build}" && pwd)
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+
+BENCHES="bench_f1_layering bench_f2_architecture bench_f3_rms_levels
+bench_f4_multiplexing bench_f5_flow_control bench_c1_bandwidth_bound
+bench_c2_deadline_scheduling bench_c3_security_elision bench_c4_rms_caching
+bench_c5_fragmentation bench_c6_admission bench_c7_rkom bench_c8_congestion
+bench_c11_failover bench_a1_ablations"
+EXAMPLES="quickstart voice_conference bulk_transfer window_system rpc_service
+dashsim video_phone telemetry_report"
+
+failed=0
+digest() {  # <binary path> <name>
+  mkdir "$WORK/$2"
+  status=0
+  (cd "$WORK/$2" && "$1" > stdout.txt) || status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "$2 FAILED (exit $status)"
+    failed=1
+    return
+  fi
+  if [ "$2" = telemetry_report ]; then
+    grep -v 'route\.recompute_ns' "$WORK/$2/stdout.txt" > "$WORK/$2/kept.txt" || true
+  else
+    cp "$WORK/$2/stdout.txt" "$WORK/$2/kept.txt"
+  fi
+  echo "$2 $(sha256sum < "$WORK/$2/kept.txt" | cut -d' ' -f1)"
+}
+
+for b in $BENCHES; do digest "$BUILD/bench/$b" "$b"; done
+for e in $EXAMPLES; do digest "$BUILD/examples/$e" "$e"; done
+exit "$failed"

@@ -11,6 +11,11 @@ namespace {
 constexpr std::uint8_t kSegData = 1;
 constexpr std::uint8_t kSegAck = 2;
 
+/// How long a source quench pauses transmission.
+constexpr Time kQuenchBackoff = msec(200);
+/// Client bytes the sender buffers before write() blocks.
+constexpr std::size_t kSendBuffer = 64 * 1024;
+
 /// Transport header inside the datagram payload: kind + seq (+ checksum —
 /// TCP checksums its segment even though the datagram layer already did).
 Bytes make_data_segment(std::uint64_t seq, BytesView data) {
@@ -105,7 +110,7 @@ TcpLikeSender::TcpLikeSender(DatagramService& datagrams, HostId host, Label targ
   datagrams_.bind_port(host_, ack_port_id_, &ack_port_);
   datagrams_.on_quench(host_, [this] {
     ++stats_.quenches;
-    quench_until_ = sim_.now() + config_.quench_backoff;
+    quench_until_ = sim_.now() + kQuenchBackoff;
   });
   config_.mss = std::min<std::size_t>(
       config_.mss, datagrams_.max_payload() - (1 + 8 + 2) /* segment header */);
@@ -114,7 +119,7 @@ TcpLikeSender::TcpLikeSender(DatagramService& datagrams, HostId host, Label targ
 TcpLikeSender::~TcpLikeSender() { datagrams_.unbind_port(host_, ack_port_id_); }
 
 Status TcpLikeSender::write(Bytes data) {
-  if (send_buffer_.size() + data.size() > config_.send_buffer) {
+  if (send_buffer_.size() + data.size() > kSendBuffer) {
     ++stats_.write_blocked;
     return make_error(Errc::kWouldBlock, "send buffer full");
   }

@@ -21,10 +21,7 @@ struct TcpLikeConfig {
   std::uint64_t window_bytes = 16 * 1024;  ///< fixed send window ("cwnd")
   std::size_t mss = 512;                   ///< payload per segment
   Time retransmit_timeout = msec(500);
-  /// How long a source quench pauses transmission.
-  Time quench_backoff = msec(200);
   std::size_t receive_buffer = 32 * 1024;
-  std::size_t send_buffer = 64 * 1024;
   bool auto_drain = true;
 };
 

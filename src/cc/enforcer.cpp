@@ -3,28 +3,24 @@
 namespace dash::cc {
 namespace {
 
-ModelConfig seeded(ModelConfig m, const rms::Params& params, bool seed) {
-  if (!seed || params.capacity == 0) return m;
+/// Bytes a sender may burst back-to-back before pacing engages.
+constexpr std::size_t kPaceBurstBytes = 2048;
+
+BandwidthModel seeded(const rms::Params& params) {
   // The §4.4 pessimistic rate: capacity bytes per A + B·capacity period.
   // It is a guaranteed-safe floor, so startup begins from a rate the RMS
   // contract already promised and probes upward from there.
   const Time period =
       params.delay.a + params.delay.b_per_byte * static_cast<Time>(params.capacity);
-  if (period > 0) {
-    m.initial_bw_Bps = static_cast<double>(params.capacity) / to_seconds(period);
-  }
-  return m;
+  if (params.capacity == 0 || period <= 0) return BandwidthModel();
+  return BandwidthModel(static_cast<double>(params.capacity) / to_seconds(period));
 }
 
 }  // namespace
 
-ModelEnforcer::ModelEnforcer(sim::Simulator& sim, const rms::Params& params,
-                             Config cfg)
-    : sim_(sim),
-      cfg_(cfg),
-      model_(seeded(cfg.model, params, cfg.seed_bw_from_params)),
-      pacer_(sim) {
-  pacer_.set_burst(cfg_.pace_burst);
+ModelEnforcer::ModelEnforcer(sim::Simulator& sim, const rms::Params& params)
+    : sim_(sim), model_(seeded(params)), pacer_(sim) {
+  pacer_.set_burst(kPaceBurstBytes);
   pacer_.set_rate(model_.pacing_rate_Bps());
 }
 

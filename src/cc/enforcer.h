@@ -18,12 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "cc/model.h"
 #include "cc/pacer.h"
-#include "cc/rack.h"
 #include "cc/sampler.h"
 #include "rms/params.h"
 #include "sim/simulator.h"
@@ -31,19 +29,11 @@
 
 namespace dash::cc {
 
-struct Config {
-  ModelConfig model;
-  RackConfig rack;
-  /// Bytes a sender may burst back-to-back before pacing engages.
-  std::size_t pace_burst = 2048;
-  /// When true (default) the model's initial bandwidth is seeded from the
-  /// RMS contract: capacity over the §4.4 rate period A + B·capacity.
-  bool seed_bw_from_params = true;
-};
-
 class ModelEnforcer final : public transport::CapacityEnforcer {
  public:
-  ModelEnforcer(sim::Simulator& sim, const rms::Params& params, Config cfg = {});
+  /// The model's initial bandwidth is seeded from the RMS contract:
+  /// capacity over the §4.4 rate period A + B·capacity.
+  ModelEnforcer(sim::Simulator& sim, const rms::Params& params);
 
   // CapacityEnforcer: window (model cwnd) + pacing schedule.
   bool can_send(std::size_t n) override {
@@ -81,10 +71,6 @@ class ModelEnforcer final : public transport::CapacityEnforcer {
     pacer_.set_rate(model_.pacing_rate_Bps());
   }
 
-  // Wake path for pace-blocked senders.
-  void on_ready(std::function<void()> cb) { pacer_.on_ready(std::move(cb)); }
-  void schedule_wake(std::size_t n) { pacer_.schedule_wake(n); }
-
   // Telemetry surface (cc.* collector).
   double pacing_rate_Bps() const { return model_.pacing_rate_Bps(); }
   double btlbw_Bps() const { return model_.btlbw_Bps(); }
@@ -95,11 +81,9 @@ class ModelEnforcer final : public transport::CapacityEnforcer {
   std::uint64_t quenches() const { return model_.quenches(); }
   std::uint64_t delivered_bytes() const { return sampler_.delivered_bytes(); }
   const BandwidthModel& model() const { return model_; }
-  const RackConfig& rack_config() const { return cfg_.rack; }
 
  private:
   sim::Simulator& sim_;
-  Config cfg_;
   DeliveryRateSampler sampler_;
   BandwidthModel model_;
   Pacer pacer_;

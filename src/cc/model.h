@@ -18,7 +18,6 @@
 // bottleneck queue is full, no point probing past it.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 
@@ -27,48 +26,16 @@
 
 namespace dash::cc {
 
-struct ModelConfig {
-  /// Sliding windows for the two path estimates. Bandwidth is windowed in
-  /// *rounds* (min-RTT-sized delivery epochs), RTT in wall time.
-  std::size_t bw_window_rounds = 10;
-  Time min_rtt_window = sec(10);
-
-  /// Phase gains (see header comment).
-  double startup_gain = 2.885;
-  double drain_gain = 0.35;
-  std::array<double, 8> probe_gains{{1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0}};
-
-  /// Startup ends after this many consecutive rounds in which btlbw grew
-  /// by less than `full_bw_growth`.
-  double full_bw_growth = 1.25;
-  int full_bw_rounds = 3;
-
-  /// Congestion window = cwnd_gain × BDP, floored so a tiny-RTT path can
-  /// still keep a few messages in flight.
-  double cwnd_gain = 2.0;
-  std::uint64_t min_cwnd_bytes = 4096;
-
-  /// Bandwidth estimate before the first sample (the enforcer seeds this
-  /// from the RMS contract: capacity over its §4.4 rate period).
-  double initial_bw_Bps = 125000.0;  // 1 Mbit/s
-  /// RTT estimate before the first sample.
-  Time initial_rtt = msec(5);
-
-  /// Source quench: each signal multiplies the pacing rate by
-  /// `quench_backoff` (floored at `quench_floor`); a quiet
-  /// `quench_recovery` interval steps the factor back toward 1.
-  double quench_backoff = 0.7;
-  double quench_floor = 0.125;
-  Time quench_recovery = msec(500);
-};
-
 enum class Phase : std::uint8_t { kStartup, kDrain, kProbeBw };
 const char* phase_name(Phase p);
 
 class BandwidthModel {
  public:
-  explicit BandwidthModel(ModelConfig cfg = {})
-      : cfg_(cfg), min_rtt_(cfg.min_rtt_window) {}
+  /// `initial_bw_Bps` is the bandwidth estimate before the first sample;
+  /// the enforcer seeds it from the RMS contract (capacity over its §4.4
+  /// rate period). The default is 1 Mbit/s.
+  BandwidthModel();
+  explicit BandwidthModel(double initial_bw_Bps);
 
   /// Feeds one delivery-rate sample (from DeliveryRateSampler::on_ack).
   /// `delivered_total` is the sampler's cumulative delivered count and
@@ -97,7 +64,7 @@ class BandwidthModel {
   void advance_round(std::uint64_t delivered_total);
   void check_full_bw();
 
-  ModelConfig cfg_;
+  double initial_bw_Bps_;
   Phase phase_ = Phase::kStartup;
 
   // Windowed-max bandwidth filter, keyed by round: descending bw.

@@ -3,13 +3,12 @@
 // Instead of bursting a full window into the fabric the moment capacity
 // allows (which is exactly what overruns the internet gateway's outgoing
 // queue in §3.1), the pacer releases sends on a schedule derived from the
-// congestion model's rate. Wake-ups use the event engine's cancellable
-// TimerHandle, so an idle or destroyed sender leaves no dangling timer.
+// congestion model's rate. The pacer only keeps the schedule: a blocked
+// sender arms its own wake-up timer for next_allowed().
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 
 #include "sim/simulator.h"
 #include "util/time.h"
@@ -19,9 +18,6 @@ namespace dash::cc {
 class Pacer {
  public:
   explicit Pacer(sim::Simulator& sim) : sim_(sim) {}
-  ~Pacer() { sim_.cancel(timer_); }
-  Pacer(const Pacer&) = delete;
-  Pacer& operator=(const Pacer&) = delete;
 
   /// Rate 0 disables pacing (every send passes immediately).
   void set_rate(double bytes_per_sec) { rate_Bps_ = bytes_per_sec; }
@@ -50,23 +46,6 @@ class Pacer {
     return std::max(next_send_, sim_.now());
   }
 
-  /// The pacer's wake path: `cb` fires when a previously-blocked send is
-  /// allowed again (armed by schedule_wake, cancellable, never stacked).
-  void on_ready(std::function<void()> cb) { ready_ = std::move(cb); }
-
-  void schedule_wake(std::size_t n) {
-    if (armed_ && sim_.timer_active(timer_)) return;
-    armed_ = true;
-    ++wakes_;
-    timer_ = sim_.timer_at(next_allowed(n), [this] {
-      armed_ = false;
-      if (ready_) ready_();
-    });
-  }
-
-  bool wake_armed() const { return armed_ && sim_.timer_active(timer_); }
-  std::uint64_t wakes() const { return wakes_; }
-
  private:
   Time interval(std::size_t bytes) const {
     return static_cast<Time>(static_cast<double>(bytes) / rate_Bps_ * 1e9);
@@ -76,10 +55,6 @@ class Pacer {
   double rate_Bps_ = 0.0;
   std::size_t burst_bytes_ = 0;
   Time next_send_ = 0;
-  sim::TimerHandle timer_;
-  bool armed_ = false;
-  std::function<void()> ready_;
-  std::uint64_t wakes_ = 0;
 };
 
 }  // namespace dash::cc

@@ -188,9 +188,6 @@ class FaultInjector final : public net::FaultHook {
   const Counters& counters() const { return counters_; }
   const FaultPlan& plan() const { return plan_; }
 
-  /// Gilbert–Elliott state of losses[rule] (tests).
-  bool in_burst(std::size_t rule) const { return burst_state_.at(rule); }
-
   /// Records "fault.*" categories (loss, burst, link, partition, reorder,
   /// dup, corrupt) as impairments fire. Pass nullptr to detach.
   void set_trace(sim::Trace* trace) { trace_ = trace; }

@@ -77,7 +77,6 @@ class SimplexLink {
   const Stats& stats() const { return stats_; }
   std::uint64_t queue_dropped() const { return queue_.dropped(); }
   std::uint64_t queued_bytes() const { return queue_.bytes(); }
-  std::size_t queued_packets() const { return queue_.packets(); }
 
  private:
   void try_transmit();

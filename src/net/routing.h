@@ -73,7 +73,6 @@ class RoutingEngine {
   /// Switches to hierarchical area tables (see header comment). Area ids
   /// come from add_router; call before the first query.
   void enable_areas(bool on);
-  bool areas_enabled() const { return areas_; }
 
   void set_mode(Mode m);
   Mode mode() const { return mode_; }

@@ -3,6 +3,15 @@
 #include <cassert>
 
 namespace dash::net {
+namespace {
+
+/// Token pass latency between adjacent stations (token frame + station
+/// latency + segment propagation).
+constexpr Time kTokenPassTime = usec(30);
+/// Physical signal propagation around the ring (frame -> destination).
+constexpr Time kRingPropagation = usec(50);
+
+}  // namespace
 
 NetworkTraits token_ring_traits(std::string name, int expected_stations,
                                 TokenRingNetwork::RingConfig ring) {
@@ -14,8 +23,8 @@ NetworkTraits token_ring_traits(std::string name, int expected_stations,
   // rotation. It is folded into the propagation figure so the generic
   // quality_limits()/negotiation path prices ring access correctly.
   const Time rotation = static_cast<Time>(expected_stations) *
-                        (ring.token_holding_time + ring.token_pass_time);
-  t.propagation_delay = usec(50) + rotation;
+                        (ring.token_holding_time + kTokenPassTime);
+  t.propagation_delay = kRingPropagation + rotation;
   t.max_packet_bytes = 4096;  // token rings carried larger frames
   t.bit_error_rate = 0.0;
   t.buffer_bytes = 64 * 1024;
@@ -63,7 +72,7 @@ void TokenRingNetwork::detach(HostId host) {
 
 Time TokenRingNetwork::worst_case_rotation() const {
   return static_cast<Time>(stations_.size()) *
-         (ring_.token_holding_time + ring_.token_pass_time);
+         (ring_.token_holding_time + kTokenPassTime);
 }
 
 Time TokenRingNetwork::access_bound() const {
@@ -104,7 +113,7 @@ bool TokenRingNetwork::send(Packet p) {
     // Resume the parked token from where it stopped; it must still walk
     // the ring to reach the sender, paying the true access latency.
     token_moving_ = true;
-    sim_.after(ring_.token_pass_time, [this] { grant(token_at_); });
+    sim_.after(kTokenPassTime, [this] { grant(token_at_); });
   }
   return true;
 }
@@ -131,7 +140,7 @@ void TokenRingNetwork::grant(std::size_t index) {
       break;
     }
     used += frame_tx;
-    sim_.after(used + ring_.ring_propagation,
+    sim_.after(used + kRingPropagation,
                [this, pkt = std::move(*p)]() mutable { deliver(std::move(pkt)); });
     if (used >= ring_.token_holding_time) break;
   }
@@ -139,7 +148,7 @@ void TokenRingNetwork::grant(std::size_t index) {
   // Pass the token once the visit ends.
   const std::size_t next = (index + 1) % stations_.size();
   if (next == 0) ++rotations_;
-  sim_.after(used + ring_.token_pass_time, [this, next] {
+  sim_.after(used + kTokenPassTime, [this, next] {
     token_at_ = next;
     if (ring_has_traffic()) {
       grant(next);

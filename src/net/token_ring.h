@@ -33,11 +33,6 @@ class TokenRingNetwork final : public Network {
   struct RingConfig {
     /// Maximum transmission time per token visit.
     Time token_holding_time = msec(1);
-    /// Token pass latency between adjacent stations (token frame +
-    /// station latency + segment propagation).
-    Time token_pass_time = usec(30);
-    /// Physical signal propagation around the ring (frame -> destination).
-    Time ring_propagation = usec(50);
   };
 
   TokenRingNetwork(sim::Simulator& sim, NetworkTraits traits, std::uint64_t seed,

@@ -10,6 +10,18 @@
 #include <cstring>
 
 namespace dash::net {
+namespace {
+
+/// Datagrams per sendmmsg/recvmmsg call, and recvmmsg batches per readiness
+/// wakeup: one wakeup drains at most kMaxRecvRounds × kBatch datagrams.
+constexpr int kBatch = 32;
+constexpr int kMaxRecvRounds = 16;
+/// Receive buffer per datagram.
+constexpr std::size_t kDatagramBuffer = 2048;
+/// SO_SNDBUF and SO_RCVBUF request per socket.
+constexpr int kSocketBufferBytes = 1 << 20;
+
+}  // namespace
 
 NetworkTraits udp_traits(std::string name) {
   NetworkTraits t;
@@ -43,18 +55,14 @@ bool udp_available() {
   return ok;
 }
 
-UdpNetwork::UdpNetwork(rt::Driver& driver, NetworkTraits traits, UdpConfig cfg)
-    : Network(driver.simulator(), std::move(traits)),
-      driver_(driver),
-      cfg_(cfg) {
-  if (cfg_.batch < 1) cfg_.batch = 1;
-  const auto batch = static_cast<std::size_t>(cfg_.batch);
-  send_msgs_.resize(batch);
-  send_iovs_.resize(batch);
-  recv_bufs_.assign(batch, Bytes(cfg_.datagram_buffer));
-  recv_msgs_.resize(batch);
-  recv_iovs_.resize(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
+UdpNetwork::UdpNetwork(rt::Driver& driver, NetworkTraits traits)
+    : Network(driver.simulator(), std::move(traits)), driver_(driver) {
+  send_msgs_.resize(kBatch);
+  send_iovs_.resize(kBatch);
+  recv_bufs_.assign(kBatch, Bytes(kDatagramBuffer));
+  recv_msgs_.resize(kBatch);
+  recv_iovs_.resize(kBatch);
+  for (std::size_t i = 0; i < recv_bufs_.size(); ++i) {
     recv_iovs_[i] = iovec{recv_bufs_[i].data(), recv_bufs_[i].size()};
     recv_msgs_[i].msg_hdr.msg_iov = &recv_iovs_[i];
     recv_msgs_[i].msg_hdr.msg_iovlen = 1;
@@ -83,10 +91,10 @@ Status UdpNetwork::open_socket(Endpoint& ep, HostId host,
     return make_error(Errc::kInternal,
                       std::string("socket: ") + std::strerror(errno));
   }
-  setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &cfg_.sndbuf_bytes,
-             sizeof(cfg_.sndbuf_bytes));
-  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &cfg_.rcvbuf_bytes,
-             sizeof(cfg_.rcvbuf_bytes));
+  setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &kSocketBufferBytes,
+             sizeof(kSocketBufferBytes));
+  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kSocketBufferBytes,
+             sizeof(kSocketBufferBytes));
   if (bind(fd, reinterpret_cast<const sockaddr*>(&a), sizeof(a)) != 0) {
     const int err = errno;
     close(fd);
@@ -281,10 +289,8 @@ void UdpNetwork::on_readable(HostId host) {
   auto it = endpoints_.find(host);
   if (it == endpoints_.end() || it->second.fd < 0) return;
   const int fd = it->second.fd;
-  const int batch = cfg_.batch;
-  for (int round = 0; round < cfg_.max_recv_rounds; ++round) {
-    const int got =
-        recvmmsg(fd, recv_msgs_.data(), static_cast<unsigned>(batch), 0, nullptr);
+  for (int round = 0; round < kMaxRecvRounds; ++round) {
+    const int got = recvmmsg(fd, recv_msgs_.data(), kBatch, 0, nullptr);
     if (got < 0) {
       if (errno == EINTR) continue;
       if (errno != EAGAIN && errno != EWOULDBLOCK) ++ustats_.recv_errors;
@@ -309,7 +315,7 @@ void UdpNetwork::on_readable(HostId host) {
     // re-check before another recvmmsg round.
     it = endpoints_.find(host);
     if (it == endpoints_.end() || it->second.fd != fd) return;
-    if (got < batch) return;  // drained
+    if (got < kBatch) return;  // drained
   }
 }
 

@@ -45,14 +45,6 @@ NetworkTraits udp_traits(std::string name = "udp");
 /// socket? Tests skip cleanly when it returns false (sandboxed CI).
 bool udp_available();
 
-struct UdpConfig {
-  int batch = 32;                       ///< datagrams per sendmmsg/recvmmsg
-  std::size_t datagram_buffer = 2048;   ///< receive buffer per datagram
-  int sndbuf_bytes = 1 << 20;           ///< SO_SNDBUF request
-  int rcvbuf_bytes = 1 << 20;           ///< SO_RCVBUF request
-  int max_recv_rounds = 16;             ///< recvmmsg batches per wakeup
-};
-
 class UdpNetwork final : public Network {
  public:
   struct UdpStats {
@@ -76,8 +68,7 @@ class UdpNetwork final : public Network {
     std::uint64_t decode_bad_checksum = 0;
   };
 
-  UdpNetwork(rt::Driver& driver, NetworkTraits traits = udp_traits(),
-             UdpConfig cfg = {});
+  explicit UdpNetwork(rt::Driver& driver, NetworkTraits traits = udp_traits());
   ~UdpNetwork() override;
 
   /// Opens a nonblocking UDP socket for `host` bound to ip:port (port 0 =
@@ -129,12 +120,11 @@ class UdpNetwork final : public Network {
   void count_decode_error(udp::DecodeError e);
 
   rt::Driver& driver_;
-  UdpConfig cfg_;
   std::unordered_map<HostId, Endpoint> endpoints_;
   UdpStats ustats_;
-  // sendmmsg/recvmmsg arrays, cfg_.batch slots each, built once. Neither
-  // flush() nor on_readable() re-enters itself, so every socket of this
-  // network can share them; recv_iovs_ point into recv_bufs_ for good.
+  // sendmmsg/recvmmsg arrays, one slot per batched datagram, built once.
+  // Neither flush() nor on_readable() re-enters itself, so every socket of
+  // this network can share them; recv_iovs_ point into recv_bufs_ for good.
   std::vector<mmsghdr> send_msgs_;
   std::vector<iovec> send_iovs_;
   std::vector<Bytes> recv_bufs_;

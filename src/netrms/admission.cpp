@@ -3,6 +3,13 @@
 #include <algorithm>
 
 namespace dash::netrms {
+namespace {
+
+/// Fraction of the media bandwidth deterministic + statistical reservations
+/// may claim; the rest absorbs best-effort traffic and scheduling slack.
+constexpr double kUtilizationLimit = 0.9;
+
+}  // namespace
 
 double AdmissionController::committed_bps(const rms::Params& params) {
   return rms::implied_bandwidth_bytes_per_sec(params) * 8.0;
@@ -19,7 +26,7 @@ double AdmissionController::effective_bps(const rms::Params& params) {
 
 double AdmissionController::bps_headroom() const {
   const double limit =
-      static_cast<double>(config_.bits_per_second) * config_.utilization_limit;
+      static_cast<double>(config_.bits_per_second) * kUtilizationLimit;
   return std::max(0.0, limit - reserved_bps_);
 }
 
@@ -48,7 +55,7 @@ Status AdmissionController::admit(std::uint64_t stream, const rms::Params& param
   }
 
   const double limit =
-      static_cast<double>(config_.bits_per_second) * config_.utilization_limit;
+      static_cast<double>(config_.bits_per_second) * kUtilizationLimit;
   if (reserved_bps_ + need_bps > limit) {
     ++rejected_;
     return make_error(Errc::kAdmissionRejected,

@@ -25,10 +25,6 @@ class AdmissionController {
   struct Config {
     std::uint64_t bits_per_second = 10'000'000;
     std::uint64_t buffer_bytes = 64 * 1024;
-    /// Fraction of the media bandwidth deterministic + statistical
-    /// reservations may claim; the rest absorbs best-effort traffic and
-    /// scheduling slack.
-    double utilization_limit = 0.9;
   };
 
   explicit AdmissionController(Config config) : config_(config) {}

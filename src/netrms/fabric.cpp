@@ -44,7 +44,7 @@ NetRmsFabric::NetRmsFabric(sim::Simulator& sim, net::Network& network)
     : sim_(sim),
       network_(network),
       admission_(AdmissionController::Config{network.traits().bits_per_second,
-                                             network.traits().buffer_bytes, 0.9}) {
+                                             network.traits().buffer_bytes}) {
   network_.on_down([this] {
     fail_all(make_error(Errc::kRmsFailed, "network " + network_.traits().name + " down"));
   });

@@ -8,6 +8,34 @@
 namespace dash::path {
 namespace {
 
+/// Sustained-violation failover: the guarantee ledger's windowed verdict
+/// (per probe tick) must be bad this many consecutive times.
+constexpr int kViolationChecks = 3;
+
+/// Minimum spacing between failover attempts for one stream, so a flapping
+/// network cannot make a stream ping-pong every tick. Channel death
+/// overrides the cooldown (staying is guaranteed loss).
+constexpr Time kFailoverCooldown = msec(500);
+
+/// Smoothing for the probe RTT estimate.
+constexpr double kRttEwmaAlpha = 0.3;
+
+/// Make-before-break (DESIGN.md §12): once the current path shows this
+/// many consecutive probe timeouts (degrading, but not yet unhealthy),
+/// pre-negotiate a replacement channel on the best alternate network in
+/// the background. The eventual failover then commits onto the
+/// already-confirmed channel with no negotiation RTT; if the path recovers
+/// first, the staged channel is torn down instead.
+constexpr int kDegradedAfter = 1;
+
+/// Delay-pressure shedding: watch each watched stream's windowed delay
+/// distribution in the guarantee ledger and migrate it *before* the bound
+/// is violated — when the window's p95 delay exceeds kShedThreshold of the
+/// contracted bound for kShedChecks consecutive ticks while the window is
+/// still miss-free. Violations proper stay with kViolationChecks.
+constexpr double kShedThreshold = 0.85;
+constexpr int kShedChecks = 2;
+
 BytesView name_view(const std::string& name) {
   return BytesView(reinterpret_cast<const std::byte*>(name.data()), name.size());
 }
@@ -224,8 +252,8 @@ void PathManager::on_probe_message(rms::Message msg) {
       const auto rtt_d = static_cast<double>(rtt);
       h.ewma_rtt_ns = h.ewma_rtt_ns < 0
                           ? rtt_d
-                          : config_.rtt_ewma_alpha * rtt_d +
-                                (1.0 - config_.rtt_ewma_alpha) * h.ewma_rtt_ns;
+                          : kRttEwmaAlpha * rtt_d +
+                                (1.0 - kRttEwmaAlpha) * h.ewma_rtt_ns;
       h.consecutive_timeouts = 0;
       ++h.pongs_received;
       ++stats_.pongs_received;
@@ -330,10 +358,10 @@ void PathManager::tick() {
           std::max(ph.delay_pressure_strikes, ms.pressure_strikes);
     }
 
-    if (config_.make_before_break && cur != kNoFabric) {
+    if (cur != kNoFabric) {
       const bool degrading =
-          unhealthy || cur_timeouts >= config_.degraded_after ||
-          ms.pressure_strikes >= config_.shed_checks ||
+          unhealthy || cur_timeouts >= kDegradedAfter ||
+          ms.pressure_strikes >= kShedChecks ||
           fabrics_[cur]->network().down();
       if (degrading) {
         ms.upgrade_pending = false;  // survival outranks going home
@@ -352,10 +380,10 @@ void PathManager::tick() {
     if (now < ms.cooldown_until) continue;
     if (unhealthy) {
       (void)try_failover(ms, "probe-timeout");
-    } else if (ms.bad_verdicts >= config_.violation_checks) {
+    } else if (ms.bad_verdicts >= kViolationChecks) {
       if (try_failover(ms, "guarantee-violation")) ++stats_.violation_failovers;
       ms.bad_verdicts = 0;
-    } else if (ms.pressure_strikes >= config_.shed_checks) {
+    } else if (ms.pressure_strikes >= kShedChecks) {
       // Pre-violation shedding: the path still meets the bound, but its
       // delay distribution says it is about to stop. Move while the move
       // is still hitless.
@@ -421,47 +449,33 @@ void PathManager::consider_upgrade(ManagedStream& ms, std::size_t cur, Time now)
     }
     return;
   }
-  if (ms.home_healthy_ticks < config_.upgrade_after) {
+  if (ms.home_healthy_ticks < kUpgradeAfter) {
     ++ms.home_healthy_ticks;
     return;
   }
 
-  if (config_.make_before_break) {
-    if (st_.staged_fabric(ms.id) == home && st_.rebind_prepared(ms.id)) {
-      ms.failover_started = sim_.now();
-      if (st_.commit_rebind(ms.id).ok()) {
-        ++stats_.upgrades_back;
-        ms.upgrade_pending = false;
-        ms.home_healthy_ticks = 0;
-        ms.cooldown_until = now + config_.failover_cooldown;
-        trace("path.upgrade", "stream " + std::to_string(ms.id) +
-                                  " back home on " + home->traits().name);
-      } else {
-        ms.failover_started = -1;
-      }
-    } else if (st_.staged_fabric(ms.id) != home) {
-      ms.upgrade_pending = true;
-      if (!st_.prepare_rebind(ms.id, *home).ok()) {
-        ++stats_.prepare_failures;
-        ms.upgrade_pending = false;
-        ms.home_healthy_ticks = 0;  // back off a full evaluation round
-      } else {
-        ++stats_.prepares;
-      }
+  // Make-before-break: stage a channel home, commit once it is confirmed.
+  if (st_.staged_fabric(ms.id) == home && st_.rebind_prepared(ms.id)) {
+    ms.failover_started = sim_.now();
+    if (st_.commit_rebind(ms.id).ok()) {
+      ++stats_.upgrades_back;
+      ms.upgrade_pending = false;
+      ms.home_healthy_ticks = 0;
+      ms.cooldown_until = now + kFailoverCooldown;
+      trace("path.upgrade", "stream " + std::to_string(ms.id) +
+                                " back home on " + home->traits().name);
+    } else {
+      ms.failover_started = -1;
     }
-    return;
-  }
-
-  ms.failover_started = sim_.now();
-  if (st_.rebind_stream(ms.id, *home).ok()) {
-    ++stats_.upgrades_back;
-    ms.home_healthy_ticks = 0;
-    ms.cooldown_until = now + config_.failover_cooldown;
-    trace("path.upgrade", "stream " + std::to_string(ms.id) + " back home on " +
-                              home->traits().name);
-  } else {
-    ms.failover_started = -1;
-    ms.home_healthy_ticks = 0;
+  } else if (st_.staged_fabric(ms.id) != home) {
+    ms.upgrade_pending = true;
+    if (!st_.prepare_rebind(ms.id, *home).ok()) {
+      ++stats_.prepare_failures;
+      ms.upgrade_pending = false;
+      ms.home_healthy_ticks = 0;  // back off a full evaluation round
+    } else {
+      ++stats_.prepares;
+    }
   }
 }
 
@@ -495,10 +509,7 @@ bool PathManager::delay_pressure(ManagedStream& ms) {
   // instead of waiting for misses, compare the window's delay p95 against
   // the contracted bound and shed while the guarantee still holds. Runs
   // right after windowed_verdict_bad, which refreshed ms.window_misses.
-  if (!config_.shed_on_delay_pressure || ledger_ == nullptr ||
-      ms.account_id == 0) {
-    return false;
-  }
+  if (ledger_ == nullptr || ms.account_id == 0) return false;
   telemetry::StreamAccount* a = ledger_->find(ms.account_id);
   if (a == nullptr || a->params.delay.type == rms::BoundType::kBestEffort) {
     return false;
@@ -517,7 +528,7 @@ bool PathManager::delay_pressure(ManagedStream& ms) {
       static_cast<double>(a->params.delay.a) +
       static_cast<double>(a->params.delay.b_per_byte) * mean_bytes;
   if (bound_ns <= 0) return false;
-  return p95 > config_.shed_threshold * bound_ns;
+  return p95 > kShedThreshold * bound_ns;
 }
 
 // ---------------------------------------------------------------- failover
@@ -534,7 +545,7 @@ bool PathManager::try_failover(ManagedStream& ms, const char* reason) {
       ++stats_.hitless_switches;
       ms.upgrade_pending = false;
       ms.home_healthy_ticks = 0;
-      ms.cooldown_until = sim_.now() + config_.failover_cooldown;
+      ms.cooldown_until = sim_.now() + kFailoverCooldown;
       trace("path.failover", "stream " + std::to_string(ms.id) + " -> " +
                                  staged->traits().name + " (" + reason +
                                  ", hitless)");
@@ -562,7 +573,7 @@ bool PathManager::try_failover(ManagedStream& ms, const char* reason) {
     ms.failover_started = sim_.now();
     if (st_.rebind_stream(ms.id, *fabrics_[c.idx]).ok()) {
       ++stats_.failovers;
-      ms.cooldown_until = sim_.now() + config_.failover_cooldown;
+      ms.cooldown_until = sim_.now() + kFailoverCooldown;
       trace("path.failover",
             "stream " + std::to_string(ms.id) + " -> " +
                 fabrics_[c.idx]->traits().name + " (" + reason + ")");
@@ -571,7 +582,7 @@ bool PathManager::try_failover(ManagedStream& ms, const char* reason) {
   }
   ms.failover_started = -1;
   ++stats_.failover_failures;
-  ms.cooldown_until = sim_.now() + config_.failover_cooldown;
+  ms.cooldown_until = sim_.now() + kFailoverCooldown;
   trace("path.failover", "stream " + std::to_string(ms.id) +
                              ": no alternate network accepted it (" + reason + ")");
   return false;
@@ -639,8 +650,8 @@ void PathManager::on_data_ack(HostId peer, netrms::NetRmsFabric* fabric,
   const auto rtt_d = static_cast<double>(rtt);
   h.ewma_rtt_ns = h.ewma_rtt_ns < 0
                       ? rtt_d
-                      : config_.rtt_ewma_alpha * rtt_d +
-                            (1.0 - config_.rtt_ewma_alpha) * h.ewma_rtt_ns;
+                      : kRttEwmaAlpha * rtt_d +
+                            (1.0 - kRttEwmaAlpha) * h.ewma_rtt_ns;
   h.consecutive_timeouts = 0;
   h.last_data_ack = sim_.now();
   ++h.data_ack_samples;

@@ -43,6 +43,10 @@ namespace dash::path {
 
 using rms::HostId;
 
+/// Upgrade-back waits for this many consecutive clean probe ticks on the
+/// home path before migrating back (see PathConfig::upgrade_back).
+inline constexpr int kUpgradeAfter = 5;
+
 struct PathConfig {
   /// Master switch: a disabled manager binds nothing, probes nothing, and
   /// never attaches to the ST.
@@ -55,43 +59,12 @@ struct PathConfig {
   Time probe_timeout = msec(150);
   int unhealthy_after = 3;
 
-  /// Sustained-violation failover: the guarantee ledger's windowed verdict
-  /// (per probe tick) must be bad this many consecutive times.
-  int violation_checks = 3;
-
-  /// Minimum spacing between failover attempts for one stream, so a
-  /// flapping network cannot make a stream ping-pong every tick. Channel
-  /// death overrides the cooldown (staying is guaranteed loss).
-  Time failover_cooldown = msec(500);
-
-  /// Smoothing for the probe RTT estimate.
-  double rtt_ewma_alpha = 0.3;
-
-  /// Make-before-break (DESIGN.md §12): when the current path shows
-  /// `degraded_after` consecutive probe timeouts (degrading, but not yet
-  /// unhealthy), pre-negotiate a replacement channel on the best alternate
-  /// network in the background. The eventual failover then commits onto
-  /// the already-confirmed channel with no negotiation RTT; if the path
-  /// recovers first, the staged channel is torn down instead.
-  bool make_before_break = true;
-  int degraded_after = 1;
-
   /// Upgrade-back: after a failover away from the network the stream was
   /// created on, migrate back once the home path answers probes cleanly
-  /// for `upgrade_after` consecutive ticks. Uses the same staged-commit
-  /// machinery, so the return trip is hitless too.
+  /// for kUpgradeAfter consecutive ticks. Uses the same staged-commit
+  /// machinery (make-before-break, DESIGN.md §12), so the return trip is
+  /// hitless too.
   bool upgrade_back = true;
-  int upgrade_after = 5;
-
-  /// Delay-pressure shedding: watch each watched stream's windowed delay
-  /// distribution in the guarantee ledger and migrate it *before* the
-  /// bound is violated — when the window's p95 delay exceeds
-  /// `shed_threshold` of the contracted bound for `shed_checks`
-  /// consecutive ticks while the window is still miss-free. Violations
-  /// proper stay with the violation_checks machinery.
-  bool shed_on_delay_pressure = true;
-  double shed_threshold = 0.85;
-  int shed_checks = 2;
 };
 
 class PathManager final : public st::StreamObserver {
@@ -212,7 +185,7 @@ class PathManager final : public st::StreamObserver {
   /// Upgrade-back evaluation for one stream, run per tick while healthy.
   void consider_upgrade(ManagedStream& ms, std::size_t cur, Time now);
   bool windowed_verdict_bad(ManagedStream& ms);
-  /// True when the last window's delay p95 crossed shed_threshold of the
+  /// True when the last window's delay p95 crossed kShedThreshold of the
   /// stream's contracted bound without yet violating it (window miss-free).
   bool delay_pressure(ManagedStream& ms);
   bool recent_failure(const ProbeHealth& h) const;

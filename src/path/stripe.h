@@ -76,9 +76,6 @@ class StripedStream final : public rms::Rms {
   std::size_t live_subpaths() const;
   std::uint64_t sent_on(std::size_t i) const { return subpaths_.at(i).sent; }
   double subpath_rtt_ns(std::size_t i) const { return subpaths_.at(i).ewma_rtt_ns; }
-  netrms::NetRmsFabric* subpath_fabric(std::size_t i) const {
-    return subpaths_.at(i).fabric;
-  }
   std::size_t inflight() const { return unacked_.size(); }
   const Stats& stats() const { return stats_; }
 

@@ -10,6 +10,10 @@ constexpr std::uint8_t kRequestRetry = 2;
 constexpr std::uint8_t kReply = 3;
 constexpr std::uint8_t kReplyAck = 4;
 
+/// Delay bound targets (A) for the two stream classes of the channel.
+constexpr Time kLowDelayA = msec(10);
+constexpr Time kHighDelayA = msec(500);
+
 /// Request/reply streams of the RKOM channel (§2.5: "initial request and
 /// reply messages in a request/reply protocol should use RMS's with low
 /// delay bound"; retransmissions and acks ride high-delay streams).
@@ -83,11 +87,11 @@ RkomNode::Channel& RkomNode::channel(HostId peer) {
     if (dead) ++stats_.channels_reestablished;
   }
   Channel ch;
-  if (auto low = st_.create(rkom_stream_request(config_.low_delay_a),
+  if (auto low = st_.create(rkom_stream_request(kLowDelayA),
                             Label{peer, kRkomPort})) {
     ch.low = std::move(low).value();
   }
-  if (auto high = st_.create(rkom_stream_request(config_.high_delay_a),
+  if (auto high = st_.create(rkom_stream_request(kHighDelayA),
                              Label{peer, kRkomPort})) {
     ch.high = std::move(high).value();
   }

@@ -33,9 +33,6 @@ inline constexpr rms::PortId kRkomPort = 3;
 struct RkomConfig {
   Time retry_timeout = msec(120);
   int max_retries = 5;
-  /// Delay bound targets for the two stream classes of the channel.
-  Time low_delay_a = msec(10);
-  Time high_delay_a = msec(500);
   /// How long an unacknowledged cached reply survives (at-most-once state).
   Time reply_cache_ttl = sec(10);
 };

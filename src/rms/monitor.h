@@ -12,7 +12,6 @@
 
 #include "rms/params.h"
 #include "rms/rms.h"
-#include "sim/simulator.h"
 #include "util/stats.h"
 
 namespace dash::rms {
@@ -48,31 +47,6 @@ class DelayMonitor {
   double max_ms() { return delays_ns_.max() / 1e6; }
   std::uint64_t misses() const { return misses_; }
 
-  /// Arms a silence watchdog: if no delivery is observed within `window`,
-  /// `on_timeout` fires (once). Each delivery pushes the deadline out by a
-  /// full window — a real cancel + re-arm, so a healthy stream keeps exactly
-  /// one live timer and a torn-down monitor keeps none.
-  void arm_timeout(sim::Simulator& sim, Time window,
-                   std::function<void()> on_timeout) {
-    sim_ = &sim;
-    timeout_window_ = window;
-    on_timeout_ = std::move(on_timeout);
-    ++timeouts_armed_;
-    rearm_watchdog();
-  }
-
-  /// Disarms the watchdog; the pending timer leaves the simulator at once.
-  void disarm() {
-    if (sim_ != nullptr) sim_->cancel(watchdog_);
-    on_timeout_ = nullptr;
-    sim_ = nullptr;
-  }
-
-  std::uint64_t timeouts_fired() const { return timeouts_fired_; }
-  std::uint64_t timeouts_armed() const { return timeouts_armed_; }
-
-  ~DelayMonitor() { disarm(); }
-
  private:
   void observe(Message m) {
     if (m.sent_at >= 0) {
@@ -80,17 +54,7 @@ class DelayMonitor {
       delays_ns_.add(static_cast<double>(delay));
       if (delay > params_.delay.bound_for(m.size())) ++misses_;
     }
-    if (sim_ != nullptr) rearm_watchdog();
     if (next_) next_(std::move(m));
-  }
-
-  void rearm_watchdog() {
-    sim_->cancel(watchdog_);
-    watchdog_ = sim_->timer_after(timeout_window_, [this] {
-      ++timeouts_fired_;
-      sim_ = nullptr;  // one-shot: delivery must re-arm explicitly
-      if (on_timeout_) on_timeout_();
-    });
   }
 
   Params params_;
@@ -98,14 +62,6 @@ class DelayMonitor {
   std::function<void(Message)> next_;
   Samples delays_ns_;
   std::uint64_t misses_ = 0;
-
-  // Silence watchdog (optional).
-  sim::Simulator* sim_ = nullptr;
-  Time timeout_window_ = 0;
-  std::function<void()> on_timeout_;
-  sim::TimerHandle watchdog_;
-  std::uint64_t timeouts_fired_ = 0;
-  std::uint64_t timeouts_armed_ = 0;
 };
 
 }  // namespace dash::rms

@@ -60,7 +60,6 @@ class CpuScheduler {
   Time busy_time() const { return busy_time_; }
   std::uint64_t tasks_completed() const { return completed_; }
   std::uint64_t tasks_submitted() const { return submitted_; }
-  std::size_t queue_length() const { return queue_.size(); }
   CpuPolicy policy() const { return policy_; }
 
  private:

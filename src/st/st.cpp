@@ -27,6 +27,21 @@ rms::Request control_channel_request() {
   return rms::Request{desired, acceptable};
 }
 
+/// Per-stage protocol-processing allowance included in the ST delay bound
+/// (send-side and receive-side, §4.1).
+constexpr Time kCpuStageAllowance = usec(500);
+
+/// Cap on the ST maximum message size (§4.3: "somewhat larger ... may
+/// reduce protocol process context switching and other overhead").
+constexpr std::uint64_t kMaxMessageSize = 64 * 1024;
+
+/// Bounds of the per-stream handoff buffer a reliable ST RMS keeps while a
+/// StreamObserver (the path manager) is attached: unacknowledged messages
+/// retained for replay after a network failover. Overflow evicts the
+/// oldest entry (counted in Stats::handoff_dropped).
+constexpr std::size_t kHandoffMaxMessages = 256;
+constexpr std::size_t kHandoffMaxBytes = 256 * 1024;
+
 std::uint64_t component_nonce(std::uint64_t st_id, std::uint64_t seq,
                               std::uint16_t frag_index) {
   return (st_id << 40) ^ (seq << 8) ^ frag_index;
@@ -147,7 +162,7 @@ Result<SubtransportLayer::StParamsPlan> SubtransportLayer::plan_params(
   const auto& traits = fabric.traits();
   const netrms::CostModel cost;
   const Time window = config_.enable_piggybacking ? config_.piggyback_window : 0;
-  const Time stage = config_.cpu_stage_allowance;
+  const Time stage = kCpuStageAllowance;
 
   StParamsPlan plan;
 
@@ -233,8 +248,8 @@ Result<SubtransportLayer::StParamsPlan> SubtransportLayer::plan_params(
 
   actual.max_message_size = request.desired.max_message_size != 0
                                 ? std::min<std::uint64_t>(request.desired.max_message_size,
-                                                          config_.max_message_size)
-                                : config_.max_message_size;
+                                                          kMaxMessageSize)
+                                : kMaxMessageSize;
   // An ST RMS's capacity is backed by (a share of) the network RMS's
   // capacity: promising more would void the no-overrun property that
   // capacity exists to provide (§4.4).
@@ -1008,8 +1023,8 @@ void SubtransportLayer::emit(StRms& rms, rms::Message msg, std::uint64_t ack_id,
     StRms::HandoffEntry entry{seq, ack_id, msg};  // copy shares the refcounted buffer
     rms.handoff_bytes_ += entry.msg.size();
     rms.handoff_.push_back(std::move(entry));
-    while (rms.handoff_.size() > config_.handoff_max_messages ||
-           rms.handoff_bytes_ > config_.handoff_max_bytes) {
+    while (rms.handoff_.size() > kHandoffMaxMessages ||
+           rms.handoff_bytes_ > kHandoffMaxBytes) {
       rms.handoff_bytes_ -= rms.handoff_.front().msg.size();
       rms.handoff_.pop_front();
       ++stats_.handoff_dropped;
@@ -1326,7 +1341,7 @@ void SubtransportLayer::flush_channel(Channel& ch) {
 
 void SubtransportLayer::on_control_message(rms::Message msg) {
   const netrms::CostModel cost;
-  cpu_.submit(sim_.now() + config_.cpu_stage_allowance,
+  cpu_.submit(sim_.now() + kCpuStageAllowance,
               cost.message_cost(msg.size(), false, false, false),
               [this, msg = std::move(msg)]() mutable { handle_control(std::move(msg)); });
 }
@@ -1537,7 +1552,7 @@ void SubtransportLayer::on_data_message(rms::Message msg) {
                                     (*flags & kMac) != 0);
     }
   }
-  cpu_.submit(sim_.now() + config_.cpu_stage_allowance, cpu_cost,
+  cpu_.submit(sim_.now() + kCpuStageAllowance, cpu_cost,
               [this, msg = std::move(msg)]() mutable { handle_data(std::move(msg)); });
 }
 

@@ -53,16 +53,8 @@ struct StConfig {
   /// RMS delay bounds, §4.2).
   Time piggyback_window = msec(2);
 
-  /// Per-stage protocol-processing allowance included in the ST delay
-  /// bound (send-side and receive-side, §4.1).
-  Time cpu_stage_allowance = usec(500);
-
   /// How long an idle network RMS stays cached before deletion (§4.2).
   Time cache_idle_timeout = sec(5);
-
-  /// Cap on the ST maximum message size (§4.3: "somewhat larger ... may
-  /// reduce protocol process context switching and other overhead").
-  std::uint64_t max_message_size = 64 * 1024;
 
   bool enable_piggybacking = true;
   bool enable_caching = true;
@@ -79,13 +71,6 @@ struct StConfig {
   /// its capacity must cover the sum of the ST capacities). Deterministic
   /// streams are never over-provisioned (reservations are exact).
   std::uint64_t mux_provision_factor = 4;
-
-  /// Bounds of the per-stream handoff buffer a reliable ST RMS keeps while
-  /// a StreamObserver (the path manager) is attached: unacknowledged
-  /// messages retained for replay after a network failover. Overflow
-  /// evicts the oldest entry (counted in Stats::handoff_dropped).
-  std::size_t handoff_max_messages = 256;
-  std::size_t handoff_max_bytes = 256 * 1024;
 };
 
 class StRms;
@@ -171,9 +156,6 @@ class StRms final : public rms::Rms {
   /// The original creation request; failover renegotiates against its
   /// acceptable set (§2.4).
   const rms::Request& request() const { return request_; }
-
-  /// Messages currently retained for failover replay (tests/telemetry).
-  std::size_t handoff_depth() const { return handoff_.size(); }
 
   /// True between a rebind and the peer's re-establishment confirmation.
   bool rebinding() const { return rebinding_; }

@@ -103,15 +103,17 @@ class RateBasedEnforcer final : public CapacityEnforcer {
 /// averaging window. A source that honors its declaration is never
 /// delayed; one that exceeds it is shaped back to the declared envelope —
 /// which is precisely what statistical admission (netrms/admission.h)
-/// assumed when it multiplexed the stream.
+/// assumed when it multiplexed the stream. The depth is floored at the
+/// RMS's max_message_size: a send never exceeds it, and a shallower bucket
+/// could never hold enough tokens for a full-size message.
 class TokenBucketEnforcer final : public CapacityEnforcer {
  public:
-  TokenBucketEnforcer(sim::Simulator& sim, const rms::Params& params,
-                      Time averaging_window = msec(100))
+  TokenBucketEnforcer(sim::Simulator& sim, const rms::Params& params)
       : sim_(sim),
         rate_bytes_per_sec_(params.statistical.average_load_bps / 8.0),
-        depth_(std::max(1.0, params.statistical.burstiness * rate_bytes_per_sec_ *
-                                 to_seconds(averaging_window))),
+        depth_(std::max(static_cast<double>(params.max_message_size),
+                        params.statistical.burstiness * rate_bytes_per_sec_ *
+                            to_seconds(kAveragingWindow))),
         tokens_(depth_),
         last_refill_(sim.now()) {}
 
@@ -137,6 +139,8 @@ class TokenBucketEnforcer final : public CapacityEnforcer {
   double depth() const { return depth_; }
 
  private:
+  static constexpr Time kAveragingWindow = msec(100);
+
   void refill() {
     const Time now = sim_.now();
     tokens_ = std::min(depth_, tokens_ + rate_bytes_per_sec_ *

@@ -14,6 +14,11 @@ constexpr std::uint8_t kAck = 2;
 /// Data message: kind + seq + ack port; ack: kind + cumulative seq + window.
 constexpr std::size_t kDataHeaderBytes = 1 + 8 + 8;
 
+/// Reliable streams bound un-cum-acknowledged data so a single loss cannot
+/// make the sender outrun the receiver's reorder buffer. Should not exceed
+/// the peer's StreamConfig::receive_buffer.
+constexpr std::size_t kReliableWindow = 32 * 1024;
+
 }  // namespace
 
 const char* capacity_mode_name(CapacityMode m) {
@@ -246,10 +251,8 @@ StreamSender::StreamSender(st::SubtransportLayer& st, rms::PortRegistry& ports,
       // Model-based enforcement (DESIGN.md §13): fast acks double as
       // delivery-rate samples, sends are paced at the model rate, and
       // gateway source quench cuts the rate directly.
-      auto model = std::make_unique<cc::ModelEnforcer>(sim_, data_rms_->params(),
-                                                       config_.cc);
+      auto model = std::make_unique<cc::ModelEnforcer>(sim_, data_rms_->params());
       model_ = model.get();
-      model_->on_ready([this] { pump(); });
       if (data_st_ != nullptr) {
         data_st_->on_fast_ack([this](std::uint64_t seq) { on_fast_ack(seq); });
         data_st_->on_congestion([this] {
@@ -262,7 +265,6 @@ StreamSender::StreamSender(st::SubtransportLayer& st, rms::PortRegistry& ports,
     }
   }
 
-  rack_ = cc::RackState(config_.cc.rack);
   current_rto_ = base_rto();
   // Until the first ack advertises the real window, assume only one
   // message fits — the receiver's buffer size is not knowable in advance.
@@ -314,25 +316,21 @@ void StreamSender::pump() {
         flight_bytes_ + chunk_size > receiver_window_) {
       return;  // resumed by the next ack's window advertisement
     }
-    if (config_.reliable && flight_bytes_ + chunk_size > config_.reliable_window) {
+    if (config_.reliable && flight_bytes_ + chunk_size > kReliableWindow) {
       return;  // resumed when a cumulative ack frees the window
     }
     if (enforcer_ != nullptr && !enforcer_->can_send(chunk_size)) {
+      // Rate-, bucket- or pace-blocked: wake at the known release time.
+      // Window-bound (kTimeNever): only a fast ack can unblock.
       const Time when = enforcer_->next_allowed(chunk_size);
-      if (when != kTimeNever) {
-        if (model_ != nullptr) {
-          // Pace-blocked: the pacer owns the (cancellable) wake timer and
-          // re-enters pump through on_ready at the next release time.
-          model_->schedule_wake(chunk_size);
-        } else if (!pump_scheduled_) {
-          pump_scheduled_ = true;
-          pump_timer_ = sim_.timer_at(when, [this] {
-            pump_scheduled_ = false;
-            pump();
-          });
-        }
+      if (when != kTimeNever && !pump_scheduled_) {
+        pump_scheduled_ = true;
+        pump_timer_ = sim_.timer_at(when, [this] {
+          pump_scheduled_ = false;
+          pump();
+        });
       }
-      return;  // rate window full, or waiting for a fast ack
+      return;
     }
     send_chunk(port_.read(chunk_size));
   }

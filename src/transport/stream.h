@@ -72,14 +72,6 @@ struct StreamConfig {
   Time min_rto = msec(50);
   Time max_rto = sec(5);
 
-  /// Congestion-control knobs for CapacityMode::kModel.
-  cc::Config cc;
-
-  /// Reliable streams bound un-cum-acknowledged data so a single loss
-  /// cannot make the sender outrun the receiver's reorder buffer. Should
-  /// not exceed the peer's receive_buffer.
-  std::size_t reliable_window = 32 * 1024;
-
   /// If true, received in-order data is handed to on_data immediately and
   /// its buffer space freed (a fast receiving client). If false, data sits
   /// in the receive buffer until read() — a slow client, which is what
@@ -188,7 +180,6 @@ class StreamSender {
 
   const Stats& stats() const { return stats_; }
   const rms::Params& data_params() const { return data_rms_->params(); }
-  std::size_t unacked_bytes() const { return flight_bytes_; }
 
   /// Bytes currently outstanding against the RMS capacity (§2.2's "sent
   /// but not yet delivered"), when ack-based enforcement is active.
@@ -249,7 +240,7 @@ class StreamSender {
   std::size_t flight_bytes_ = 0;
   std::uint64_t receiver_window_ = ~0ull;
   sim::TimerHandle rto_timer_;  ///< guards the oldest unacked message
-  sim::TimerHandle pump_timer_; ///< pacer/rate wake-up for a blocked pump
+  sim::TimerHandle pump_timer_; ///< wake-up for a rate-, bucket- or pace-blocked pump
   Time current_rto_ = 0;
   cc::RttEstimator rtt_;        ///< SRTT/RTTVAR for the adaptive RTO
   cc::RackState rack_;          ///< time-based loss detection (kModel)

@@ -190,7 +190,6 @@ class BufferWriter {
   void patch_u8(std::size_t at, std::uint8_t v) {
     buf_[at] = static_cast<std::byte>(v);
   }
-  void patch_u32(std::size_t at, std::uint32_t v) { patch(at, v, 4); }
   void patch_u64(std::size_t at, std::uint64_t v) { patch(at, v, 8); }
 
   /// Mutable view of an already-written region; invalidated by the next

@@ -7,6 +7,9 @@
 namespace dash::workload {
 namespace {
 
+/// Payload of every flash-crowd packet.
+constexpr std::size_t kPacketBytes = 512;
+
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -55,7 +58,7 @@ void FlashCrowd::send_one(int source, net::HostId target, std::uint64_t stream) 
   p.src = topo_.hosts[static_cast<std::size_t>(source)];
   p.dst = target;
   p.stream = stream;
-  p.payload = Bytes(config_.packet_bytes, std::byte{0xC7});
+  p.payload = Bytes(kPacketBytes, std::byte{0xC7});
   ++sent_;
   topo_.net->send(std::move(p));
   sim_.after(config_.interval,

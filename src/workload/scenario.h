@@ -16,13 +16,12 @@
 
 namespace dash::workload {
 
-/// Flash crowd: many sources pace packets at one (or a few) target hosts,
-/// phase-staggered per source so transmissions interleave rather than
-/// synchronize. The canonical stress for ECMP spread and drop accounting.
+/// Flash crowd: many sources pace 512-byte packets at one (or a few) target
+/// hosts, phase-staggered per source so transmissions interleave rather
+/// than synchronize. The canonical stress for ECMP spread and drop accounting.
 struct FlashCrowdConfig {
   int sources = 64;          ///< first N topology hosts (target excluded)
   int targets = 1;           ///< last M topology hosts receive the crowd
-  std::size_t packet_bytes = 512;
   Time interval = msec(1);   ///< per-source send period
   Time duration = msec(200);
   std::uint64_t seed = 7;    ///< phase stagger + stream ids

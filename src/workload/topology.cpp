@@ -22,6 +22,28 @@ InternetTopology::region_uplinks(std::uint32_t region) const {
 
 namespace {
 
+/// Every generated router and link queues by deadline.
+constexpr net::Discipline kDiscipline = net::Discipline::kDeadline;
+
+// Fat tree: one host per edge switch, 10 Gb/s trunks, 1 Gb/s access.
+constexpr int kFatTreeHostsPerEdge = 1;
+constexpr std::uint64_t kFatTreeTrunkBps = 10'000'000'000;
+constexpr Time kFatTreeTrunkDelay = usec(5);
+constexpr std::uint64_t kFatTreeAccessBps = 1'000'000'000;
+constexpr Time kFatTreeAccessDelay = usec(2);
+constexpr std::uint64_t kFatTreeBufferBytes = 256 * 1024;
+constexpr Time kFatTreeProcessingDelay = usec(1);
+
+// WAN mesh: two hosts per region, 1 Gb/s inside a region, OC-3 class
+// trunks between regions.
+constexpr int kWanHostsPerRegion = 2;
+constexpr std::uint64_t kWanIntraBps = 1'000'000'000;
+constexpr Time kWanIntraDelay = usec(200);
+constexpr std::uint64_t kWanInterBps = 155'000'000;
+constexpr Time kWanInterDelay = msec(5);
+constexpr std::uint64_t kWanBufferBytes = 128 * 1024;
+constexpr Time kWanProcessingDelay = usec(5);
+
 net::NetworkTraits generated_traits(std::string name, std::uint64_t trunk_bps,
                                     Time trunk_delay, std::uint64_t buffer) {
   net::NetworkTraits t;
@@ -37,13 +59,12 @@ net::NetworkTraits generated_traits(std::string name, std::uint64_t trunk_bps,
 }
 
 net::SimplexLink::Config link_config(std::uint64_t bps, Time delay,
-                                     std::uint64_t buffer,
-                                     net::Discipline discipline) {
+                                     std::uint64_t buffer) {
   net::SimplexLink::Config c;
   c.bits_per_second = bps;
   c.propagation_delay = delay;
   c.bit_error_rate = 0.0;
-  c.discipline = discipline;
+  c.discipline = kDiscipline;
   c.buffer_bytes = buffer;
   return c;
 }
@@ -57,14 +78,14 @@ InternetTopology build_fat_tree(sim::Simulator& sim, const FatTreeConfig& cfg) {
   InternetTopology topo;
   topo.net = std::make_unique<net::InternetNetwork>(
       sim,
-      generated_traits("fattree", cfg.trunk_bps, cfg.trunk_delay,
-                       cfg.buffer_bytes),
-      cfg.seed, cfg.discipline);
+      generated_traits("fattree", kFatTreeTrunkBps, kFatTreeTrunkDelay,
+                       kFatTreeBufferBytes),
+      cfg.seed, kDiscipline);
   net::InternetNetwork& n = *topo.net;
-  const auto trunk = link_config(cfg.trunk_bps, cfg.trunk_delay,
-                                 cfg.buffer_bytes, cfg.discipline);
-  const auto access = link_config(cfg.access_bps, cfg.access_delay,
-                                  cfg.buffer_bytes, cfg.discipline);
+  const auto trunk =
+      link_config(kFatTreeTrunkBps, kFatTreeTrunkDelay, kFatTreeBufferBytes);
+  const auto access =
+      link_config(kFatTreeAccessBps, kFatTreeAccessDelay, kFatTreeBufferBytes);
 
   auto add_trunk = [&](InternetTopology::RouterId a,
                        InternetTopology::RouterId b) {
@@ -75,7 +96,7 @@ InternetTopology build_fat_tree(sim::Simulator& sim, const FatTreeConfig& cfg) {
   // Core switches form region 0; pod p is region p + 1.
   topo.regions = static_cast<std::uint32_t>(cfg.k) + 1;
   for (int i = 0; i < half * half; ++i) {
-    topo.core.push_back(n.add_router(cfg.processing_delay, 0));
+    topo.core.push_back(n.add_router(kFatTreeProcessingDelay, 0));
     topo.router_region.push_back(0);
   }
   net::HostId next_host = 1;
@@ -83,12 +104,12 @@ InternetTopology build_fat_tree(sim::Simulator& sim, const FatTreeConfig& cfg) {
     std::vector<InternetTopology::RouterId> pod_agg, pod_edge;
     for (int i = 0; i < half; ++i) {
       pod_agg.push_back(
-          n.add_router(cfg.processing_delay, static_cast<std::uint32_t>(pod) + 1));
+          n.add_router(kFatTreeProcessingDelay, static_cast<std::uint32_t>(pod) + 1));
       topo.router_region.push_back(pod + 1);
     }
     for (int i = 0; i < half; ++i) {
       pod_edge.push_back(
-          n.add_router(cfg.processing_delay, static_cast<std::uint32_t>(pod) + 1));
+          n.add_router(kFatTreeProcessingDelay, static_cast<std::uint32_t>(pod) + 1));
       topo.router_region.push_back(pod + 1);
     }
     for (int e = 0; e < half; ++e) {
@@ -99,7 +120,7 @@ InternetTopology build_fat_tree(sim::Simulator& sim, const FatTreeConfig& cfg) {
       for (int c = 0; c < half; ++c) add_trunk(pod_agg[a], topo.core[a * half + c]);
     }
     for (int e = 0; e < half; ++e) {
-      for (int h = 0; h < cfg.hosts_per_edge; ++h) {
+      for (int h = 0; h < kFatTreeHostsPerEdge; ++h) {
         n.attach_host(next_host, pod_edge[e], access);
         topo.hosts.push_back(next_host);
         ++next_host;
@@ -117,15 +138,12 @@ InternetTopology build_wan_mesh(sim::Simulator& sim, const WanMeshConfig& cfg) {
   topo.regions = cfg.regions;
   topo.net = std::make_unique<net::InternetNetwork>(
       sim,
-      generated_traits("wanmesh", cfg.inter_bps, cfg.inter_delay,
-                       cfg.buffer_bytes),
-      cfg.seed, cfg.discipline);
+      generated_traits("wanmesh", kWanInterBps, kWanInterDelay, kWanBufferBytes),
+      cfg.seed, kDiscipline);
   net::InternetNetwork& n = *topo.net;
   if (cfg.use_areas) n.enable_areas(true);
-  const auto intra = link_config(cfg.intra_bps, cfg.intra_delay,
-                                 cfg.buffer_bytes, cfg.discipline);
-  const auto inter = link_config(cfg.inter_bps, cfg.inter_delay,
-                                 cfg.buffer_bytes, cfg.discipline);
+  const auto intra = link_config(kWanIntraBps, kWanIntraDelay, kWanBufferBytes);
+  const auto inter = link_config(kWanInterBps, kWanInterDelay, kWanBufferBytes);
 
   Rng rng(cfg.seed);
   // Duplicate-trunk guard: the engine wants one link per router pair.
@@ -149,7 +167,7 @@ InternetTopology build_wan_mesh(sim::Simulator& sim, const WanMeshConfig& cfg) {
   std::vector<std::vector<InternetTopology::RouterId>> members(cfg.regions);
   for (std::uint32_t r = 0; r < cfg.regions; ++r) {
     for (int i = 0; i < cfg.routers_per_region; ++i) {
-      members[r].push_back(n.add_router(cfg.processing_delay, r));
+      members[r].push_back(n.add_router(kWanProcessingDelay, r));
       topo.router_region.push_back(r);
     }
     // Ring for guaranteed intra-region connectivity, then random chords.
@@ -189,13 +207,11 @@ InternetTopology build_wan_mesh(sim::Simulator& sim, const WanMeshConfig& cfg) {
     }
   }
   // Hosts hang off seeded-random routers in their region.
-  const auto host_access = link_config(cfg.intra_bps, cfg.intra_delay,
-                                       cfg.buffer_bytes, cfg.discipline);
   net::HostId next_host = 1;
   for (std::uint32_t r = 0; r < cfg.regions; ++r) {
-    for (int h = 0; h < cfg.hosts_per_region; ++h) {
+    for (int h = 0; h < kWanHostsPerRegion; ++h) {
       n.attach_host(next_host, members[r][rng.next() % members[r].size()],
-                    host_access);
+                    intra);
       topo.hosts.push_back(next_host);
       ++next_host;
     }

@@ -37,19 +37,13 @@ struct InternetTopology {
 
 /// k-ary fat-tree datacenter: (k/2)² core switches, k pods of k/2
 /// aggregation + k/2 edge switches, full edge↔agg bipartite graphs per
-/// pod, agg i wired to core group i. Every inter-pod route has (k/2)²
-/// equal-cost choices — the canonical ECMP workload. k=30 ⇒ 1125 routers.
+/// pod, agg i wired to core group i, one host per edge switch. Every
+/// inter-pod route has (k/2)² equal-cost choices — the canonical ECMP
+/// workload. k=30 ⇒ 1125 routers. Link speeds and delays are fixed in
+/// topology.cpp: 10 Gb/s trunks, 1 Gb/s host access.
 struct FatTreeConfig {
   int k = 8;  ///< even; pods = k
-  int hosts_per_edge = 1;
   std::uint64_t seed = 1;
-  net::Discipline discipline = net::Discipline::kDeadline;
-  std::uint64_t trunk_bps = 10'000'000'000;
-  Time trunk_delay = usec(5);
-  std::uint64_t access_bps = 1'000'000'000;
-  Time access_delay = usec(2);
-  std::uint64_t buffer_bytes = 256 * 1024;
-  Time processing_delay = usec(1);
 };
 InternetTopology build_fat_tree(sim::Simulator& sim, const FatTreeConfig& cfg);
 
@@ -57,22 +51,16 @@ InternetTopology build_fat_tree(sim::Simulator& sim, const FatTreeConfig& cfg);
 /// chords; regions join into a ring (with second-neighbor chords for path
 /// diversity) over a configurable number of trunk pairs. With use_areas
 /// the region id doubles as the routing area, exercising the hierarchical
-/// tables. 25 regions × 40 routers ⇒ 1000 routers.
+/// tables. Two hosts per region. 25 regions × 40 routers ⇒ 1000 routers.
+/// Link speeds and delays are fixed in topology.cpp: 1 Gb/s inside a
+/// region, OC-3 class (155 Mb/s, 5 ms) between regions.
 struct WanMeshConfig {
   std::uint32_t regions = 8;
   int routers_per_region = 8;
   int intra_chords = 4;   ///< extra random intra-region trunks per region
   int inter_trunks = 2;   ///< trunk pairs between ring-adjacent regions
-  int hosts_per_region = 2;
   bool use_areas = false;
   std::uint64_t seed = 1;
-  net::Discipline discipline = net::Discipline::kDeadline;
-  std::uint64_t intra_bps = 1'000'000'000;
-  Time intra_delay = usec(200);
-  std::uint64_t inter_bps = 155'000'000;  // OC-3 class
-  Time inter_delay = msec(5);
-  std::uint64_t buffer_bytes = 128 * 1024;
-  Time processing_delay = usec(5);
 };
 InternetTopology build_wan_mesh(sim::Simulator& sim, const WanMeshConfig& cfg);
 

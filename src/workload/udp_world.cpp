@@ -3,13 +3,9 @@
 namespace dash::workload {
 
 UdpLoopbackWorld::UdpLoopbackWorld(UdpWorldConfig cfg) {
-  add_network(std::make_unique<net::UdpNetwork>(driver, cfg.traits, cfg.udp));
-  if (cfg.with_path_manager) {
-    add_network(std::make_unique<net::UdpNetwork>(driver, cfg.traits, cfg.udp));
-  }
-  for (int i = 1; i <= cfg.hosts; ++i) {
-    add_node(static_cast<rms::HostId>(i), {.st = cfg.st_config, .path = cfg.path_config});
-  }
+  add_network(std::make_unique<net::UdpNetwork>(driver));
+  if (cfg.with_path_manager) add_network(std::make_unique<net::UdpNetwork>(driver));
+  for (rms::HostId id : node::host_ids(2)) add_node(id, {.path = cfg.path_config});
 }
 
 UdpLoopbackWorld::~UdpLoopbackWorld() {

@@ -1,6 +1,6 @@
 // Real-endpoint loopback topology (DESIGN.md §16).
 //
-// N full node stacks on ONE shared UdpNetwork over 127.0.0.1. Each
+// Two full node stacks on ONE shared UdpNetwork over 127.0.0.1. Each
 // registered host gets its own kernel socket (ephemeral port), so every
 // packet genuinely crosses the kernel loopback path; the single
 // network/fabric pair exists because stream state (netrms negotiation)
@@ -13,15 +13,10 @@
 #include "node/world.h"
 #include "path/path.h"
 #include "rt/driver.h"
-#include "st/st.h"
 
 namespace dash::workload {
 
 struct UdpWorldConfig {
-  int hosts = 2;
-  net::NetworkTraits traits = net::udp_traits();
-  net::UdpConfig udp = {};
-  st::StConfig st_config = {};
   /// Also builds a second UdpNetwork/fabric pair (`media[1]`): a second
   /// "NIC" on 127.0.0.1 with its own sockets. A node gets a path manager
   /// only with two networks (nowhere to fail over otherwise), so
@@ -30,8 +25,9 @@ struct UdpWorldConfig {
   path::PathConfig path_config = {};
 };
 
-/// The live loopback harness: build it, create streams through st(id),
-/// then run `driver` until the workload's done-condition holds.
+/// The live loopback harness: hosts 1 and 2, each with the default ST
+/// configuration. Build it, create streams through st(id), then run
+/// `driver` until the workload's done-condition holds.
 struct UdpLoopbackWorld : node::World<net::UdpNetwork> {
   rt::Driver driver{sim};
 

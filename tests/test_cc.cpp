@@ -1,7 +1,7 @@
 // Tests for the model-based congestion-control subsystem (DESIGN.md §13):
 // the delivery-rate sampler, min-RTT filter and RTO estimator, the
 // BBR-flavored bandwidth model and its source-quench response, the pacer's
-// schedule and wake path, RACK loss marking, and the ModelEnforcer wired
+// schedule, RACK loss marking, and the ModelEnforcer wired
 // into a transport stream — including seeded determinism and the
 // keep-the-deterministic-class-clean property the C8 bench gates.
 #include <gtest/gtest.h>
@@ -112,7 +112,7 @@ TEST(DeliveryRateSampler, KarnAmbiguityAndLateAcksYieldNoSample) {
 
 // -------------------------------------------------------------------- Pacer
 
-TEST(Pacer, SpreadsSendsAtRateAndWakesOnce) {
+TEST(Pacer, SpreadsSendsAtRate) {
   sim::Simulator sim;
   Pacer p(sim);
   p.set_rate(1e6);  // 1 MB/s: 1000 bytes = 1 ms of schedule
@@ -120,14 +120,7 @@ TEST(Pacer, SpreadsSendsAtRateAndWakesOnce) {
   p.note_sent(1000);
   EXPECT_FALSE(p.can_send(1000));
   EXPECT_EQ(p.next_allowed(1000), msec(1));
-
-  int woken = 0;
-  p.on_ready([&] { ++woken; });
-  p.schedule_wake(1000);
-  p.schedule_wake(1000);  // coalesced: one armed timer, one callback
-  EXPECT_TRUE(p.wake_armed());
   sim.run_until(msec(2));
-  EXPECT_EQ(woken, 1);
   EXPECT_TRUE(p.can_send(1000));
 }
 
@@ -221,8 +214,7 @@ TEST(BandwidthModel, QuenchCutsRateEndsStartupAndRecovers) {
 }
 
 TEST(BandwidthModel, ProbeBwCyclesGainsDeterministically) {
-  ModelConfig cfg;
-  BandwidthModel a(cfg), b(cfg);
+  BandwidthModel a, b;
   std::uint64_t delivered = 0;
   Time now = 0;
   for (int i = 0; i < 40; ++i) {

@@ -741,7 +741,6 @@ TEST(TokenRing, AccessDelayBoundedByRotationUnderSaturation) {
   sim::Simulator sim;
   TokenRingNetwork::RingConfig cfg;
   cfg.token_holding_time = msec(1);
-  cfg.token_pass_time = usec(30);
   TokenRingNetwork ring(sim, token_ring_traits("ring", 4, cfg), 1, cfg);
 
   constexpr int kStations = 4;

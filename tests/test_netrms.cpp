@@ -244,7 +244,7 @@ rms::Params deterministic_params(std::uint64_t capacity, Time delay_a) {
 }
 
 TEST(Admission, BestEffortNeverRejected) {
-  AdmissionController ac({1'000'000, 1024, 0.9});
+  AdmissionController ac({1'000'000, 1024});
   rms::Params p;
   p.delay.type = rms::BoundType::kBestEffort;
   p.capacity = 1 << 30;  // absurd demands
@@ -258,7 +258,7 @@ TEST(Admission, BestEffortNeverRejected) {
 TEST(Admission, DeterministicReservesAndExhausts) {
   // Each RMS commits C/D = 64KB / 100ms = 5.24 Mb/s; a 10 Mb/s segment at
   // 90% utilization fits exactly one.
-  AdmissionController ac({10'000'000, 1 << 20, 0.9});
+  AdmissionController ac({10'000'000, 1 << 20});
   const auto p = deterministic_params(64 * 1024, msec(100));
   EXPECT_TRUE(ac.admit(1, p).ok());
   EXPECT_GT(ac.reserved_bps(), 0.0);
@@ -269,7 +269,7 @@ TEST(Admission, DeterministicReservesAndExhausts) {
 }
 
 TEST(Admission, ReleaseFreesResources) {
-  AdmissionController ac({10'000'000, 1 << 20, 0.9});
+  AdmissionController ac({10'000'000, 1 << 20});
   const auto p = deterministic_params(64 * 1024, msec(100));
   ASSERT_TRUE(ac.admit(1, p).ok());
   ASSERT_FALSE(ac.admit(2, p).ok());
@@ -278,14 +278,14 @@ TEST(Admission, ReleaseFreesResources) {
 }
 
 TEST(Admission, BufferExhaustionRejects) {
-  AdmissionController ac({1'000'000'000, 10'000, 0.9});
+  AdmissionController ac({1'000'000'000, 10'000});
   auto p = deterministic_params(8'000, sec(10));  // tiny bandwidth, big buffer
   EXPECT_TRUE(ac.admit(1, p).ok());
   EXPECT_FALSE(ac.admit(2, p).ok());  // 16'000 > 10'000 buffer
 }
 
 TEST(Admission, StatisticalUsesEffectiveBandwidth) {
-  AdmissionController ac({10'000'000, 1 << 20, 0.9});
+  AdmissionController ac({10'000'000, 1 << 20});
   rms::Params p;
   p.capacity = 64 * 1024;
   p.max_message_size = 512;
@@ -305,8 +305,8 @@ TEST(Admission, StatisticalAdmitsMoreThanDeterministic) {
   // The multiplexing gain the paper anticipates: statistical declarations
   // admit more streams than worst-case deterministic reservations.
   const std::uint64_t bps = 10'000'000;
-  AdmissionController det({bps, 1 << 24, 0.9});
-  AdmissionController stat({bps, 1 << 24, 0.9});
+  AdmissionController det({bps, 1 << 24});
+  AdmissionController stat({bps, 1 << 24});
 
   const auto dp = deterministic_params(32 * 1024, msec(100));  // ~2.6 Mb/s each
   int det_admitted = 0;
@@ -744,7 +744,7 @@ namespace dash::netrms {
 namespace {
 
 TEST(Admission, HeadroomShrinksWithGrants) {
-  AdmissionController ac({10'000'000, 1 << 20, 0.9});
+  AdmissionController ac({10'000'000, 1 << 20});
   const double before = ac.bps_headroom();
   EXPECT_NEAR(before, 9e6, 1.0);
   rms::Params p;

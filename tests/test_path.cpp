@@ -516,9 +516,9 @@ TEST(Path, UpgradesBackToHomeNetworkAfterRecovery) {
   EXPECT_GE(world.node(1).path->stats().failovers, 1u);
 
   // Bounded return: healed at 4 s, the stream must be home within
-  // upgrade_after clean ticks plus staging/commit slack.
+  // kUpgradeAfter clean ticks plus staging/commit slack.
   const PathConfig& pc = world.node(1).path->config();
-  world.sim.run_until(sec(4) + pc.probe_interval * (pc.upgrade_after + 4));
+  world.sim.run_until(sec(4) + pc.probe_interval * (kUpgradeAfter + 4));
   EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric)
       << "stream did not migrate home within the bounded window";
   EXPECT_GE(world.node(1).path->stats().upgrades_back, 1u);

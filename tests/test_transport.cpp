@@ -436,7 +436,9 @@ TEST(TokenBucket, BurstUpToDepthPassesAtOnce) {
 
 TEST(TokenBucket, NextAllowedPredictsRefill) {
   sim::Simulator sim;
-  TokenBucketEnforcer tb(sim, statistical_params(80'000, 1.0));  // depth 1000
+  // The declared 1000-byte depth is floored at max_message_size: 1024.
+  TokenBucketEnforcer tb(sim, statistical_params(80'000, 1.0));
+  EXPECT_EQ(tb.depth(), 1024.0);
   while (tb.can_send(1000)) tb.note_sent(1000);
   const Time when = tb.next_allowed(1000);
   EXPECT_GT(when, sim.now());
@@ -472,10 +474,9 @@ TEST(TokenBucket, EnvelopePropertyUnderRandomTraffic) {
   }
 }
 
-TEST(TokenBucket, StreamIntegration) {
-  // A statistical stream shaped by its own declaration: the transfer rate
-  // converges to the declared average even though the client writes as
-  // fast as it can.
+/// Bytes a token-bucket stream declaring (load_bps, burstiness) delivers in
+/// 10 simulated seconds while its client writes as fast as it can.
+std::size_t shaped_bytes_in_10s(double load_bps, double burstiness) {
   auto world = dash::testing::st_world(2);
   StreamConfig cfg;
   cfg.capacity = CapacityMode::kTokenBucket;
@@ -485,15 +486,16 @@ TEST(TokenBucket, StreamIntegration) {
   auto request = bulk_data_request(32 * 1024, 1024);
   request.desired.delay.type = rms::BoundType::kStatistical;
   request.acceptable.delay.type = rms::BoundType::kBestEffort;
-  request.desired.statistical.average_load_bps = 400'000;  // 50 KB/s
-  request.desired.statistical.burstiness = 2.0;
+  request.desired.statistical.average_load_bps = load_bps;
+  request.desired.statistical.burstiness = burstiness;
   request.desired.statistical.delay_probability = 0.95;
 
   StreamReceiver rx(world.st(2), world.node(2).ports, 60, cfg);
   std::size_t got = 0;
   rx.on_data([&](Bytes b) { got += b.size(); });
   StreamSender tx(world.st(1), world.node(1).ports, {2, 60}, cfg, request);
-  ASSERT_TRUE(tx.ok()) << tx.creation_error().message;
+  EXPECT_TRUE(tx.ok()) << tx.creation_error().message;
+  if (!tx.ok()) return 0;
 
   auto feed = std::make_shared<std::function<void()>>();
   *feed = [&] {
@@ -503,9 +505,23 @@ TEST(TokenBucket, StreamIntegration) {
   tx.on_writable([feed] { (*feed)(); });
   (*feed)();
   world.sim.run_until(sec(10));
+  return got;
+}
 
-  const double rate = static_cast<double>(got) / 10.0;
-  EXPECT_NEAR(rate, 50'000.0, 5'000.0);  // shaped to the declaration
+TEST(TokenBucket, StreamIntegration) {
+  // A statistical stream shaped by its own declaration: the transfer rate
+  // converges to the declared average even though the client writes as
+  // fast as it can.
+  const double rate = static_cast<double>(shaped_bytes_in_10s(400'000, 2.0)) / 10.0;
+  EXPECT_NEAR(rate, 50'000.0, 5'000.0);  // 50 KB/s, as declared
+}
+
+TEST(TokenBucket, BucketShallowerThanAChunkStillSends) {
+  // 64 kb/s at burstiness 1 declares an 800-byte bucket (8 KB/s x 100 ms),
+  // less than one 1007-byte chunk. Floored at max_message_size, the bucket
+  // still lets every chunk out at the declared 8 KB/s instead of stalling.
+  const double rate = static_cast<double>(shaped_bytes_in_10s(64'000, 1.0)) / 10.0;
+  EXPECT_NEAR(rate, 8'000.0, 800.0);
 }
 
 }  // namespace
