@@ -191,8 +191,8 @@ int main() {
 
   // ---- internet gateway section ----------------------------------------
   // A congested dumbbell with a mid-run trunk flap, so the per-cause drop
-  // counters (net.internet.drop.*) and the routing-engine work counters
-  // (net.internet.route.*) show up in the report alongside the LAN.
+  // counters (net.internet.drop.*) and the route-table rebuild counter
+  // (net.internet.route.recomputes) show up in the report alongside the LAN.
   sim::Simulator inet_sim;
   auto inet = net::make_dumbbell(inet_sim, net::internet_traits(), 21, {11, 13},
                                  {12});
@@ -211,7 +211,7 @@ int main() {
     });
   }
   // One flap while traffic flows: forwarding sees a partition (no_route
-  // drops), and the engine logs a repair on each edge of the window.
+  // drops), and each edge of the window costs one route-table rebuild.
   inet_sim.after(msec(150), [&inet] { inet->set_trunk_down(0, 1, true); });
   inet_sim.after(msec(200), [&inet] { inet->set_trunk_down(0, 1, false); });
   inet_sim.run();

@@ -17,7 +17,7 @@ for b in \
   bench_c3_security_elision bench_c4_rms_caching bench_c5_fragmentation \
   bench_c6_admission bench_c7_rkom bench_c8_congestion \
   bench_c9_datapath bench_c10_event_engine bench_c11_failover \
-  bench_c14_routing bench_c15_udp bench_a1_ablations; do
+  bench_c15_udp bench_a1_ablations; do
   "$BUILD/bench/$b" 2>&1 | tee -a bench_output.txt
 done
 "$BUILD/bench/bench_micro" --benchmark_min_time=0.05 2>&1 | tee -a bench_output.txt

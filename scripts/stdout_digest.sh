@@ -8,11 +8,9 @@
 #   scripts/stdout_digest.sh [build-dir] > digest.txt   (default build)
 #
 # Each binary runs in its own temporary directory, so the BENCH_*.json and
-# telemetry files it writes land there and not in the caller's tree.
-# telemetry_report's route.recompute_ns line is wall-clock time spent in the
-# routing engine, so it is dropped before hashing. A binary that exits
-# non-zero prints "FAILED (exit N)" instead of a digest, and the script then
-# exits 1.
+# telemetry files it writes land there and not in the caller's tree. A
+# binary that exits non-zero prints "FAILED (exit N)" instead of a digest,
+# and the script then exits 1.
 set -e
 BUILD=$(cd "${1:-build}" && pwd)
 WORK=$(mktemp -d)
@@ -36,12 +34,7 @@ digest() {  # <binary path> <name>
     failed=1
     return
   fi
-  if [ "$2" = telemetry_report ]; then
-    grep -v 'route\.recompute_ns' "$WORK/$2/stdout.txt" > "$WORK/$2/kept.txt" || true
-  else
-    cp "$WORK/$2/stdout.txt" "$WORK/$2/kept.txt"
-  fi
-  echo "$2 $(sha256sum < "$WORK/$2/kept.txt" | cut -d' ' -f1)"
+  echo "$2 $(sha256sum < "$WORK/$2/stdout.txt" | cut -d' ' -f1)"
 }
 
 for b in $BENCHES; do digest "$BUILD/bench/$b" "$b"; done

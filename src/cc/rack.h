@@ -8,8 +8,8 @@
 // fraction of an RTT after the next ack instead of a full RTO later.
 //
 // The state is deliberately tiny — the newest delivered send time — so
-// both transport::StreamSender and the stripe's per-subpath ARQ can embed
-// one per ack stream; the caller owns the per-sequence send times.
+// transport::StreamSender embeds one per stream; the caller owns the
+// per-sequence send times.
 #pragma once
 
 #include <algorithm>
@@ -19,17 +19,13 @@
 
 namespace dash::cc {
 
-struct RackConfig {
-  /// Reordering window = fraction × SRTT, clamped to [min, max].
-  double reo_wnd_fraction = 0.5;
-  Time min_reo_wnd = msec(1);
-  Time max_reo_wnd = msec(100);
-};
+/// Reordering window = fraction × SRTT, clamped to [min, max].
+inline constexpr double kReoWndFraction = 0.5;
+inline constexpr Time kMinReoWnd = msec(1);
+inline constexpr Time kMaxReoWnd = msec(100);
 
 class RackState {
  public:
-  explicit RackState(RackConfig cfg = {}) : cfg_(cfg) {}
-
   /// Records a delivery of a packet last transmitted at `sent_at`.
   /// Returns true if the rack point advanced (a newer send confirmed
   /// delivered — time to re-examine older outstanding sends).
@@ -40,9 +36,9 @@ class RackState {
   }
 
   Time reo_wnd(Time srtt) const {
-    const auto w = static_cast<Time>(cfg_.reo_wnd_fraction *
+    const auto w = static_cast<Time>(kReoWndFraction *
                                      static_cast<double>(std::max<Time>(srtt, 0)));
-    return std::clamp(w, cfg_.min_reo_wnd, cfg_.max_reo_wnd);
+    return std::clamp(w, kMinReoWnd, kMaxReoWnd);
   }
 
   /// A send last transmitted at `last_sent` is deemed lost once the rack
@@ -55,7 +51,6 @@ class RackState {
   Time xmit_time() const { return xmit_time_; }
 
  private:
-  RackConfig cfg_;
   Time xmit_time_ = -1;
 };
 

@@ -33,17 +33,16 @@ InternetNetwork::InternetNetwork(sim::Simulator& sim, NetworkTraits traits,
                                  std::uint64_t seed, Discipline discipline)
     : Network(sim, std::move(traits)), discipline_(discipline), rng_(seed) {}
 
-InternetNetwork::RouterId InternetNetwork::add_router(Time processing_delay,
-                                                      RoutingEngine::AreaId area) {
+InternetNetwork::RouterId InternetNetwork::add_router(Time processing_delay) {
   routers_.push_back(std::make_unique<Router>());
   routers_.back()->processing_delay = processing_delay;
-  const RouterId id = engine_.add_router(area);
-  assert(id == routers_.size() - 1);
-  return id;
+  routes_dirty_ = true;
+  return static_cast<RouterId>(routers_.size() - 1);
 }
 
 void InternetNetwork::add_trunk(RouterId a, RouterId b, SimplexLink::Config config) {
-  assert(a < routers_.size() && b < routers_.size());
+  assert(a != b && a < routers_.size() && b < routers_.size());
+  assert(routers_[a]->trunks.count(b) == 0 && "duplicate trunk");
   auto make = [&](RouterId to) {
     auto link = std::make_unique<SimplexLink>(sim_, config, rng_.fork());
     link->set_sink([this, to](Packet p) { forward(to, std::move(p)); });
@@ -51,7 +50,7 @@ void InternetNetwork::add_trunk(RouterId a, RouterId b, SimplexLink::Config conf
   };
   routers_[a]->trunks[b] = make(b);
   routers_[b]->trunks[a] = make(a);
-  engine_.add_link(a, b);
+  routes_dirty_ = true;
 }
 
 void InternetNetwork::attach_host(HostId host, RouterId router,
@@ -139,11 +138,8 @@ void InternetNetwork::forward(RouterId at, Packet p) {
                  ++drops_.no_route;
                  return;
                }
-               const RouterId target = hit->second.router;
-               const RouterId nh = engine_.pick(
-                   at, target,
-                   RoutingEngine::flow_key(p.src, p.dst, p.stream));
-               if (nh == RoutingEngine::kNoRoute) {
+               const RouterId nh = next_hop(at, hit->second.router);
+               if (nh == kNoRoute) {
                  ++stats_.dropped;  // partitioned
                  ++drops_.no_route;
                  return;
@@ -209,23 +205,52 @@ void InternetNetwork::deliver_now(Packet p) {
   it->second.sink(std::move(p));
 }
 
-std::vector<SimplexLink*> InternetNetwork::path_links(HostId src, HostId dst,
-                                                      std::uint64_t stream) {
+void InternetNetwork::rebuild_routes() const {
+  const std::size_t n = routers_.size();
+  hops_.assign(n, std::vector<std::uint32_t>(n, kUnreachable));
+  std::vector<RouterId> queue;
+  queue.reserve(n);
+  for (RouterId target = 0; target < n; ++target) {
+    std::vector<std::uint32_t>& dist = hops_[target];
+    dist[target] = 0;
+    queue.assign(1, target);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const RouterId u = queue[head];
+      for (const auto& [v, link] : routers_[u]->trunks) {
+        if (link->down() || dist[v] != kUnreachable) continue;
+        dist[v] = dist[u] + 1;
+        queue.push_back(v);
+      }
+    }
+  }
+  routes_dirty_ = false;
+  ++route_recomputes_;
+}
+
+InternetNetwork::RouterId InternetNetwork::next_hop(RouterId at, RouterId target) const {
+  if (routes_dirty_) rebuild_routes();
+  const std::vector<std::uint32_t>& dist = hops_[target];
+  if (dist[at] == kUnreachable) return kNoRoute;  // partitioned
+  for (const auto& [nb, link] : routers_[at]->trunks) {
+    if (!link->down() && dist[nb] == dist[at] - 1) return nb;
+  }
+  return kNoRoute;
+}
+
+std::vector<SimplexLink*> InternetNetwork::path_links(HostId src, HostId dst) const {
   std::vector<SimplexLink*> links;
   auto sit = hosts_.find(src);
   auto dit = hosts_.find(dst);
   if (sit == hosts_.end() || dit == hosts_.end()) return links;
 
-  // Walk the same flow-keyed ECMP choices forwarding will make, so a
-  // reservation pins down exactly the trunks the stream traverses.
-  const std::uint64_t key = RoutingEngine::flow_key(src, dst, stream);
+  // Walk the same next hops forwarding will take, so a reservation pins
+  // down exactly the trunks the stream traverses.
   links.push_back(sit->second.access_up.get());
   RouterId at = sit->second.router;
   const RouterId target = dit->second.router;
-  std::size_t guard = routers_.size();
   while (at != target) {
-    const RouterId nh = engine_.pick(at, target, key);
-    if (nh == RoutingEngine::kNoRoute || guard-- == 0) return {};  // partitioned
+    const RouterId nh = next_hop(at, target);
+    if (nh == kNoRoute) return {};  // partitioned
     links.push_back(routers_[at]->trunks.at(nh).get());
     at = nh;
   }
@@ -235,7 +260,7 @@ std::vector<SimplexLink*> InternetNetwork::path_links(HostId src, HostId dst,
 
 bool InternetNetwork::reserve_stream(std::uint64_t stream, HostId src, HostId dst,
                                      std::uint64_t bytes) {
-  auto links = path_links(src, dst, stream);
+  auto links = path_links(src, dst);
   if (links.empty()) return false;
   for (std::size_t i = 0; i < links.size(); ++i) {
     if (!links[i]->reserve(stream, bytes)) {
@@ -262,9 +287,7 @@ void InternetNetwork::set_down(bool down) {
 void InternetNetwork::set_trunk_down(RouterId a, RouterId b, bool down) {
   routers_.at(a)->trunks.at(b)->set_down(down);
   routers_.at(b)->trunks.at(a)->set_down(down);
-  // The engine repairs the affected shortest-path subtrees around (or
-  // back across) the trunk — or defers a full rebuild in reference mode.
-  engine_.set_link_state(a, b, !down);
+  routes_dirty_ = true;
 }
 
 std::uint64_t InternetNetwork::trunk_backlog(RouterId a, RouterId b) const {
@@ -292,8 +315,7 @@ std::uint64_t InternetNetwork::gateway_drops() const {
 }
 
 std::size_t InternetNetwork::route_hops(HostId src, HostId dst) const {
-  auto* self = const_cast<InternetNetwork*>(this);
-  auto links = self->path_links(src, dst);
+  auto links = path_links(src, dst);
   return links.size() >= 2 ? links.size() - 2 : 0;
 }
 

@@ -1,7 +1,11 @@
 // A store-and-forward internetwork of gateways.
 //
 // Hosts attach to gateways (routers) over access links; gateways are joined
-// by trunk links and forward hop by hop along shortest paths. Every link
+// by trunk links and forward hop by hop along shortest paths (§3.1, §4.4).
+// Routes come from one hop-count table per destination gateway, rebuilt
+// from scratch by BFS over the up trunks on the first lookup after any
+// topology change; among equally short next hops the lowest router id
+// wins, so forwarding is deterministic and a flow never splits. Every link
 // output is a deadline/FIFO/priority queue with finite buffering and
 // optional per-stream reservations — the substrate for the paper's
 // congestion-control claim: "if packet queueing in an internetwork gateway
@@ -19,23 +23,19 @@
 
 #include "net/link.h"
 #include "net/network.h"
-#include "net/routing.h"
 #include "util/rng.h"
 
 namespace dash::net {
 
 class InternetNetwork final : public Network {
  public:
-  using RouterId = RoutingEngine::RouterId;
+  using RouterId = std::uint32_t;
 
   InternetNetwork(sim::Simulator& sim, NetworkTraits traits, std::uint64_t seed,
                   Discipline discipline = Discipline::kDeadline);
 
   /// Adds a gateway. `processing_delay` is charged per forwarded packet.
-  /// `area` is the routing area (region) for hierarchical tables — unused
-  /// unless enable_areas(true).
-  RouterId add_router(Time processing_delay = usec(50),
-                      RoutingEngine::AreaId area = 0);
+  RouterId add_router(Time processing_delay = usec(50));
 
   /// Joins two gateways with a pair of simplex trunk links.
   void add_trunk(RouterId a, RouterId b, SimplexLink::Config config);
@@ -53,20 +53,9 @@ class InternetNetwork final : public Network {
   void release_stream(std::uint64_t stream) override;
   void set_down(bool down) override;
 
-  /// Failure injection on a single trunk (both directions). The routing
-  /// engine repairs the affected tables around (or back across) the
-  /// trunk — incrementally by default, globally in the reference mode.
+  /// Failure injection on a single trunk (both directions). The next
+  /// lookup rebuilds the routes around (or back across) the trunk.
   void set_trunk_down(RouterId a, RouterId b, bool down);
-
-  /// The pluggable routing engine (mode, ECMP tables, route stats). The
-  /// forwarding policy can be swapped beneath the Network interface
-  /// without touching anything above it.
-  RoutingEngine& routing() { return engine_; }
-  const RoutingEngine& routing() const { return engine_; }
-
-  /// Switches the engine to hierarchical per-area tables; router areas
-  /// come from add_router. Call during topology construction.
-  void enable_areas(bool on) { engine_.enable_areas(on); }
 
   /// ICMP-source-quench-style congestion signalling (RFC 896), which the
   /// paper calls "an ad hoc and often ineffective solution" (§4.4): when a
@@ -97,17 +86,22 @@ class InternetNetwork final : public Network {
   /// Number of hops a src→dst packet traverses (access links excluded).
   std::size_t route_hops(HostId src, HostId dst) const;
 
+  /// Route table rebuilds so far (one per lookup after a topology change).
+  std::uint64_t route_recomputes() const { return route_recomputes_; }
+
  private:
   struct Router {
     Time processing_delay;
-    // Hash maps: these sit on the per-packet forwarding path, and nothing
-    // iterates them in an order-sensitive way (route computation lives in
-    // the RoutingEngine over its own sorted flat adjacency).
-    // Neighbor router -> outgoing trunk link.
-    std::unordered_map<RouterId, std::unique_ptr<SimplexLink>> trunks;
-    // Locally attached host -> outgoing access link.
+    // Neighbor router -> outgoing trunk link, ordered by neighbor id: route
+    // building and next_hop's lowest-id tie-break iterate it.
+    std::map<RouterId, std::unique_ptr<SimplexLink>> trunks;
+    // Locally attached host -> outgoing access link (a hash map: it sits on
+    // the per-packet path and nothing iterates it in order).
     std::unordered_map<HostId, std::unique_ptr<SimplexLink>> access_down;
   };
+
+  static constexpr RouterId kNoRoute = ~0u;
+  static constexpr std::uint32_t kUnreachable = ~0u;
 
   struct HostPort {
     RouterId router = 0;
@@ -121,17 +115,25 @@ class InternetNetwork final : public Network {
   void forward(RouterId at, Packet p);
   void deliver(Packet p);      ///< fault-hook entry point (host delivery)
   void deliver_now(Packet p);  ///< post-hook delivery to the host sink
-  /// The trunk links a (src, dst, stream) flow traverses — the same
-  /// ECMP choices forwarding will make for that flow key.
-  std::vector<SimplexLink*> path_links(HostId src, HostId dst,
-                                       std::uint64_t stream = 0);
+  /// The up neighbor of `at` one hop closer to `target` (lowest id among
+  /// ties); kNoRoute when `target` is unreachable. Requires at != target.
+  RouterId next_hop(RouterId at, RouterId target) const;
+  /// Refills hops_ by one BFS per destination over the up trunks.
+  void rebuild_routes() const;
+  /// The links a src→dst packet traverses: access up, the trunks
+  /// next_hop picks, access down. Empty if partitioned or unknown.
+  std::vector<SimplexLink*> path_links(HostId src, HostId dst) const;
 
   void send_quench(HostId to, std::uint64_t dropped_stream);
 
   Discipline discipline_;
   Rng rng_;
-  RoutingEngine engine_;
   std::vector<std::unique_ptr<Router>> routers_;
+  // Built lazily by the first lookup after a topology change, hence
+  // mutable: hops_[target][r] = trunk hops from router r to `target`.
+  mutable std::vector<std::vector<std::uint32_t>> hops_;
+  mutable bool routes_dirty_ = true;
+  mutable std::uint64_t route_recomputes_ = 0;
   std::map<HostId, HostPort> hosts_;
   bool source_quench_ = false;
   DropStats drops_;

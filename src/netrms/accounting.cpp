@@ -54,16 +54,6 @@ Accounting::Invoice Accounting::invoice(std::uint64_t stream, Time now) const {
   return inv;
 }
 
-std::vector<std::pair<std::uint64_t, Accounting::Invoice>> Accounting::invoices(
-    rms::HostId owner, Time now) const {
-  std::vector<std::pair<std::uint64_t, Invoice>> out;
-  for (const auto& [stream, e] : entries_) {
-    if (e.owner != owner) continue;
-    out.emplace_back(stream, invoice(stream, now));
-  }
-  return out;
-}
-
 double Accounting::bill(rms::HostId owner, Time now) const {
   double total = 0.0;
   for (const auto& [stream, e] : entries_) {

@@ -13,8 +13,6 @@
 
 #include <cstdint>
 #include <map>
-#include <utility>
-#include <vector>
 
 #include "rms/message.h"
 #include "rms/params.h"
@@ -65,13 +63,6 @@ class Accounting {
     double total() const { return setup + bytes + connect; }
   };
   Invoice invoice(std::uint64_t stream, Time now) const;
-
-  /// Every stream billed to `owner`, itemized, in stream-id order. A
-  /// striped stream's subpaths land on different fabrics, so the per-fabric
-  /// call answers "what did this host's share of the stripe cost *here*" —
-  /// the paper's §5 per-network tariff kept honest under multi-path.
-  std::vector<std::pair<std::uint64_t, Invoice>> invoices(rms::HostId owner,
-                                                          Time now) const;
 
   const Tariff& tariff() const { return tariff_; }
 

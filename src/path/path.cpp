@@ -92,13 +92,6 @@ void PathManager::watch_stream(std::uint64_t stream_id, std::uint64_t account_id
   }
 }
 
-void PathManager::set_pinned(std::uint64_t stream_id, bool pinned) {
-  auto it = streams_.find(stream_id);
-  if (it == streams_.end()) return;
-  it->second.pinned = pinned;
-  if (pinned) st_.abort_rebind(stream_id);  // nothing staged may outlive the pin
-}
-
 void PathManager::set_metrics(telemetry::MetricsRegistry* m) {
   if (m == nullptr) {
     probe_rtt_hist_ = nullptr;
@@ -334,7 +327,7 @@ void PathManager::tick() {
   for (auto& [k, h] : probes_) h.delay_pressure_strikes = 0;
   for (auto& [id, ms] : streams_) {
     st::StRms* s = st_.find_stream(id);
-    if (s == nullptr || s->rebinding() || ms.pinned) continue;
+    if (s == nullptr || s->rebinding()) continue;
 
     ms.bad_verdicts = windowed_verdict_bad(ms) ? ms.bad_verdicts + 1 : 0;
     ms.pressure_strikes = delay_pressure(ms) ? ms.pressure_strikes + 1 : 0;
@@ -605,10 +598,6 @@ bool PathManager::on_channel_failed(st::StRms& rms, const Error& e) {
   (void)e;
   auto it = streams_.find(rms.id());
   if (it == streams_.end()) return false;
-  // Pinned streams (stripe substreams) are the stripe scheduler's problem:
-  // declining here lets the substream fail, and the stripe redistributes
-  // its unacknowledged messages over the surviving subpaths.
-  if (it->second.pinned) return false;
   // Channel death overrides the cooldown: staying put is guaranteed loss.
   const bool moved = try_failover(it->second, "channel-failure");
   if (moved) ++stats_.death_failovers;

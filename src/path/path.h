@@ -111,12 +111,6 @@ class PathManager final : public st::StreamObserver {
   /// are evaluated for it (windowed per probe tick, not cumulative).
   void watch_stream(std::uint64_t stream_id, std::uint64_t account_id);
 
-  /// Pins a stream to its current network: the manager keeps probing the
-  /// peer but never stages, fails over, or upgrades the stream. Stripe
-  /// substreams are pinned — the stripe scheduler owns their fate, and a
-  /// subpath death must degrade bandwidth, not trigger a rebind.
-  void set_pinned(std::uint64_t stream_id, bool pinned);
-
   /// Composite path score for creating/moving a stream to `peer` over
   /// `fabric`: higher is better. Unknown health scores mildly negative;
   /// a down network scores -inf for practical purposes.
@@ -167,7 +161,6 @@ class PathManager final : public st::StreamObserver {
     telemetry::Histogram delay_snapshot;  ///< ledger delay_ns at last tick
     Time cooldown_until = 0;
     Time failover_started = -1;    ///< set at rebind, cleared at rebound
-    bool pinned = false;           ///< stripe substream: never rebound here
     std::size_t home_fabric = static_cast<std::size_t>(-1);  ///< created on
     int home_healthy_ticks = 0;    ///< consecutive clean ticks while away
     bool upgrade_pending = false;  ///< current staging targets the home path

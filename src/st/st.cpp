@@ -365,43 +365,6 @@ Result<std::unique_ptr<rms::Rms>> SubtransportLayer::create(const rms::Request& 
   return last_error;
 }
 
-Result<std::unique_ptr<rms::Rms>> SubtransportLayer::create_on(
-    netrms::NetRmsFabric& fabric, const rms::Request& request, const Label& target) {
-  if (!fabric.network().attached(target.host)) {
-    ++stats_.st_rms_rejected;
-    return make_error(Errc::kNoRoute, "pinned network does not reach host " +
-                                          std::to_string(target.host));
-  }
-  if (fabric.network().down()) {
-    ++stats_.st_rms_rejected;
-    return make_error(Errc::kNoRoute,
-                      "pinned network " + fabric.traits().name + " is down");
-  }
-  auto plan = plan_params(fabric, request);
-  if (!plan) {
-    ++stats_.st_rms_rejected;
-    return plan.error();
-  }
-  auto channel = obtain_channel(target.host, fabric, plan.value());
-  if (!channel) {
-    ++stats_.st_rms_rejected;
-    return channel.error();
-  }
-  const std::uint64_t id = next_st_id_++;
-  auto handle = std::unique_ptr<StRms>(new StRms(*this, id, target.host,
-                                                 plan.value().actual, target,
-                                                 plan.value().security, request));
-  handle->channel_id_ = channel.value()->id;
-  streams_[id] = handle.get();
-  ++stats_.st_rms_created;
-  trace("st.create", "stream " + std::to_string(id) + " -> " +
-                         rms::to_string(target) + " pinned to " +
-                         fabric.traits().name);
-  establish(*handle);
-  if (observer_ != nullptr) observer_->on_stream_created(*handle);
-  return std::unique_ptr<rms::Rms>(std::move(handle));
-}
-
 Result<SubtransportLayer::Channel*> SubtransportLayer::obtain_channel(
     HostId peer, netrms::NetRmsFabric& fabric, const StParamsPlan& plan) {
   // §4.2 multiplexing rules: reuse an active channel whose actual network

@@ -338,13 +338,6 @@ class SubtransportLayer : public rms::Provider {
   Result<std::unique_ptr<rms::Rms>> create(const rms::Request& request,
                                            const Label& target) override;
 
-  /// create() pinned to one fabric: no candidate ranking, the stream lives
-  /// on `fabric` or fails. Used by the stripe scheduler, which places each
-  /// substream on a distinct admitted network deliberately.
-  Result<std::unique_ptr<rms::Rms>> create_on(netrms::NetRmsFabric& fabric,
-                                              const rms::Request& request,
-                                              const Label& target);
-
   HostId host() const { return host_; }
   sim::Simulator& simulator() { return sim_; }
   const Stats& stats() const { return stats_; }

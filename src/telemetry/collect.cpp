@@ -40,11 +40,7 @@ void collect_internet(MetricsRegistry& m, const net::InternetNetwork& n,
   m.counter(p + "drop.trunk_full").set(d.trunk_full);
   m.counter(p + "drop.no_route").set(d.no_route);
   m.counter(p + "drop.access").set(d.access);
-  const net::RoutingEngine::Stats& r = n.routing().stats();
-  m.counter(p + "route.recomputes").set(r.full_recomputes);
-  m.counter(p + "route.repairs").set(r.repairs);
-  m.counter(p + "route.routers_touched").set(r.routers_touched);
-  m.counter(p + "route.recompute_ns").set(r.recompute_ns);
+  m.counter(p + "route.recomputes").set(n.route_recomputes());
 }
 
 void collect_fabric(MetricsRegistry& m, const netrms::NetRmsFabric& f,
@@ -150,39 +146,6 @@ void collect_path(MetricsRegistry& m, const path::PathManager& pm) {
   m.gauge(p + "failover_latency_p50_ns").set(pm.failover_latency().quantile(0.5));
   m.gauge(p + "failover_latency_max_ns")
       .set(static_cast<double>(pm.failover_latency().max()));
-}
-
-void collect_stripe(MetricsRegistry& m, const path::StripedStream& s,
-                    const std::string& prefix) {
-  const path::StripedStream::Stats& st = s.stats();
-  const std::string p = "path.stripe." + prefix + ".";
-  m.counter(p + "striped").set(st.striped);
-  m.counter(p + "retransmits").set(st.retransmits);
-  m.counter(p + "rack_retransmits").set(st.rack_retransmits);
-  m.counter(p + "acks").set(st.acks);
-  m.counter(p + "subpath_deaths").set(st.subpath_deaths);
-  m.counter(p + "send_errors").set(st.send_errors);
-  m.counter(p + "pace_deferred").set(st.pace_deferred);
-  m.gauge(p + "subpaths").set(static_cast<double>(s.subpaths()));
-  m.gauge(p + "live_subpaths").set(static_cast<double>(s.live_subpaths()));
-  m.gauge(p + "inflight").set(static_cast<double>(s.inflight()));
-  for (std::size_t i = 0; i < s.subpaths(); ++i) {
-    const std::string sp = p + "subpath" + std::to_string(i) + ".";
-    m.counter(sp + "sent").set(s.sent_on(i));
-    m.gauge(sp + "ewma_rtt_ns").set(s.subpath_rtt_ns(i));
-  }
-}
-
-void collect_stripe_endpoint(MetricsRegistry& m, const path::StripeEndpoint& e,
-                             const std::string& prefix) {
-  const path::StripeEndpoint::Stats& st = e.stats();
-  const std::string p = "path.stripe." + prefix + ".";
-  m.counter(p + "received").set(st.received);
-  m.counter(p + "delivered").set(st.delivered);
-  m.counter(p + "duplicates").set(st.duplicates);
-  m.counter(p + "buffered").set(st.buffered);
-  m.counter(p + "window_overflow").set(st.window_overflow);
-  m.counter(p + "malformed").set(st.malformed);
 }
 
 void collect_cc(MetricsRegistry& m, const transport::StreamSender& s,

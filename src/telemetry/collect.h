@@ -21,7 +21,6 @@
 #include "rt/driver.h"
 #include "netrms/fabric.h"
 #include "path/path.h"
-#include "path/stripe.h"
 #include "rkom/rkom.h"
 #include "st/st.h"
 #include "telemetry/metrics.h"
@@ -42,9 +41,8 @@ void collect_ethernet(MetricsRegistry& m, const net::EthernetNetwork& n,
                       const std::vector<net::HostId>& hosts);
 
 /// collect_network plus gateway congestion counters, per-cause drop
-/// counters (net.<prefix>.drop.{trunk_full,no_route,access}) and routing
-/// engine work (net.<prefix>.route.{recomputes,repairs,routers_touched,
-/// recompute_ns}).
+/// counters (net.<prefix>.drop.{trunk_full,no_route,access}) and route
+/// table rebuilds (net.<prefix>.route.recomputes).
 void collect_internet(MetricsRegistry& m, const net::InternetNetwork& n,
                       const std::string& prefix);
 
@@ -67,16 +65,6 @@ void collect_rkom(MetricsRegistry& m, const rkom::RkomNode& node);
 /// failure notifications, failover outcomes by trigger, downgrades, and
 /// probe-RTT / failover-latency distribution summaries.
 void collect_path(MetricsRegistry& m, const path::PathManager& pm);
-
-/// Striped-stream sender under "path.stripe.<prefix>.*": dispatch volume,
-/// retransmits, subpath deaths, and per-subpath send counts / RTT gauges.
-void collect_stripe(MetricsRegistry& m, const path::StripedStream& s,
-                    const std::string& prefix);
-
-/// Stripe receiver under "path.stripe.<prefix>.*": reassembly outcomes
-/// (delivered, duplicates suppressed, reorder-buffered, window overflow).
-void collect_stripe_endpoint(MetricsRegistry& m, const path::StripeEndpoint& e,
-                             const std::string& prefix);
 
 /// Congestion-control view of one stream sender under "cc.<prefix>.*"
 /// (DESIGN.md §13): pacing rate, bottleneck-bandwidth and min-RTT

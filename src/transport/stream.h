@@ -65,8 +65,7 @@ struct StreamConfig {
   /// Initial retransmission timeout, and the fixed one when adaptive_rto
   /// is off. With adaptive_rto (default), the RTO is derived from sampled
   /// RTTs (RFC 6298 SRTT + 4·RTTVAR, Karn's rule: no samples from
-  /// retransmitted sequences) and clamped to [min_rto, max_rto] — the
-  /// stripe ARQ's approach, replacing the old fixed 400 ms.
+  /// retransmitted sequences) and clamped to [min_rto, max_rto].
   Time retransmit_timeout = msec(400);
   bool adaptive_rto = true;
   Time min_rto = msec(50);

@@ -41,8 +41,8 @@ inline node::World<net::InternetNetwork> wan_world(
 }
 
 /// Two clean (zero-BER) Ethernet segments, every host on both — the minimal
-/// world where failover (and striping) has somewhere to go, so every host
-/// runs a path manager. with_faults() impairs segment A only.
+/// world where failover has somewhere to go, so every host runs a path
+/// manager. with_faults() impairs segment A only.
 inline node::World<net::EthernetNetwork> two_net_world(
     int n = 2, net::NetworkTraits traits_a = net::ethernet_traits("eth-a"),
     net::NetworkTraits traits_b = net::ethernet_traits("eth-b"),

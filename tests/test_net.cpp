@@ -962,195 +962,6 @@ TEST(Observability, TrunkStatsAndBacklog) {
   EXPECT_EQ(net->trunk_stats(0, 1)->delivered, 20u);
 }
 
-// ------------------------------------------------------------ RoutingEngine
-
-// Ring of `routers` plus `chords` seeded random extra links, mirrored into
-// every engine in `engines`. Returns the link list for flap injection.
-std::vector<std::pair<RoutingEngine::RouterId, RoutingEngine::RouterId>>
-build_random_graph(std::vector<RoutingEngine*> engines, int routers, int chords,
-                   std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::pair<RoutingEngine::RouterId, RoutingEngine::RouterId>> links;
-  auto have = [&](RoutingEngine::RouterId a, RoutingEngine::RouterId b) {
-    for (const auto& [x, y] : links) {
-      if ((x == a && y == b) || (x == b && y == a)) return true;
-    }
-    return false;
-  };
-  for (int i = 0; i < routers; ++i) {
-    for (RoutingEngine* e : engines) e->add_router();
-  }
-  auto add = [&](RoutingEngine::RouterId a, RoutingEngine::RouterId b) {
-    links.emplace_back(a, b);
-    for (RoutingEngine* e : engines) e->add_link(a, b);
-  };
-  for (int i = 0; i < routers; ++i) {
-    add(static_cast<RoutingEngine::RouterId>(i),
-        static_cast<RoutingEngine::RouterId>((i + 1) % routers));
-  }
-  for (int c = 0; c < chords; ++c) {
-    const auto a = static_cast<RoutingEngine::RouterId>(rng.below(routers));
-    const auto b = static_cast<RoutingEngine::RouterId>(rng.below(routers));
-    if (a != b && !have(a, b)) add(a, b);
-  }
-  return links;
-}
-
-TEST(RoutingEngine, IncrementalMatchesFullRecomputeUnderRandomFlaps) {
-  RoutingEngine inc(RoutingEngine::Mode::kIncremental);
-  RoutingEngine full(RoutingEngine::Mode::kFullRecompute);
-  auto links = build_random_graph({&inc, &full}, 48, 40, 123);
-  ASSERT_EQ(inc.table_digest(), full.table_digest());
-
-  // Seeded random flap sequence: after every single event the repaired
-  // incremental tables must equal the rebuilt-from-scratch reference.
-  Rng rng(77);
-  std::vector<bool> up(links.size(), true);
-  for (int ev = 0; ev < 120; ++ev) {
-    const std::size_t i = rng.below(links.size());
-    up[i] = !up[i];
-    inc.set_link_state(links[i].first, links[i].second, up[i]);
-    full.set_link_state(links[i].first, links[i].second, up[i]);
-    ASSERT_EQ(inc.table_digest(), full.table_digest()) << "event " << ev;
-  }
-  EXPECT_GT(inc.stats().repairs, 0u);
-  EXPECT_EQ(inc.stats().full_recomputes, 1u);  // only the initial build
-  EXPECT_GT(full.stats().full_recomputes, 1u);
-  // Repairs touch a subset of routers per event; full rebuilds touch all
-  // 48 per destination per event.
-  EXPECT_LT(inc.stats().routers_touched, full.stats().routers_touched);
-}
-
-TEST(RoutingEngine, TableBytesDeterministicAcrossRuns) {
-  auto run = [](bool areas) {
-    RoutingEngine e;
-    if (areas) e.enable_areas(true);
-    Rng rng(9);
-    for (int i = 0; i < 30; ++i) {
-      e.add_router(static_cast<RoutingEngine::AreaId>(i / 10));
-    }
-    std::vector<std::pair<RoutingEngine::RouterId, RoutingEngine::RouterId>> links;
-    for (int i = 0; i < 30; ++i) {
-      links.emplace_back(i, (i + 1) % 30);
-      e.add_link(i, (i + 1) % 30);
-    }
-    std::uint64_t digest = 0;
-    for (int ev = 0; ev < 40; ++ev) {
-      const std::size_t i = rng.below(links.size());
-      e.set_link_state(links[i].first, links[i].second, ev % 2 == 0);
-      digest ^= e.table_digest() + 0x9e3779b97f4a7c15ull * ev;
-    }
-    return digest;
-  };
-  EXPECT_EQ(run(false), run(false));
-  EXPECT_EQ(run(true), run(true));
-  // Querying twice without events is a no-op on the bytes.
-  RoutingEngine e;
-  e.add_router();
-  e.add_router();
-  e.add_link(0, 1);
-  EXPECT_EQ(e.table_digest(), e.table_digest());
-}
-
-TEST(RoutingEngine, EcmpFlowStickyAndSpread) {
-  // Diamond: two equal-cost paths 0-1-3 and 0-2-3.
-  RoutingEngine e;
-  for (int i = 0; i < 4; ++i) e.add_router();
-  e.add_link(0, 1);
-  e.add_link(0, 2);
-  e.add_link(1, 3);
-  e.add_link(2, 3);
-
-  RoutingEngine::RouterId hops[4];
-  ASSERT_EQ(e.next_hops(0, 3, hops, 4), 2);
-  EXPECT_EQ(hops[0], 1u);
-  EXPECT_EQ(hops[1], 2u);
-
-  // A flow's pick never changes across queries or across table rebuilds —
-  // only a topology event may move it.
-  const std::uint64_t key = RoutingEngine::flow_key(1, 2, 7);
-  const RoutingEngine::RouterId first = e.pick(0, 3, key);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(e.pick(0, 3, key), first);
-  e.set_mode(RoutingEngine::Mode::kFullRecompute);
-  EXPECT_EQ(e.pick(0, 3, key), first);
-  e.set_mode(RoutingEngine::Mode::kIncremental);
-  EXPECT_EQ(e.pick(0, 3, key), first);
-
-  // Distinct flows spread across both equal-cost hops.
-  bool used[2] = {false, false};
-  for (std::uint64_t s = 0; s < 64; ++s) {
-    used[e.pick(0, 3, RoutingEngine::flow_key(1, 2, s)) - 1] = true;
-  }
-  EXPECT_TRUE(used[0]);
-  EXPECT_TRUE(used[1]);
-
-  // Losing one path collapses the set onto the survivor.
-  e.set_link_state(0, 1, false);
-  ASSERT_EQ(e.next_hops(0, 3, hops, 4), 1);
-  EXPECT_EQ(hops[0], 2u);
-  EXPECT_EQ(e.pick(0, 3, key), 2u);
-}
-
-TEST(RoutingEngine, AreasShrinkTablesAndStayReachable) {
-  RoutingEngine flat;
-  RoutingEngine areas;
-  areas.enable_areas(true);
-  // Three 8-router area rings chained by single inter-area links.
-  for (RoutingEngine* e : {&flat, &areas}) {
-    for (int i = 0; i < 24; ++i) {
-      e->add_router(static_cast<RoutingEngine::AreaId>(i / 8));
-    }
-    for (int a = 0; a < 3; ++a) {
-      for (int i = 0; i < 8; ++i) {
-        e->add_link(a * 8 + i, a * 8 + (i + 1) % 8);
-      }
-    }
-    e->add_link(3, 11);    // area 0 <-> 1
-    e->add_link(14, 19);   // area 1 <-> 2
-  }
-  (void)flat.table_digest();
-  (void)areas.table_digest();
-  // O(Σ|A|² + R·areas) beats O(R²): 3·64 + 24·3 = 264 < 576.
-  EXPECT_LT(areas.table_entries(), flat.table_entries());
-
-  // Intra-area routes are exact; inter-area routes exist (hierarchical,
-  // so possibly longer than flat-optimal but never unreachable).
-  EXPECT_EQ(areas.distance(0, 4), flat.distance(0, 4));
-  for (RoutingEngine::RouterId from : {0u, 5u, 9u}) {
-    for (RoutingEngine::RouterId to : {7u, 12u, 22u}) {
-      if (from == to) continue;
-      EXPECT_LT(areas.distance(from, to), RoutingEngine::kUnreachable);
-      EXPECT_GE(areas.distance(from, to), flat.distance(from, to));
-    }
-  }
-
-  // An inter-area link flap repairs the area tables, not just flat ones.
-  areas.set_link_state(3, 11, false);
-  flat.set_link_state(3, 11, false);
-  EXPECT_EQ(areas.distance(0, 12), RoutingEngine::kUnreachable);
-  areas.set_link_state(3, 11, true);
-  EXPECT_LT(areas.distance(0, 12), RoutingEngine::kUnreachable);
-}
-
-TEST(RoutingEngine, LinkAddRepairsIncrementally) {
-  RoutingEngine e;
-  for (int i = 0; i < 5; ++i) e.add_router();
-  for (int i = 0; i < 4; ++i) e.add_link(i, i + 1);
-  EXPECT_EQ(e.distance(0, 4), 4u);
-  const std::uint64_t repairs_before = e.stats().repairs;
-  e.add_link(0, 4);  // shortcut arrives after tables are built
-  EXPECT_EQ(e.distance(0, 4), 1u);
-  EXPECT_EQ(e.distance(1, 4), 2u);
-  EXPECT_GT(e.stats().repairs, repairs_before);
-  EXPECT_EQ(e.stats().full_recomputes, 1u);  // no global rebuild happened
-
-  RoutingEngine fresh(RoutingEngine::Mode::kFullRecompute);
-  for (int i = 0; i < 5; ++i) fresh.add_router();
-  for (int i = 0; i < 4; ++i) fresh.add_link(i, i + 1);
-  fresh.add_link(0, 4);
-  EXPECT_EQ(e.table_digest(), fresh.table_digest());
-}
-
 // --------------------------------------------------- Internet drop causes
 
 TEST(InternetDrops, NoRouteCountsPartitionAndUnknownHost) {
@@ -1218,10 +1029,10 @@ TEST(InternetDrops, AccessCountsLastHopOverflow) {
   EXPECT_GT(net.drop_stats().access, 0u);
 }
 
-TEST(InternetEcmp, FlowsStickButStripeAcrossTrunks) {
+TEST(Internet, EqualCostPathsTieBreakToOneTrunk) {
   sim::Simulator sim;
   InternetNetwork net(sim, internet_traits(), 1);
-  // Diamond of gateways; many hosts on each side.
+  // Diamond of gateways: in–up–out and in–dn–out are equally short.
   const auto in = net.add_router(usec(1));
   const auto up = net.add_router(usec(1));
   const auto dn = net.add_router(usec(1));
@@ -1239,25 +1050,29 @@ TEST(InternetEcmp, FlowsStickButStripeAcrossTrunks) {
   std::uint64_t delivered = 0;
   net.attach(2, [&](Packet) { ++delivered; });
 
-  // One flow: every packet takes the same trunk (no reordering window).
-  for (int i = 0; i < 10; ++i) net.send(make_packet(1, 2, 200, kTimeNever, 0, 42));
-  sim.run();
-  EXPECT_EQ(delivered, 10u);
-  const std::uint64_t via_up = net.trunk_stats(in, up)->sent;
-  const std::uint64_t via_dn = net.trunk_stats(in, dn)->sent;
-  EXPECT_EQ(via_up + via_dn, 10u);
-  EXPECT_TRUE(via_up == 0u || via_dn == 0u) << via_up << " vs " << via_dn;
-
-  // Many flows: the stripes cover both equal-cost trunks.
+  // Every stream takes the lowest-id next hop: the whole flow set rides
+  // in→up, and in→dn stays idle.
   for (std::uint64_t s = 100; s < 140; ++s) {
     net.send(make_packet(1, 2, 200, kTimeNever, 0, s));
   }
   sim.run();
-  EXPECT_GT(net.trunk_stats(in, up)->sent, via_up);
-  EXPECT_GT(net.trunk_stats(in, dn)->sent, via_dn);
+  EXPECT_EQ(delivered, 40u);
+  EXPECT_EQ(net.trunk_stats(in, up)->sent, 40u);
+  EXPECT_EQ(net.trunk_stats(in, dn)->sent, 0u);
+
+  // Losing that trunk moves new packets onto the equal-cost survivor.
+  net.set_trunk_down(in, up, true);
+  for (std::uint64_t s = 100; s < 140; ++s) {
+    net.send(make_packet(1, 2, 200, kTimeNever, 0, s));
+  }
+  sim.run();
+  EXPECT_EQ(delivered, 80u);
+  EXPECT_EQ(net.trunk_stats(in, up)->sent, 40u);
+  EXPECT_EQ(net.trunk_stats(in, dn)->sent, 40u);
+  EXPECT_EQ(net.route_hops(1, 2), 2u);
 }
 
-TEST(InternetEcmp, TrunkAddAfterTrafficShortensRoute) {
+TEST(Internet, TrunkAddAfterTrafficShortensRoute) {
   sim::Simulator sim;
   InternetNetwork net(sim, internet_traits(), 1);
   const auto a = net.add_router(usec(1));
@@ -1274,13 +1089,16 @@ TEST(InternetEcmp, TrunkAddAfterTrafficShortensRoute) {
   net.send(make_packet(1, 2, 100, kTimeNever));
   sim.run();
   EXPECT_EQ(net.route_hops(1, 2), 2u);
+  const std::uint64_t rebuilds = net.route_recomputes();
 
-  net.add_trunk(a, c, trunk);  // repaired in place, mid-lifetime
+  net.add_trunk(a, c, trunk);  // rebuilt on the next lookup, mid-lifetime
   net.send(make_packet(1, 2, 100, kTimeNever));
   sim.run();
   EXPECT_EQ(delivered, 2u);
   EXPECT_EQ(net.route_hops(1, 2), 1u);
-  EXPECT_EQ(net.routing().distance(a, c), 1u);
+  EXPECT_EQ(net.trunk_stats(a, c)->sent, 1u);
+  // One topology change, one rebuild, however many lookups follow it.
+  EXPECT_EQ(net.route_recomputes(), rebuilds + 1);
 }
 
 TEST(Observability, TokenRingStationBacklogAndRotations) {

@@ -5,7 +5,6 @@
 // weaker acceptable parameters fit on the alternate network.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "net/ethernet.h"
 #include "netrms/fabric.h"
 #include "path/path.h"
-#include "path/stripe.h"
 #include "st/st.h"
 #include "telemetry/ledger.h"
 #include "test_helpers.h"
@@ -532,267 +530,6 @@ TEST(Path, UpgradesBackToHomeNetworkAfterRecovery) {
   // The away trip was counted as a failover; the return was not.
   EXPECT_EQ(world.node(1).path->stats().failovers, 1u);
 }
-
-// ---------------------------------------------------------------- striping
-
-constexpr rms::PortId kStripeTarget = 60;
-
-std::unique_ptr<StripedStream> make_stripe(node::World<net::EthernetNetwork>& world) {
-  auto stream = StripedStream::create(world.st(1), world.node(1).path.get(),
-                                      reliable_request(), {2, kStripeTarget});
-  EXPECT_TRUE(stream.ok()) << stream.error().message;
-  return stream.ok() ? std::move(stream).value() : nullptr;
-}
-
-TEST(Stripe, SplitsLoadAcrossBothNetworksInOrder) {
-  auto world = two_net_world(2);
-  StripeEndpoint endpoint(world.sim, world.node(2).ports);
-  rms::Port inbox;
-  world.node(2).ports.bind(kStripeTarget, &inbox);
-
-  auto stripe = make_stripe(world);
-  ASSERT_NE(stripe, nullptr);
-  ASSERT_EQ(stripe->subpaths(), 2u);
-  EXPECT_EQ(stripe->live_subpaths(), 2u);
-
-  constexpr int kMessages = 500;
-  StripedStream* raw = stripe.get();
-  for (int i = 0; i < kMessages; ++i) {
-    world.sim.at(msec(2) * (i + 1), [raw, i] { (void)raw->send(numbered(i)); });
-  }
-  world.sim.run_until(sec(5));
-
-  const std::vector<int> got = collect_ints(inbox);
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kMessages));
-  for (int i = 0; i < kMessages; ++i) ASSERT_EQ(got[i], i) << "at " << i;
-
-  // Real striping: both subpaths carried traffic, and on a clean network
-  // nothing was retransmitted or duplicated.
-  EXPECT_GT(stripe->sent_on(0), 0u);
-  EXPECT_GT(stripe->sent_on(1), 0u);
-  EXPECT_EQ(stripe->stats().striped, static_cast<std::uint64_t>(kMessages));
-  EXPECT_EQ(stripe->stats().retransmits, 0u);
-  EXPECT_EQ(stripe->stats().subpath_deaths, 0u);
-  EXPECT_EQ(stripe->inflight(), 0u);
-  EXPECT_EQ(endpoint.stats().delivered, static_cast<std::uint64_t>(kMessages));
-  EXPECT_EQ(endpoint.stats().duplicates, 0u);
-  EXPECT_EQ(endpoint.stats().window_overflow, 0u);
-}
-
-TEST(Stripe, SubpathDeathDegradesBandwidthNotDelivery) {
-  // One stripe network dies mid-transfer. The subpath is declared dead,
-  // its in-flight messages move to the survivor, the path manager keeps
-  // its hands off (substreams are pinned), and every message still
-  // arrives exactly once, in order.
-  auto world = two_net_world(2);
-  StripeEndpoint endpoint(world.sim, world.node(2).ports);
-  rms::Port inbox;
-  world.node(2).ports.bind(kStripeTarget, &inbox);
-
-  auto stripe = make_stripe(world);
-  ASSERT_NE(stripe, nullptr);
-  ASSERT_EQ(stripe->subpaths(), 2u);
-
-  constexpr int kMessages = 500;
-  StripedStream* raw = stripe.get();
-  // Messages 240..259 go out in a tight burst right before the outage so
-  // the death catches sends genuinely in flight on the doomed network —
-  // the redistribution path must carry them to the survivor. Send times
-  // stay monotone in i (global sequence == client order).
-  for (int i = 0; i < kMessages; ++i) {
-    Time at = msec(2) * (i + 1);
-    if (i >= 240 && i < 260) at = msec(500) - usec(50) + usec(2) * (i - 240);
-    world.sim.at(at, [raw, i] { (void)raw->send(numbered(i)); });
-  }
-  world.sim.at(msec(500), [&world] { world.network->set_down(true); });
-  world.sim.run_until(sec(10));
-
-  const std::vector<int> got = collect_ints(inbox);
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kMessages))
-      << "stripe lost or duplicated messages across the subpath death";
-  for (int i = 0; i < kMessages; ++i) ASSERT_EQ(got[i], i) << "at " << i;
-
-  EXPECT_EQ(stripe->stats().subpath_deaths, 1u);
-  EXPECT_EQ(stripe->live_subpaths(), 1u);
-  EXPECT_FALSE(stripe->failed());
-  EXPECT_GT(stripe->stats().retransmits, 0u);  // redistributed in-flight sends
-  // The stripe owned the failure: the path manager must not have rebound
-  // the pinned substream.
-  EXPECT_EQ(world.node(1).path->stats().failovers, 0u);
-  EXPECT_EQ(stripe->inflight(), 0u);
-}
-
-TEST(Stripe, TwoStripesFromOneHostKeepIndependentSequences) {
-  // Two StripedStreams from the same host both start their global
-  // sequence at 1. The receiver keys its dedup/ordering state by
-  // (host, stripe id), so the second stripe's messages must not be
-  // mistaken for duplicates of the first's.
-  auto world = two_net_world(2);
-  StripeEndpoint endpoint(world.sim, world.node(2).ports);
-  rms::Port inbox_a, inbox_b;
-  world.node(2).ports.bind(kStripeTarget, &inbox_a);
-  world.node(2).ports.bind(kStripeTarget + 1, &inbox_b);
-
-  auto first = make_stripe(world);
-  ASSERT_NE(first, nullptr);
-  auto second = StripedStream::create(world.st(1), world.node(1).path.get(),
-                                      reliable_request(),
-                                      {2, kStripeTarget + 1});
-  ASSERT_TRUE(second.ok()) << second.error().message;
-  ASSERT_NE(first->stripe_id(), second.value()->stripe_id());
-
-  constexpr int kMessages = 100;
-  StripedStream* a = first.get();
-  StripedStream* b = second.value().get();
-  for (int i = 0; i < kMessages; ++i) {
-    world.sim.at(msec(2) * (i + 1), [a, i] { (void)a->send(numbered(i)); });
-    world.sim.at(msec(2) * (i + 1) + usec(500),
-                 [b, i] { (void)b->send(numbered(i)); });
-  }
-  world.sim.run_until(sec(5));
-
-  for (rms::Port* inbox : {&inbox_a, &inbox_b}) {
-    const std::vector<int> got = collect_ints(*inbox);
-    ASSERT_EQ(got.size(), static_cast<std::size_t>(kMessages))
-        << "a stripe's messages were swallowed as another stripe's duplicates";
-    for (int i = 0; i < kMessages; ++i) ASSERT_EQ(got[i], i) << "at " << i;
-  }
-  EXPECT_EQ(endpoint.stats().duplicates, 0u);
-  EXPECT_EQ(first->inflight(), 0u);
-  EXPECT_EQ(second.value()->inflight(), 0u);
-}
-
-TEST(Stripe, FragmentedPayloadsSurviveLoss) {
-  // Payloads above the network frame size fragment inside the ST, and
-  // fragments are never retransmitted. The receiving ST must ack such a
-  // component only when reassembly completes: an ack on fragment 0 would
-  // make the stripe erase the message from its ARQ while loss of a later
-  // fragment can still kill it — a permanent hole in the global sequence
-  // that wedges in-order delivery for good.
-  auto world = two_net_world(2);
-  world.with_faults(fault::FaultPlan().iid_loss(0.2), 3);
-  StripeEndpoint endpoint(world.sim, world.node(2).ports);
-  rms::Port inbox;
-  world.node(2).ports.bind(kStripeTarget, &inbox);
-
-  rms::Request request = reliable_request();
-  request.desired.max_message_size = 8 * 1024;  // well above the 1500 B frame
-  auto stream = StripedStream::create(world.st(1), world.node(1).path.get(), request,
-                                      {2, kStripeTarget});
-  ASSERT_TRUE(stream.ok()) << stream.error().message;
-  auto stripe = std::move(stream).value();
-  ASSERT_EQ(stripe->subpaths(), 2u);
-
-  constexpr int kMessages = 60;
-  StripedStream* raw = stripe.get();
-  const std::string padding(4000, 'x');  // ~3 fragments per message
-  for (int i = 0; i < kMessages; ++i) {
-    world.sim.at(msec(5) * (i + 1), [raw, i, &padding] {
-      rms::Message m;
-      m.data = to_bytes(std::to_string(i) + padding);
-      (void)raw->send(std::move(m));
-    });
-  }
-  world.sim.run_until(sec(12));
-
-  const std::vector<int> got = collect_ints(inbox);
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kMessages))
-      << "fragment loss became message loss: premature fast ack";
-  for (int i = 0; i < kMessages; ++i) ASSERT_EQ(got[i], i) << "at " << i;
-  EXPECT_FALSE(stripe->failed());
-  EXPECT_EQ(stripe->inflight(), 0u) << "transfer wedged with sends in flight";
-  EXPECT_EQ(endpoint.stats().window_overflow, 0u);
-  // The impairment really exercised the fragment path.
-  EXPECT_GT(world.st(1).stats().fragments_sent, 0u);
-  // The seeded run's exact recovery schedule: any drift in the stripe ARQ
-  // (RTO, RACK, death rounds, pacing) moves at least one of these.
-  EXPECT_EQ(stripe->stats().retransmits, 16u);
-  EXPECT_EQ(stripe->stats().rack_retransmits, 9u);
-  EXPECT_EQ(stripe->stats().subpath_deaths, 1u);
-  EXPECT_EQ(stripe->stats().acks, 60u);
-}
-
-// Fault-parameterized invariant suite: every fault kind below runs against
-// ten seeds, and the invariant is always the same — 500 messages, exactly
-// once, in order, with the transfer completing (goodput degrades under
-// impairment; delivery never stalls).
-enum class StripeFault { kIidLoss, kBurstLoss, kReorder, kDuplicate, kPartition };
-
-fault::FaultPlan stripe_fault_plan(StripeFault kind) {
-  switch (kind) {
-    case StripeFault::kIidLoss:
-      return fault::FaultPlan().iid_loss(0.2);
-    case StripeFault::kBurstLoss:
-      return fault::FaultPlan().burst_loss(0.05, 0.3, 1.0);
-    case StripeFault::kReorder:
-      return fault::FaultPlan().reorder(0.3, usec(100), msec(5));
-    case StripeFault::kDuplicate:
-      return fault::FaultPlan().duplicate(0.2, 1, usec(50));
-    case StripeFault::kPartition:
-      // Mid-stream partition of A between the two hosts; heals at 700 ms.
-      return fault::FaultPlan().partition({1}, {2}, msec(300), msec(700));
-  }
-  return {};
-}
-
-const char* stripe_fault_name(StripeFault kind) {
-  switch (kind) {
-    case StripeFault::kIidLoss: return "IidLoss";
-    case StripeFault::kBurstLoss: return "BurstLoss";
-    case StripeFault::kReorder: return "Reorder";
-    case StripeFault::kDuplicate: return "Duplicate";
-    case StripeFault::kPartition: return "Partition";
-  }
-  return "Unknown";
-}
-
-class StripeFaults
-    : public ::testing::TestWithParam<std::tuple<StripeFault, std::uint64_t>> {};
-
-TEST_P(StripeFaults, ExactlyOnceInOrderUnderImpairment) {
-  const auto [kind, seed] = GetParam();
-  auto world = two_net_world(2);
-  world.with_faults(stripe_fault_plan(kind), seed);
-  StripeEndpoint endpoint(world.sim, world.node(2).ports);
-  rms::Port inbox;
-  world.node(2).ports.bind(kStripeTarget, &inbox);
-
-  auto stripe = make_stripe(world);
-  ASSERT_NE(stripe, nullptr);
-  ASSERT_EQ(stripe->subpaths(), 2u);
-
-  constexpr int kMessages = 500;
-  StripedStream* raw = stripe.get();
-  for (int i = 0; i < kMessages; ++i) {
-    world.sim.at(msec(2) * (i + 1), [raw, i] { (void)raw->send(numbered(i)); });
-  }
-  world.sim.run_until(sec(12));
-
-  const std::vector<int> got = collect_ints(inbox);
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kMessages))
-      << stripe_fault_name(kind) << " seed " << seed
-      << ": stripe lost or duplicated messages";
-  for (int i = 0; i < kMessages; ++i) {
-    ASSERT_EQ(got[i], i) << stripe_fault_name(kind) << " seed " << seed
-                         << ": out of order at position " << i;
-  }
-  EXPECT_FALSE(stripe->failed());
-  EXPECT_EQ(stripe->inflight(), 0u) << "transfer stalled with sends in flight";
-  EXPECT_EQ(endpoint.stats().window_overflow, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    FaultMatrix, StripeFaults,
-    ::testing::Combine(::testing::Values(StripeFault::kIidLoss,
-                                         StripeFault::kBurstLoss,
-                                         StripeFault::kReorder,
-                                         StripeFault::kDuplicate,
-                                         StripeFault::kPartition),
-                       ::testing::Range<std::uint64_t>(1, 11)),
-    [](const ::testing::TestParamInfo<StripeFaults::ParamType>& info) {
-      return std::string(stripe_fault_name(std::get<0>(info.param))) + "Seed" +
-             std::to_string(std::get<1>(info.param));
-    });
 
 }  // namespace
 }  // namespace dash::path

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault.h"
 #include "st/st.h"
 #include "test_helpers.h"
 #include "util/serialize.h"
@@ -601,6 +602,45 @@ TEST(St, FastAckIsFasterThanClientTurnaround) {
   ASSERT_GE(acked_at, 0);
   EXPECT_LT(acked_at - t0, msec(20));
   EXPECT_GT(port.queued(), 0u);  // client still hasn't read it
+}
+
+TEST(St, FragmentedComponentAckedOnlyWhenReassembled) {
+  // Fragments are never retransmitted, so a fragmented message can still
+  // be lost after its first fragment lands. The receiving ST must fast-ack
+  // it only once reassembly completes: an ack on fragment 0 would tell the
+  // sender a message was delivered that §4.3 discarding later threw away.
+  auto world = st_world(2);
+  world.with_faults(fault::FaultPlan().iid_loss(0.2), 3);
+  rms::Port port;
+  world.node(2).ports.bind(50, &port);
+  std::set<std::uint64_t> delivered;
+  port.set_handler([&](rms::Message m) {
+    delivered.insert(std::stoull(dash::to_string(m.data)));
+  });
+  auto rms = world.st(1).create(st_request(), {2, 50});
+  ASSERT_TRUE(rms.ok()) << rms.error().message;
+  auto* st_rms = dynamic_cast<StRms*>(rms.value().get());
+  std::vector<std::uint64_t> acked;
+  st_rms->on_fast_ack([&](std::uint64_t id) { acked.push_back(id); });
+
+  constexpr int kMessages = 60;
+  const std::string padding(4000, 'x');  // ~3 fragments per message
+  for (int i = 0; i < kMessages; ++i) {
+    world.sim.at(msec(5) * (i + 1), [st_rms, i, &padding] {
+      (void)st_rms->send_acked(text(std::to_string(i) + padding),
+                               static_cast<std::uint64_t>(i));
+    });
+  }
+  world.sim.run_until(sec(5));
+
+  // The loss really broke fragmented messages apart.
+  EXPECT_GT(world.st(2).stats().partials_discarded, 0u);
+  EXPECT_LT(delivered.size(), static_cast<std::size_t>(kMessages));
+  EXPECT_FALSE(acked.empty());
+  for (std::uint64_t id : acked) {
+    EXPECT_TRUE(delivered.count(id) != 0) << "acked message " << id
+                                          << " never delivered";
+  }
 }
 
 // ----------------------------------------------------------------- failure

@@ -1,8 +1,6 @@
 // Tests for the workload generators and the §2.5 RMS parameter choices.
 #include <gtest/gtest.h>
 
-#include "workload/scenario.h"
-#include "workload/topology.h"
 #include "workload/workload.h"
 
 namespace dash::workload {
@@ -115,132 +113,6 @@ TEST(Requests, CompatibleWithThemselves) {
        {voice_request(), window_event_request(), window_graphics_request()}) {
     EXPECT_TRUE(rms::compatible(req.desired, req.acceptable));
   }
-}
-
-// --------------------------------------------- Internet-scale topologies
-
-TEST(FatTree, StructureAndEcmpWidth) {
-  sim::Simulator sim;
-  FatTreeConfig cfg;
-  cfg.k = 4;
-  auto topo = build_fat_tree(sim, cfg);
-  // k=4: (k/2)² = 4 cores, k pods × (2 agg + 2 edge) = 16, 20 routers.
-  EXPECT_EQ(topo.core.size(), 4u);
-  EXPECT_EQ(topo.agg.size(), 8u);
-  EXPECT_EQ(topo.edge.size(), 8u);
-  EXPECT_EQ(topo.net->routing().routers(), 20u);
-  // Per pod: (k/2)² edge-agg + (k/2)² agg-core = 8; 32 total.
-  EXPECT_EQ(topo.trunks.size(), 32u);
-  EXPECT_EQ(topo.hosts.size(), 8u);
-  EXPECT_EQ(topo.regions, 5u);  // cores + 4 pods
-
-  // Inter-pod routes are 4 hops (edge-agg-core-agg-edge) with k/2-way
-  // ECMP at the edge.
-  auto& eng = topo.net->routing();
-  EXPECT_EQ(eng.distance(topo.edge.front(), topo.edge.back()), 4u);
-  net::RoutingEngine::RouterId hops[8];
-  EXPECT_EQ(eng.next_hops(topo.edge.front(), topo.edge.back(), hops, 8), 2);
-  // Intra-pod: edge0 and edge1 of pod 0 are 2 apart via either agg.
-  EXPECT_EQ(eng.distance(topo.edge[0], topo.edge[1]), 2u);
-}
-
-TEST(FatTree, FlashCrowdIsDeterministic) {
-  auto run = [] {
-    sim::Simulator sim;
-    FatTreeConfig cfg;
-    cfg.k = 4;
-    auto topo = build_fat_tree(sim, cfg);
-    FlashCrowdConfig crowd;
-    crowd.sources = 6;
-    crowd.targets = 1;
-    crowd.duration = msec(50);
-    FlashCrowd fc(sim, topo, crowd);
-    fc.start();
-    sim.run();
-    EXPECT_GT(fc.sent(), 0u);
-    EXPECT_GT(fc.delivered(), 0u);
-    return std::pair(fc.trace_hash(), fc.delivered());
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
-  EXPECT_NE(a.first, 0u);
-}
-
-TEST(WanMesh, RegionalFailureReroutesAroundTheRegion) {
-  sim::Simulator sim;
-  WanMeshConfig cfg;
-  cfg.regions = 4;
-  cfg.routers_per_region = 4;
-  cfg.intra_chords = 1;
-  auto topo = build_wan_mesh(sim, cfg);
-  EXPECT_EQ(topo.net->routing().routers(), 16u);
-
-  // One router per region, by the region tags the generator recorded.
-  auto router_in = [&](std::uint32_t region) {
-    for (std::size_t i = 0; i < topo.router_region.size(); ++i) {
-      if (topo.router_region[i] == region) {
-        return static_cast<InternetTopology::RouterId>(i);
-      }
-    }
-    ADD_FAILURE() << "no router in region " << region;
-    return InternetTopology::RouterId{0};
-  };
-  const auto r0 = router_in(0), r1 = router_in(1), r2 = router_in(2);
-
-  RegionalFailureConfig fail;
-  fail.region = 1;
-  fail.down_at = msec(10);
-  fail.up_at = msec(30);
-  RegionalFailure scenario(sim, topo, fail);
-  EXPECT_GT(scenario.uplinks().size(), 0u);
-  scenario.start();
-
-  auto& eng = topo.net->routing();
-  EXPECT_LT(eng.distance(r0, r1), net::RoutingEngine::kUnreachable);
-  sim.run_until(msec(20));
-  // Region 1 is cut off, but the ring routes 0 -> 3 -> 2 around it.
-  EXPECT_EQ(eng.distance(r0, r1), net::RoutingEngine::kUnreachable);
-  EXPECT_LT(eng.distance(r0, r2), net::RoutingEngine::kUnreachable);
-  sim.run();
-  EXPECT_LT(eng.distance(r0, r1), net::RoutingEngine::kUnreachable);
-}
-
-TEST(WanMesh, AreasMatchFlatReachabilityWithSmallerTables) {
-  auto build = [](bool use_areas) {
-    auto sim = std::make_unique<sim::Simulator>();
-    WanMeshConfig cfg;
-    cfg.regions = 5;
-    cfg.routers_per_region = 6;
-    cfg.use_areas = use_areas;
-    auto topo = build_wan_mesh(*sim, cfg);
-    (void)topo.net->routing().table_digest();  // force the build
-    return std::pair(std::move(sim), std::move(topo));
-  };
-  auto [sim_flat, flat] = build(false);
-  auto [sim_areas, areas] = build(true);
-  // Σ|A|² + R·areas = 5·36 + 30·5 = 330 < 30² = 900.
-  EXPECT_LT(areas.net->routing().table_entries(),
-            flat.net->routing().table_entries());
-  auto& fe = flat.net->routing();
-  auto& ae = areas.net->routing();
-  for (InternetTopology::RouterId from = 0; from < 30; from += 7) {
-    for (InternetTopology::RouterId to = 0; to < 30; to += 5) {
-      if (from == to) continue;
-      EXPECT_LT(ae.distance(from, to), net::RoutingEngine::kUnreachable);
-      EXPECT_GE(ae.distance(from, to), fe.distance(from, to));
-    }
-  }
-  // Packets actually deliver across areas.
-  FlashCrowdConfig crowd;
-  crowd.sources = 4;
-  crowd.targets = 1;
-  crowd.duration = msec(40);
-  FlashCrowd fc(*sim_areas, areas, crowd);
-  fc.start();
-  sim_areas->run();
-  EXPECT_GT(fc.delivered(), 0u);
 }
 
 }  // namespace
