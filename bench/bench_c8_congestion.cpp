@@ -12,22 +12,20 @@
 //                       quench as the only congestion signal.
 //
 // plus both RMS regimes again under a hostile unregulated packet flood,
-// and four congestion-control regimes (DESIGN.md §13): best-effort
-// senders with oversized 64 KB windows thrashing the gateway unpaced vs
-// under the model-based enforcer (kModel: delivery-rate model + pacing +
-// source-quench backoff), the model enforcer under the hostile flood, and
-// a mixed world where paced best-effort bulk shares the gateway with
-// deterministic reservations.
+// and a counter-example: best-effort senders whose 64 KB capacity windows
+// (6 x 64 KB) exceed the 32 KB of buffer that capacity must protect.
 //
 // Shape: with conforming senders both RMS regimes keep gateway drops at
 // zero; under the flood only the *reserved* (deterministic) streams keep
 // their buffer share; the TCP-like flood drops heavily at the gateway,
-// quenching "often ineffectively" (§4.4). The model-based enforcer cuts
-// the overload regime's drops by an order of magnitude and leaves the
-// deterministic class untouched.
+// quenching "often ineffectively" (§4.4). Capacity protects the gateway
+// only when it is sized against the gateway's buffers: the oversized
+// windows thrash it.
 //
 // CLI: the shared baseline gate (bench_util.h Gate; the CI gate uses
-// --check) over the cc metrics, higher is better for every key.
+// --check) over the paper's claim, higher is better for every key:
+// conforming goodput, deterministic completion under the flood, and the
+// conforming rows' gateway-drop headroom.
 
 #include "bench_util.h"
 #include "baseline/sliding_window.h"
@@ -54,14 +52,11 @@ net::NetworkTraits congested_traits() {
   return traits;
 }
 
-/// Knobs distinguishing the cc regimes from the original rows. Defaults
-/// reproduce the original rows exactly (ack-window capacity enforcement,
-/// 3 KB windows, no gateway source quench).
+/// Knobs of the RMS rows: a hostile flood, and the capacity of every
+/// sender's ack-based window (3 KB fits the gateway).
 struct RmsOpts {
   bool flood = false;
-  transport::CapacityMode mode = transport::CapacityMode::kAckBased;
   std::uint64_t capacity = 3 * 1024;
-  bool quench = false;  ///< gateway emits RFC-896 quench -> cc model backoff
 };
 
 CongestionRow run_rms(rms::BoundType type, RmsOpts opts = {}) {
@@ -69,7 +64,6 @@ CongestionRow run_rms(rms::BoundType type, RmsOpts opts = {}) {
   for (int i = 0; i < kSenders; ++i) left.push_back(static_cast<rms::HostId>(i + 1));
   right.push_back(100);
   auto wan = node::dumbbell_world(left, right, congested_traits(), 71);
-  if (opts.quench) wan.network->enable_source_quench(true);
 
   struct Flow {
     std::unique_ptr<transport::StreamReceiver> rx;
@@ -89,7 +83,6 @@ CongestionRow run_rms(rms::BoundType type, RmsOpts opts = {}) {
     // congestion grows the cumulative-ack delay faster than SRTT+4·RTTVAR
     // tracks it, adding retransmit load that confounds the regime rows.)
     cfg.adaptive_rto = false;
-    cfg.capacity = opts.mode;
     f->rx = std::make_unique<transport::StreamReceiver>(
         *wan.node(100).st, wan.node(100).ports, 60 + static_cast<rms::PortId>(i), cfg);
     auto* raw = f.get();
@@ -145,7 +138,6 @@ CongestionRow run_rms(rms::BoundType type, RmsOpts opts = {}) {
   for (auto& f : flows) {
     total += f->got;
     retx += f->tx->stats().retransmissions;
-    out.quenches += f->tx->stats().quench_signals;
     finished = std::max(finished, f->done_at == 0 ? wan.sim.now() : f->done_at);
   }
   out.goodput_kbs = static_cast<double>(total) / to_seconds(finished) / 1e3;
@@ -153,91 +145,6 @@ CongestionRow run_rms(rms::BoundType type, RmsOpts opts = {}) {
   out.retransmissions = retx;
   out.completed_frac =
       static_cast<double>(total) / (static_cast<double>(kSenders) * kPerSender);
-  return out;
-}
-
-/// Half the senders hold deterministic reservations, half run paced
-/// best-effort bulk (kModel) — the guarantee-isolation regime: the cc
-/// subsystem must keep the gateway clean and the deterministic class
-/// untouched while soaking up the leftover trunk capacity.
-struct MixedRow {
-  double det_complete = 0.0;  ///< deterministic bytes delivered / expected
-  double be_goodput_kbs = 0.0;
-  std::uint64_t gateway_drops = 0;
-  std::uint64_t quenches = 0;
-};
-
-MixedRow run_mixed() {
-  std::vector<rms::HostId> left, right;
-  for (int i = 0; i < kSenders; ++i) left.push_back(static_cast<rms::HostId>(i + 1));
-  right.push_back(100);
-  auto wan = node::dumbbell_world(left, right, congested_traits(), 71);
-  wan.network->enable_source_quench(true);
-
-  struct Flow {
-    std::unique_ptr<transport::StreamReceiver> rx;
-    std::unique_ptr<transport::StreamSender> tx;
-    std::unique_ptr<Feeder> feeder;
-    bool det = false;
-    std::size_t got = 0;
-  };
-  std::vector<std::unique_ptr<Flow>> flows;
-  for (int i = 0; i < kSenders; ++i) {
-    const bool det = i < kSenders / 2;
-    auto f = std::make_unique<Flow>();
-    f->det = det;
-    transport::StreamConfig cfg;
-    cfg.message_size = 500;
-    cfg.retransmit_timeout = msec(300);
-    // Deterministic flows run the seed configuration (fixed RTO, ack
-    // window); only the best-effort flows exercise the new cc stack.
-    if (det) cfg.adaptive_rto = false;
-    cfg.capacity = det ? transport::CapacityMode::kAckBased
-                       : transport::CapacityMode::kModel;
-    f->rx = std::make_unique<transport::StreamReceiver>(
-        *wan.node(100).st, wan.node(100).ports, 60 + static_cast<rms::PortId>(i), cfg);
-    auto* raw = f.get();
-    f->rx->on_data([raw](Bytes b) { raw->got += b.size(); });
-
-    auto request = transport::bulk_data_request(det ? 3 * 1024 : 8 * 1024, 500);
-    const auto bound = det ? rms::BoundType::kDeterministic : rms::BoundType::kBestEffort;
-    request.desired.delay.type = bound;
-    request.acceptable.delay.type = bound;
-    request.desired.delay.a = msec(500);
-    request.acceptable.delay.a = sec(30);
-    f->tx = std::make_unique<transport::StreamSender>(
-        *wan.node(static_cast<rms::HostId>(i + 1)).st,
-        wan.node(static_cast<rms::HostId>(i + 1)).ports,
-        rms::Label{100, 60 + static_cast<rms::PortId>(i)}, cfg, request);
-    if (!f->tx->ok()) {
-      std::printf("  (mixed sender %d rejected: %s)\n", i + 1,
-                  f->tx->creation_error().message.c_str());
-      continue;
-    }
-    f->feeder = std::make_unique<Feeder>(*f->tx, kPerSender);
-    flows.push_back(std::move(f));
-  }
-
-  wan.sim.run_until(sec(90));
-
-  MixedRow out{};
-  std::size_t det_total = 0, be_total = 0, det_flows = 0;
-  for (auto& f : flows) {
-    if (f->det) {
-      det_total += f->got;
-      ++det_flows;
-    } else {
-      be_total += f->got;
-      out.quenches += f->tx->stats().quench_signals;
-    }
-  }
-  out.det_complete = det_flows == 0
-                         ? 0.0
-                         : static_cast<double>(det_total) /
-                               (static_cast<double>(det_flows) * kPerSender);
-  out.be_goodput_kbs =
-      static_cast<double>(be_total) / to_seconds(wan.sim.now()) / 1e3;
-  out.gateway_drops = wan.network->gateway_drops();
   return out;
 }
 
@@ -338,8 +245,9 @@ int main(int argc, char** argv) {
               "gw drops", "retransmits", "complete", "quenches");
 
   BenchJson json("c8_congestion");
-  auto report = [&](const char* regime, const CongestionRow& r, bool tcp) {
-    if (tcp) {
+  // `count_quenches` prints the quench count instead of "-".
+  auto report = [&](const char* regime, const CongestionRow& r, bool count_quenches) {
+    if (count_quenches) {
       std::printf("%-26s %12.1f %12llu %12llu %11.1f%% %10llu\n", regime,
                   r.goodput_kbs, static_cast<unsigned long long>(r.gateway_drops),
                   static_cast<unsigned long long>(r.retransmissions),
@@ -362,66 +270,29 @@ int main(int argc, char** argv) {
   const CongestionRow be_row = run_rms(rms::BoundType::kBestEffort);
   report("RMS deterministic", det_row, false);
   report("RMS best-effort", be_row, false);
-  report("RMS deterministic + flood",
-         run_rms(rms::BoundType::kDeterministic, {.flood = true}), false);
+  const CongestionRow det_flood =
+      run_rms(rms::BoundType::kDeterministic, {.flood = true});
+  report("RMS deterministic + flood", det_flood, false);
   report("RMS best-effort + flood",
          run_rms(rms::BoundType::kBestEffort, {.flood = true}), false);
   report("TCP-like + source quench", run_tcp(true), true);
   report("TCP-like, no quench", run_tcp(false), true);
 
-  // Congestion-control regimes (DESIGN.md §13). The overload pair gives
-  // every best-effort sender a 64 KB window — 6 x 64 KB against 32 KB of
-  // gateway buffer — first thrashing unpaced, then under the model-based
-  // enforcer with gateway source quench feeding the model.
-  const RmsOpts overload_unpaced{.capacity = 64 * 1024};
-  const RmsOpts overload_paced{.mode = transport::CapacityMode::kModel,
-                               .capacity = 64 * 1024,
-                               .quench = true};
-  const RmsOpts flood_paced{.flood = true,
-                            .mode = transport::CapacityMode::kModel,
-                            .quench = true};
-  const CongestionRow ov_un = run_rms(rms::BoundType::kBestEffort, overload_unpaced);
-  const CongestionRow ov_cc = run_rms(rms::BoundType::kBestEffort, overload_paced);
-  const CongestionRow fl_cc = run_rms(rms::BoundType::kBestEffort, flood_paced);
-  report("BE overload 64K, unpaced", ov_un, true);
-  report("BE overload 64K + cc", ov_cc, true);
-  report("BE + flood + cc", fl_cc, true);
-
-  const MixedRow mixed = run_mixed();
-  std::printf("%-26s %12.1f %12llu %12s %11.1f%% %10llu\n", "det + paced BE mix",
-              mixed.be_goodput_kbs,
-              static_cast<unsigned long long>(mixed.gateway_drops), "-",
-              100.0 * mixed.det_complete,
-              static_cast<unsigned long long>(mixed.quenches));
-  json.record("gateway_drops", static_cast<double>(mixed.gateway_drops),
-              "packets", {{"regime", "det + paced BE mix"}});
-  json.record("det_completed_fraction", mixed.det_complete, "fraction",
-              {{"regime", "det + paced BE mix"}});
-  json.record("goodput", mixed.be_goodput_kbs, "kB/s",
-              {{"regime", "det + paced BE mix"}});
+  // The counter-example: every best-effort sender gets a 64 KB window,
+  // 6 x 64 KB against 32 KB of gateway buffer. Its gateway sends no
+  // quench, so the quench column counts 0.
+  report("BE overload 64K, unpaced",
+         run_rms(rms::BoundType::kBestEffort, {.capacity = 64 * 1024}), true);
 
   // Gate metrics: all higher-is-better.
-  const double drop_cut =
-      ov_un.gateway_drops == 0
-          ? 1.0
-          : 1.0 - static_cast<double>(ov_cc.gateway_drops) /
-                      static_cast<double>(ov_un.gateway_drops);
-  std::printf("\noverload drop cut with cc pacing: %.1f%% (%llu -> %llu)\n",
-              100.0 * drop_cut,
-              static_cast<unsigned long long>(ov_un.gateway_drops),
-              static_cast<unsigned long long>(ov_cc.gateway_drops));
-  json.record("overload_drop_cut", drop_cut, "fraction", {});
-
   std::map<std::string, double> current;
-  current["overload_drop_cut"] = drop_cut;
-  current["overload_cc_goodput_kbs"] = ov_cc.goodput_kbs;
-  current["flood_cc_goodput_kbs"] = fl_cc.goodput_kbs;
-  current["det_mix_complete"] = mixed.det_complete;
-  // Continuous, higher-is-better drop bound for the mixed world: the
-  // model's startup probing costs a handful of drops before the first
-  // quench backoff; this key fails the gate if that handful grows.
-  current["det_mix_drop_headroom"] =
-      1.0 / (1.0 + static_cast<double>(mixed.gateway_drops));
+  current["det_goodput_kbs"] = det_row.goodput_kbs;
+  current["be_goodput_kbs"] = be_row.goodput_kbs;
+  current["det_flood_complete"] = det_flood.completed_frac;
+  // Continuous, higher-is-better form of "conforming senders drop
+  // nothing at the gateway": 1 at zero drops, falling as drops appear.
+  current["conforming_drop_headroom"] =
+      1.0 / (1.0 + static_cast<double>(det_row.gateway_drops + be_row.gateway_drops));
 
   note("\nShape check (§4.4): RMS capacity enforcement — sized against the");
   note("gateway's buffers at admission — keeps drops at zero when everyone");
@@ -429,10 +300,8 @@ int main(int argc, char** argv) {
   note("streams keep their share, while unreserved streams and the TCP-like");
   note("baseline thrash the buffers; source quench only damps the thrashing");
   note("after drops already happened: \"an ad hoc and often ineffective");
-  note("solution\". The model-based enforcer (DESIGN.md §13) turns the same");
-  note("quench signal into a rate model: the 64 KB-window overload keeps its");
-  note("goodput with far fewer drops, and paced best-effort bulk shares the");
-  note("gateway with deterministic reservations without touching them.");
+  note("solution\". A capacity larger than the buffer it must protect");
+  note("thrashes the gateway the same way.");
 
-  return gate.finish(current, "cc");
+  return gate.finish(current, "capacity");
 }

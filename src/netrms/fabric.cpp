@@ -306,21 +306,10 @@ void NetRmsFabric::send_now(Stream& s, rms::Message msg, Time deadline) {
 void NetRmsFabric::host_receive(HostId host, net::Packet p) {
   auto it = hosts_.find(host);
   if (it == hosts_.end()) return;
-  if (p.stream == net::InternetNetwork::kQuenchStream) {
-    // Gateway source quench (§3.1/§4.4): an 8-byte little-endian id of the
-    // stream whose packet overflowed an outgoing queue. Relay congestion
-    // advice to that stream's sender; never a protocol drop.
-    Reader q(p.payload);
-    if (auto dropped = q.u64()) {
-      auto sit = streams_.find(*dropped);
-      if (sit != streams_.end() && sit->second.src == host &&
-          sit->second.sender != nullptr) {
-        ++stats_.quenches;
-        sit->second.sender->congestion_from_fabric();
-      }
-    }
-    return;
-  }
+  // Gateway source quench (§3.1) is network input, not an RMS message.
+  // RMS streams protect gateway buffers with capacity (§4.4), so the
+  // advice is discarded here; never a protocol drop.
+  if (p.stream == net::InternetNetwork::kQuenchStream) return;
   // Receive-side protocol processing, also deadline-ordered (§4.1). The
   // checksum-verify cost matches what the sender paid.
   Reader peek(p.payload);

@@ -48,7 +48,6 @@ class NetRmsFabric {
     std::uint64_t protocol_drops = 0;   ///< unparseable header / unknown stream
     std::uint64_t no_port_drops = 0;    ///< no port bound at the target label
     std::uint64_t out_of_order = 0;     ///< delivered with seq below a prior one
-    std::uint64_t quenches = 0;         ///< gateway source-quench signals relayed
   };
 
   NetRmsFabric(sim::Simulator& sim, net::Network& network);
@@ -175,7 +174,6 @@ class NetworkRms final : public rms::Rms {
   void do_close() override;
   void detach() { fabric_ = nullptr; }
   void fail_from_fabric(const Error& e) { fail(e); }
-  void congestion_from_fabric() { signal_congestion(); }
 
   NetRmsFabric* fabric_;
   std::uint64_t stream_;

@@ -121,12 +121,6 @@ class Rms {
   /// RMS basic property 3: clients are notified of an RMS failure.
   void on_failure(std::function<void(const Error&)> cb) { failure_cb_ = std::move(cb); }
 
-  /// Congestion advice: the provider learned (e.g. from an internet
-  /// gateway's source quench, §3.1) that this stream's traffic is being
-  /// dropped for queue overflow. Advisory — the stream keeps working; a
-  /// model-based sender should reduce its rate.
-  void on_congestion(std::function<void()> cb) { congestion_cb_ = std::move(cb); }
-
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
 
@@ -150,11 +144,6 @@ class Rms {
     if (failure_cb_) failure_cb_(e);
   }
 
-  /// Provider implementations call this to relay congestion advice.
-  void signal_congestion() {
-    if (congestion_cb_) congestion_cb_();
-  }
-
   /// Replaces the negotiated parameters. Providers that transparently
   /// re-home a live RMS onto a different underlying resource (path
   /// failover) re-run §2.4 negotiation and install the new actual set
@@ -168,7 +157,6 @@ class Rms {
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::function<void(const Error&)> failure_cb_;
-  std::function<void()> congestion_cb_;
 };
 
 /// An RMS provider: "the hardware and software system supporting the

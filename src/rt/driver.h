@@ -1,7 +1,7 @@
 // Wall-clock event-loop driver (DESIGN.md §16).
 //
-// The whole DASH stack — protocol timers, pacers, adaptive RTO, RACK
-// scans, path-manager probes — schedules work on one sim::Simulator. In a
+// The whole DASH stack — protocol timers, rate-based pumps, adaptive RTO,
+// path-manager probes — schedules work on one sim::Simulator. In a
 // simulation the engine's clock jumps from event to event; the Driver
 // instead slaves that same calendar queue to the host's monotonic clock,
 // so every existing timer fires in real time and the unmodified ST /

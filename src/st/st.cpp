@@ -413,10 +413,6 @@ Result<SubtransportLayer::Channel*> SubtransportLayer::obtain_channel(
   ch->capacity_used = plan.actual.capacity;
   const std::uint64_t cid = ch->id;
   ch->net_rms->on_failure([this, cid](const Error& e) { fail_channel_streams(cid, e); });
-  // Gateway source quench arrives per network RMS; every ST stream
-  // multiplexed on the channel shares the congested path, so all get the
-  // advice.
-  ch->net_rms->on_congestion([this, cid] { congestion_channel_streams(cid); });
   Channel* raw = ch.get();
   channels_[cid] = std::move(ch);
   ++stats_.net_rms_created;
@@ -1787,14 +1783,6 @@ void SubtransportLayer::expire_channel(std::uint64_t channel_id) {
   if (!it->second->cached) return;
   cancel_channel_timers(*it->second);
   channels_.erase(it);
-}
-
-void SubtransportLayer::congestion_channel_streams(std::uint64_t channel_id) {
-  ++stats_.quench_signals;
-  for (auto& [id, rms] : streams_) {
-    (void)id;
-    if (rms->channel_id_ == channel_id) rms->signal_congestion();
-  }
 }
 
 void SubtransportLayer::fail_channel_streams(std::uint64_t channel_id, const Error& e) {

@@ -265,7 +265,6 @@ class SubtransportLayer : public rms::Provider {
     std::uint64_t handoff_replayed = 0;        ///< messages re-emitted after failover
     std::uint64_t handoff_acks = 0;            ///< internal handoff-trim acks received
     std::uint64_t handoff_dropped = 0;         ///< handoff entries evicted (overflow)
-    std::uint64_t quench_signals = 0;          ///< gateway quench advisories fanned out
   };
 
   SubtransportLayer(sim::Simulator& sim, HostId host, sim::CpuScheduler& cpu,
@@ -556,7 +555,6 @@ class SubtransportLayer : public rms::Provider {
   void expire_channel(std::uint64_t channel_id);
   void cancel_channel_timers(Channel& ch);
   void fail_channel_streams(std::uint64_t channel_id, const Error& e);
-  void congestion_channel_streams(std::uint64_t channel_id);
 
   sim::Simulator& sim_;
   HostId host_;

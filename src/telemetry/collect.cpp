@@ -148,28 +148,6 @@ void collect_path(MetricsRegistry& m, const path::PathManager& pm) {
       .set(static_cast<double>(pm.failover_latency().max()));
 }
 
-void collect_cc(MetricsRegistry& m, const transport::StreamSender& s,
-                const std::string& prefix) {
-  const transport::StreamSender::Stats& st = s.stats();
-  const std::string p = "cc." + prefix + ".";
-  m.counter(p + "rtt_samples").set(st.rtt_samples);
-  m.counter(p + "rack_retransmits").set(st.rack_retransmits);
-  m.counter(p + "quench_signals").set(st.quench_signals);
-  m.counter(p + "retransmissions").set(st.retransmissions);
-  m.gauge(p + "rto_ns").set(static_cast<double>(s.current_rto()));
-  m.gauge(p + "srtt_ns").set(static_cast<double>(s.srtt()));
-  const cc::ModelEnforcer* model = s.model();
-  if (model == nullptr) return;
-  m.gauge(p + "pacing_rate_bps").set(model->pacing_rate_Bps() * 8.0);
-  m.gauge(p + "btlbw_bps").set(model->btlbw_Bps() * 8.0);
-  m.gauge(p + "min_rtt_ns").set(static_cast<double>(model->min_rtt()));
-  m.gauge(p + "cwnd_bytes").set(static_cast<double>(model->cwnd()));
-  m.gauge(p + "inflight_bytes").set(static_cast<double>(model->inflight()));
-  m.gauge(p + "phase").set(static_cast<double>(model->phase()));
-  m.counter(p + "quenches").set(model->quenches());
-  m.counter(p + "delivered_bytes").set(model->delivered_bytes());
-}
-
 void collect_fault(MetricsRegistry& m, const fault::FaultInjector& f,
                    const std::string& prefix) {
   const fault::FaultInjector::Counters& c = f.counters();

@@ -24,7 +24,6 @@
 #include "rkom/rkom.h"
 #include "st/st.h"
 #include "telemetry/metrics.h"
-#include "transport/stream.h"
 #include "userrms/user_rms.h"
 
 namespace dash::telemetry {
@@ -65,15 +64,6 @@ void collect_rkom(MetricsRegistry& m, const rkom::RkomNode& node);
 /// failure notifications, failover outcomes by trigger, downgrades, and
 /// probe-RTT / failover-latency distribution summaries.
 void collect_path(MetricsRegistry& m, const path::PathManager& pm);
-
-/// Congestion-control view of one stream sender under "cc.<prefix>.*"
-/// (DESIGN.md §13): pacing rate, bottleneck-bandwidth and min-RTT
-/// estimates, model phase, cwnd/inflight, RACK retransmits, quench
-/// signals, and the adaptive-RTO state (srtt, rto, sample count). The
-/// model gauges are emitted only for CapacityMode::kModel senders; the
-/// RTO/retransmission counters cover every mode.
-void collect_cc(MetricsRegistry& m, const transport::StreamSender& s,
-                const std::string& prefix);
 
 /// Fault injector under "fault.<prefix>.*": scripted impairment counts.
 void collect_fault(MetricsRegistry& m, const fault::FaultInjector& f,

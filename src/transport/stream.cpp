@@ -1,7 +1,6 @@
 #include "transport/stream.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "util/serialize.h"
 
@@ -27,7 +26,6 @@ const char* capacity_mode_name(CapacityMode m) {
     case CapacityMode::kRateBased: return "rate-based";
     case CapacityMode::kAckBased: return "ack-based";
     case CapacityMode::kTokenBucket: return "token-bucket";
-    case CapacityMode::kModel: return "model";
   }
   return "?";
 }
@@ -241,26 +239,11 @@ StreamSender::StreamSender(st::SubtransportLayer& st, rms::PortRegistry& ports,
       auto ack_enforcer = std::make_unique<AckBasedEnforcer>(data_rms_->params().capacity);
       // Flow-control acknowledgements ride the ST fast-ack service (§3.2).
       ack_enforcer_ = ack_enforcer.get();
-      if (data_st_ != nullptr) {
+      fast_acked_ = data_st_ != nullptr;
+      if (fast_acked_) {
         data_st_->on_fast_ack([this](std::uint64_t seq) { on_fast_ack(seq); });
       }
       enforcer_ = std::move(ack_enforcer);
-      break;
-    }
-    case CapacityMode::kModel: {
-      // Model-based enforcement (DESIGN.md §13): fast acks double as
-      // delivery-rate samples, sends are paced at the model rate, and
-      // gateway source quench cuts the rate directly.
-      auto model = std::make_unique<cc::ModelEnforcer>(sim_, data_rms_->params());
-      model_ = model.get();
-      if (data_st_ != nullptr) {
-        data_st_->on_fast_ack([this](std::uint64_t seq) { on_fast_ack(seq); });
-        data_st_->on_congestion([this] {
-          ++stats_.quench_signals;
-          model_->on_quench();
-        });
-      }
-      enforcer_ = std::move(model);
       break;
     }
   }
@@ -320,7 +303,7 @@ void StreamSender::pump() {
       return;  // resumed when a cumulative ack frees the window
     }
     if (enforcer_ != nullptr && !enforcer_->can_send(chunk_size)) {
-      // Rate-, bucket- or pace-blocked: wake at the known release time.
+      // Rate- or bucket-blocked: wake at the known release time.
       // Window-bound (kTimeNever): only a fast ack can unblock.
       const Time when = enforcer_->next_allowed(chunk_size);
       if (when != kTimeNever && !pump_scheduled_) {
@@ -349,22 +332,17 @@ void StreamSender::send_chunk(Bytes chunk) {
 
   const std::size_t size = chunk.size();
   if (config_.reliable || config_.receiver_flow_control) {
-    unacked_[seq] = Unacked{std::move(chunk), sim_.now(), sim_.now(), 0};
+    unacked_[seq] = Unacked{std::move(chunk), sim_.now(), 0};
     flight_bytes_ += size;
   }
   if (enforcer_ != nullptr) enforcer_->note_sent(size);
-  // App-limited when this send empties the backlog: its delivery rate
-  // measures the application, not the path, and must not shrink the model.
-  if (model_ != nullptr) model_->on_packet_sent(seq, size, port_.empty());
 
   rms::Message m;
   m.data = std::move(wire);
   ++stats_.messages_sent;
   stats_.bytes_sent += size;
 
-  if ((config_.capacity == CapacityMode::kAckBased ||
-       config_.capacity == CapacityMode::kModel) &&
-      data_st_ != nullptr) {
+  if (fast_acked_) {
     fast_ack_sizes_[seq] = size;
     (void)data_st_->send_acked(std::move(m), seq);
   } else {
@@ -376,20 +354,8 @@ void StreamSender::send_chunk(Bytes chunk) {
 void StreamSender::on_fast_ack(std::uint64_t seq) {
   auto it = fast_ack_sizes_.find(seq);
   if (it == fast_ack_sizes_.end()) return;  // already released by a cum ack
-  if (enforcer_ != nullptr) enforcer_->note_acked(it->second);
+  enforcer_->note_acked(it->second);
   fast_ack_sizes_.erase(it);
-  if (model_ != nullptr) {
-    // Feed the delivery-rate sampler; the unambiguous RTT (if any) also
-    // seeds the RTO estimator — a fast ack crosses the same network both
-    // ways, so it bounds the cum-ack round trip from below.
-    (void)model_->on_packet_acked(seq);
-    auto ua = unacked_.find(seq);
-    if (ua != unacked_.end() && rack_.on_delivered(ua->second.last_sent)) {
-      // A newer send was just confirmed delivered: anything transmitted a
-      // reordering window earlier and still outstanding is lost.
-      rack_scan();
-    }
-  }
   pump();
 }
 
@@ -402,24 +368,6 @@ void StreamSender::sample_rtt(Time rtt) {
   if (rtt < 0) return;
   rtt_.sample(rtt);
   ++stats_.rtt_samples;
-}
-
-void StreamSender::rack_scan() {
-  if (!config_.reliable || model_ == nullptr) return;
-  const Time srtt = rtt_.valid() ? rtt_.srtt() : model_->min_rtt();
-  std::vector<std::uint64_t> lost;
-  for (const auto& [seq, entry] : unacked_) {
-    // Entries with no pending fast-ack charge were already delivered to
-    // the peer's ST; only undelivered sends can be RACK-lost.
-    if (fast_ack_sizes_.find(seq) == fast_ack_sizes_.end()) continue;
-    if (rack_.lost(entry.last_sent, srtt)) lost.push_back(seq);
-  }
-  for (std::uint64_t seq : lost) {
-    auto it = unacked_.find(seq);
-    if (it == unacked_.end()) continue;
-    ++stats_.rack_retransmits;
-    retransmit(seq, it->second);
-  }
 }
 
 void StreamSender::handle_ack(rms::Message msg) {
@@ -449,15 +397,7 @@ void StreamSender::handle_ack(rms::Message msg) {
       // of leaking it (which would wedge the enforcer permanently).
       auto fa = fast_ack_sizes_.find(it->first);
       if (fa != fast_ack_sizes_.end()) {
-        if (enforcer_ != nullptr && (config_.capacity == CapacityMode::kAckBased ||
-                                     config_.capacity == CapacityMode::kModel)) {
-          enforcer_->note_acked(fa->second);
-          // Keep the sampler's books consistent, but a cum ack's timing
-          // says nothing about the data path — no rate sample from it.
-          if (model_ != nullptr) {
-            (void)model_->on_packet_acked(it->first, /*rtt_eligible=*/false);
-          }
-        }
+        enforcer_->note_acked(fa->second);
         fast_ack_sizes_.erase(fa);
       }
       it = unacked_.erase(it);
@@ -494,32 +434,26 @@ void StreamSender::retransmit(std::uint64_t seq, Unacked& entry) {
   w.u64(seq);
   w.u64(ack_port_id_);
   w.bytes(entry.data);
-  // Ack-based/model capacity: if the seq's original charge is still
-  // pending (no fast ack yet), the retransmitted copy rides it. If the
-  // charge was already released (the original arrived but the transport
-  // ack raced the RTO), the copy is new in-network data and must
-  // re-charge.
-  const bool fast_acked = config_.capacity == CapacityMode::kAckBased ||
-                          config_.capacity == CapacityMode::kModel;
-  if (enforcer_ != nullptr) {
-    if (config_.capacity == CapacityMode::kRateBased ||
-        config_.capacity == CapacityMode::kTokenBucket) {
-      enforcer_->note_sent(entry.data.size());
-    } else if (fast_acked &&
-               fast_ack_sizes_.find(seq) == fast_ack_sizes_.end()) {
+  // Ack-based capacity: if the seq's original charge is still pending (no
+  // fast ack yet), the retransmitted copy rides it. If the charge was
+  // already released (the original arrived but the transport ack raced
+  // the RTO), the copy is new in-network data and must re-charge. Rate and
+  // bucket capacity charge every copy.
+  if (fast_acked_) {
+    if (fast_ack_sizes_.find(seq) == fast_ack_sizes_.end()) {
       enforcer_->note_sent(entry.data.size());
       fast_ack_sizes_[seq] = entry.data.size();
     }
+  } else if (enforcer_ != nullptr) {
+    enforcer_->note_sent(entry.data.size());
   }
-  entry.last_sent = sim_.now();
   ++entry.retx;
-  if (model_ != nullptr) model_->on_packet_retransmitted(seq);
   rms::Message m;
   m.data = std::move(wire);
   ++stats_.messages_sent;
   ++stats_.retransmissions;
   stats_.bytes_sent += entry.data.size();
-  if (fast_acked && data_st_ != nullptr) {
+  if (fast_acked_) {
     (void)data_st_->send_acked(std::move(m), seq);
   } else {
     (void)data_rms_->send(std::move(m));
@@ -536,9 +470,8 @@ void StreamSender::rto_fire() {
   int sent = 0;
   for (auto& [seq, entry] : unacked_) {
     if (sent >= kRetransmitBurst) break;
-    if ((config_.capacity == CapacityMode::kRateBased ||
-         config_.capacity == CapacityMode::kTokenBucket) &&
-        enforcer_ != nullptr && !enforcer_->can_send(entry.data.size())) {
+    if (!fast_acked_ && enforcer_ != nullptr &&
+        !enforcer_->can_send(entry.data.size())) {
       break;  // retransmissions also respect the shaping envelope
     }
     retransmit(seq, entry);

@@ -24,12 +24,10 @@
 #include <map>
 #include <memory>
 
-#include "cc/enforcer.h"
-#include "cc/rack.h"
-#include "cc/sampler.h"
 #include "st/st.h"
 #include "transport/enforcer.h"
 #include "transport/ipc_port.h"
+#include "transport/rtt.h"
 
 namespace dash::transport {
 
@@ -43,12 +41,6 @@ enum class CapacityMode : std::uint8_t {
   /// Token-bucket shaping to the stream's declared statistical workload
   /// (average load + burstiness); for statistical-bound streams.
   kTokenBucket,
-  /// Model-based (src/cc, DESIGN.md §13): delivery-rate sampling feeds a
-  /// BBR-flavored bandwidth×min-RTT model, sends are paced at the model
-  /// rate, and RACK time-based loss detection replaces pure-RTO recovery.
-  /// For best-effort and statistical streams; flow-control acks ride the
-  /// ST fast-ack service like kAckBased.
-  kModel,
 };
 
 const char* capacity_mode_name(CapacityMode m);
@@ -151,8 +143,6 @@ class StreamSender {
     std::uint64_t acked_bytes = 0;     ///< cumulatively acknowledged
     std::uint64_t write_blocked = 0;   ///< sender flow control engaged
     std::uint64_t rtt_samples = 0;     ///< unambiguous RTT measurements
-    std::uint64_t rack_retransmits = 0;///< RACK-marked losses re-sent early
-    std::uint64_t quench_signals = 0;  ///< fabric congestion advisories
   };
 
   /// `target` is the receiver's (host, data port). The data ST RMS is
@@ -183,17 +173,11 @@ class StreamSender {
   /// Bytes currently outstanding against the RMS capacity (§2.2's "sent
   /// but not yet delivered"), when ack-based enforcement is active.
   std::uint64_t capacity_outstanding() const {
-    return ack_enforcer_ != nullptr ? ack_enforcer_->outstanding()
-           : model_ != nullptr      ? model_->inflight()
-                                    : 0;
+    return ack_enforcer_ != nullptr ? ack_enforcer_->outstanding() : 0;
   }
 
-  /// The congestion model behind CapacityMode::kModel (telemetry, tests);
-  /// nullptr in other modes.
-  const cc::ModelEnforcer* model() const { return model_; }
-
   /// Current retransmission timeout and smoothed RTT (-1 before the first
-  /// sample), for tests and the cc.* collector.
+  /// sample), for tests.
   Time current_rto() const { return current_rto_; }
   Time srtt() const { return rtt_.valid() ? rtt_.srtt() : -1; }
 
@@ -204,7 +188,6 @@ class StreamSender {
   void on_fast_ack(std::uint64_t seq);
   void sample_rtt(Time rtt);
   Time base_rto() const;
-  void rack_scan();
   struct Unacked;
   void retransmit(std::uint64_t seq, Unacked& entry);
   void arm_rto();
@@ -226,23 +209,23 @@ class StreamSender {
 
   std::unique_ptr<CapacityEnforcer> enforcer_;
   AckBasedEnforcer* ack_enforcer_ = nullptr;  ///< view of enforcer_ when ack-based
-  cc::ModelEnforcer* model_ = nullptr;        ///< view of enforcer_ when model-based
+  /// Capacity charges are released per message by ST fast acks (§3.2)
+  /// rather than by a timer; decided once, in the constructor.
+  bool fast_acked_ = false;
   std::uint64_t next_seq_ = 0;
   struct Unacked {
     Bytes data;
     Time first_sent;
-    Time last_sent;  ///< most recent (re)transmission (RACK, Karn)
-    int retx = 0;
+    int retx = 0;  ///< retransmissions so far (Karn: no RTT sample if > 0)
   };
   std::map<std::uint64_t, Unacked> unacked_;
   std::map<std::uint64_t, std::size_t> fast_ack_sizes_;  ///< seq -> bytes awaiting fast ack
   std::size_t flight_bytes_ = 0;
   std::uint64_t receiver_window_ = ~0ull;
   sim::TimerHandle rto_timer_;  ///< guards the oldest unacked message
-  sim::TimerHandle pump_timer_; ///< wake-up for a rate-, bucket- or pace-blocked pump
+  sim::TimerHandle pump_timer_; ///< wake-up for a rate- or bucket-blocked pump
   Time current_rto_ = 0;
-  cc::RttEstimator rtt_;        ///< SRTT/RTTVAR for the adaptive RTO
-  cc::RackState rack_;          ///< time-based loss detection (kModel)
+  RttEstimator rtt_;            ///< SRTT/RTTVAR for the adaptive RTO
   bool pump_scheduled_ = false;
   bool in_pump_ = false;
   std::function<void()> on_drained_;

@@ -485,6 +485,29 @@ TEST(NetRms, WorksAcrossInternet) {
   EXPECT_GT(port.last_delay(), msec(20));
 }
 
+TEST(NetRms, GatewaySourceQuenchIsDiscarded) {
+  // A gateway quench is network input, not an RMS message: RMS streams
+  // protect gateway buffers with capacity (§4.4), so the source's fabric
+  // discards the quench before protocol processing.
+  auto traits = net::internet_traits();
+  traits.buffer_bytes = 4 * 1024;
+  auto wan = wan_world({1}, {2}, traits);
+  wan.network->enable_source_quench(true);
+  rms::Port port;
+  wan.node(2).ports.bind(10, &port);
+  auto rms = wan.fabric->create(1, loose_request(64 * 1024, 500, 1.0), {2, 10});
+  ASSERT_TRUE(rms.ok()) << rms.error().message;
+  for (int i = 0; i < 64; ++i) {  // a burst far beyond the gateway buffer
+    rms::Message m;
+    m.data = patterned_bytes(500, static_cast<std::uint64_t>(i));
+    ASSERT_TRUE(rms.value()->send(std::move(m)).ok());
+  }
+  wan.sim.run();
+  EXPECT_GT(wan.network->drop_stats().trunk_full, 0u);  // one quench each
+  EXPECT_GT(port.delivered(), 0u);
+  EXPECT_EQ(wan.fabric->stats().protocol_drops, 0u);
+}
+
 TEST(NetRms, ImpliedBandwidthIsAchievable) {
   // §2.2: sending a maximum-size message every D*M/C achieves ~C/D B/s
   // without violating capacity. Verify the schedule meets its bounds.

@@ -1,10 +1,13 @@
 // Tests for the transport module (paper §4.4, Figure 5): the
-// flow-controlled IPC port, both capacity-enforcement mechanisms, and the
-// stream protocol's reliability / receiver-flow-control compositions.
+// flow-controlled IPC port, the capacity-enforcement mechanisms, the RTO
+// estimator, and the stream protocol's reliability / receiver-flow-control
+// compositions.
 #include <gtest/gtest.h>
 
+#include "telemetry/ledger.h"
 #include "transport/enforcer.h"
 #include "transport/ipc_port.h"
+#include "transport/rtt.h"
 #include "transport/stream.h"
 #include "test_helpers.h"
 
@@ -130,7 +133,50 @@ TEST(AckBasedEnforcer, NextAllowedNeedsAck) {
   EXPECT_EQ(e.next_allowed(1), kTimeNever);
 }
 
+// ------------------------------------------------------------ RttEstimator
+
+TEST(RttEstimator, Rfc6298SmoothedRtoWithClamps) {
+  RttEstimator e;
+  EXPECT_FALSE(e.valid());
+  EXPECT_EQ(e.rto(msec(50), sec(5), msec(400)), msec(400));  // fallback
+
+  e.sample(msec(100));
+  EXPECT_EQ(e.srtt(), msec(100));
+  EXPECT_EQ(e.rttvar(), msec(50));
+  EXPECT_EQ(e.rto(msec(50), sec(5), msec(400)), msec(300));  // srtt + 4·var
+
+  e.sample(msec(100));  // zero error shrinks the variance
+  EXPECT_EQ(e.srtt(), msec(100));
+  EXPECT_LT(e.rttvar(), msec(50));
+
+  RttEstimator fast;
+  fast.sample(usec(100));
+  EXPECT_EQ(fast.rto(msec(50), sec(5), msec(400)), msec(50));  // min clamp
+  RttEstimator slow;
+  slow.sample(sec(30));
+  EXPECT_EQ(slow.rto(msec(50), sec(5), msec(400)), sec(5));  // max clamp
+}
+
 // ------------------------------------------------------------ stream E2E
+
+/// Feeds `payload` through `s` in chunks, respecting sender flow control:
+/// a rejected write parks until on_writable fires.
+void feed(StreamSender* s, Bytes payload) {
+  auto offset = std::make_shared<std::size_t>(0);
+  auto data = std::make_shared<Bytes>(std::move(payload));
+  auto pump = std::make_shared<std::function<void()>>();
+  *pump = [s, offset, data] {
+    while (*offset < data->size()) {
+      const std::size_t n = std::min<std::size_t>(2048, data->size() - *offset);
+      Bytes chunk(data->begin() + static_cast<std::ptrdiff_t>(*offset),
+                  data->begin() + static_cast<std::ptrdiff_t>(*offset + n));
+      if (!s->write(std::move(chunk)).ok()) return;  // resumes on_writable
+      *offset += n;
+    }
+  };
+  s->on_writable([pump] { (*pump)(); });
+  (*pump)();
+}
 
 struct StreamFixture {
   node::World<net::EthernetNetwork> world;
@@ -151,25 +197,7 @@ struct StreamFixture {
                                             rms::Label{2, 60}, config, data_request);
   }
 
-  /// Feeds `payload` through the sender in chunks, respecting sender flow
-  /// control: a rejected write parks until on_writable fires.
-  void feed(Bytes payload) {
-    auto offset = std::make_shared<std::size_t>(0);
-    auto data = std::make_shared<Bytes>(std::move(payload));
-    auto pump = std::make_shared<std::function<void()>>();
-    StreamSender* s = sender.get();
-    *pump = [s, offset, data] {
-      while (*offset < data->size()) {
-        const std::size_t n = std::min<std::size_t>(2048, data->size() - *offset);
-        Bytes chunk(data->begin() + static_cast<std::ptrdiff_t>(*offset),
-                    data->begin() + static_cast<std::ptrdiff_t>(*offset + n));
-        if (!s->write(std::move(chunk)).ok()) return;  // resumes on_writable
-        *offset += n;
-      }
-    };
-    s->on_writable([pump] { (*pump)(); });
-    (*pump)();
-  }
+  void feed(Bytes payload) { transport::feed(sender.get(), std::move(payload)); }
 };
 
 TEST(Stream, ReliableTransferDeliversExactBytes) {
@@ -373,6 +401,114 @@ TEST(Stream, FixedRtoWhenAdaptiveDisabled) {
   EXPECT_TRUE(f.sender->drained());
   // Samples are still collected (telemetry), but the timer stays fixed.
   EXPECT_EQ(f.sender->current_rto(), cfg.retransmit_timeout);
+}
+
+// -------------------------- ack-windowed best-effort vs deterministic (§4.4)
+
+/// A 32 KB gateway: the C8 world in miniature.
+net::NetworkTraits congested_traits() {
+  auto traits = net::internet_traits();
+  traits.buffer_bytes = 32 * 1024;
+  return traits;
+}
+
+/// The deterministic stream's ledger verdict plus the gateway drop count.
+struct DetVerdict {
+  std::uint64_t delivered = 0;
+  std::uint64_t misses = 0;
+  bool holds = false;
+  std::uint64_t gateway_drops = 0;
+  std::uint64_t be_delivered_bytes = 0;  ///< best-effort bulk progress
+};
+
+constexpr std::size_t kBestEffortBytes = 128 * 1024;
+
+/// Runs a deterministic metered stream 1→100, optionally alongside an
+/// ack-windowed best-effort bulk stream 2→100 through the same gateway.
+DetVerdict run_det(bool with_best_effort) {
+  auto w = dash::testing::wan_world({1, 2}, {100}, congested_traits(), /*seed=*/71);
+
+  // Deterministic stream: 200 × 256 B messages, one every 5 ms (the C8
+  // bench's reservation shape).
+  auto det_request = bulk_data_request(3 * 1024, 500);
+  det_request.desired.delay.type = rms::BoundType::kDeterministic;
+  det_request.acceptable.delay.type = rms::BoundType::kDeterministic;
+  det_request.desired.delay.a = msec(500);
+  det_request.acceptable.delay.a = sec(30);
+  auto det_stream = w.st(1).create(det_request, rms::Label{100, 70});
+  EXPECT_TRUE(det_stream.ok()) << det_stream.error().message;
+  if (!det_stream.ok()) return {};
+
+  telemetry::GuaranteeLedger ledger;
+  ledger.open(1, "det 1->100", det_stream.value()->params(), 1, 100);
+  rms::Port det_port;
+  w.node(100).ports.bind(70, &det_port);
+  sim::Simulator* simp = &w.sim;
+  ledger.watch(det_port, 1, [simp] { return simp->now(); });
+
+  rms::Rms* raw = det_stream.value().get();
+  telemetry::GuaranteeLedger* lp = &ledger;
+  for (int i = 0; i < 200; ++i) {
+    w.sim.at(msec(5) * (i + 1), [raw, lp] {
+      rms::Message m;
+      m.data = Bytes(256);
+      lp->on_send(1, m.data.size());
+      (void)raw->send(std::move(m));
+    });
+  }
+
+  // Optional best-effort bulk transfer whose 8 KB capacity is charged
+  // against fast acks.
+  std::unique_ptr<StreamReceiver> rx;
+  std::unique_ptr<StreamSender> tx;
+  if (with_best_effort) {
+    StreamConfig cfg;
+    cfg.capacity = CapacityMode::kAckBased;
+    cfg.message_size = 500;
+    rx = std::make_unique<StreamReceiver>(w.st(100), w.node(100).ports, 60, cfg);
+    auto request = bulk_data_request(8 * 1024, 500);
+    request.desired.delay.a = msec(500);
+    request.acceptable.delay.a = sec(30);
+    tx = std::make_unique<StreamSender>(w.st(2), w.node(2).ports,
+                                        rms::Label{100, 60}, cfg, request);
+    EXPECT_TRUE(tx->ok()) << tx->creation_error().message;
+    if (!tx->ok()) return {};
+    feed(tx.get(), patterned_bytes(kBestEffortBytes, 2));
+  }
+
+  w.sim.run_until(sec(20));
+
+  DetVerdict out;
+  const telemetry::StreamAccount* a = ledger.find(1);
+  out.delivered = a->delivered;
+  out.misses = a->misses;
+  out.holds = a->guarantee_holds();
+  out.gateway_drops = w.network->gateway_drops();
+  if (rx) out.be_delivered_bytes = rx->contiguous_bytes();
+  return out;
+}
+
+TEST(Stream, AckWindowedBestEffortLeavesDeterministicVerdictsUntouched) {
+  const DetVerdict alone = run_det(false);
+  const DetVerdict shared = run_det(true);
+
+  // The deterministic class's ledger verdict is identical whether or not a
+  // best-effort stream shares the gateway: same deliveries, same (zero)
+  // misses, guarantee still holds.
+  EXPECT_EQ(alone.delivered, 200u);
+  EXPECT_EQ(shared.delivered, alone.delivered);
+  EXPECT_EQ(shared.misses, alone.misses);
+  EXPECT_EQ(shared.misses, 0u);
+  EXPECT_TRUE(alone.holds);
+  EXPECT_TRUE(shared.holds);
+
+  // The best-effort stream moved all of its data, so the comparison above
+  // is not vacuous.
+  EXPECT_EQ(shared.be_delivered_bytes, kBestEffortBytes);
+
+  // Its capacity window fits the gateway buffer: no drops in either run.
+  EXPECT_EQ(alone.gateway_drops, 0u);
+  EXPECT_EQ(shared.gateway_drops, 0u);
 }
 
 }  // namespace
