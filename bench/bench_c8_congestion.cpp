@@ -113,10 +113,13 @@ CongestionRow run_rms(rms::BoundType type, RmsOpts opts = {}) {
   if (opts.flood) {
     // A non-conforming source blasts raw packets through the same gateway
     // at twice the trunk rate — the §4.4 scenario reservations exist for.
+    // The pending event owns the injector; the closure holds only a weak
+    // reference to itself, so the simulator frees it with the last event.
     auto inject = std::make_shared<std::function<void()>>();
+    std::weak_ptr<std::function<void()>> self = inject;
     net::InternetNetwork* network = wan.network;
     sim::Simulator* simp = &wan.sim;
-    *inject = [network, simp, inject] {
+    *inject = [network, simp, self] {
       net::Packet p;
       p.src = 1;
       p.dst = 100;
@@ -124,7 +127,7 @@ CongestionRow run_rms(rms::BoundType type, RmsOpts opts = {}) {
       p.deadline = kTimeNever;
       p.payload = patterned_bytes(500, 9);
       network->send(std::move(p));
-      simp->after(usec(1300), [inject] { (*inject)(); });
+      simp->after(usec(1300), [next = self.lock()] { (*next)(); });
     };
     (*inject)();
   }

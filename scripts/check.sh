@@ -1,7 +1,9 @@
 #!/bin/sh
 # Builds the tree with a sanitizer and runs the test suite under it, so the
-# adversarial fault suites exercise every error path sanitized. Run from
-# the repository root.
+# adversarial fault suites exercise every error path sanitized, then runs
+# the c8 (hostile flood injector) and c11 (failover rebind) benches, which
+# are not ctest entries, inside the build directory. Run from the
+# repository root.
 #
 #   scripts/check.sh [build-dir] [sanitizer] [ctest-regex]
 #
@@ -20,3 +22,4 @@ if [ -n "$3" ]; then
 else
   ctest --test-dir "$BUILD" --output-on-failure -j
 fi
+(cd "$BUILD" && bench/bench_c8_congestion && bench/bench_c11_failover)

@@ -344,7 +344,9 @@ void NetRmsFabric::process_delivery(HostId host, net::Packet p) {
     return;
   }
   auto it = streams_.find(*stream_id);
-  if (it == streams_.end()) {
+  // Stream ids are small and sequential, so any host on the medium can
+  // guess one: a packet speaks for a stream only if its source host does.
+  if (it == streams_.end() || it->second.src != p.src) {
     ++stats_.protocol_drops;
     return;
   }

@@ -45,7 +45,8 @@ class NetRmsFabric {
     std::uint64_t messages_delivered = 0;
     std::uint64_t checksum_drops = 0;   ///< corruption caught by software checksum
     std::uint64_t corrupt_delivered = 0;///< corruption passed through (no checksum)
-    std::uint64_t protocol_drops = 0;   ///< unparseable header / unknown stream
+    std::uint64_t protocol_drops = 0;   ///< unparseable header / unknown stream /
+                                        ///< source host not the stream's
     std::uint64_t no_port_drops = 0;    ///< no port bound at the target label
     std::uint64_t out_of_order = 0;     ///< delivered with seq below a prior one
   };

@@ -25,12 +25,6 @@ struct ProbeHealth {
   double ewma_rtt_ns = -1.0;
   int consecutive_timeouts = 0;
 
-  /// Ledger-fed early warning: some stream on this path saw its windowed
-  /// delay p95 approach its bound (PathManager::delay_pressure). Re-mirrored
-  /// every tick; score() ranks a pressured path below clean alternates but
-  /// above anything with a timeout strike.
-  int delay_pressure_strikes = 0;
-
   std::uint64_t probes_sent = 0;
   std::uint64_t pongs_received = 0;
   Time last_pong = -1;      ///< sender side: last pong from the peer

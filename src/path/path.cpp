@@ -8,10 +8,6 @@
 namespace dash::path {
 namespace {
 
-/// Sustained-violation failover: the guarantee ledger's windowed verdict
-/// (per probe tick) must be bad this many consecutive times.
-constexpr int kViolationChecks = 3;
-
 /// Minimum spacing between failover attempts for one stream, so a flapping
 /// network cannot make a stream ping-pong every tick. Channel death
 /// overrides the cooldown (staying is guaranteed loss).
@@ -19,22 +15,6 @@ constexpr Time kFailoverCooldown = msec(500);
 
 /// Smoothing for the probe RTT estimate.
 constexpr double kRttEwmaAlpha = 0.3;
-
-/// Make-before-break (DESIGN.md §12): once the current path shows this
-/// many consecutive probe timeouts (degrading, but not yet unhealthy),
-/// pre-negotiate a replacement channel on the best alternate network in
-/// the background. The eventual failover then commits onto the
-/// already-confirmed channel with no negotiation RTT; if the path recovers
-/// first, the staged channel is torn down instead.
-constexpr int kDegradedAfter = 1;
-
-/// Delay-pressure shedding: watch each watched stream's windowed delay
-/// distribution in the guarantee ledger and migrate it *before* the bound
-/// is violated — when the window's p95 delay exceeds kShedThreshold of the
-/// contracted bound for kShedChecks consecutive ticks while the window is
-/// still miss-free. Violations proper stay with kViolationChecks.
-constexpr double kShedThreshold = 0.85;
-constexpr int kShedChecks = 2;
 
 BytesView name_view(const std::string& name) {
   return BytesView(reinterpret_cast<const std::byte*>(name.data()), name.size());
@@ -75,21 +55,6 @@ void PathManager::add_network(netrms::NetRmsFabric& fabric) {
   listener_tokens_.push_back(
       fabric.add_failure_listener([this, idx](const Error&) { on_fabric_failure(idx); }));
   arm_tick();  // a second network can make already-managed streams mobile
-}
-
-void PathManager::watch_stream(std::uint64_t stream_id, std::uint64_t account_id) {
-  auto it = streams_.find(stream_id);
-  if (it == streams_.end()) return;
-  ManagedStream& ms = it->second;
-  ms.account_id = account_id;
-  // Snapshot the account counters so the first windowed verdict covers
-  // only what happens after the binding, not history.
-  if (ledger_ != nullptr) {
-    if (telemetry::StreamAccount* a = ledger_->find(account_id)) {
-      ms.last_delivered = a->delivered;
-      ms.last_misses = a->misses;
-    }
-  }
 }
 
 void PathManager::set_metrics(telemetry::MetricsRegistry* m) {
@@ -147,10 +112,6 @@ double PathManager::score(HostId peer, const netrms::NetRmsFabric& fabric) const
     // one timeout. Within a health class, lower smoothed RTT wins.
     s -= 1e9 * h.consecutive_timeouts;
     if (recent_failure(h)) s -= 1e9;
-    // Delay pressure (ledger p95 approaching a stream's bound) outranks
-    // any RTT difference but stays under a timeout strike: shed to a
-    // clean path, but never onto one that is actually failing.
-    if (h.delay_pressure_strikes > 0) s -= 5e8;
     s -= h.ewma_rtt_ns >= 0 ? h.ewma_rtt_ns / 1e3 : 1e3;
   } else {
     // Never probed: below any probed-and-healthy path, above anything
@@ -250,7 +211,6 @@ void PathManager::on_probe_message(rms::Message msg) {
       h.consecutive_timeouts = 0;
       ++h.pongs_received;
       ++stats_.pongs_received;
-      probe_rtt_.observe(rtt);
       if (probe_rtt_hist_ != nullptr) probe_rtt_hist_->observe(rtt);
       break;
     }
@@ -319,234 +279,30 @@ void PathManager::tick() {
     }
   }
 
-  // 3. Failover triggers: dead path (sustained probe timeouts on the
-  // stream's current network) or sustained guarantee violation. A path
-  // that is degrading but not yet condemned gets a replacement channel
-  // staged (make-before-break) so the eventual switch is hitless; a path
-  // that recovers gets its staged channel torn down.
-  for (auto& [k, h] : probes_) h.delay_pressure_strikes = 0;
+  // 3. Fail over every stream whose current path is dead: its network is
+  // down, or `unhealthy_after` consecutive probes on it went unanswered
+  // (the silent outage nothing else detects). Channel death is handled
+  // as it happens, in on_channel_failed.
   for (auto& [id, ms] : streams_) {
     st::StRms* s = st_.find_stream(id);
-    if (s == nullptr || s->rebinding()) continue;
-
-    ms.bad_verdicts = windowed_verdict_bad(ms) ? ms.bad_verdicts + 1 : 0;
-    ms.pressure_strikes = delay_pressure(ms) ? ms.pressure_strikes + 1 : 0;
-
-    bool unhealthy = false;
-    int cur_timeouts = 0;
+    if (s == nullptr || s->rebinding() || now < ms.cooldown_until) continue;
     const std::size_t cur = fabric_index(st_.stream_fabric(id));
-    if (cur != kNoFabric) {
-      if (fabrics_[cur]->network().down()) unhealthy = true;
-      auto pit = probes_.find({ms.peer, cur});
-      if (pit != probes_.end()) {
-        cur_timeouts = pit->second.consecutive_timeouts;
-        if (cur_timeouts >= config_.unhealthy_after) unhealthy = true;
-      }
+    if (cur == kNoFabric) continue;
+    bool unhealthy = fabrics_[cur]->network().down();
+    auto pit = probes_.find({ms.peer, cur});
+    if (pit != probes_.end() &&
+        pit->second.consecutive_timeouts >= config_.unhealthy_after) {
+      unhealthy = true;
     }
-    if (ms.pressure_strikes > 0 && cur != kNoFabric) {
-      // Mirror onto the path so score() ranks it below clean alternates
-      // for every stream choosing a network this tick.
-      ProbeHealth& ph = probes_[{ms.peer, cur}];
-      ph.delay_pressure_strikes =
-          std::max(ph.delay_pressure_strikes, ms.pressure_strikes);
-    }
-
-    if (cur != kNoFabric) {
-      const bool degrading =
-          unhealthy || cur_timeouts >= kDegradedAfter ||
-          ms.pressure_strikes >= kShedChecks ||
-          fabrics_[cur]->network().down();
-      if (degrading) {
-        ms.upgrade_pending = false;  // survival outranks going home
-        stage_replacement(ms, cur);
-      } else if (!ms.upgrade_pending &&
-                 st_.staged_fabric(id) != nullptr) {
-        // The degraded path recovered before the switch: the staged
-        // channel is no longer wanted — tear it down, don't leak it.
-        st_.abort_rebind(id);
-        ++stats_.staged_aborts;
-        trace("path.prepare", "stream " + std::to_string(id) +
-                                  " recovered; staged channel aborted");
-      }
-    }
-
-    if (now < ms.cooldown_until) continue;
-    if (unhealthy) {
-      (void)try_failover(ms, "probe-timeout");
-    } else if (ms.bad_verdicts >= kViolationChecks) {
-      if (try_failover(ms, "guarantee-violation")) ++stats_.violation_failovers;
-      ms.bad_verdicts = 0;
-    } else if (ms.pressure_strikes >= kShedChecks) {
-      // Pre-violation shedding: the path still meets the bound, but its
-      // delay distribution says it is about to stop. Move while the move
-      // is still hitless.
-      if (try_failover(ms, "delay-pressure")) ++stats_.pressure_sheds;
-      ms.pressure_strikes = 0;
-    } else if (cur_timeouts == 0) {
-      consider_upgrade(ms, cur, now);
-    }
+    if (unhealthy) (void)try_failover(ms, "probe-timeout");
   }
 
   arm_tick();
 }
 
-void PathManager::stage_replacement(ManagedStream& ms, std::size_t cur) {
-  // Pick the best alternate exactly as try_failover would, and stage it.
-  // prepare_rebind is idempotent per fabric and retargets when the best
-  // alternate changes between ticks.
-  std::size_t best = kNoFabric;
-  double best_score = -1e30;
-  for (std::size_t i = 0; i < fabrics_.size(); ++i) {
-    if (i == cur) continue;
-    if (!fabrics_[i]->network().attached(ms.peer)) continue;
-    if (fabrics_[i]->network().down()) continue;
-    const double s = score(ms.peer, *fabrics_[i]);
-    if (s > best_score) {
-      best_score = s;
-      best = i;
-    }
-  }
-  if (best == kNoFabric) return;
-  if (st_.staged_fabric(ms.id) == fabrics_[best]) return;  // already staging it
-  if (st_.prepare_rebind(ms.id, *fabrics_[best]).ok()) {
-    ++stats_.prepares;
-    trace("path.prepare", "stream " + std::to_string(ms.id) + " staging on " +
-                              fabrics_[best]->traits().name);
-  } else {
-    ++stats_.prepare_failures;
-  }
-}
-
-void PathManager::consider_upgrade(ManagedStream& ms, std::size_t cur, Time now) {
-  if (!config_.upgrade_back || ms.home_fabric == kNoFabric ||
-      cur == kNoFabric || cur == ms.home_fabric) {
-    ms.home_healthy_ticks = 0;
-    ms.upgrade_pending = false;
-    return;
-  }
-  netrms::NetRmsFabric* home = fabrics_[ms.home_fabric];
-  bool home_ok = home->network().attached(ms.peer) && !home->network().down();
-  if (home_ok) {
-    auto it = probes_.find({ms.peer, ms.home_fabric});
-    home_ok = it != probes_.end() && it->second.consecutive_timeouts == 0 &&
-              it->second.last_pong >= 0 &&
-              now - it->second.last_pong <= 2 * config_.probe_interval &&
-              !recent_failure(it->second);
-  }
-  if (!home_ok) {
-    ms.home_healthy_ticks = 0;
-    if (ms.upgrade_pending) {
-      st_.abort_rebind(ms.id);
-      ++stats_.staged_aborts;
-      ms.upgrade_pending = false;
-    }
-    return;
-  }
-  if (ms.home_healthy_ticks < kUpgradeAfter) {
-    ++ms.home_healthy_ticks;
-    return;
-  }
-
-  // Make-before-break: stage a channel home, commit once it is confirmed.
-  if (st_.staged_fabric(ms.id) == home && st_.rebind_prepared(ms.id)) {
-    ms.failover_started = sim_.now();
-    if (st_.commit_rebind(ms.id).ok()) {
-      ++stats_.upgrades_back;
-      ms.upgrade_pending = false;
-      ms.home_healthy_ticks = 0;
-      ms.cooldown_until = now + kFailoverCooldown;
-      trace("path.upgrade", "stream " + std::to_string(ms.id) +
-                                " back home on " + home->traits().name);
-    } else {
-      ms.failover_started = -1;
-    }
-  } else if (st_.staged_fabric(ms.id) != home) {
-    ms.upgrade_pending = true;
-    if (!st_.prepare_rebind(ms.id, *home).ok()) {
-      ++stats_.prepare_failures;
-      ms.upgrade_pending = false;
-      ms.home_healthy_ticks = 0;  // back off a full evaluation round
-    } else {
-      ++stats_.prepares;
-    }
-  }
-}
-
-bool PathManager::windowed_verdict_bad(ManagedStream& ms) {
-  // The ledger's guarantee_holds() is cumulative — once violated it stays
-  // violated forever, which would re-trigger failover on every tick. The
-  // path manager instead judges each probe window on its own deliveries.
-  if (ledger_ == nullptr || ms.account_id == 0) return false;
-  telemetry::StreamAccount* a = ledger_->find(ms.account_id);
-  if (a == nullptr) return false;
-  const std::uint64_t delivered = a->delivered - ms.last_delivered;
-  const std::uint64_t misses = a->misses - ms.last_misses;
-  ms.last_delivered = a->delivered;
-  ms.last_misses = a->misses;
-  ms.window_misses = misses;
-  if (delivered == 0) return false;
-  switch (a->params.delay.type) {
-    case rms::BoundType::kDeterministic:
-      return misses > 0;
-    case rms::BoundType::kStatistical:
-      return static_cast<double>(misses) / static_cast<double>(delivered) >
-             1.0 - a->params.statistical.delay_probability + 1e-9;
-    case rms::BoundType::kBestEffort:
-      return false;
-  }
-  return false;
-}
-
-bool PathManager::delay_pressure(ManagedStream& ms) {
-  // Early warning off the same ledger rows windowed_verdict_bad judges:
-  // instead of waiting for misses, compare the window's delay p95 against
-  // the contracted bound and shed while the guarantee still holds. Runs
-  // right after windowed_verdict_bad, which refreshed ms.window_misses.
-  if (ledger_ == nullptr || ms.account_id == 0) return false;
-  telemetry::StreamAccount* a = ledger_->find(ms.account_id);
-  if (a == nullptr || a->params.delay.type == rms::BoundType::kBestEffort) {
-    return false;
-  }
-  const std::uint64_t window = a->delay_ns.count() - ms.delay_snapshot.count();
-  const double p95 = a->delay_ns.quantile_since(ms.delay_snapshot, 0.95);
-  ms.delay_snapshot = a->delay_ns;
-  // A violating window is the violation machinery's case, not pressure;
-  // and a handful of samples is not a distribution.
-  if (ms.window_misses > 0 || window < 4) return false;
-  const double mean_bytes =
-      a->delivered == 0 ? 0.0
-                        : static_cast<double>(a->bytes_delivered) /
-                              static_cast<double>(a->delivered);
-  const double bound_ns =
-      static_cast<double>(a->params.delay.a) +
-      static_cast<double>(a->params.delay.b_per_byte) * mean_bytes;
-  if (bound_ns <= 0) return false;
-  return p95 > kShedThreshold * bound_ns;
-}
-
 // ---------------------------------------------------------------- failover
 
 bool PathManager::try_failover(ManagedStream& ms, const char* reason) {
-  // Fast path: a staged replacement channel that already completed peer
-  // establishment switches with no negotiation RTT at all.
-  netrms::NetRmsFabric* staged = st_.staged_fabric(ms.id);
-  if (staged != nullptr && st_.rebind_prepared(ms.id) &&
-      !staged->network().down()) {
-    ms.failover_started = sim_.now();
-    if (st_.commit_rebind(ms.id).ok()) {
-      ++stats_.failovers;
-      ++stats_.hitless_switches;
-      ms.upgrade_pending = false;
-      ms.home_healthy_ticks = 0;
-      ms.cooldown_until = sim_.now() + kFailoverCooldown;
-      trace("path.failover", "stream " + std::to_string(ms.id) + " -> " +
-                                 staged->traits().name + " (" + reason +
-                                 ", hitless)");
-      return true;
-    }
-    ms.failover_started = -1;
-  }
-
   netrms::NetRmsFabric* current = st_.stream_fabric(ms.id);
   struct Candidate {
     std::size_t idx;
@@ -587,7 +343,6 @@ void PathManager::on_stream_created(st::StRms& rms) {
   ManagedStream ms;
   ms.id = rms.id();
   ms.peer = rms.peer();
-  ms.home_fabric = fabric_index(st_.stream_fabric(ms.id));
   streams_.emplace(ms.id, ms);
   arm_tick();
 }
@@ -602,13 +357,6 @@ bool PathManager::on_channel_failed(st::StRms& rms, const Error& e) {
   const bool moved = try_failover(it->second, "channel-failure");
   if (moved) ++stats_.death_failovers;
   return moved;
-}
-
-void PathManager::on_rebind_prepared(st::StRms& rms) {
-  auto it = streams_.find(rms.id());
-  if (it == streams_.end()) return;
-  trace("path.prepare", "stream " + std::to_string(rms.id()) +
-                            " staged channel confirmed by peer");
 }
 
 void PathManager::on_stream_rebound(st::StRms& rms, bool downgraded) {
@@ -697,7 +445,7 @@ netrms::NetRmsFabric* PathManager::preferred_control_fabric(
   // winner: control channels should not flap between equivalent networks.
   // Any outstanding probe timeout disqualifies it from the stickiness —
   // during a silent outage the control channel must move with the first
-  // missed pong, or staging/re-establishment replies die on the old path.
+  // missed pong, or re-establishment replies die on the old path.
   if (cur != kNoFabric && cur != best) {
     auto it = probes_.find({peer, cur});
     if (it != probes_.end() && !current->network().down()) {

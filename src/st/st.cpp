@@ -681,11 +681,6 @@ Status SubtransportLayer::rebind_stream(std::uint64_t stream_id,
   }
   StRms& rms = *sit->second;
 
-  // A slow-path rebind supersedes any staged channel (it may even target
-  // the same fabric; obtaining the channel below must not double-count the
-  // staged capacity share).
-  abort_rebind(stream_id);
-
   // §2.4 re-run against the *original* request: the client's acceptable
   // set, not the old actual parameters, bounds what the new network must
   // provide.
@@ -736,202 +731,6 @@ Status SubtransportLayer::rebind_stream(std::uint64_t stream_id,
                          (downgraded ? " (downgraded)" : ""));
   establish(rms);
   return Status::ok_status();
-}
-
-// ------------------------------------------------- make-before-break rebind
-
-Status SubtransportLayer::prepare_rebind(std::uint64_t stream_id,
-                                         netrms::NetRmsFabric& fabric) {
-  auto sit = streams_.find(stream_id);
-  if (sit == streams_.end()) {
-    return make_error(Errc::kClosed, "prepare for unknown stream");
-  }
-  StRms& rms = *sit->second;
-
-  auto existing = staged_.find(stream_id);
-  if (existing != staged_.end()) {
-    if (existing->second.fabric == &fabric) return Status::ok_status();
-    abort_rebind(stream_id);  // retargeting: drop the old staged channel
-  }
-
-  auto plan = plan_params(fabric, rms.request_);
-  if (!plan) {
-    ++stats_.prepare_failures;
-    return plan.error();
-  }
-  auto channel = obtain_channel(rms.peer_, fabric, plan.value());
-  if (!channel) {
-    ++stats_.prepare_failures;
-    return channel.error();
-  }
-
-  StagedRebind sr;
-  sr.channel_id = channel.value()->id;
-  sr.fabric = &fabric;
-  sr.plan = std::move(plan).value();
-  staged_[stream_id] = std::move(sr);
-  ++stats_.rebinds_prepared;
-  trace("st.prepare", "stream " + std::to_string(stream_id) + " staging on " +
-                          fabric.traits().name);
-
-  // Confirm the staged channel with the peer in the background; data keeps
-  // flowing on the current channel the whole time. kPrepareRequest
-  // refreshes the receiver's demux entry in place (preserving
-  // next_expected_seq) without disturbing a reassembly that old-channel
-  // fragments may still complete.
-  PeerState& ps = peer_state(rms.peer_);
-  const std::uint64_t id = stream_id;
-  ensure_authenticated(ps, [this, id] {
-    auto staged_it = staged_.find(id);
-    auto stream_it = streams_.find(id);
-    if (staged_it == staged_.end() || stream_it == streams_.end()) return;
-    StRms& stream = *stream_it->second;
-    PeerState& state = peer_state(stream.peer_);
-
-    const std::uint64_t req_id = state.next_request++;
-    staged_it->second.req_id = req_id;
-    Bytes payload;
-    Writer w(payload);
-    w.u8(static_cast<std::uint8_t>(ControlType::kPrepareRequest));
-    w.u64(req_id);
-    w.u64(stream.id_);
-    w.u64(stream.target_.port);
-    w.u8(staged_it->second.plan.security);
-    w.sized_bytes(to_bytes(staged_it->second.fabric->traits().name));
-
-    state.pending_replies[req_id].cb = [this, id, req_id](bool ok) {
-      auto it = staged_.find(id);
-      if (it == staged_.end()) return;  // aborted while in flight
-      if (it->second.req_id != req_id) return;  // superseded: reply is stale
-      if (!ok) {
-        ++stats_.prepare_failures;
-        abort_rebind(id);
-        return;
-      }
-      it->second.ready = true;
-      trace("st.prepare", "stream " + std::to_string(id) + " staged channel ready");
-      auto stream_entry = streams_.find(id);
-      if (stream_entry != streams_.end() && observer_ != nullptr) {
-        observer_->on_rebind_prepared(*stream_entry->second);
-      }
-    };
-
-    send_request_with_retry(state.peer, std::move(payload), req_id,
-                            config_.control_retries);
-  });
-  return Status::ok_status();
-}
-
-bool SubtransportLayer::rebind_prepared(std::uint64_t stream_id) const {
-  auto it = staged_.find(stream_id);
-  return it != staged_.end() && it->second.ready;
-}
-
-netrms::NetRmsFabric* SubtransportLayer::staged_fabric(std::uint64_t stream_id) const {
-  auto it = staged_.find(stream_id);
-  return it == staged_.end() ? nullptr : it->second.fabric;
-}
-
-Status SubtransportLayer::commit_rebind(std::uint64_t stream_id) {
-  auto sit = streams_.find(stream_id);
-  auto staged_it = staged_.find(stream_id);
-  if (sit == streams_.end() || staged_it == staged_.end()) {
-    return make_error(Errc::kClosed, "commit with nothing staged");
-  }
-  if (!staged_it->second.ready) {
-    return make_error(Errc::kRmsFailed, "staged channel not yet confirmed");
-  }
-  StRms& rms = *sit->second;
-  StagedRebind sr = std::move(staged_it->second);
-  staged_.erase(staged_it);
-
-  auto cit = channels_.find(sr.channel_id);
-  if (cit == channels_.end() || cit->second->net_rms == nullptr ||
-      cit->second->net_rms->failed()) {
-    // The staged channel died between ready and commit. Return the staged
-    // capacity share and ref count before falling back to the slow path —
-    // the channel entry may still exist (a network RMS can fail without
-    // fail_channel_streams having pruned the staging).
-    drop_staged_channel(sr, stream_id);
-    return make_error(Errc::kRmsFailed, "staged channel died before commit");
-  }
-
-  // The switch itself: leave the old channel (no kDelete — the stream
-  // lives on) and adopt the staged one. The peer confirmed it during
-  // prepare, so establishment state is untouched and the handoff buffer
-  // replays immediately — no negotiation RTT.
-  detach_channel(rms);
-
-  const rms::Params old_params = rms.params();
-  rms.channel_id_ = sr.channel_id;
-  rms.security_ = sr.plan.security;
-  rms.reset_params(sr.plan.actual);
-  const bool downgraded = !rms::compatible(rms.params(), old_params);
-  rms.rebind_downgraded_ = downgraded;
-  if (downgraded) {
-    ++stats_.rebind_downgrades;
-    if (rms.downgrade_cb_) rms.downgrade_cb_(old_params, rms.params());
-  }
-
-  // Control traffic follows the stream: the old network may be silently
-  // dead, and acks/replies must keep flowing.
-  PeerState& ps = peer_state(rms.peer_);
-  if (ps.fabric != sr.fabric) {
-    ps.fabric = sr.fabric;
-    if (ps.control_out != nullptr) {
-      ps.control_out.reset();
-      ++stats_.control_channels_reset;
-    }
-  }
-
-  ++stats_.rebinds_committed;
-  ++stats_.streams_rebound;
-  trace("st.rebind", "stream " + std::to_string(stream_id) + " -> " +
-                         sr.fabric->traits().name + " (hitless)" +
-                         (downgraded ? " (downgraded)" : ""));
-  if (rms.established_) {
-    replay_handoff(rms);
-    auto pending = std::move(rms.pending_);
-    rms.pending_.clear();
-    for (auto& p : pending) emit(rms, std::move(p.msg), p.ack_id, p.acked);
-    if (observer_ != nullptr) observer_->on_stream_rebound(rms, downgraded);
-  } else {
-    // Commit raced the very first establishment; finish it on the new home.
-    establish(rms);
-  }
-  return Status::ok_status();
-}
-
-void SubtransportLayer::abort_rebind(std::uint64_t stream_id) {
-  auto it = staged_.find(stream_id);
-  if (it == staged_.end()) return;
-  StagedRebind sr = std::move(it->second);
-  staged_.erase(it);
-  ++stats_.rebinds_aborted;
-  trace("st.prepare", "stream " + std::to_string(stream_id) + " staged rebind aborted");
-  drop_staged_channel(sr, stream_id);
-}
-
-void SubtransportLayer::drop_staged_channel(const StagedRebind& sr,
-                                            std::uint64_t stream_id) {
-  (void)stream_id;
-  auto cit = channels_.find(sr.channel_id);
-  if (cit == channels_.end()) return;
-  Channel& ch = *cit->second;
-  // Mirror detach_channel for a stream that never carried data on the
-  // channel: return the staged capacity share and cache or release when the
-  // last user leaves.
-  ch.capacity_used -= std::min(ch.capacity_used, sr.plan.actual.capacity);
-  if (--ch.ref_count > 0) return;
-  if (config_.enable_caching && ch.net_rms != nullptr && !ch.net_rms->failed()) {
-    ch.cached = true;
-    const std::uint64_t id = ch.id;
-    sim_.cancel(ch.cache_timer);
-    ch.cache_timer = sim_.timer_after(config_.cache_idle_timeout,
-                                      [this, id] { expire_channel(id); });
-  } else {
-    release_channel(ch);
-  }
 }
 
 // --------------------------------------------------------------- send path
@@ -1386,40 +1185,6 @@ void SubtransportLayer::handle_control(rms::Message msg) {
       send_control(ps, std::move(reply));
       break;
     }
-    case ControlType::kPrepareRequest: {
-      // Make-before-break staging: same as kCreateRequest, but data is
-      // still flowing on the old channel, so an in-progress reassembly may
-      // yet complete — refresh the entry without discarding it. The reply
-      // reuses kCreateReply (the sender's request/reply plumbing matches on
-      // request id, not type).
-      auto req_id = r.u64();
-      auto st_id = r.u64();
-      auto port = r.u64();
-      auto security = r.u8();
-      if (!req_id || !st_id || !port || !security) return;
-      const bool trusted = ps.fabric != nullptr && ps.fabric->traits().trusted;
-      const bool ok = ps.peer_verified || trusted;
-      if (ok) {
-        auto [eit, inserted] = demux_.try_emplace({src, *st_id});
-        (void)inserted;
-        DemuxEntry& entry = eit->second;
-        entry.src = src;
-        entry.st_id = *st_id;
-        entry.target = Label{host_, *port};
-        entry.security = *security;
-        if (auto net_name = r.sized_bytes()) {
-          entry.ack_fabric = fabric_named(*net_name);
-        }
-      }
-      Bytes reply;
-      Writer w(reply);
-      w.u8(static_cast<std::uint8_t>(ControlType::kCreateReply));
-      w.u64(*req_id);
-      w.u64(*st_id);
-      w.u8(ok ? 1 : 0);
-      send_control(ps, std::move(reply));
-      break;
-    }
     case ControlType::kCreateReply: {
       auto req_id = r.u64();
       auto st_id = r.u64();
@@ -1707,7 +1472,6 @@ void SubtransportLayer::deliver_component(DemuxEntry& entry, std::uint64_t seq,
 
 void SubtransportLayer::release_stream(StRms& rms) {
   if (streams_.erase(rms.id_) == 0) return;  // already released
-  abort_rebind(rms.id_);  // a staged replacement dies with its stream
   if (observer_ != nullptr) observer_->on_stream_released(rms);
   // In-flight ack timestamps and handoff entries die with the stream (they
   // are per-stream and capped, so a closed stream frees its tracking
@@ -1790,14 +1554,6 @@ void SubtransportLayer::fail_channel_streams(std::uint64_t channel_id, const Err
   const HostId peer = cit != channels_.end() ? cit->second->peer : 0;
   netrms::NetRmsFabric* fabric =
       cit != channels_.end() ? cit->second->fabric : nullptr;
-  // Staged rebinds whose replacement channel just died are worthless: drop
-  // them first, so the capacity share is returned and an observer reacting
-  // to the stream failure below cannot commit onto a dead channel.
-  std::vector<std::uint64_t> dead_staged;
-  for (auto& [sid, sr] : staged_) {
-    if (sr.channel_id == channel_id) dead_staged.push_back(sid);
-  }
-  for (std::uint64_t sid : dead_staged) abort_rebind(sid);
   // Collect ids and re-find each: a failure (or rebind) callback may close
   // other streams and mutate streams_ under us.
   std::vector<std::uint64_t> victims;

@@ -99,9 +99,6 @@ class StreamObserver {
   virtual bool on_channel_failed(StRms&, const Error&) { return false; }
   /// Establishment over the new network completed after a rebind.
   virtual void on_stream_rebound(StRms&, bool downgraded) { (void)downgraded; }
-  /// A staged replacement channel (prepare_rebind) finished peer
-  /// establishment and is ready for commit_rebind.
-  virtual void on_rebind_prepared(StRms&) {}
   /// An ST fast acknowledgement measured a data round trip to `peer` over
   /// `fabric` (nullptr if the channel is already gone). Lets a path
   /// manager treat carried traffic as live health evidence instead of
@@ -258,10 +255,6 @@ class SubtransportLayer : public rms::Provider {
     std::uint64_t streams_rebound = 0;         ///< failovers onto another network
     std::uint64_t rebind_failures = 0;         ///< rebind attempts that found no home
     std::uint64_t rebind_downgrades = 0;       ///< rebinds with weaker actual params
-    std::uint64_t rebinds_prepared = 0;        ///< staged replacement channels opened
-    std::uint64_t rebinds_committed = 0;       ///< hitless switches onto a staged channel
-    std::uint64_t rebinds_aborted = 0;         ///< staged channels torn down unused
-    std::uint64_t prepare_failures = 0;        ///< prepare_rebind could not stage
     std::uint64_t handoff_replayed = 0;        ///< messages re-emitted after failover
     std::uint64_t handoff_acks = 0;            ///< internal handoff-trim acks received
     std::uint64_t handoff_dropped = 0;         ///< handoff entries evicted (overflow)
@@ -294,35 +287,6 @@ class SubtransportLayer : public rms::Provider {
   /// Fires the stream's downgrade callback when only weaker acceptable
   /// parameters fit. The stream keeps queueing sends throughout.
   Status rebind_stream(std::uint64_t stream_id, netrms::NetRmsFabric& fabric);
-
-  /// Make-before-break (DESIGN.md §12): stages a replacement channel for a
-  /// live stream on `fabric` without touching the current one. The plan is
-  /// negotiated, the channel opened (or joined), and a kCreateRequest for
-  /// the same ST id sent to the peer in the background; data keeps flowing
-  /// on the old channel throughout. When the peer confirms, the staged
-  /// rebind becomes ready (rebind_prepared) and the observer's
-  /// on_rebind_prepared hook fires. A later prepare for the same stream
-  /// aborts the earlier one first.
-  Status prepare_rebind(std::uint64_t stream_id, netrms::NetRmsFabric& fabric);
-
-  /// True once the staged channel for `stream_id` finished peer
-  /// establishment and commit_rebind would switch instantly.
-  bool rebind_prepared(std::uint64_t stream_id) const;
-
-  /// The fabric a staged rebind for `stream_id` targets; nullptr if none.
-  netrms::NetRmsFabric* staged_fabric(std::uint64_t stream_id) const;
-
-  /// Atomically switches `stream_id` onto its staged channel: detaches the
-  /// old channel, adopts the staged one, and replays the handoff buffer —
-  /// no negotiation RTT, since the peer already confirmed the channel
-  /// during prepare_rebind. Fails if nothing is staged or the staged
-  /// channel is not yet ready.
-  Status commit_rebind(std::uint64_t stream_id);
-
-  /// Discards a staged rebind, releasing the staged channel's capacity
-  /// share (the channel itself is cached or torn down when the last user
-  /// leaves). Safe to call when nothing is staged.
-  void abort_rebind(std::uint64_t stream_id);
 
   /// Sender-side stream lookup (path manager, tests); nullptr if unknown.
   StRms* find_stream(std::uint64_t stream_id);
@@ -429,8 +393,8 @@ class SubtransportLayer : public rms::Provider {
     Label target;
     std::uint8_t security = 0;
     std::uint64_t next_expected_seq = 0;
-    /// The fabric the sender's channel lives on (named in the create /
-    /// prepare request); fast acks are returned over this fabric so the
+    /// The fabric the sender's channel lives on (named in the create
+    /// request); fast acks are returned over this fabric so the
     /// ack path shares fate with the data path.
     netrms::NetRmsFabric* ack_fabric = nullptr;
     // Reassembly (§4.3). Each fragment is a slice of the network packet it
@@ -468,24 +432,6 @@ class SubtransportLayer : public rms::Provider {
   Result<Channel*> obtain_channel(HostId peer, netrms::NetRmsFabric& fabric,
                                   const StParamsPlan& plan);
   void establish(StRms& rms);
-
-  /// A replacement channel opened ahead of a switch (make-before-break).
-  /// Holds a capacity share on `channel_id` until committed or aborted;
-  /// `ready` flips when the peer confirms the staged kCreateRequest.
-  struct StagedRebind {
-    std::uint64_t channel_id = 0;
-    netrms::NetRmsFabric* fabric = nullptr;
-    StParamsPlan plan;
-    bool ready = false;
-    /// Request id of the in-flight kPrepareRequest confirming this
-    /// staging. A reply for a superseded staging (prepare retargeted to
-    /// another fabric while the old confirmation was in flight) carries a
-    /// stale id and must not mark the new staging ready.
-    std::uint64_t req_id = 0;
-  };
-  /// Detaches the staged channel's capacity share without touching the
-  /// stream (shared by abort/commit/teardown paths).
-  void drop_staged_channel(const StagedRebind& sr, std::uint64_t stream_id);
 
   // send path
   /// Everything serialize_component needs to put one component on the wire.
@@ -572,7 +518,6 @@ class SubtransportLayer : public rms::Provider {
   std::unordered_map<HostId, PeerState> peers_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Channel>> channels_;
   std::unordered_map<std::uint64_t, StRms*> streams_;  ///< sender-side, by id
-  std::unordered_map<std::uint64_t, StagedRebind> staged_;  ///< by stream id
   std::unordered_map<std::pair<HostId, std::uint64_t>, DemuxEntry, PairHash> demux_;
   std::uint64_t next_st_id_ = 1;
   std::uint64_t next_channel_id_ = 1;

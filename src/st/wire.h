@@ -53,10 +53,6 @@ enum class ControlType : std::uint8_t {
   kCreateReply = 4,    ///< u64 request id, u64 st id, u8 ok
   kDelete = 5,         ///< u64 st id
   kFastAck = 6,        ///< u64 st id, u64 ack id
-  kPrepareRequest = 7, ///< same fields as kCreateRequest; make-before-break
-                       ///< staging — data is still flowing on the old
-                       ///< channel, so the receiver must NOT disturb an
-                       ///< in-progress reassembly when refreshing the entry
 };
 
 /// Fixed per-component header bytes (id + seq + sent_at + flags + size).

@@ -120,34 +120,6 @@ void collect_rkom(MetricsRegistry& m, const rkom::RkomNode& node) {
   m.gauge(p + "channels").set(static_cast<double>(node.channels()));
 }
 
-void collect_path(MetricsRegistry& m, const path::PathManager& pm) {
-  const path::PathManager::Stats& s = pm.stats();
-  const std::string p = "path." + std::to_string(pm.host()) + ".";
-  m.counter(p + "probes_sent").set(s.probes_sent);
-  m.counter(p + "pongs_sent").set(s.pongs_sent);
-  m.counter(p + "pongs_received").set(s.pongs_received);
-  m.counter(p + "probe_timeouts").set(s.probe_timeouts);
-  m.counter(p + "fabric_failures").set(s.fabric_failures);
-  m.counter(p + "failovers").set(s.failovers);
-  m.counter(p + "failover_failures").set(s.failover_failures);
-  m.counter(p + "death_failovers").set(s.death_failovers);
-  m.counter(p + "violation_failovers").set(s.violation_failovers);
-  m.counter(p + "pressure_sheds").set(s.pressure_sheds);
-  m.counter(p + "downgrades").set(s.downgrades);
-  m.counter(p + "prepares").set(s.prepares);
-  m.counter(p + "prepare_failures").set(s.prepare_failures);
-  m.counter(p + "hitless_switches").set(s.hitless_switches);
-  m.counter(p + "staged_aborts").set(s.staged_aborts);
-  m.counter(p + "upgrades_back").set(s.upgrades_back);
-  m.gauge(p + "managed_streams").set(static_cast<double>(pm.managed_streams()));
-  // Distribution summaries; full histograms are available live through
-  // PathManager::set_metrics.
-  m.gauge(p + "probe_rtt_p50_ns").set(pm.probe_rtt().quantile(0.5));
-  m.gauge(p + "failover_latency_p50_ns").set(pm.failover_latency().quantile(0.5));
-  m.gauge(p + "failover_latency_max_ns")
-      .set(static_cast<double>(pm.failover_latency().max()));
-}
-
 void collect_fault(MetricsRegistry& m, const fault::FaultInjector& f,
                    const std::string& prefix) {
   const fault::FaultInjector::Counters& c = f.counters();
@@ -160,14 +132,6 @@ void collect_fault(MetricsRegistry& m, const fault::FaultInjector& f,
   m.counter(p + "reordered").set(c.reordered);
   m.counter(p + "duplicated").set(c.duplicated);
   m.counter(p + "corrupted").set(c.corrupted);
-}
-
-void collect_user_endpoint(MetricsRegistry& m, const userrms::UserEndpoint& e,
-                           const std::string& prefix) {
-  const userrms::UserEndpoint::Stats& s = e.stats();
-  const std::string p = "userrms." + prefix + ".";
-  m.counter(p + "delivered").set(s.delivered);
-  m.counter(p + "bound_misses").set(s.bound_misses);
 }
 
 void collect_udp(MetricsRegistry& m, const net::UdpNetwork& n,

@@ -20,11 +20,9 @@
 #include "net/udp/udp.h"
 #include "rt/driver.h"
 #include "netrms/fabric.h"
-#include "path/path.h"
 #include "rkom/rkom.h"
 #include "st/st.h"
 #include "telemetry/metrics.h"
-#include "userrms/user_rms.h"
 
 namespace dash::telemetry {
 
@@ -60,18 +58,9 @@ void collect_st(MetricsRegistry& m, const st::SubtransportLayer& st);
 /// reply caching.
 void collect_rkom(MetricsRegistry& m, const rkom::RkomNode& node);
 
-/// Path manager under "path.<host>.*": probe traffic and timeouts, fabric
-/// failure notifications, failover outcomes by trigger, downgrades, and
-/// probe-RTT / failover-latency distribution summaries.
-void collect_path(MetricsRegistry& m, const path::PathManager& pm);
-
 /// Fault injector under "fault.<prefix>.*": scripted impairment counts.
 void collect_fault(MetricsRegistry& m, const fault::FaultInjector& f,
                    const std::string& prefix);
-
-/// User-level endpoint under "userrms.<prefix>.*".
-void collect_user_endpoint(MetricsRegistry& m, const userrms::UserEndpoint& e,
-                           const std::string& prefix);
 
 /// UDP socket backend under "net.<prefix>.*" (DESIGN.md §16): everything
 /// collect_network emits plus "net.<prefix>.udp.*" — sockets, datagram and

@@ -111,34 +111,6 @@ class Histogram {
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
 
-  /// Interpolated quantile over only the observations made since
-  /// `baseline` was copied from this histogram — the windowed view the
-  /// path manager uses to judge *recent* delay pressure without the whole
-  /// run's history diluting it. `baseline` must be an earlier copy of this
-  /// same histogram (bucket counts monotone); min/max clamping falls back
-  /// to bucket edges because exact windowed extrema are not tracked.
-  double quantile_since(const Histogram& baseline, double p) const {
-    const std::uint64_t n = count_ - baseline.count_;
-    if (count_ < baseline.count_ || n == 0) return 0.0;
-    p = std::clamp(p, 0.0, 1.0);
-    const double target = p * static_cast<double>(n - 1);
-    std::uint64_t before = 0;
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      const std::uint64_t in = buckets_[b] - baseline.buckets_[b];
-      if (in == 0) continue;
-      const double in_bucket = static_cast<double>(in);
-      if (target < static_cast<double>(before) + in_bucket) {
-        const double frac =
-            in_bucket <= 1.0 ? 0.0 : (target - static_cast<double>(before)) / (in_bucket - 1.0);
-        const double lo = static_cast<double>(bucket_lo(b));
-        const double hi = static_cast<double>(std::min(bucket_hi(b), max()));
-        return lo + frac * (hi - lo);
-      }
-      before += in;
-    }
-    return static_cast<double>(max());
-  }
-
  private:
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;

@@ -13,7 +13,6 @@
 #include "netrms/fabric.h"
 #include "path/path.h"
 #include "st/st.h"
-#include "telemetry/ledger.h"
 #include "test_helpers.h"
 #include "util/serialize.h"
 
@@ -271,51 +270,13 @@ TEST(Path, FailoverFailureLeavesStreamFailedWhenNoAlternate) {
   EXPECT_EQ(pm.stats().failover_failures, 1u);
 }
 
-// ---------------------------------------------------- make-before-break
+// ------------------------------------------------- outages that stay home
 
-TEST(Path, MakeBeforeBreakCommitsOntoStagedChannel) {
-  // Silent outage on A: the first missed probe stages a replacement on B,
-  // the unhealthy verdict two probes later commits onto it. The switch is
-  // hitless — no negotiation RTT at failover time — and the stream's
-  // messages arrive exactly once, in order.
-  auto world = two_net_world(2);
-  world.with_faults(fault::FaultPlan().outage(msec(800), sec(30)), 7);
-  rms::Port inbox;
-  world.node(2).ports.bind(50, &inbox);
-
-  auto stream = world.st(1).create(reliable_request(), {2, 50});
-  ASSERT_TRUE(stream.ok()) << stream.error().message;
-  auto* srms = dynamic_cast<st::StRms*>(stream.value().get());
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric);
-
-  constexpr int kMessages = 200;
-  rms::Rms* raw = stream.value().get();
-  for (int i = 0; i < kMessages; ++i) {
-    world.sim.at(msec(10) * (i + 1), [raw, i] { (void)raw->send(numbered(i)); });
-  }
-  world.sim.run_until(sec(6));
-
-  const std::vector<int> got = collect_ints(inbox);
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kMessages));
-  for (int i = 0; i < kMessages; ++i) ASSERT_EQ(got[i], i) << "at " << i;
-
-  const PathManager::Stats& ps = world.node(1).path->stats();
-  EXPECT_GE(ps.prepares, 1u);
-  EXPECT_EQ(ps.failovers, 1u);
-  EXPECT_EQ(ps.hitless_switches, 1u) << "failover renegotiated instead of "
-                                        "committing the staged channel";
-  const st::SubtransportLayer::Stats& ss = world.st(1).stats();
-  EXPECT_GE(ss.rebinds_prepared, 1u);
-  EXPECT_EQ(ss.rebinds_committed, 1u);
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.media[1].fabric.get());
-  EXPECT_FALSE(srms->failed());
-}
-
-TEST(Path, StagedChannelTornDownWhenPathRecovers) {
-  // Negative MBB case 1: the outage is short — one or two missed probes
-  // stage a replacement, then the path recovers before the unhealthy
-  // verdict. The staged channel must be aborted, not leaked, and the
-  // stream must stay on its original network.
+TEST(Path, ShortOutageLeavesStreamHomeAndLaterDeathMovesIt) {
+  // The outage is short: one or two probes go unanswered, then the path
+  // recovers before `unhealthy_after` timeouts condemn it. The stream must
+  // stay on its original network, and a later hard death must still move
+  // it to B with nothing lost.
   auto world = two_net_world(2);
   world.with_faults(fault::FaultPlan().outage(msec(800), msec(1150)), 7);
   rms::Port inbox;
@@ -329,18 +290,10 @@ TEST(Path, StagedChannelTornDownWhenPathRecovers) {
   world.sim.run_until(sec(2));
 
   const PathManager::Stats& ps = world.node(1).path->stats();
-  EXPECT_GE(ps.prepares, 1u);
-  EXPECT_GE(ps.staged_aborts, 1u) << "staged channel survived the recovery";
   EXPECT_EQ(ps.failovers, 0u);
-  EXPECT_GE(world.st(1).stats().rebinds_prepared, 1u);
-  EXPECT_GE(world.st(1).stats().rebinds_aborted, 1u);
-  EXPECT_EQ(world.st(1).stats().rebinds_committed, 0u);
-  EXPECT_EQ(world.st(1).staged_fabric(srms->id()), nullptr);
   EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric);
   EXPECT_FALSE(srms->failed());
 
-  // The abort returned the staged capacity share: a real failover to B
-  // afterwards must still succeed (a leak would hold B's mux share).
   ASSERT_TRUE(stream.value()->send(numbered(1)).ok());
   world.sim.run_until(msec(2200));
   world.network->set_down(true);
@@ -355,11 +308,10 @@ TEST(Path, StagedChannelTornDownWhenPathRecovers) {
   for (int i = 0; i < 3; ++i) EXPECT_EQ(got[i], i);
 }
 
-TEST(Path, PrepareFailsWhenAdmissionRejectsReplacement) {
-  // Negative MBB case 2: the only alternate network cannot admit the
-  // stream's deterministic reservation. Staging must fail cleanly (counted,
-  // nothing staged, nothing leaked) and the stream must ride out the
-  // outage on its home network.
+TEST(Path, FailoverRefusedByAdmissionLeavesStreamHomeAndDelivering) {
+  // The only alternate network cannot admit the stream's deterministic
+  // reservation. The unhealthy verdict tries B, admission refuses, and the
+  // stream must ride out the outage on its home network.
   auto thin_b = net::ethernet_traits("eth-b");
   thin_b.bits_per_second = 1'000'000;  // ~5 Mbps committed won't fit
   auto world = two_net_world(2, net::ethernet_traits("eth-a"), thin_b);
@@ -380,12 +332,8 @@ TEST(Path, PrepareFailsWhenAdmissionRejectsReplacement) {
   world.sim.run_until(sec(3));
 
   const PathManager::Stats& ps = world.node(1).path->stats();
-  EXPECT_GE(ps.prepare_failures, 1u);
-  EXPECT_GE(world.st(1).stats().prepare_failures, 1u);
-  EXPECT_EQ(ps.hitless_switches, 0u);
   EXPECT_EQ(ps.failovers, 0u);
   EXPECT_GE(ps.failover_failures, 1u);  // the unhealthy verdict tried and failed
-  EXPECT_EQ(world.st(1).staged_fabric(srms->id()), nullptr);
   EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric);
   EXPECT_FALSE(srms->failed());
 
@@ -396,139 +344,6 @@ TEST(Path, PrepareFailsWhenAdmissionRejectsReplacement) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], 0);
   EXPECT_EQ(got[1], 1);
-}
-
-TEST(Path, ShedsStreamOnDelayPressureBeforeViolation) {
-  // The guarantee ledger's delay distribution feeds path selection: when a
-  // watched stream's windowed p95 delay climbs toward its bound, the
-  // manager migrates it to the alternate network *before* the first miss
-  // — the account must never actually violate.
-  PathConfig pc;
-  pc.upgrade_back = false;  // keep the shed stream where it lands
-  auto world = two_net_world(2, net::ethernet_traits("eth-a"),
-                    net::ethernet_traits("eth-b"), pc);
-  telemetry::GuaranteeLedger ledger;
-  world.node(1).path->set_ledger(&ledger);
-
-  rms::Port inbox;
-  world.node(2).ports.bind(50, &inbox);
-  auto stream = world.st(1).create(reliable_request(), {2, 50});
-  ASSERT_TRUE(stream.ok()) << stream.error().message;
-  auto* srms = dynamic_cast<st::StRms*>(stream.value().get());
-  ASSERT_NE(srms, nullptr);
-  ASSERT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric);
-
-  // Contract: deterministic 10 ms flat bound. The account is fed directly
-  // so the test controls the observed delays exactly.
-  rms::Params contract;
-  contract.delay.type = rms::BoundType::kDeterministic;
-  contract.delay.a = msec(10);
-  contract.delay.b_per_byte = 0;
-  ledger.open(7, "pressured", contract, 1, 2);
-  world.node(1).path->watch_stream(srms->id(), 7);
-
-  // Healthy regime (~1 ms), then a degrading one (~9 ms): over the 85%
-  // pressure threshold, still under the 10 ms bound — zero misses.
-  for (Time t = 0; t < msec(400); t += msec(20)) {
-    world.sim.at(t, [&] { ledger.on_delivery(7, msec(1), 160); });
-  }
-  for (Time t = msec(400); t < msec(900); t += msec(20)) {
-    world.sim.at(t, [&] { ledger.on_delivery(7, msec(9), 160); });
-  }
-  world.sim.run_until(sec(2));
-
-  const PathManager::Stats& ps = world.node(1).path->stats();
-  EXPECT_GE(ps.pressure_sheds, 1u);
-  EXPECT_EQ(ps.violation_failovers, 0u) << "must move before violating";
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.media[1].fabric.get());
-  EXPECT_FALSE(srms->failed());
-
-  telemetry::StreamAccount* account = ledger.find(7);
-  ASSERT_NE(account, nullptr);
-  EXPECT_EQ(account->misses, 0u) << "shedding must beat the violation";
-  EXPECT_TRUE(account->guarantee_holds());
-
-  // The stream is still usable on the new network.
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(stream.value()->send(numbered(i)).ok());
-  world.sim.run_until(sec(3));
-  EXPECT_EQ(collect_ints(inbox), (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Path, DelayPressureIgnoredWhileWindowViolates) {
-  // A window that already misses its bound belongs to the violation
-  // machinery; the pressure path must stand down so the two triggers
-  // don't double-count.
-  PathConfig pc;
-  pc.upgrade_back = false;
-  auto world = two_net_world(2, net::ethernet_traits("eth-a"),
-                    net::ethernet_traits("eth-b"), pc);
-  telemetry::GuaranteeLedger ledger;
-  world.node(1).path->set_ledger(&ledger);
-
-  rms::Port inbox;
-  world.node(2).ports.bind(50, &inbox);
-  auto stream = world.st(1).create(reliable_request(), {2, 50});
-  ASSERT_TRUE(stream.ok());
-  auto* srms = dynamic_cast<st::StRms*>(stream.value().get());
-
-  rms::Params contract;
-  contract.delay.type = rms::BoundType::kDeterministic;
-  contract.delay.a = msec(10);
-  ledger.open(8, "violating", contract, 1, 2);
-  world.node(1).path->watch_stream(srms->id(), 8);
-
-  // Every delivery breaks the bound outright.
-  for (Time t = 0; t < msec(900); t += msec(20)) {
-    world.sim.at(t, [&] { ledger.on_delivery(8, msec(15), 160); });
-  }
-  world.sim.run_until(sec(2));
-
-  const PathManager::Stats& ps = world.node(1).path->stats();
-  EXPECT_EQ(ps.pressure_sheds, 0u);
-  EXPECT_GE(ps.violation_failovers, 1u);
-}
-
-TEST(Path, UpgradesBackToHomeNetworkAfterRecovery) {
-  // Upgrade-back regression: after failing over to B, the stream migrates
-  // home within a bounded number of probe intervals once A answers
-  // cleanly again — with no loss, duplication, or reordering across either
-  // migration.
-  auto world = two_net_world(2);
-  world.with_faults(fault::FaultPlan().outage(msec(800), sec(4)), 7);
-  rms::Port inbox;
-  world.node(2).ports.bind(50, &inbox);
-
-  auto stream = world.st(1).create(reliable_request(), {2, 50});
-  ASSERT_TRUE(stream.ok()) << stream.error().message;
-  auto* srms = dynamic_cast<st::StRms*>(stream.value().get());
-
-  constexpr int kMessages = 120;  // one every 50 ms: spans outage and return
-  rms::Rms* raw = stream.value().get();
-  for (int i = 0; i < kMessages; ++i) {
-    world.sim.at(msec(50) * (i + 1), [raw, i] { (void)raw->send(numbered(i)); });
-  }
-
-  // Away on B while A is dark.
-  world.sim.run_until(sec(3));
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.media[1].fabric.get());
-  EXPECT_GE(world.node(1).path->stats().failovers, 1u);
-
-  // Bounded return: healed at 4 s, the stream must be home within
-  // kUpgradeAfter clean ticks plus staging/commit slack.
-  const PathConfig& pc = world.node(1).path->config();
-  world.sim.run_until(sec(4) + pc.probe_interval * (kUpgradeAfter + 4));
-  EXPECT_EQ(world.st(1).stream_fabric(srms->id()), world.fabric)
-      << "stream did not migrate home within the bounded window";
-  EXPECT_GE(world.node(1).path->stats().upgrades_back, 1u);
-  EXPECT_FALSE(srms->failed());
-
-  world.sim.run_until(sec(8));
-  const std::vector<int> got = collect_ints(inbox);
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kMessages))
-      << "messages lost or duplicated across failover + upgrade-back";
-  for (int i = 0; i < kMessages; ++i) ASSERT_EQ(got[i], i) << "at " << i;
-  // The away trip was counted as a failover; the return was not.
-  EXPECT_EQ(world.node(1).path->stats().failovers, 1u);
 }
 
 }  // namespace

@@ -241,7 +241,7 @@ TEST(Rpc, OpIdsAreStableAndDistinct) {
 }  // namespace
 }  // namespace dash::rkom
 
-// Rendezvous survival under network death (DESIGN.md §12): with a path
+// Rendezvous survival under network death (DESIGN.md §11): with a path
 // manager the RKOM channel streams are rebound transparently; without one
 // the retry path rebuilds the four-stream channel on a surviving network
 // instead of retransmitting into a failed RMS until the call times out.

@@ -185,7 +185,7 @@ TEST(Session, FailureSurfacesThroughTheSession) {
 }  // namespace
 }  // namespace dash::session
 
-// Session survival under network death (DESIGN.md §12): on a multi-network
+// Session survival under network death (DESIGN.md §11): on a multi-network
 // host the path manager rebinds both the RKOM rendezvous streams and the
 // session's own RMS, so established sessions keep delivering and new
 // rendezvous succeed after a network dies.

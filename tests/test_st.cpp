@@ -12,6 +12,7 @@
 #include "fault/fault.h"
 #include "st/st.h"
 #include "test_helpers.h"
+#include "util/checksum.h"
 #include "util/serialize.h"
 
 namespace dash::st {
@@ -535,6 +536,56 @@ TEST(St, CorruptedMacMessageDropped) {
   world.sim.run();
   EXPECT_GT(world.st(2).stats().auth_drops, 0u);
   EXPECT_LT(port.delivered(), static_cast<std::uint64_t>(sent));
+}
+
+TEST(St, ForgedControlFromThirdHostCannotDeleteStream) {
+  // Host 3 guesses the netrms id of host 1's control channel to host 2 and
+  // forges a kDelete for host 1's stream under each of ids 1..32. The
+  // fabric must drop every forgery, since host 3 is not those streams'
+  // source, so host 2 keeps its demux entry and the next message arrives.
+  auto world = st_world(3);
+  rms::Port port;
+  world.node(2).ports.bind(50, &port);
+  auto req = st_request();
+  req.desired.quality.reliable = true;
+  req.desired.quality.authenticated = true;
+  req.acceptable.quality.authenticated = true;
+  auto rms = world.st(1).create(req, {2, 50});
+  ASSERT_TRUE(rms.ok()) << rms.error().message;
+  auto* st_rms = dynamic_cast<StRms*>(rms.value().get());
+  ASSERT_TRUE(st_rms->macs());
+  ASSERT_TRUE(rms.value()->send(text("before")).ok());
+  world.sim.run();
+  ASSERT_EQ(port.delivered(), 1u);
+  const std::uint64_t drops_before = world.fabric->stats().protocol_drops;
+
+  Bytes forged_delete;
+  Writer cw(forged_delete);
+  cw.u8(static_cast<std::uint8_t>(ControlType::kDelete));
+  cw.u64(st_rms->id());
+  for (std::uint64_t netrms_id = 1; netrms_id <= 32; ++netrms_id) {
+    Bytes wire;
+    Writer w(wire);
+    w.u8(1);  // netrms data packet
+    w.u64(netrms_id);
+    w.u64(1);  // sequence
+    w.i64(world.sim.now());
+    w.u32(crc32(forged_delete));
+    w.bytes(forged_delete);
+    net::Packet p;
+    p.src = 3;
+    p.dst = 2;
+    p.stream = netrms_id;
+    p.payload = std::move(wire);
+    world.network->send(std::move(p));
+  }
+  world.sim.run();
+
+  ASSERT_TRUE(rms.value()->send(text("after")).ok());
+  world.sim.run();
+  EXPECT_EQ(port.delivered(), 2u);
+  EXPECT_EQ(world.st(2).stats().unknown_dropped, 0u);
+  EXPECT_EQ(world.fabric->stats().protocol_drops - drops_before, 32u);
 }
 
 TEST(St, ThirdPartyCannotInjectIntoForeignStream) {

@@ -196,16 +196,6 @@ TEST(Histogram, SingleValueQuantileIsExact) {
   EXPECT_DOUBLE_EQ(h.p99(), 1000.0);
 }
 
-TEST(Histogram, QuantileSinceSeesOnlyTheWindow) {
-  Histogram h;
-  for (int i = 0; i < 100; ++i) h.observe(1000);  // old regime: 1us
-  Histogram snapshot = h;
-  for (int i = 0; i < 100; ++i) h.observe(1 << 20);  // new regime: ~1ms
-  // Cumulative p95 straddles both regimes; windowed p95 sees only the new.
-  EXPECT_GE(h.quantile_since(snapshot, 0.95), static_cast<double>(1 << 19));
-  EXPECT_LT(h.quantile(0.50), static_cast<double>(1 << 19));
-}
-
 TEST(MetricsRegistry, StableHandlesAndLookup) {
   MetricsRegistry m;
   Counter& c = m.counter("a.b.c");
