@@ -5,6 +5,7 @@
 // parameters and report the series.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baseline/datagram.h"
@@ -146,8 +148,15 @@ class Gate {
   /// check fails, else 0; on success prints "<name> gate passed".
   int finish(const std::map<std::string, double>& current, const char* name) const {
     if (!write_path_.empty()) {
+      // Shortest form that reads back exactly: a value rounded down on
+      // write would fail its own --check at tolerance 0.
       std::ofstream out(write_path_);
-      for (const auto& [k, v] : current) out << k << " " << v << "\n";
+      for (const auto& [k, v] : current) {
+        char buf[32];
+        const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+        out << k << " " << std::string_view(buf, static_cast<std::size_t>(end - buf))
+            << "\n";
+      }
       std::printf("wrote baseline to %s\n", write_path_.c_str());
     }
     if (!checking()) return 0;

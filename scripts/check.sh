@@ -15,11 +15,13 @@ BUILD=${1:-build-sanitize}
 SANITIZE=${2:-ON}
 
 cmake -B "$BUILD" -S . -DDASH_SANITIZE="$SANITIZE"
-cmake --build "$BUILD" -j
+# One job per CPU: a bare -j is unbounded under Make and can exhaust
+# memory on a small machine.
+JOBS=$(nproc)
+cmake --build "$BUILD" -j "$JOBS"
 if [ -n "$3" ]; then
-  # -R before -j: a bare -j greedily consumes the next token as its value.
-  ctest --test-dir "$BUILD" --output-on-failure -R "$3" -j
+  ctest --test-dir "$BUILD" --output-on-failure -R "$3" -j "$JOBS"
 else
-  ctest --test-dir "$BUILD" --output-on-failure -j
+  ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 fi
 (cd "$BUILD" && bench/bench_c8_congestion && bench/bench_c11_failover)

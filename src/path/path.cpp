@@ -219,8 +219,9 @@ void PathManager::on_probe_message(rms::Message msg) {
 
 void PathManager::on_fabric_failure(std::size_t fabric_idx) {
   ++stats_.fabric_failures;
-  trace("path.fabric", "network " + fabrics_[fabric_idx]->traits().name +
-                           " reported failure");
+  trace("path.fabric", [&] {
+    return "network " + fabrics_[fabric_idx]->traits().name + " reported failure";
+  });
   for (auto& [key, h] : probes_) {
     if (key.second != fabric_idx) continue;
     h.last_failure = sim_.now();
@@ -323,17 +324,20 @@ bool PathManager::try_failover(ManagedStream& ms, const char* reason) {
     if (st_.rebind_stream(ms.id, *fabrics_[c.idx]).ok()) {
       ++stats_.failovers;
       ms.cooldown_until = sim_.now() + kFailoverCooldown;
-      trace("path.failover",
-            "stream " + std::to_string(ms.id) + " -> " +
-                fabrics_[c.idx]->traits().name + " (" + reason + ")");
+      trace("path.failover", [&] {
+        return "stream " + std::to_string(ms.id) + " -> " +
+               fabrics_[c.idx]->traits().name + " (" + reason + ")";
+      });
       return true;
     }
   }
   ms.failover_started = -1;
   ++stats_.failover_failures;
   ms.cooldown_until = sim_.now() + kFailoverCooldown;
-  trace("path.failover", "stream " + std::to_string(ms.id) +
-                             ": no alternate network accepted it (" + reason + ")");
+  trace("path.failover", [&] {
+    return "stream " + std::to_string(ms.id) + ": no alternate network accepted it (" +
+           reason + ")";
+  });
   return false;
 }
 
@@ -370,9 +374,10 @@ void PathManager::on_stream_rebound(st::StRms& rms, bool downgraded) {
     ms.failover_started = -1;
   }
   if (downgraded) ++stats_.downgrades;
-  trace("path.rebound", "stream " + std::to_string(rms.id()) +
-                            (downgraded ? " re-established (downgraded)"
-                                        : " re-established"));
+  trace("path.rebound", [&] {
+    return "stream " + std::to_string(rms.id()) +
+           (downgraded ? " re-established (downgraded)" : " re-established");
+  });
 }
 
 void PathManager::on_data_ack(HostId peer, netrms::NetRmsFabric* fabric,

@@ -135,8 +135,13 @@ class PathManager final : public st::StreamObserver {
   rms::Rms* ensure_probe_channel(ProbeHealth& h, HostId peer, std::size_t fabric_idx);
   std::size_t fabric_index(const netrms::NetRmsFabric* f) const;  ///< npos if unknown
   std::size_t fabric_index_by_name(const std::string& name) const;
-  void trace(const char* category, std::string detail) {
-    if (trace_ != nullptr) trace_->record(sim_.now(), category, std::move(detail));
+  /// Records a trace event; `detail` builds the detail string and runs only
+  /// when a trace is attached and enabled.
+  template <typename Detail>
+  void trace(const char* category, Detail&& detail) {
+    if (trace_ != nullptr && trace_->enabled()) {
+      trace_->record(sim_.now(), category, std::forward<Detail>(detail)());
+    }
   }
 
   static constexpr std::size_t kNoFabric = static_cast<std::size_t>(-1);

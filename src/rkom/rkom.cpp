@@ -261,17 +261,10 @@ void RkomNode::handle_request(HostId client, std::uint64_t call_id, std::uint64_
 }
 
 void RkomNode::handle_reply(HostId server, std::uint64_t call_id, Bytes result) {
-  auto it = pending_.find(call_id);
-  if (it == pending_.end()) return;  // duplicate reply; ack it again anyway
-  auto cb = std::move(it->second.cb);
-  sim_.cancel(it->second.retry_timer);  // the retry leaves the pending set now
-  if (call_rtt_hist_ != nullptr) {
-    call_rtt_hist_->observe(static_cast<std::uint64_t>(sim_.now() - it->second.started));
-  }
-  pending_.erase(it);
-  ++stats_.replies_received;
-
-  // Acknowledge so the server can drop its cached reply (high-delay).
+  // Acknowledge so the server can drop its cached reply (high-delay). A
+  // duplicate reply is acked again: the server re-sent it because an
+  // earlier ack may have been lost, and without this one it would hold the
+  // reply for the whole TTL.
   Channel& ch = channel(server);
   if (ch.high != nullptr) {
     Bytes wire;
@@ -283,6 +276,15 @@ void RkomNode::handle_reply(HostId server, std::uint64_t call_id, Bytes result) 
     ++stats_.acks_sent;
     (void)ch.high->send(std::move(m));
   }
+  auto it = pending_.find(call_id);
+  if (it == pending_.end()) return;  // duplicate reply, acked above
+  auto cb = std::move(it->second.cb);
+  sim_.cancel(it->second.retry_timer);  // the retry leaves the pending set now
+  if (call_rtt_hist_ != nullptr) {
+    call_rtt_hist_->observe(static_cast<std::uint64_t>(sim_.now() - it->second.started));
+  }
+  pending_.erase(it);
+  ++stats_.replies_received;
   cb(std::move(result));
 }
 

@@ -77,6 +77,10 @@ class RkomNode {
   /// Number of four-stream channels currently open (tests).
   std::size_t channels() const { return channels_.size(); }
 
+  /// Number of replies the server side still caches for at-most-once
+  /// (tests): each leaves on the client's ack or at its TTL.
+  std::size_t cached_replies() const { return replies_.size(); }
+
   /// Publishes the client-observed call round-trip distribution
   /// ("rkom.<host>.call_rtt_ns") into `m`; nullptr detaches. The registry
   /// must outlive the node. Counter-style stats are mirrored by

@@ -14,7 +14,7 @@ namespace {
 rms::Request control_channel_request() {
   rms::Params desired;
   desired.capacity = 4096;
-  desired.max_message_size = 256;
+  desired.max_message_size = kControlMaxMessage;
   desired.delay.type = rms::BoundType::kBestEffort;
   desired.delay.a = msec(2);
   desired.delay.b_per_byte = usec(2);
@@ -30,6 +30,11 @@ rms::Request control_channel_request() {
 /// Per-stage protocol-processing allowance included in the ST delay bound
 /// (send-side and receive-side, §4.1).
 constexpr Time kCpuStageAllowance = usec(500);
+
+/// How long the receiving ST holds a fast ack for company before its batch
+/// leaves (§3.2). Well under the time one 32 KB capacity window lasts at
+/// 115 MB/s (~285 µs), so a held ack never stalls an ack-based sender.
+constexpr Time kFastAckHold = usec(100);
 
 /// Cap on the ST maximum message size (§4.3: "somewhat larger ... may
 /// reduce protocol process context switching and other overhead").
@@ -94,8 +99,8 @@ SubtransportLayer::~SubtransportLayer() {
     (void)id;
     rms->st_ = nullptr;
   }
-  // Cancel every outstanding timer: their closures capture `this` and must
-  // not survive the layer.
+  // Cancel every outstanding timer and failure listener: their closures
+  // capture `this` and must not survive the layer.
   for (auto& [id, ch] : channels_) {
     (void)id;
     cancel_channel_timers(*ch);
@@ -106,12 +111,21 @@ SubtransportLayer::~SubtransportLayer() {
       (void)req_id;
       sim_.cancel(pr.retry_timer);
     }
+    for (auto& [fabric, batch] : ps.ack_batches) {
+      (void)fabric;
+      sim_.cancel(batch.hold_timer);
+    }
   }
   sim_.cancel(graveyard_timer_);
+  for (std::size_t i = 0; i < fabrics_.size(); ++i) {
+    fabrics_[i]->remove_failure_listener(fabric_listeners_[i]);
+  }
 }
 
 void SubtransportLayer::add_network(netrms::NetRmsFabric& fabric) {
   fabrics_.push_back(&fabric);
+  fabric_listeners_.push_back(fabric.add_failure_listener(
+      [this, f = &fabric](const Error&) { drop_fast_acks(f); }));
 }
 
 void SubtransportLayer::set_metrics(telemetry::MetricsRegistry* m) {
@@ -149,6 +163,18 @@ std::size_t SubtransportLayer::active_channels() const {
 
 std::size_t SubtransportLayer::cached_channels() const {
   return channels_.size() - active_channels();
+}
+
+std::size_t SubtransportLayer::held_fast_acks() const {
+  std::size_t n = 0;
+  for (const auto& [host, ps] : peers_) {
+    (void)host;
+    for (const auto& [fabric, batch] : ps.ack_batches) {
+      (void)fabric;
+      n += batch.acks.size();
+    }
+  }
+  return n;
 }
 
 // ------------------------------------------------------------- negotiation
@@ -352,10 +378,10 @@ Result<std::unique_ptr<rms::Rms>> SubtransportLayer::create(const rms::Request& 
     handle->channel_id_ = channel.value()->id;
     streams_[id] = handle.get();
     ++stats_.st_rms_created;
-    trace("st.create",
-          "stream " + std::to_string(id) + " -> " + rms::to_string(target) + " [" +
-              rms::to_string(handle->params()) + "] via " +
-              c.fabric->traits().name);
+    trace("st.create", [&] {
+      return "stream " + std::to_string(id) + " -> " + rms::to_string(target) + " [" +
+             rms::to_string(handle->params()) + "] via " + c.fabric->traits().name;
+    });
 
     establish(*handle);
     if (observer_ != nullptr) observer_->on_stream_created(*handle);
@@ -379,7 +405,9 @@ Result<SubtransportLayer::Channel*> SubtransportLayer::obtain_channel(
     ++ch->ref_count;
     ch->capacity_used += plan.actual.capacity;
     ++stats_.mux_joins;
-    trace("st.channel", "mux join onto channel " + std::to_string(ch->id));
+    trace("st.channel", [&] {
+      return "mux join onto channel " + std::to_string(ch->id);
+    });
     return ch.get();
   }
 
@@ -395,7 +423,9 @@ Result<SubtransportLayer::Channel*> SubtransportLayer::obtain_channel(
     ch->ref_count = 1;
     ch->capacity_used = plan.actual.capacity;
     ++stats_.cache_hits;
-    trace("st.channel", "cache hit: reusing channel " + std::to_string(ch->id));
+    trace("st.channel", [&] {
+      return "cache hit: reusing channel " + std::to_string(ch->id);
+    });
     return ch.get();
   }
 
@@ -416,8 +446,10 @@ Result<SubtransportLayer::Channel*> SubtransportLayer::obtain_channel(
   Channel* raw = ch.get();
   channels_[cid] = std::move(ch);
   ++stats_.net_rms_created;
-  trace("st.channel", "created network RMS channel " + std::to_string(cid) +
-                          " to host " + std::to_string(peer));
+  trace("st.channel", [&] {
+    return "created network RMS channel " + std::to_string(cid) + " to host " +
+           std::to_string(peer);
+  });
   return raw;
 }
 
@@ -444,8 +476,10 @@ void SubtransportLayer::ensure_control_out(PeerState& ps) {
       if (ps.control_out != nullptr) {
         ps.control_out.reset();
         ++stats_.control_channels_reset;
-        trace("st.control", "control channel to host " + std::to_string(ps.peer) +
-                                " migrated to " + preferred->traits().name);
+        trace("st.control", [&] {
+          return "control channel to host " + std::to_string(ps.peer) + " migrated to " +
+                 preferred->traits().name;
+        });
       }
     }
   }
@@ -459,8 +493,10 @@ void SubtransportLayer::ensure_control_out(PeerState& ps) {
       if (candidate == ps.fabric || candidate->network().down()) continue;
       if (!candidate->network().attached(ps.peer)) continue;
       ps.fabric = candidate;
-      trace("st.control", "control channel to host " + std::to_string(ps.peer) +
-                              " re-homed to " + candidate->traits().name);
+      trace("st.control", [&] {
+        return "control channel to host " + std::to_string(ps.peer) + " re-homed to " +
+               candidate->traits().name;
+      });
       break;
     }
   }
@@ -478,8 +514,10 @@ void SubtransportLayer::send_control(PeerState& ps, Bytes payload) {
     // keep feeding a dead stream, or the peer stays unreachable forever.
     ps.control_out.reset();
     ++stats_.control_channels_reset;
-    trace("st.control", "control channel to host " + std::to_string(ps.peer) +
-                            " failed; re-establishing");
+    trace("st.control", [&] {
+      return "control channel to host " + std::to_string(ps.peer) +
+             " failed; re-establishing";
+    });
   }
   ensure_control_out(ps);
   if (ps.control_out == nullptr) return;
@@ -530,6 +568,98 @@ void SubtransportLayer::send_control_on(PeerState& ps, netrms::NetRmsFabric& fab
   (void)ch->send(std::move(m));
 }
 
+// ---------------------------------------------------------------- fast acks
+
+void SubtransportLayer::queue_fast_ack(HostId peer, netrms::NetRmsFabric* fabric,
+                                       std::uint64_t st_id, std::uint64_t ack_id) {
+  PeerState& ps = peer_state(peer);
+  PeerState::AckBatch& batch = ps.ack_batches[fabric];
+  batch.acks.emplace_back(st_id, ack_id);
+  if (batch.acks.size() == kFastAckMaxPairs) {
+    flush_fast_acks(ps, fabric, batch);
+    return;
+  }
+  if (batch.acks.size() > 1) return;  // the first ack's hold is already armed
+  batch.hold_timer = sim_.timer_after(kFastAckHold, [this, peer, fabric] {
+    auto pit = peers_.find(peer);
+    if (pit == peers_.end()) return;
+    auto bit = pit->second.ack_batches.find(fabric);
+    if (bit != pit->second.ack_batches.end()) {
+      flush_fast_acks(pit->second, fabric, bit->second);
+    }
+  });
+}
+
+void SubtransportLayer::flush_fast_acks(PeerState& ps, netrms::NetRmsFabric* fabric,
+                                        PeerState::AckBatch& batch) {
+  sim_.cancel(batch.hold_timer);
+  if (batch.acks.empty()) return;
+  Bytes ack;
+  ack.reserve(fast_ack_bytes(batch.acks.size()));
+  Writer w(ack);
+  w.u8(static_cast<std::uint8_t>(ControlType::kFastAck));
+  w.u8(static_cast<std::uint8_t>(batch.acks.size()));
+  for (const auto& [st_id, ack_id] : batch.acks) {
+    w.u64(st_id);
+    w.u64(ack_id);
+    trace("st.fastack", [&] {
+      return "ack " + std::to_string(ack_id) + " for stream " + std::to_string(st_id) +
+             " -> host " + std::to_string(ps.peer);
+    });
+  }
+  stats_.fast_acks_sent += batch.acks.size();
+  batch.acks.clear();
+  if (fabric != nullptr) {
+    send_control_on(ps, *fabric, std::move(ack));
+  } else {
+    send_control(ps, std::move(ack));
+  }
+}
+
+void SubtransportLayer::drop_fast_acks(netrms::NetRmsFabric* fabric) {
+  // A lost ack is survivable: cumulative transport acks also release
+  // capacity, and a failover replays whatever the handoff buffer holds.
+  for (auto& [host, ps] : peers_) {
+    (void)host;
+    auto it = ps.ack_batches.find(fabric);
+    if (it == ps.ack_batches.end()) continue;
+    sim_.cancel(it->second.hold_timer);
+    it->second.acks.clear();
+  }
+}
+
+void SubtransportLayer::handle_fast_ack(HostId src, std::uint64_t st_id,
+                                        std::uint64_t ack_id) {
+  auto it = streams_.find(st_id);
+  // Only the stream's own peer may acknowledge it.
+  if (it == streams_.end() || it->second->peer_ != src) return;
+  StRms& stream = *it->second;
+  // Any tracked ack — client-requested or internal handoff — measures a
+  // data round trip over the stream's current channel.
+  if (auto sent = stream.ack_sent_at_.find(ack_id); sent != stream.ack_sent_at_.end()) {
+    const Time rtt = sim_.now() - sent->second;
+    if (fast_ack_rtt_hist_ != nullptr && (ack_id & kHandoffAckBit) == 0) {
+      fast_ack_rtt_hist_->observe(static_cast<std::uint64_t>(rtt));
+    }
+    if (observer_ != nullptr) {
+      auto cit = channels_.find(stream.channel_id_);
+      observer_->on_data_ack(stream.peer_,
+                             cit != channels_.end() ? cit->second->fabric : nullptr, rtt);
+    }
+    stream.ack_sent_at_.erase(sent);
+  }
+  trim_handoff(stream, ack_id);
+  if ((ack_id & kHandoffAckBit) != 0) {
+    // Internal handoff-trim ack: never surfaces to the client.
+    ++stats_.handoff_acks;
+    return;
+  }
+  if (stream.ack_cb_) {
+    ++stats_.fast_acks_delivered;
+    stream.ack_cb_(ack_id);
+  }
+}
+
 void SubtransportLayer::send_request_with_retry(HostId peer, Bytes payload,
                                                 std::uint64_t req_id, int attempts) {
   auto pit = peers_.find(peer);
@@ -568,7 +698,9 @@ void SubtransportLayer::ensure_authenticated(PeerState& ps, std::function<void()
     ps.authenticated = true;
     ps.peer_verified = true;
     ++stats_.auth_elided;
-    trace("st.auth", "elided: network is trusted (peer " + std::to_string(ps.peer) + ")");
+    trace("st.auth", [&] {
+      return "elided: network is trusted (peer " + std::to_string(ps.peer) + ")";
+    });
     auto waiting = std::move(ps.waiting);
     ps.waiting.clear();
     for (auto& cb : waiting) cb();
@@ -577,7 +709,7 @@ void SubtransportLayer::ensure_authenticated(PeerState& ps, std::function<void()
 
   ps.auth_pending = true;
   ++stats_.auth_handshakes;
-  trace("st.auth", "challenge -> host " + std::to_string(ps.peer));
+  trace("st.auth", [&] { return "challenge -> host " + std::to_string(ps.peer); });
   const std::uint64_t req_id = ps.next_request++;
   // Deterministic per-pair nonce; uniqueness per request id is what matters.
   ps.auth_nonce = (host_ << 32) ^ (ps.peer << 16) ^ req_id ^ 0xA5A5A5A5ull;
@@ -641,7 +773,9 @@ void SubtransportLayer::establish(StRms& rms) {
         return;
       }
       s.established_ = true;
-      trace("st.establish", "stream " + std::to_string(s.id_) + " confirmed by peer");
+      trace("st.establish", [&] {
+        return "stream " + std::to_string(s.id_) + " confirmed by peer";
+      });
       if (s.rebinding_) {
         s.rebinding_ = false;
         // Replay unacknowledged messages under their original sequence
@@ -726,9 +860,10 @@ Status SubtransportLayer::rebind_stream(std::uint64_t stream_id,
   }
 
   ++stats_.streams_rebound;
-  trace("st.rebind", "stream " + std::to_string(stream_id) + " -> " +
-                         fabric.traits().name +
-                         (downgraded ? " (downgraded)" : ""));
+  trace("st.rebind", [&] {
+    return "stream " + std::to_string(stream_id) + " -> " + fabric.traits().name +
+           (downgraded ? " (downgraded)" : "");
+  });
   establish(rms);
   return Status::ok_status();
 }
@@ -816,9 +951,10 @@ void SubtransportLayer::replay_handoff(StRms& rms) {
   rms.ack_sent_at_.clear();
   rms.ack_order_.clear();
   if (rms.handoff_.empty()) return;
-  trace("st.replay", "stream " + std::to_string(rms.id_) + ": " +
-                         std::to_string(rms.handoff_.size()) +
-                         " unacknowledged message(s)");
+  trace("st.replay", [&] {
+    return "stream " + std::to_string(rms.id_) + ": " +
+           std::to_string(rms.handoff_.size()) + " unacknowledged message(s)";
+  });
   // Entries stay buffered until their re-requested fast acks arrive, so a
   // second failover mid-replay replays again from the same buffer.
   for (const StRms::HandoffEntry& e : rms.handoff_) {
@@ -898,9 +1034,11 @@ void SubtransportLayer::emit_component(StRms& rms, rms::Message msg,
           component_bytes(0, flags);
       const auto count = static_cast<std::uint16_t>(
           (msg.size() + frag_payload - 1) / frag_payload);
-      trace("st.frag", "stream " + std::to_string(stream_id) + " seq " +
-                           std::to_string(seq) + ": " + std::to_string(msg.size()) +
-                           " B -> " + std::to_string(count) + " fragments");
+      trace("st.frag", [&] {
+        return "stream " + std::to_string(stream_id) + " seq " + std::to_string(seq) +
+               ": " + std::to_string(msg.size()) + " B -> " + std::to_string(count) +
+               " fragments";
+      });
       // Anything of this stream already queued must leave first.
       flush_channel(channel);
 
@@ -1079,10 +1217,11 @@ void SubtransportLayer::flush_channel(Channel& ch) {
   const Time passed = clamp_packet_deadline(ch.queue_min_deadline, ch.queue_streams);
   stats_.piggybacked += ch.queue_count - 1;
   ++stats_.network_messages;
-  trace("st.flush", "channel " + std::to_string(ch.id) + ": " +
-                        std::to_string(ch.queue_count) + " component(s), " +
-                        std::to_string(payload.size()) + " B, deadline " +
-                        format_time(passed));
+  trace("st.flush", [&] {
+    return "channel " + std::to_string(ch.id) + ": " + std::to_string(ch.queue_count) +
+           " component(s), " + std::to_string(payload.size()) + " B, deadline " +
+           format_time(passed);
+  });
 
   ch.queue_count = 0;
   ch.queue_streams.clear();
@@ -1210,37 +1349,14 @@ void SubtransportLayer::handle_control(rms::Message msg) {
       break;
     }
     case ControlType::kFastAck: {
-      auto st_id = r.u64();
-      auto ack_id = r.u64();
-      if (!st_id || !ack_id) return;
-      auto it = streams_.find(*st_id);
-      if (it == streams_.end()) break;
-      StRms& stream = *it->second;
-      // Any tracked ack — client-requested or internal handoff — measures
-      // a data round trip over the stream's current channel.
-      if (auto sent = stream.ack_sent_at_.find(*ack_id);
-          sent != stream.ack_sent_at_.end()) {
-        const Time rtt = sim_.now() - sent->second;
-        if (fast_ack_rtt_hist_ != nullptr && (*ack_id & kHandoffAckBit) == 0) {
-          fast_ack_rtt_hist_->observe(static_cast<std::uint64_t>(rtt));
-        }
-        if (observer_ != nullptr) {
-          auto cit = channels_.find(stream.channel_id_);
-          observer_->on_data_ack(
-              stream.peer_,
-              cit != channels_.end() ? cit->second->fabric : nullptr, rtt);
-        }
-        stream.ack_sent_at_.erase(sent);
-      }
-      trim_handoff(stream, *ack_id);
-      if ((*ack_id & kHandoffAckBit) != 0) {
-        // Internal handoff-trim ack: never surfaces to the client.
-        ++stats_.handoff_acks;
-        break;
-      }
-      if (stream.ack_cb_) {
-        ++stats_.fast_acks_delivered;
-        stream.ack_cb_(*ack_id);
+      // A batch: a count of 0, or one the length disagrees with, drops the
+      // whole message before any pair takes effect.
+      auto count = r.u8();
+      if (!count || *count == 0 || r.remaining() != *count * kFastAckPairBytes) return;
+      for (int i = 0; i < *count; ++i) {
+        const std::uint64_t st_id = *r.u64();
+        const std::uint64_t ack_id = *r.u64();
+        handle_fast_ack(src, st_id, ack_id);
       }
       break;
     }
@@ -1343,34 +1459,16 @@ void SubtransportLayer::handle_data(rms::Message msg) {
       xtea_ctr_crypt(key, component_nonce(*st_id, *seq, frag_index), body.mutate());
     }
 
-    // Fast acknowledgement (§3.2): the receiving ST acks immediately,
-    // without involving the receiving client — but only for components it
-    // actually accepts. A stale component (a replay of something already
-    // delivered, or a reordered straggler the sequence moved past) is
-    // dropped unacknowledged: acking it would tell the sender a message
-    // was delivered that never reached the client. Fragmented components
-    // ack only at reassembly completion (fragments are never
-    // retransmitted, so until the last one lands the message can still be
-    // lost). The ack returns over the fabric the data arrived on
-    // (entry.ack_fabric), so ack loss implicates the path that actually
-    // carries the stream.
-    auto send_fast_ack = [&](DemuxEntry& entry_ref, std::uint64_t id_to_ack) {
-      PeerState& ps = peer_state(src);
-      Bytes ack;
-      Writer w(ack);
-      w.u8(static_cast<std::uint8_t>(ControlType::kFastAck));
-      w.u64(*st_id);
-      w.u64(id_to_ack);
-      ++stats_.fast_acks_sent;
-      trace("st.fastack", "ack " + std::to_string(id_to_ack) + " for stream " +
-                              std::to_string(*st_id) + " -> host " +
-                              std::to_string(src));
-      if (entry_ref.ack_fabric != nullptr) {
-        send_control_on(ps, *entry_ref.ack_fabric, std::move(ack));
-      } else {
-        send_control(ps, std::move(ack));
-      }
-    };
+    // Fast acknowledgement (§3.2): the receiving ST acks without involving
+    // the receiving client — but only for components it actually accepts.
+    // A stale component (a replay of something already delivered, or a
+    // reordered straggler the sequence moved past) is dropped
+    // unacknowledged: acking it would tell the sender a message was
+    // delivered that never reached the client. Fragmented components ack
+    // only at reassembly completion (fragments are never retransmitted, so
+    // until the last one lands the message can still be lost). The ack
+    // returns over the fabric the data arrived on (entry.ack_fabric), so
+    // ack loss implicates the path that actually carries the stream.
 
     if ((*flags & kFragment) == 0) {
       // §4.3: a newer message obsoletes the incomplete one.
@@ -1379,7 +1477,7 @@ void SubtransportLayer::handle_data(rms::Message msg) {
         ++stats_.stale_dropped;
         continue;
       }
-      if (*flags & kAckRequest) send_fast_ack(entry, ack_id);
+      if (*flags & kAckRequest) queue_fast_ack(src, entry.ack_fabric, *st_id, ack_id);
       entry.next_expected_seq = *seq + 1;
       deliver_component(entry, *seq, std::move(body), *sent_at);
       continue;
@@ -1418,12 +1516,13 @@ void SubtransportLayer::handle_data(rms::Message msg) {
       entry.partial_fragments.clear();
       entry.next_expected_seq = *seq + 1;
       ++stats_.reassembled;
-      trace("st.reassemble", "stream " + std::to_string(*st_id) + " seq " +
-                                 std::to_string(*seq) + " complete (" +
-                                 std::to_string(whole.size()) + " B)");
+      trace("st.reassemble", [&] {
+        return "stream " + std::to_string(*st_id) + " seq " + std::to_string(*seq) +
+               " complete (" + std::to_string(whole.size()) + " B)";
+      });
       if (entry.partial_ack_requested) {
         entry.partial_ack_requested = false;
-        send_fast_ack(entry, entry.partial_ack_id);
+        queue_fast_ack(src, entry.ack_fabric, *st_id, entry.partial_ack_id);
       }
       deliver_component(entry, *seq, std::move(whole), entry.partial_sent_at);
     }
@@ -1437,11 +1536,12 @@ void SubtransportLayer::discard_partial(DemuxEntry& entry) {
   for (const Buffer& piece : entry.partial_fragments) {
     stats_.partial_bytes_discarded += piece.size();
   }
-  trace("st.discard",
-        "stream " + std::to_string(entry.st_id) + " seq " +
-            std::to_string(entry.partial_seq) + " dropped with " +
-            std::to_string(entry.partial_received) + "/" +
-            std::to_string(entry.partial_count) + " fragments");
+  trace("st.discard", [&] {
+    return "stream " + std::to_string(entry.st_id) + " seq " +
+           std::to_string(entry.partial_seq) + " dropped with " +
+           std::to_string(entry.partial_received) + "/" +
+           std::to_string(entry.partial_count) + " fragments";
+  });
   entry.partial = false;
   entry.partial_fragments.clear();
   entry.partial_received = 0;
@@ -1481,7 +1581,7 @@ void SubtransportLayer::release_stream(StRms& rms) {
   rms.handoff_.clear();
   rms.handoff_bytes_ = 0;
 
-  trace("st.close", "stream " + std::to_string(rms.id_));
+  trace("st.close", [&] { return "stream " + std::to_string(rms.id_); });
   auto pit = peers_.find(rms.peer_);
   if (pit != peers_.end() && pit->second.control_out != nullptr) {
     Bytes payload;
@@ -1598,12 +1698,16 @@ void SubtransportLayer::invalidate_peer(HostId peer) {
   }
   // Forget control and authentication state: the restarted peer has lost
   // its side of the handshake, so the next conversation re-authenticates.
-  // Outstanding control retransmits die with it.
+  // Outstanding control retransmits and held fast acks die with it.
   auto pit = peers_.find(peer);
   if (pit != peers_.end()) {
     for (auto& [req_id, pr] : pit->second.pending_replies) {
       (void)req_id;
       sim_.cancel(pr.retry_timer);
+    }
+    for (auto& [fabric, batch] : pit->second.ack_batches) {
+      (void)fabric;
+      sim_.cancel(batch.hold_timer);
     }
     peers_.erase(pit);
   }
@@ -1615,7 +1719,9 @@ void SubtransportLayer::invalidate_peer(HostId peer) {
       ++it;
     }
   }
-  trace("st.invalidate", "forgot cached state for host " + std::to_string(peer));
+  trace("st.invalidate", [&] {
+    return "forgot cached state for host " + std::to_string(peer);
+  });
 }
 
 }  // namespace dash::st

@@ -21,7 +21,9 @@
 //     already provide the property;
 //   * the fast-acknowledgement service (§3.2): a message flagged
 //     ack-requested is acknowledged by the *receiving ST* over the control
-//     channel, without waiting for the receiving client.
+//     channel, without waiting for the receiving client. Acks to one peer
+//     over one network are batched: they leave as one control message when
+//     the batch fills or a short hold expires.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "netrms/fabric.h"
@@ -244,9 +247,9 @@ class SubtransportLayer : public rms::Provider {
     std::uint64_t auth_drops = 0;          ///< MAC verification failures
     std::uint64_t bytes_encrypted = 0;
     std::uint64_t bytes_macced = 0;
-    std::uint64_t fast_acks_sent = 0;
-    std::uint64_t fast_acks_delivered = 0;
-    std::uint64_t control_messages = 0;
+    std::uint64_t fast_acks_sent = 0;       ///< acks, not kFastAck messages
+    std::uint64_t fast_acks_delivered = 0;  ///< acks handed to a client callback
+    std::uint64_t control_messages = 0;     ///< messages sent on control channels
     std::uint64_t control_retries = 0;   ///< control requests re-sent on timeout
     std::uint64_t auth_handshakes = 0;   ///< challenge/response exchanges run
     std::uint64_t auth_elided = 0;       ///< trusted network: handshake skipped
@@ -309,6 +312,9 @@ class SubtransportLayer : public rms::Provider {
   /// Number of data network RMS currently active / cached (tests).
   std::size_t active_channels() const;
   std::size_t cached_channels() const;
+
+  /// Fast acks accepted but still held in a batch, over all peers (tests).
+  std::size_t held_fast_acks() const;
 
   /// Attaches an event trace: the ST records stream lifecycle, channel
   /// selection, piggyback flushes, fragmentation, and security decisions.
@@ -384,6 +390,14 @@ class SubtransportLayer : public rms::Provider {
     // on some *other* network, or the sender misjudges this path's health).
     // One lazily-created channel per data fabric, beyond the main one.
     std::map<netrms::NetRmsFabric*, std::unique_ptr<rms::Rms>> ack_out;
+    // Fast acks held for one ack fabric (nullptr: the main control
+    // channel), leaving together as one kFastAck. A batch never mixes
+    // fabrics, so batching keeps the shared-fate rule above.
+    struct AckBatch {
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> acks;  ///< (st id, ack id)
+      sim::TimerHandle hold_timer;
+    };
+    std::map<netrms::NetRmsFabric*, AckBatch> ack_batches;
   };
 
   // ---- receiver-side demux entry for an incoming ST RMS ----
@@ -477,6 +491,18 @@ class SubtransportLayer : public rms::Provider {
   void send_control_on(PeerState& ps, netrms::NetRmsFabric& fabric, Bytes payload);
   netrms::NetRmsFabric* fabric_named(BytesView name) const;
 
+  // fast acks (§3.2)
+  /// Adds one ack to `peer`'s batch for `fabric`; the batch leaves when it
+  /// fills or its hold expires.
+  void queue_fast_ack(HostId peer, netrms::NetRmsFabric* fabric, std::uint64_t st_id,
+                      std::uint64_t ack_id);
+  void flush_fast_acks(PeerState& ps, netrms::NetRmsFabric* fabric,
+                       PeerState::AckBatch& batch);
+  /// Drops every batch bound for `fabric` (its network failed).
+  void drop_fast_acks(netrms::NetRmsFabric* fabric);
+  /// The sender's side of one acknowledged (st id, ack id) pair from `src`.
+  void handle_fast_ack(HostId src, std::uint64_t st_id, std::uint64_t ack_id);
+
   // receive path
   void on_control_message(rms::Message msg);
   void handle_control(rms::Message msg);
@@ -495,8 +521,14 @@ class SubtransportLayer : public rms::Provider {
   /// rebind (rebind detaches without sending kDelete: the stream lives on).
   void detach_channel(StRms& rms);
   void release_channel(Channel& ch);
-  void trace(const char* category, std::string detail) {
-    if (trace_ != nullptr) trace_->record(sim_.now(), category, std::move(detail));
+  /// Records a trace event. `detail` is a callable that builds the detail
+  /// string; it runs only when a trace is attached and enabled, so tracing
+  /// that is off formats nothing.
+  template <typename Detail>
+  void trace(const char* category, Detail&& detail) {
+    if (trace_ != nullptr && trace_->enabled()) {
+      trace_->record(sim_.now(), category, std::forward<Detail>(detail)());
+    }
   }
   void expire_channel(std::uint64_t channel_id);
   void cancel_channel_timers(Channel& ch);
@@ -508,6 +540,7 @@ class SubtransportLayer : public rms::Provider {
   rms::PortRegistry& ports_;
   StConfig config_;
   std::vector<netrms::NetRmsFabric*> fabrics_;
+  std::vector<std::uint64_t> fabric_listeners_;  ///< failure-listener tokens, per fabric
 
   rms::Port control_port_;
   rms::Port data_port_;

@@ -23,6 +23,7 @@
 //   u8 type, then per-type fields (see ControlType).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "rms/message.h"
@@ -52,8 +53,20 @@ enum class ControlType : std::uint8_t {
                        ///< u8 security flags, params blob
   kCreateReply = 4,    ///< u64 request id, u64 st id, u8 ok
   kDelete = 5,         ///< u64 st id
-  kFastAck = 6,        ///< u64 st id, u64 ack id
+  kFastAck = 6,        ///< u8 count, count × (u64 st id, u64 ack id)
 };
+
+/// Largest control message: the control RMS's maximum message size.
+inline constexpr std::size_t kControlMaxMessage = 256;
+/// Wire bytes of one (st id, ack id) pair in a kFastAck.
+inline constexpr std::size_t kFastAckPairBytes = 8 + 8;
+/// Wire size of a kFastAck carrying `pairs` acknowledgements (type + count).
+constexpr std::size_t fast_ack_bytes(std::size_t pairs) {
+  return 1 + 1 + pairs * kFastAckPairBytes;
+}
+/// Most pairs one kFastAck carries: as many as fit a control message (15).
+inline constexpr std::size_t kFastAckMaxPairs =
+    (kControlMaxMessage - fast_ack_bytes(0)) / kFastAckPairBytes;
 
 /// Fixed per-component header bytes (id + seq + sent_at + flags + size).
 inline constexpr std::size_t kComponentBaseBytes = 8 + 8 + 8 + 1 + 4;

@@ -359,7 +359,37 @@ TEST(Rkom, ReplyCacheExpiresAfterTtl) {
   // After the TTL (plus the ack that normally clears it), the cache is
   // empty — the server holds no unbounded at-most-once state.
   world.sim.run_until(sec(5));
-  SUCCEED();  // reaching here without leaks/asserts is the point
+  EXPECT_EQ(server.cached_replies(), 0u);
+}
+
+TEST(Rkom, DuplicateReplyIsAckedAgain) {
+  // A retry timeout shorter than the call's round trip: the client
+  // retransmits, the server answers each retransmission with its cached
+  // reply, and the client acks every copy it receives. Should the first
+  // ack be lost, a later one frees the cached reply before its TTL.
+  RkomConfig config;
+  config.retry_timeout = msec(1);
+  config.max_retries = 100;  // retry until the reply lands, however long
+  RkomFixture f(net::ethernet_traits(), 42, config);
+  int executions = 0;
+  f.server->register_operation(1, {[&executions](BytesView in) {
+    ++executions;
+    return Bytes(in.begin(), in.end());
+  }, 0});
+
+  bool done = false;
+  f.client->call(2, 1, to_bytes("x"), [&](Result<Bytes> r) {
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    done = true;
+  });
+  f.world.sim.run_until(sec(1));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(executions, 1);
+  const std::uint64_t resent = f.server->stats().reply_retransmissions;
+  ASSERT_GE(resent, 1u);
+  EXPECT_EQ(f.client->stats().replies_received, 1u);
+  EXPECT_EQ(f.client->stats().acks_sent, 1 + resent);
+  EXPECT_EQ(f.server->cached_replies(), 0u);
 }
 
 TEST(Rkom, SeparateChannelsPerPeer) {

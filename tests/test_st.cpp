@@ -5,6 +5,7 @@
 // notification.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "fault/fault.h"
 #include "st/st.h"
 #include "test_helpers.h"
+#include "transport/stream.h"
 #include "util/checksum.h"
 #include "util/serialize.h"
 
@@ -47,6 +49,20 @@ rms::Message text(std::string_view s) {
   rms::Message m;
   m.data = to_bytes(s);
   return m;
+}
+
+/// Raw kFastAck bytes: `count` in the count field, then `words` as u64s
+/// and `trailing` zero bytes — well-formed only when the words are
+/// exactly `count` (st id, ack id) pairs and nothing trails.
+Bytes fast_ack_wire(std::uint8_t count, const std::vector<std::uint64_t>& words,
+                    std::size_t trailing = 0) {
+  Bytes b;
+  Writer w(b);
+  w.u8(static_cast<std::uint8_t>(ControlType::kFastAck));
+  w.u8(count);
+  for (std::uint64_t v : words) w.u64(v);
+  for (std::size_t i = 0; i < trailing; ++i) w.u8(0);
+  return b;
 }
 
 // ---------------------------------------------------------- establishment
@@ -694,6 +710,124 @@ TEST(St, FragmentedComponentAckedOnlyWhenReassembled) {
   }
 }
 
+TEST(St, FastAcksOfOnePacketLeaveAsOneMessage) {
+  // §3.2 batching: the receiving ST accepts the components of one packet
+  // in one pass and returns their acks as one kFastAck. Jumbo frames let
+  // several 1 KB components share a packet; the messages go out in bursts
+  // of eight, one burst per 10 ms.
+  net::NetworkTraits jumbo = net::ethernet_traits();
+  jumbo.max_packet_bytes = 9000;
+  auto world = st_world(2, jumbo);
+  rms::Port port;
+  world.node(2).ports.bind(50, &port);
+  auto req = st_request();
+  req.desired.quality.reliable = true;
+  auto rms = world.st(1).create(req, {2, 50});
+  ASSERT_TRUE(rms.ok()) << rms.error().message;
+  auto* st_rms = dynamic_cast<StRms*>(rms.value().get());
+  std::map<std::uint64_t, int> acked;
+  st_rms->on_fast_ack([&](std::uint64_t id) { ++acked[id]; });
+  world.sim.run();  // establishment
+  const std::uint64_t control_before = world.st(2).stats().control_messages;
+
+  constexpr int kMessages = 200;
+  constexpr int kBurst = 8;
+  for (int b = 0; b < kMessages / kBurst; ++b) {
+    world.sim.at(world.sim.now() + msec(10) * b, [st_rms, b] {
+      for (int i = b * kBurst; i < (b + 1) * kBurst; ++i) {
+        rms::Message m;
+        m.data = patterned_bytes(1024, static_cast<std::uint64_t>(i));
+        ASSERT_TRUE(st_rms->send_acked(std::move(m), static_cast<std::uint64_t>(i)).ok());
+      }
+    });
+  }
+  world.sim.run();
+
+  EXPECT_EQ(port.delivered(), static_cast<std::uint64_t>(kMessages));
+  ASSERT_EQ(acked.size(), static_cast<std::size_t>(kMessages));
+  for (const auto& [id, n] : acked) EXPECT_EQ(n, 1) << "ack " << id;
+  EXPECT_EQ(world.st(2).stats().fast_acks_sent, static_cast<std::uint64_t>(kMessages));
+  EXPECT_EQ(world.st(1).stats().fast_acks_delivered, static_cast<std::uint64_t>(kMessages));
+  EXPECT_EQ(world.st(2).held_fast_acks(), 0u);
+  // One kFastAck per ack would be 1.0 control messages per data message.
+  const std::uint64_t control = world.st(2).stats().control_messages - control_before;
+  EXPECT_LE(2 * control, static_cast<std::uint64_t>(kMessages))
+      << control << " control messages for " << kMessages << " data messages";
+}
+
+TEST(St, InvalidatingPeerDropsHeldFastAcks) {
+  // invalidate_peer runs between conversations, and may find the last
+  // one's acks still held. The batch dies with the peer state and its
+  // hold timer is cancelled. Losing those acks is harmless: cumulative
+  // transport acks release the sender's capacity too.
+  auto world = st_world(2);
+  transport::StreamReceiver rx(world.st(2), world.node(2).ports, 60, {});
+  transport::StreamSender tx(world.st(1), world.node(1).ports, {2, 60}, {});
+  ASSERT_TRUE(tx.ok());
+  Bytes received;
+  rx.on_data([&](Bytes b) { received.insert(received.end(), b.begin(), b.end()); });
+  const Bytes payload = patterned_bytes(16 * 1024, 5);
+  ASSERT_TRUE(tx.write(payload).ok());
+
+  // Step to the moment host 2's ST has accepted every data message and
+  // still holds the last ack.
+  const std::uint64_t messages = payload.size() / 1024;
+  while (!(world.st(2).stats().messages_delivered == messages &&
+           world.st(2).held_fast_acks() > 0) &&
+         world.sim.step()) {
+  }
+  ASSERT_GT(world.st(2).held_fast_acks(), 0u);
+  const std::uint64_t acks_sent = world.st(2).stats().fast_acks_sent;
+  const std::uint64_t cancelled = world.sim.stats().timers_cancelled;
+  world.st(2).invalidate_peer(1);
+  EXPECT_EQ(world.st(2).held_fast_acks(), 0u);
+  EXPECT_EQ(world.sim.stats().timers_cancelled, cancelled + 1);
+
+  world.sim.run_until(world.sim.now() + sec(5));
+  EXPECT_EQ(world.st(2).stats().fast_acks_sent, acks_sent);
+  EXPECT_TRUE(tx.drained());
+  EXPECT_TRUE(received == payload);
+}
+
+TEST(St, FabricFailureDropsHeldFastAcks) {
+  // A batch never outlives its network: when the fabric its acks would
+  // return over fails, the batch is dropped and its hold timer cancelled.
+  // The path manager moves the reliable stream to the other network and
+  // replays what the lost acks left in the handoff buffer, so the client
+  // still sees every message exactly once, in order.
+  auto world = dash::testing::two_net_world(2);
+  rms::Port inbox;
+  world.node(2).ports.bind(50, &inbox);
+  auto req = st_request(32 * 1024, 1024);
+  req.desired.quality.reliable = true;
+  auto stream = world.st(1).create(req, {2, 50});
+  ASSERT_TRUE(stream.ok()) << stream.error().message;
+  auto* st_rms = dynamic_cast<StRms*>(stream.value().get());
+  ASSERT_EQ(world.st(1).stream_fabric(st_rms->id()), world.fabric);
+
+  constexpr int kMessages = 40;
+  for (int i = 0; i < kMessages; ++i) {
+    world.sim.at(msec(2) * (i + 1),
+                 [st_rms, i] { (void)st_rms->send(text(std::to_string(i))); });
+  }
+  while (!(world.st(2).stats().messages_delivered >= kMessages / 2 &&
+           world.st(2).held_fast_acks() > 0) &&
+         world.sim.step()) {
+  }
+  ASSERT_GT(world.st(2).held_fast_acks(), 0u);
+  const std::uint64_t cancelled = world.sim.stats().timers_cancelled;
+  world.network->set_down(true);
+  EXPECT_EQ(world.st(2).held_fast_acks(), 0u);
+  EXPECT_GT(world.sim.stats().timers_cancelled, cancelled);
+
+  world.sim.run_until(world.sim.now() + sec(2));
+  EXPECT_EQ(world.st(1).stream_fabric(st_rms->id()), world.media[1].fabric.get());
+  std::vector<int> got;
+  while (auto m = inbox.poll()) got.push_back(std::stoi(dash::to_string(m->data)));
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kMessages));
+  for (int i = 0; i < kMessages; ++i) EXPECT_EQ(got[i], i) << "at " << i;
+}
+
 // ----------------------------------------------------------------- failure
 
 TEST(St, NetworkFailureNotifiesStream) {
@@ -1020,6 +1154,67 @@ TEST(StRobustness, GarbageOnControlPortIsDropped) {
   good.value()->send(text("after the garbage"));
   world.sim.run();
   EXPECT_EQ(port.delivered(), 1u);
+}
+
+TEST(StRobustness, MalformedFastAckIsDropped) {
+  // Hostile kFastAck bytes straight to host 1's control port. Each names a
+  // live stream and ack ids it would accept — a client id and an internal
+  // handoff id — so only the parser's checks keep them from the client's
+  // ack callback and the handoff buffer.
+  auto world = dash::testing::two_net_world(3);
+  rms::Port port;
+  world.node(2).ports.bind(50, &port);
+  auto req = st_request(32 * 1024, 1024);
+  req.desired.quality.reliable = true;
+  auto rms = world.st(1).create(req, {2, 50});
+  ASSERT_TRUE(rms.ok()) << rms.error().message;
+  auto* st_rms = dynamic_cast<StRms*>(rms.value().get());
+  std::vector<std::uint64_t> acked;
+  st_rms->on_fast_ack([&](std::uint64_t id) { acked.push_back(id); });
+  ASSERT_TRUE(st_rms->send(text("legit")).ok());
+  world.sim.run_until(msec(500));
+  ASSERT_EQ(port.delivered(), 1u);
+  const SubtransportLayer::Stats before = world.st(1).stats();
+
+  const std::uint64_t id = st_rms->id();
+  const std::uint64_t handoff = kHandoffAckBit | 0;
+  const std::vector<Bytes> hostile = {
+      fast_ack_wire(0, {}),                       // count 0
+      fast_ack_wire(0, {id, 7}),                  // count 0, a pair after it
+      fast_ack_wire(3, {id, 7, id, handoff}),     // count above the pairs present
+      fast_ack_wire(1, {id}, 4),                  // truncated pair
+      fast_ack_wire(1, {id, 7}, 1),               // trailing byte
+      fast_ack_wire(2, {id, 7, id, handoff}, 8),  // trailing bytes
+      fast_ack_wire(1, {id + 1000, 7}),           // unknown ST id
+  };
+  auto peer = world.fabric->create(2, dash::testing::loose_request(4096, 256),
+                                   {1, kControlPort});
+  ASSERT_TRUE(peer.ok());
+  for (const Bytes& wire : hostile) {
+    rms::Message m;
+    m.data = wire;
+    ASSERT_TRUE(peer.value()->send(std::move(m)).ok());
+  }
+  // Host 3 is not the stream's peer: its well-formed ack is refused too.
+  auto third = world.fabric->create(3, dash::testing::loose_request(4096, 256),
+                                    {1, kControlPort});
+  ASSERT_TRUE(third.ok());
+  {
+    rms::Message m;
+    m.data = fast_ack_wire(2, {id, 7, id, handoff});
+    ASSERT_TRUE(third.value()->send(std::move(m)).ok());
+  }
+  world.sim.run_until(sec(1));
+  EXPECT_TRUE(acked.empty());
+  EXPECT_EQ(world.st(1).stats().fast_acks_delivered, before.fast_acks_delivered);
+  EXPECT_EQ(world.st(1).stats().handoff_acks, before.handoff_acks);
+
+  // The same path takes a well-formed batch from the peer.
+  rms::Message good;
+  good.data = fast_ack_wire(2, {id, 7, id, 8});
+  ASSERT_TRUE(peer.value()->send(std::move(good)).ok());
+  world.sim.run_until(sec(2));
+  EXPECT_EQ(acked, (std::vector<std::uint64_t>{7, 8}));
 }
 
 TEST(StRobustness, ComponentForDeletedStreamCountsUnknown) {
