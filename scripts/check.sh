@@ -1,9 +1,9 @@
 #!/bin/sh
 # Builds the tree with a sanitizer and runs the test suite under it, so the
 # adversarial fault suites exercise every error path sanitized, then runs
-# the c8 (hostile flood injector) and c11 (failover rebind) benches, which
-# are not ctest entries, inside the build directory. Run from the
-# repository root.
+# every deterministic bench and simulated example under it too, through
+# scripts/stdout_digest.sh (which fails if any of them exits non-zero, as
+# a leak or a UBSan report makes it). Run from the repository root.
 #
 #   scripts/check.sh [build-dir] [sanitizer] [ctest-regex]
 #
@@ -24,4 +24,4 @@ if [ -n "$3" ]; then
 else
   ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 fi
-(cd "$BUILD" && bench/bench_c8_congestion && bench/bench_c11_failover)
+scripts/stdout_digest.sh "$BUILD"

@@ -21,12 +21,6 @@ EthernetNetwork::EthernetNetwork(sim::Simulator& sim, NetworkTraits traits,
                                  std::uint64_t seed, Discipline discipline)
     : Network(sim, std::move(traits)), discipline_(discipline), rng_(seed) {}
 
-void EthernetNetwork::set_down(bool down) {
-  const bool was_down = this->down();
-  Network::set_down(down);
-  if (down && !was_down) notify_down();
-}
-
 void EthernetNetwork::attach(HostId host, PacketSink sink) {
   auto iface = std::make_unique<Interface>(discipline_, traits_.buffer_bytes);
   iface->sink = std::move(sink);
@@ -58,7 +52,7 @@ std::uint64_t EthernetNetwork::interface_dropped(HostId host) const {
 
 bool EthernetNetwork::send(Packet p) {
   auto it = interfaces_.find(p.src);
-  if (it == interfaces_.end() || down_) {
+  if (it == interfaces_.end() || down()) {
     ++stats_.dropped;
     return false;
   }
@@ -119,57 +113,22 @@ void EthernetNetwork::transmit(HostId from) {
   });
 }
 
-void EthernetNetwork::deliver(Packet p) {
-  // Scripted faults interpose on the medium: a dropped frame simply never
-  // arrives; delayed frames and duplicates re-enter below (unjudged).
-  if (!apply_fault_hook(p, [this](Packet q) { deliver_now(std::move(q)); })) {
-    return;
-  }
-  deliver_now(std::move(p));
+void EthernetNetwork::on_arrival(Packet& p) {
+  // Bit errors hit the shared medium once; every tap then sees the frame
+  // as transmitted (physical broadcast).
+  corrupt_bits(p, traits_.bit_error_rate, rng_);
+  run_taps(p);
 }
 
-void EthernetNetwork::deliver_now(Packet p) {
-  if (down_) {
-    ++stats_.dropped;
-    return;
-  }
-  // Inject bit errors once for the shared medium.
-  const double perr = packet_error_probability(traits_.bit_error_rate, p.size());
-  if (perr > 0.0 && rng_.chance(perr)) {
-    p.corrupted = true;
-    if (!p.payload.empty()) {
-      const auto pos = static_cast<std::size_t>(rng_.below(p.payload.size()));
-      p.payload.flip_bit(pos, static_cast<std::uint8_t>(1u << rng_.below(8)));
-    }
-  }
-
-  // Physical broadcast: every tap sees the frame as transmitted.
-  run_taps(p);
-
-  if (p.corrupted && traits_.hardware_checksum) {
-    // Receiving interface hardware validates the FCS and discards.
-    ++stats_.corrupted_dropped;
-    return;
-  }
-
+void EthernetNetwork::dispatch(Packet p) {
   if (p.dst == kBroadcast) {
     for (auto& [host, iface] : interfaces_) {
-      if (host == p.src || !iface->sink) continue;
-      ++stats_.delivered;
-      stats_.bytes_delivered += p.size();
-      iface->sink(p);
+      if (host != p.src && iface->sink) hand_to(&iface->sink, p);
     }
     return;
   }
-
   auto it = interfaces_.find(p.dst);
-  if (it == interfaces_.end() || !it->second->sink) {
-    ++stats_.dropped;
-    return;
-  }
-  ++stats_.delivered;
-  stats_.bytes_delivered += p.size();
-  it->second->sink(std::move(p));
+  hand_to(it == interfaces_.end() ? nullptr : &it->second->sink, std::move(p));
 }
 
 }  // namespace dash::net

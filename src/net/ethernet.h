@@ -28,7 +28,6 @@ class EthernetNetwork final : public Network {
   bool attached(HostId host) const override;
   void detach(HostId host) override;
   bool send(Packet p) override;
-  void set_down(bool down) override;
 
   /// Queued bytes at one host's interface (tests).
   std::uint64_t interface_backlog(HostId host) const;
@@ -45,8 +44,8 @@ class EthernetNetwork final : public Network {
 
   void arbitrate();
   void transmit(HostId from);
-  void deliver(Packet p);      ///< fault-hook entry point
-  void deliver_now(Packet p);  ///< post-hook delivery (BER, taps, dispatch)
+  void on_arrival(Packet& p) override;
+  void dispatch(Packet p) override;
 
   Discipline discipline_;
   Rng rng_;

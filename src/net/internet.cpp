@@ -78,7 +78,7 @@ void InternetNetwork::detach(HostId host) {
   auto it = hosts_.find(host);
   if (it == hosts_.end()) return;
   // The access links stay alive — in-flight transmissions hold closures
-  // over them — but nothing is delivered (deliver_now drops on null sink)
+  // over them — but nothing is delivered (hand_to drops on a null sink)
   // and the host may no longer inject packets.
   it->second.sink = nullptr;
   it->second.detached = true;
@@ -90,7 +90,7 @@ bool InternetNetwork::attached(HostId host) const {
 }
 
 bool InternetNetwork::send(Packet p) {
-  if (down_) {
+  if (down()) {
     ++stats_.dropped;
     return false;
   }
@@ -113,7 +113,7 @@ bool InternetNetwork::send(Packet p) {
 }
 
 void InternetNetwork::forward(RouterId at, Packet p) {
-  if (down_) {
+  if (down()) {
     ++stats_.dropped;
     return;
   }
@@ -177,32 +177,9 @@ void InternetNetwork::send_quench(HostId to, std::uint64_t dropped_stream) {
              });
 }
 
-void InternetNetwork::deliver(Packet p) {
-  // Faults interpose at final host delivery: a routed packet that crossed
-  // the trunks can still be lost, delayed, duplicated, or corrupted here.
-  if (!apply_fault_hook(p, [this](Packet q) { deliver_now(std::move(q)); })) {
-    return;
-  }
-  deliver_now(std::move(p));
-}
-
-void InternetNetwork::deliver_now(Packet p) {
-  if (down_) {
-    ++stats_.dropped;
-    return;
-  }
-  if (p.corrupted && traits_.hardware_checksum) {
-    ++stats_.corrupted_dropped;
-    return;
-  }
+void InternetNetwork::dispatch(Packet p) {
   auto it = hosts_.find(p.dst);
-  if (it == hosts_.end() || !it->second.sink) {
-    ++stats_.dropped;
-    return;
-  }
-  ++stats_.delivered;
-  stats_.bytes_delivered += p.size();
-  it->second.sink(std::move(p));
+  hand_to(it == hosts_.end() ? nullptr : &it->second.sink, std::move(p));
 }
 
 void InternetNetwork::rebuild_routes() const {
@@ -277,11 +254,6 @@ void InternetNetwork::release_stream(std::uint64_t stream) {
   if (it == stream_reservations_.end()) return;
   for (SimplexLink* link : it->second) link->release(stream);
   stream_reservations_.erase(it);
-}
-
-void InternetNetwork::set_down(bool down) {
-  Network::set_down(down);
-  if (down) notify_down();
 }
 
 void InternetNetwork::set_trunk_down(RouterId a, RouterId b, bool down) {

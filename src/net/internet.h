@@ -51,7 +51,6 @@ class InternetNetwork final : public Network {
   bool reserve_stream(std::uint64_t stream, HostId src, HostId dst,
                       std::uint64_t bytes) override;
   void release_stream(std::uint64_t stream) override;
-  void set_down(bool down) override;
 
   /// Failure injection on a single trunk (both directions). The next
   /// lookup rebuilds the routes around (or back across) the trunk.
@@ -113,8 +112,7 @@ class InternetNetwork final : public Network {
   };
 
   void forward(RouterId at, Packet p);
-  void deliver(Packet p);      ///< fault-hook entry point (host delivery)
-  void deliver_now(Packet p);  ///< post-hook delivery to the host sink
+  void dispatch(Packet p) override;
   /// The up neighbor of `at` one hop closer to `target` (lowest id among
   /// ties); kNoRoute when `target` is unreachable. Requires at != target.
   RouterId next_hop(RouterId at, RouterId target) const;

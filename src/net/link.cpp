@@ -122,16 +122,7 @@ void SimplexLink::deliver(Packet p) {
     ++stats_.dropped_down;
     return;
   }
-  const double perr = packet_error_probability(config_.bit_error_rate, p.size());
-  if (perr > 0.0 && rng_.chance(perr)) {
-    p.corrupted = true;
-    if (!p.payload.empty()) {
-      // Flip a real bit so software checksums genuinely fail.
-      const auto pos = static_cast<std::size_t>(rng_.below(p.payload.size()));
-      p.payload.flip_bit(pos, static_cast<std::uint8_t>(1u << rng_.below(8)));
-    }
-    ++stats_.corrupted;
-  }
+  if (corrupt_bits(p, config_.bit_error_rate, rng_)) ++stats_.corrupted;
   ++stats_.delivered;
   stats_.bytes_delivered += p.size();
   if (sink_) sink_(std::move(p));

@@ -73,8 +73,15 @@ class Network {
   /// Models the eavesdropper of §2.1/§3.1 (physical broadcast property).
   void add_tap(PacketSink tap) { taps_.push_back(std::move(tap)); }
 
-  /// Failure injection: take the whole network down/up.
-  virtual void set_down(bool down) { down_ = down; }
+  /// Failure injection: take the whole network down/up. Each up→down
+  /// transition notifies the on_down listeners once; a repeated
+  /// set_down(true) does not.
+  void set_down(bool down) {
+    const bool was_down = down_;
+    down_ = down;
+    if (!down || was_down) return;
+    for (const auto& cb : down_cbs_) cb();
+  }
   bool down() const { return down_; }
 
   /// Invoked on transition to down (network RMS failure notification).
@@ -92,16 +99,46 @@ class Network {
   FaultHook* fault_hook() const { return fault_hook_; }
 
  protected:
+  /// The one delivery path: every medium passes a packet leaving it for
+  /// its destination here. The fault hook judges it first; the packet, if
+  /// it survives undelayed, arrives now, and delayed copies and duplicates
+  /// arrive later without being judged again.
+  void deliver(Packet p) {
+    if (apply_fault_hook(p)) arrive(std::move(p));
+  }
+
+  /// The medium's view of an arriving frame, before the checksum check:
+  /// bit errors and wiretaps, in the medium's own order. Default: none.
+  virtual void on_arrival(Packet& p) { (void)p; }
+  /// Hands an intact frame to its destination(s) through hand_to.
+  virtual void dispatch(Packet p) = 0;
+
+  /// Passes `p` to `sink` and counts it delivered; a missing (nullptr) or
+  /// detached (empty) sink counts it dropped.
+  void hand_to(const PacketSink* sink, Packet p) {
+    if (sink == nullptr || !*sink) {
+      ++stats_.dropped;
+      return;
+    }
+    ++stats_.delivered;
+    stats_.bytes_delivered += p.size();
+    (*sink)(std::move(p));
+  }
+
   void run_taps(const Packet& p) {
     for (const auto& t : taps_) t(p);
   }
 
+  sim::Simulator& sim_;
+  NetworkTraits traits_;
+  Stats stats_;
+
+ private:
   /// Runs the fault hook on a packet entering the delivery path. Returns
-  /// true if the (possibly corrupted) packet should be delivered now; if
-  /// the hook consumed it — dropped, or rescheduled with extra delay — this
-  /// returns false and any surviving copies re-enter via `redeliver`, which
-  /// must route to the post-hook delivery path so copies are not re-judged.
-  bool apply_fault_hook(Packet& p, std::function<void(Packet)> redeliver) {
+  /// true if the (possibly corrupted) packet should arrive now; if the hook
+  /// consumed it — dropped, or rescheduled with extra delay — this returns
+  /// false and any surviving copies are scheduled to arrive unjudged.
+  bool apply_fault_hook(Packet& p) {
     if (fault_hook_ == nullptr) return true;
     FaultVerdict v = fault_hook_->judge(p);
     if (v.corrupted) ++stats_.fault_corrupted;
@@ -110,9 +147,7 @@ class Network {
       // Copies trail the original so the first arrival is the real one.
       const Time at = v.delay + static_cast<Time>(i + 1) *
                                     std::max<Time>(v.duplicate_gap, 1);
-      sim_.after(at, [redeliver, copy = p]() mutable {
-        redeliver(std::move(copy));
-      });
+      sim_.after(at, [this, copy = p]() mutable { arrive(std::move(copy)); });
     }
     if (v.drop) {
       if (v.blocked) {
@@ -124,25 +159,31 @@ class Network {
     }
     if (v.delay > 0) {
       ++stats_.fault_delayed;
-      sim_.after(v.delay, [redeliver = std::move(redeliver),
-                           copy = std::move(p)]() mutable {
-        redeliver(std::move(copy));
-      });
+      sim_.after(v.delay,
+                 [this, copy = std::move(p)]() mutable { arrive(std::move(copy)); });
       return false;
     }
     return true;
   }
-  void notify_down() {
-    for (const auto& cb : down_cbs_) cb();
+
+  /// Post-hook delivery: a down network drops; otherwise the medium sees
+  /// the frame, a hardware checksum discards it if damaged, and the medium
+  /// dispatches it.
+  void arrive(Packet p) {
+    if (down_) {
+      ++stats_.dropped;
+      return;
+    }
+    on_arrival(p);
+    if (p.corrupted && traits_.hardware_checksum) {
+      ++stats_.corrupted_dropped;
+      return;
+    }
+    dispatch(std::move(p));
   }
 
-  sim::Simulator& sim_;
-  NetworkTraits traits_;
-  Stats stats_;
   bool down_ = false;
   FaultHook* fault_hook_ = nullptr;
-
- private:
   std::vector<PacketSink> taps_;
   std::vector<std::function<void()>> down_cbs_;
   std::uint64_t seq_ = 0;

@@ -94,7 +94,7 @@ bool TokenRingNetwork::ring_has_traffic() const {
 }
 
 bool TokenRingNetwork::send(Packet p) {
-  if (down_) {
+  if (down()) {
     ++stats_.dropped;
     return false;
   }
@@ -119,7 +119,7 @@ bool TokenRingNetwork::send(Packet p) {
 }
 
 void TokenRingNetwork::grant(std::size_t index) {
-  if (down_ || stations_.empty()) {
+  if (down() || stations_.empty()) {
     token_moving_ = false;
     return;
   }
@@ -158,54 +158,20 @@ void TokenRingNetwork::grant(std::size_t index) {
   });
 }
 
-void TokenRingNetwork::deliver(Packet p) {
-  if (!apply_fault_hook(p, [this](Packet q) { deliver_now(std::move(q)); })) {
-    return;
-  }
-  deliver_now(std::move(p));
+void TokenRingNetwork::on_arrival(Packet& p) {
+  corrupt_bits(p, traits_.bit_error_rate, rng_);
+  run_taps(p);  // physical broadcast: every station saw the frame
 }
 
-void TokenRingNetwork::deliver_now(Packet p) {
-  if (down_) {
-    ++stats_.dropped;
-    return;
-  }
-  const double perr = packet_error_probability(traits_.bit_error_rate, p.size());
-  if (perr > 0.0 && rng_.chance(perr)) {
-    p.corrupted = true;
-    if (!p.payload.empty()) {
-      const auto pos = static_cast<std::size_t>(rng_.below(p.payload.size()));
-      p.payload.flip_bit(pos, static_cast<std::uint8_t>(1u << rng_.below(8)));
-    }
-  }
-  run_taps(p);  // physical broadcast: every station saw the frame
-  if (p.corrupted && traits_.hardware_checksum) {
-    ++stats_.corrupted_dropped;
-    return;
-  }
+void TokenRingNetwork::dispatch(Packet p) {
   if (p.dst == kBroadcast) {
     for (auto& s : stations_) {
-      if (s.host == p.src || !s.sink) continue;
-      ++stats_.delivered;
-      stats_.bytes_delivered += p.size();
-      s.sink(p);
+      if (s.host != p.src && s.sink) hand_to(&s.sink, p);
     }
     return;
   }
   auto it = index_of_.find(p.dst);
-  if (it == index_of_.end() || !stations_[it->second].sink) {
-    ++stats_.dropped;
-    return;
-  }
-  ++stats_.delivered;
-  stats_.bytes_delivered += p.size();
-  stations_[it->second].sink(std::move(p));
-}
-
-void TokenRingNetwork::set_down(bool down) {
-  const bool was_down = this->down();
-  Network::set_down(down);
-  if (down && !was_down) notify_down();
+  hand_to(it == index_of_.end() ? nullptr : &stations_[it->second].sink, std::move(p));
 }
 
 }  // namespace dash::net

@@ -44,7 +44,6 @@ class TokenRingNetwork final : public Network {
   bool attached(HostId host) const override;
   void detach(HostId host) override;
   bool send(Packet p) override;
-  void set_down(bool down) override;
 
   /// Worst-case token rotation time with the current station count.
   Time worst_case_rotation() const;
@@ -65,8 +64,8 @@ class TokenRingNetwork final : public Network {
 
   void grant(std::size_t index);
   bool ring_has_traffic() const;
-  void deliver(Packet p);      ///< fault-hook entry point
-  void deliver_now(Packet p);  ///< post-hook delivery (BER, taps, dispatch)
+  void on_arrival(Packet& p) override;
+  void dispatch(Packet p) override;
 
   RingConfig ring_;
   Discipline discipline_;

@@ -47,4 +47,15 @@ double packet_error_probability(double ber, std::size_t bytes) {
   return 1.0 - std::pow(1.0 - ber, bits);
 }
 
+bool corrupt_bits(Packet& p, double ber, Rng& rng) {
+  const double perr = packet_error_probability(ber, p.size());
+  if (perr <= 0.0 || !rng.chance(perr)) return false;
+  p.corrupted = true;
+  if (!p.payload.empty()) {
+    const auto pos = static_cast<std::size_t>(rng.below(p.payload.size()));
+    p.payload.flip_bit(pos, static_cast<std::uint8_t>(1u << rng.below(8)));
+  }
+  return true;
+}
+
 }  // namespace dash::net

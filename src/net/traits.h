@@ -10,7 +10,9 @@
 #include <cstdint>
 #include <string>
 
+#include "net/packet.h"
 #include "rms/params.h"
+#include "util/rng.h"
 #include "util/time.h"
 
 namespace dash::net {
@@ -80,5 +82,10 @@ QualityLimits quality_limits(const NetworkTraits& traits, const rms::Quality& q)
 /// Expected fraction of packets of `bytes` size damaged on a medium with
 /// per-bit error rate `ber`: 1 - (1-ber)^(8*bytes).
 double packet_error_probability(double ber, std::size_t bytes);
+
+/// A medium's bit errors: with packet_error_probability(ber, size), marks
+/// `p` corrupted and flips one real payload bit (so software checksums
+/// genuinely fail). Returns true if the packet was hit.
+bool corrupt_bits(Packet& p, double ber, Rng& rng);
 
 }  // namespace dash::net

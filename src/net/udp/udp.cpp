@@ -178,7 +178,7 @@ void UdpNetwork::detach(HostId host) {
 }
 
 bool UdpNetwork::send(Packet p) {
-  if (down_) {
+  if (down()) {
     ++stats_.dropped;
     return false;
   }
@@ -319,36 +319,11 @@ void UdpNetwork::on_readable(HostId host) {
   }
 }
 
-void UdpNetwork::deliver(Packet p) {
-  // Software impairment over real sockets: the hook's delays and
-  // duplicates ride the simulator queue, which the driver runs in wall
-  // time, so seeded fault plans behave exactly as on simulated media.
-  if (!apply_fault_hook(p, [this](Packet q) { deliver_now(std::move(q)); })) {
-    return;
-  }
-  deliver_now(std::move(p));
-}
+void UdpNetwork::on_arrival(Packet& p) { run_taps(p); }
 
-void UdpNetwork::deliver_now(Packet p) {
-  if (down_) {
-    ++stats_.dropped;
-    return;
-  }
-  run_taps(p);
-  if (p.corrupted && traits_.hardware_checksum) {
-    // A fault hook flipped payload bits after the codec CRC was computed;
-    // the "hardware" discards the damaged frame like an FCS failure.
-    ++stats_.corrupted_dropped;
-    return;
-  }
+void UdpNetwork::dispatch(Packet p) {
   auto it = endpoints_.find(p.dst);
-  if (it == endpoints_.end() || !it->second.sink) {
-    ++stats_.dropped;
-    return;
-  }
-  ++stats_.delivered;
-  stats_.bytes_delivered += p.size();
-  it->second.sink(std::move(p));
+  hand_to(it == endpoints_.end() ? nullptr : &it->second.sink, std::move(p));
 }
 
 }  // namespace dash::net

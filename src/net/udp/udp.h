@@ -115,8 +115,8 @@ class UdpNetwork final : public Network {
                      std::uint16_t port);
   void flush(HostId host);
   void on_readable(HostId host);
-  void deliver(Packet p);
-  void deliver_now(Packet p);
+  void on_arrival(Packet& p) override;
+  void dispatch(Packet p) override;
   void count_decode_error(udp::DecodeError e);
 
   rt::Driver& driver_;

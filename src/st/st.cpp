@@ -36,6 +36,13 @@ constexpr Time kCpuStageAllowance = usec(500);
 /// 115 MB/s (~285 µs), so a held ack never stalls an ack-based sender.
 constexpr Time kFastAckHold = usec(100);
 
+/// Control-channel request/reply pacing: a request is retransmitted every
+/// kControlRetryTimeout until answered, and gives up (failing the
+/// dependent stream) after kControlRetries attempts — riding out a
+/// partition that heals within ~1.25 s.
+constexpr Time kControlRetryTimeout = msec(250);
+constexpr int kControlRetries = 5;
+
 /// Cap on the ST maximum message size (§4.3: "somewhat larger ... may
 /// reduce protocol process context switching and other overhead").
 constexpr std::uint64_t kMaxMessageSize = 64 * 1024;
@@ -107,14 +114,7 @@ SubtransportLayer::~SubtransportLayer() {
   }
   for (auto& [host, ps] : peers_) {
     (void)host;
-    for (auto& [req_id, pr] : ps.pending_replies) {
-      (void)req_id;
-      sim_.cancel(pr.retry_timer);
-    }
-    for (auto& [fabric, batch] : ps.ack_batches) {
-      (void)fabric;
-      sim_.cancel(batch.hold_timer);
-    }
+    cancel_peer_timers(ps);
   }
   sim_.cancel(graveyard_timer_);
   for (std::size_t i = 0; i < fabrics_.size(); ++i) {
@@ -393,15 +393,22 @@ Result<std::unique_ptr<rms::Rms>> SubtransportLayer::create(const rms::Request& 
 
 Result<SubtransportLayer::Channel*> SubtransportLayer::obtain_channel(
     HostId peer, netrms::NetRmsFabric& fabric, const StParamsPlan& plan) {
-  // §4.2 multiplexing rules: reuse an active channel whose actual network
+  // §4.2 multiplexing rules: join an active channel whose actual network
   // parameters are compatible with what we would otherwise request, and
-  // whose capacity can absorb this ST RMS.
+  // whose capacity can absorb this ST RMS; failing that, reclaim an idle
+  // cached one (§4.2 caching) instead of creating one.
+  Channel* idle = nullptr;
   for (auto& [id, ch] : channels_) {
     (void)id;
-    if (ch->peer != peer || ch->cached || ch->fabric != &fabric) continue;
+    if (ch->peer != peer || ch->fabric != &fabric) continue;
     if (ch->net_rms == nullptr || ch->net_rms->failed()) continue;  // dead channel
     if (!rms::compatible(ch->net_params, plan.net_request.acceptable)) continue;
-    if (ch->capacity_used + plan.actual.capacity > ch->net_params.capacity) continue;
+    const std::uint64_t used = ch->cached ? 0 : ch->capacity_used;
+    if (used + plan.actual.capacity > ch->net_params.capacity) continue;
+    if (ch->cached) {
+      if (idle == nullptr) idle = ch.get();
+      continue;
+    }
     ++ch->ref_count;
     ch->capacity_used += plan.actual.capacity;
     ++stats_.mux_joins;
@@ -410,23 +417,16 @@ Result<SubtransportLayer::Channel*> SubtransportLayer::obtain_channel(
     });
     return ch.get();
   }
-
-  // §4.2 caching: reclaim an idle network RMS instead of creating one.
-  for (auto& [id, ch] : channels_) {
-    (void)id;
-    if (ch->peer != peer || !ch->cached || ch->fabric != &fabric) continue;
-    if (ch->net_rms == nullptr || ch->net_rms->failed()) continue;  // dead channel
-    if (!rms::compatible(ch->net_params, plan.net_request.acceptable)) continue;
-    if (plan.actual.capacity > ch->net_params.capacity) continue;
-    ch->cached = false;
-    sim_.cancel(ch->cache_timer);  // the expiry timer leaves the pending set
-    ch->ref_count = 1;
-    ch->capacity_used = plan.actual.capacity;
+  if (idle != nullptr) {
+    idle->cached = false;
+    sim_.cancel(idle->cache_timer);  // the expiry timer leaves the pending set
+    idle->ref_count = 1;
+    idle->capacity_used = plan.actual.capacity;
     ++stats_.cache_hits;
     trace("st.channel", [&] {
-      return "cache hit: reusing channel " + std::to_string(ch->id);
+      return "cache hit: reusing channel " + std::to_string(idle->id);
     });
-    return ch.get();
+    return idle;
   }
 
   auto created = fabric.create(host_, plan.net_request, Label{peer, kDataPort});
@@ -471,17 +471,7 @@ void SubtransportLayer::ensure_control_out(PeerState& ps) {
     // after a failover even when the original network is silently dead.
     netrms::NetRmsFabric* preferred =
         observer_->preferred_control_fabric(ps.peer, ps.fabric);
-    if (preferred != nullptr && preferred != ps.fabric) {
-      ps.fabric = preferred;
-      if (ps.control_out != nullptr) {
-        ps.control_out.reset();
-        ++stats_.control_channels_reset;
-        trace("st.control", [&] {
-          return "control channel to host " + std::to_string(ps.peer) + " migrated to " +
-                 preferred->traits().name;
-        });
-      }
-    }
+    if (preferred != nullptr) move_control(ps, *preferred);
   }
   if (ps.control_out == nullptr &&
       (ps.fabric == nullptr || ps.fabric->network().down())) {
@@ -507,26 +497,54 @@ void SubtransportLayer::ensure_control_out(PeerState& ps) {
   ps.control_out = std::move(created).value();
 }
 
-void SubtransportLayer::send_control(PeerState& ps, Bytes payload) {
-  if (ps.control_out != nullptr && ps.control_out->failed()) {
-    // The network RMS under the control channel died (network failure or
+void SubtransportLayer::move_control(PeerState& ps, netrms::NetRmsFabric& fabric) {
+  if (ps.fabric == &fabric) return;
+  ps.fabric = &fabric;
+  if (ps.control_out == nullptr) return;
+  ps.control_out.reset();
+  ++stats_.control_channels_reset;
+  trace("st.control", [&] {
+    return "control channel to host " + std::to_string(ps.peer) + " migrated to " +
+           fabric.traits().name;
+  });
+}
+
+void SubtransportLayer::send_on(PeerState& ps, netrms::NetRmsFabric* fabric,
+                                Bytes payload) {
+  // A pinned message uses the main control channel when that already
+  // lives, working, on the wanted fabric.
+  const bool main = fabric == nullptr ||
+                    (fabric == ps.fabric && ps.control_out != nullptr &&
+                     !ps.control_out->failed());
+  std::unique_ptr<rms::Rms>& out = main ? ps.control_out : ps.ack_out[fabric];
+  if (out != nullptr && out->failed()) {
+    // The network RMS under the channel died (network failure or
     // partition). Drop it and re-create below: control traffic must not
     // keep feeding a dead stream, or the peer stays unreachable forever.
-    ps.control_out.reset();
+    out.reset();
     ++stats_.control_channels_reset;
     trace("st.control", [&] {
       return "control channel to host " + std::to_string(ps.peer) +
              " failed; re-establishing";
     });
   }
-  ensure_control_out(ps);
-  if (ps.control_out == nullptr) return;
+  if (main) {
+    ensure_control_out(ps);
+  } else if (out == nullptr) {
+    // Unreachable fabric: the message is dropped. That is the point — a
+    // fast ack shares the data path's fate, so the sender sees this path
+    // as unhealthy rather than blaming a healthy one.
+    auto created =
+        fabric->create(host_, control_channel_request(), Label{ps.peer, kControlPort});
+    if (created) out = std::move(created).value();
+  }
+  if (out == nullptr) return;
   rms::Message m;
   m.data = std::move(payload);
   m.target = Label{ps.peer, kControlPort};
   m.source = Label{host_, kControlPort};
   ++stats_.control_messages;
-  (void)ps.control_out->send(std::move(m));
+  (void)out->send(std::move(m));
 }
 
 netrms::NetRmsFabric* SubtransportLayer::fabric_named(BytesView name) const {
@@ -536,36 +554,6 @@ netrms::NetRmsFabric* SubtransportLayer::fabric_named(BytesView name) const {
     if (f->traits().name == wanted) return f;
   }
   return nullptr;
-}
-
-void SubtransportLayer::send_control_on(PeerState& ps, netrms::NetRmsFabric& fabric,
-                                        Bytes payload) {
-  // The main control channel already lives on the wanted fabric: use it.
-  if (ps.fabric == &fabric && ps.control_out != nullptr &&
-      !ps.control_out->failed()) {
-    send_control(ps, std::move(payload));
-    return;
-  }
-  auto& ch = ps.ack_out[&fabric];
-  if (ch != nullptr && ch->failed()) {
-    ch.reset();
-    ++stats_.control_channels_reset;
-  }
-  if (ch == nullptr) {
-    auto created =
-        fabric.create(host_, control_channel_request(), Label{ps.peer, kControlPort});
-    // Unreachable fabric: drop the ack. That is the point — the ack shares
-    // the data path's fate, so the sender sees this path as unhealthy
-    // rather than blaming a healthy one.
-    if (!created) return;
-    ch = std::move(created).value();
-  }
-  rms::Message m;
-  m.data = std::move(payload);
-  m.target = Label{ps.peer, kControlPort};
-  m.source = Label{host_, kControlPort};
-  ++stats_.control_messages;
-  (void)ch->send(std::move(m));
 }
 
 // ---------------------------------------------------------------- fast acks
@@ -609,11 +597,7 @@ void SubtransportLayer::flush_fast_acks(PeerState& ps, netrms::NetRmsFabric* fab
   }
   stats_.fast_acks_sent += batch.acks.size();
   batch.acks.clear();
-  if (fabric != nullptr) {
-    send_control_on(ps, *fabric, std::move(ack));
-  } else {
-    send_control(ps, std::move(ack));
-  }
+  send_on(ps, fabric, std::move(ack));
 }
 
 void SubtransportLayer::drop_fast_acks(netrms::NetRmsFabric* fabric) {
@@ -642,9 +626,7 @@ void SubtransportLayer::handle_fast_ack(HostId src, std::uint64_t st_id,
       fast_ack_rtt_hist_->observe(static_cast<std::uint64_t>(rtt));
     }
     if (observer_ != nullptr) {
-      auto cit = channels_.find(stream.channel_id_);
-      observer_->on_data_ack(stream.peer_,
-                             cit != channels_.end() ? cit->second->fabric : nullptr, rtt);
+      observer_->on_data_ack(stream.peer_, stream_fabric(st_id), rtt);
     }
     stream.ack_sent_at_.erase(sent);
   }
@@ -668,20 +650,26 @@ void SubtransportLayer::send_request_with_retry(HostId peer, Bytes payload,
   auto pending = ps.pending_replies.find(req_id);
   if (pending == ps.pending_replies.end()) return;  // already answered
   if (attempts == 0) {
-    auto cb = std::move(pending->second.cb);
-    ps.pending_replies.erase(pending);
-    cb(false);  // gave up
+    complete_request(ps, req_id, false);  // gave up
     return;
   }
-  if (attempts < config_.control_retries) ++stats_.control_retries;
+  if (attempts < kControlRetries) ++stats_.control_retries;
   // Arm before sending (simulated time cannot advance in between): the
-  // iterator must not be used after send_control touches peer state.
+  // iterator must not be used after send_on touches peer state.
   pending->second.retry_timer = sim_.timer_after(
-      config_.control_retry_timeout,
-      [this, peer, payload, req_id, attempts]() mutable {
+      kControlRetryTimeout, [this, peer, payload, req_id, attempts]() mutable {
         send_request_with_retry(peer, std::move(payload), req_id, attempts - 1);
       });
-  send_control(ps, std::move(payload));
+  send_on(ps, nullptr, std::move(payload));
+}
+
+void SubtransportLayer::complete_request(PeerState& ps, std::uint64_t req_id, bool ok) {
+  auto it = ps.pending_replies.find(req_id);
+  if (it == ps.pending_replies.end()) return;
+  sim_.cancel(it->second.retry_timer);
+  auto cb = std::move(it->second.cb);
+  ps.pending_replies.erase(it);
+  cb(ok);
 }
 
 void SubtransportLayer::ensure_authenticated(PeerState& ps, std::function<void()> then) {
@@ -738,7 +726,7 @@ void SubtransportLayer::ensure_authenticated(PeerState& ps, std::function<void()
   };
 
   // Send with retransmission: the control channel may drop messages.
-  send_request_with_retry(ps.peer, std::move(payload), req_id, config_.control_retries);
+  send_request_with_retry(ps.peer, std::move(payload), req_id, kControlRetries);
 }
 
 void SubtransportLayer::establish(StRms& rms) {
@@ -789,7 +777,7 @@ void SubtransportLayer::establish(StRms& rms) {
       for (auto& p : pending) emit(s, std::move(p.msg), p.ack_id, p.acked);
     };
 
-    send_request_with_retry(state.peer, std::move(payload), req_id, config_.control_retries);
+    send_request_with_retry(state.peer, std::move(payload), req_id, kControlRetries);
   });
 }
 
@@ -850,14 +838,7 @@ Status SubtransportLayer::rebind_stream(std::uint64_t stream_id,
   // Move the peer's control channel onto the new network too: the old one
   // may be silently dead, and re-establishment needs a working
   // request/reply path.
-  PeerState& ps = peer_state(rms.peer_);
-  if (ps.fabric != &fabric) {
-    ps.fabric = &fabric;
-    if (ps.control_out != nullptr) {
-      ps.control_out.reset();
-      ++stats_.control_channels_reset;
-    }
-  }
+  move_control(peer_state(rms.peer_), fabric);
 
   ++stats_.streams_rebound;
   trace("st.rebind", [&] {
@@ -877,14 +858,7 @@ Status SubtransportLayer::submit(StRms& rms, rms::Message msg, std::uint64_t ack
   msg.source = Label{host_, rms.id_};
   msg.target = rms.target_;
   if (acked && (fast_ack_rtt_hist_ != nullptr || observer_ != nullptr)) {
-    rms.ack_sent_at_.emplace(ack_id, sim_.now());
-    rms.ack_order_.push_back(ack_id);
-    // Every map key is also in ack_order_, so bounding the deque bounds
-    // both containers even when the peer never acknowledges.
-    while (rms.ack_order_.size() > StRms::kMaxTrackedAcks) {
-      rms.ack_sent_at_.erase(rms.ack_order_.front());
-      rms.ack_order_.pop_front();
-    }
+    track_ack(rms, ack_id);
   }
   if (!rms.established_) {
     rms.pending_.push_back(StRms::PendingSend{std::move(msg), ack_id, acked});
@@ -892,6 +866,17 @@ Status SubtransportLayer::submit(StRms& rms, rms::Message msg, std::uint64_t ack
   }
   emit(rms, std::move(msg), ack_id, acked);
   return Status::ok_status();
+}
+
+void SubtransportLayer::track_ack(StRms& rms, std::uint64_t ack_id) {
+  rms.ack_sent_at_.emplace(ack_id, sim_.now());
+  rms.ack_order_.push_back(ack_id);
+  // Every map key is also in ack_order_, so bounding the deque bounds
+  // both containers even when the peer never acknowledges.
+  while (rms.ack_order_.size() > StRms::kMaxTrackedAcks) {
+    rms.ack_sent_at_.erase(rms.ack_order_.front());
+    rms.ack_order_.pop_front();
+  }
 }
 
 void SubtransportLayer::emit(StRms& rms, rms::Message msg, std::uint64_t ack_id,
@@ -906,12 +891,7 @@ void SubtransportLayer::emit(StRms& rms, rms::Message msg, std::uint64_t ack_id,
       acked = true;
       // Internal handoff acks double as data-RTT probes for the path
       // manager; client-requested acks were already tracked in submit.
-      rms.ack_sent_at_.emplace(ack_id, sim_.now());
-      rms.ack_order_.push_back(ack_id);
-      while (rms.ack_order_.size() > StRms::kMaxTrackedAcks) {
-        rms.ack_sent_at_.erase(rms.ack_order_.front());
-        rms.ack_order_.pop_front();
-      }
+      track_ack(rms, ack_id);
     }
     StRms::HandoffEntry entry{seq, ack_id, msg};  // copy shares the refcounted buffer
     rms.handoff_bytes_ += entry.msg.size();
@@ -1016,12 +996,11 @@ void SubtransportLayer::emit_component(StRms& rms, rms::Message msg,
                                   component_bytes(0, base_security |
                                                          (acked ? kAckRequest : 0)));
 
-    ComponentSpec c;
+    Component c;
     c.stream_id = stream_id;
     c.seq = seq;
     c.sent_at = msg.sent_at;
     c.ack_id = ack_id;
-    c.key = &key;
 
     if (msg.size() > nonfrag_limit) {
       // Fragmentation (§4.3): not piggybacked, never retransmitted. The
@@ -1060,7 +1039,7 @@ void SubtransportLayer::emit_component(StRms& rms, rms::Message msg,
         arena.skip(channel.headroom);
         arena.u8(kStDataTag);
         arena.u8(1);
-        serialize_component(arena, c);
+        serialize_component(arena, c, key);
         regions.emplace_back(start, arena.pos() - start);
         ++stats_.components_sent;
         ++stats_.fragments_sent;
@@ -1068,19 +1047,14 @@ void SubtransportLayer::emit_component(StRms& rms, rms::Message msg,
       const Buffer burst = arena.finish();
       const Time passed = clamp_packet_deadline(eff, {stream_id});
       for (const auto& [start, len] : regions) {
-        rms::Message m;
-        m.data = burst.slice(start + channel.headroom, len - channel.headroom,
-                             channel.headroom);
-        m.target = Label{channel.peer, kDataPort};
-        ++stats_.network_messages;
-        (void)channel.net_rms->send(std::move(m), passed);
+        send_packet(channel, burst, start, len, passed);
       }
       return;
     }
 
     c.flags = static_cast<std::uint8_t>(base_security | (acked ? kAckRequest : 0));
     c.payload = msg.data.view();
-    enqueue_component(channel, c, eff, config_.enable_piggybacking);
+    enqueue_component(channel, c, key, eff, config_.enable_piggybacking);
   }, cpu_priority);
 }
 
@@ -1101,7 +1075,8 @@ Time SubtransportLayer::clamp_packet_deadline(
   return passed;
 }
 
-void SubtransportLayer::serialize_component(BufferWriter& w, const ComponentSpec& c) {
+void SubtransportLayer::serialize_component(BufferWriter& w, const Component& c,
+                                            const Key& key) {
   w.u64(c.stream_id);
   w.u64(c.seq);
   w.i64(c.sent_at);
@@ -1121,17 +1096,17 @@ void SubtransportLayer::serialize_component(BufferWriter& w, const ComponentSpec
   w.bytes(c.payload);  // the send path's single payload copy (gather-write)
   const std::uint64_t nonce = component_nonce(c.stream_id, c.seq, c.frag_index);
   if (c.flags & kEncrypted) {
-    xtea_ctr_crypt(*c.key, nonce, w.span(body_at, c.payload.size()));
+    xtea_ctr_crypt(key, nonce, w.span(body_at, c.payload.size()));
     stats_.bytes_encrypted += c.payload.size();
   }
   if (c.flags & kMac) {
     const auto body = w.span(body_at, c.payload.size());
-    w.patch_u64(mac_at, xtea_mac(*c.key, nonce, BytesView(body.data(), body.size())));
+    w.patch_u64(mac_at, xtea_mac(key, nonce, BytesView(body.data(), body.size())));
     stats_.bytes_macced += c.payload.size();
   }
 }
 
-void SubtransportLayer::enqueue_component(Channel& ch, const ComponentSpec& c,
+void SubtransportLayer::enqueue_component(Channel& ch, const Component& c, const Key& key,
                                           Time eff_deadline, bool piggybackable) {
   ++stats_.components_sent;
   const std::size_t space_limit =
@@ -1147,14 +1122,10 @@ void SubtransportLayer::enqueue_component(Channel& ch, const ComponentSpec& c,
     w.skip(ch.headroom);
     w.u8(kStDataTag);
     w.u8(1);
-    serialize_component(w, c);
+    serialize_component(w, c, key);
     const Buffer arena = w.finish();
-    const Time passed = clamp_packet_deadline(eff_deadline, {c.stream_id});
-    rms::Message m;
-    m.data = arena.slice(ch.headroom, arena.size() - ch.headroom, ch.headroom);
-    m.target = Label{ch.peer, kDataPort};
-    ++stats_.network_messages;
-    (void)ch.net_rms->send(std::move(m), passed);
+    send_packet(ch, arena, 0, arena.size(),
+                clamp_packet_deadline(eff_deadline, {c.stream_id}));
     return;
   }
 
@@ -1178,7 +1149,7 @@ void SubtransportLayer::enqueue_component(Channel& ch, const ComponentSpec& c,
     ch.queue.u8(kStDataTag);
     ch.queue.u8(0);
   }
-  serialize_component(ch.queue, c);
+  serialize_component(ch.queue, c, key);
   ++ch.queue_count;
   ch.queue_streams.push_back(c.stream_id);
   ch.queue_min_deadline = std::min(ch.queue_min_deadline, eff_deadline);
@@ -1208,7 +1179,6 @@ void SubtransportLayer::flush_channel(Channel& ch) {
 
   ch.queue.patch_u8(ch.headroom + 1, ch.queue_count);  // envelope count
   const Buffer arena = ch.queue.finish();
-  Buffer payload = arena.slice(ch.headroom, arena.size() - ch.headroom, ch.headroom);
 
   // The packet carries the queue's *minimum* transmission deadline — the
   // most urgent component sets the urgency — clamped so it is monotone for
@@ -1216,22 +1186,26 @@ void SubtransportLayer::flush_channel(Channel& ch) {
   // on the same network RMS keep independent urgency.
   const Time passed = clamp_packet_deadline(ch.queue_min_deadline, ch.queue_streams);
   stats_.piggybacked += ch.queue_count - 1;
-  ++stats_.network_messages;
   trace("st.flush", [&] {
     return "channel " + std::to_string(ch.id) + ": " + std::to_string(ch.queue_count) +
-           " component(s), " + std::to_string(payload.size()) + " B, deadline " +
-           format_time(passed);
+           " component(s), " + std::to_string(arena.size() - ch.headroom) +
+           " B, deadline " + format_time(passed);
   });
 
   ch.queue_count = 0;
   ch.queue_streams.clear();
   ch.queue_min_deadline = kTimeNever;
   ch.queue_flush_at = kTimeNever;
+  send_packet(ch, arena, 0, arena.size(), passed);
+}
 
+void SubtransportLayer::send_packet(Channel& ch, const Buffer& arena, std::size_t start,
+                                    std::size_t len, Time deadline) {
   rms::Message m;
-  m.data = std::move(payload);
+  m.data = arena.slice(start + ch.headroom, len - ch.headroom, ch.headroom);
   m.target = Label{ch.peer, kDataPort};
-  (void)ch.net_rms->send(std::move(m), passed);
+  ++stats_.network_messages;
+  (void)ch.net_rms->send(std::move(m), deadline);
 }
 
 // ------------------------------------------------------------- receive path
@@ -1266,7 +1240,7 @@ void SubtransportLayer::handle_control(rms::Message msg) {
       w.u64(*req_id);
       w.u64(*nonce);
       w.u64(xtea_mac(key, *nonce + 1, BytesView{}));
-      send_control(ps, std::move(reply));
+      send_on(ps, nullptr, std::move(reply));
       break;
     }
     case ControlType::kAuthResponse: {
@@ -1280,13 +1254,7 @@ void SubtransportLayer::handle_control(rms::Message msg) {
         return;
       }
       ps.peer_verified = true;
-      auto it = ps.pending_replies.find(*req_id);
-      if (it != ps.pending_replies.end()) {
-        sim_.cancel(it->second.retry_timer);
-        auto cb = std::move(it->second.cb);
-        ps.pending_replies.erase(it);
-        cb(true);
-      }
+      complete_request(ps, *req_id, true);
       break;
     }
     case ControlType::kCreateRequest: {
@@ -1321,7 +1289,7 @@ void SubtransportLayer::handle_control(rms::Message msg) {
       w.u64(*req_id);
       w.u64(*st_id);
       w.u8(ok ? 1 : 0);
-      send_control(ps, std::move(reply));
+      send_on(ps, nullptr, std::move(reply));
       break;
     }
     case ControlType::kCreateReply: {
@@ -1329,13 +1297,7 @@ void SubtransportLayer::handle_control(rms::Message msg) {
       auto st_id = r.u64();
       auto ok = r.u8();
       if (!req_id || !st_id || !ok) return;
-      auto it = ps.pending_replies.find(*req_id);
-      if (it != ps.pending_replies.end()) {
-        sim_.cancel(it->second.retry_timer);
-        auto cb = std::move(it->second.cb);
-        ps.pending_replies.erase(it);
-        cb(*ok != 0);
-      }
+      complete_request(ps, *req_id, *ok != 0);
       break;
     }
     case ControlType::kDelete: {
@@ -1365,7 +1327,8 @@ void SubtransportLayer::handle_control(rms::Message msg) {
 
 void SubtransportLayer::on_data_message(rms::Message msg) {
   // Pre-scan components to charge the exact receive-side CPU cost
-  // (decryption and MAC verification are per-byte, §4.1).
+  // (decryption and MAC verification are per-byte, §4.1). A malformed
+  // message is dropped here, before it reaches the demux.
   const netrms::CostModel cost;
   Time cpu_cost = 0;
   {
@@ -1374,22 +1337,10 @@ void SubtransportLayer::on_data_message(rms::Message msg) {
     auto count = r.u8();
     if (!tag || *tag != kStDataTag || !count) return;
     for (int i = 0; i < *count; ++i) {
-      if (!r.u64() || !r.u64() || !r.i64()) return;
-      auto flags = r.u8();
-      if (!flags) return;
-      if (*flags & kFragment) {
-        if (!r.u16() || !r.u16()) return;
-      }
-      if (*flags & kAckRequest) {
-        if (!r.u64()) return;
-      }
-      if (*flags & kMac) {
-        if (!r.u64()) return;
-      }
-      auto size = r.u32();
-      if (!size || !r.skip(*size)) return;
-      cpu_cost += cost.message_cost(*size, false, (*flags & kEncrypted) != 0,
-                                    (*flags & kMac) != 0);
+      auto c = read_component(r);
+      if (!c) return;
+      cpu_cost += cost.message_cost(c->payload.size(), false,
+                                    (c->flags & kEncrypted) != 0, (c->flags & kMac) != 0);
     }
   }
   cpu_.submit(sim_.now() + kCpuStageAllowance, cpu_cost,
@@ -1406,57 +1357,28 @@ void SubtransportLayer::handle_data(rms::Message msg) {
   const Key key = derive_pair_key(host_, src);
 
   for (int i = 0; i < *count; ++i) {
-    auto st_id = r.u64();
-    auto seq = r.u64();
-    auto sent_at = r.i64();
-    auto flags = r.u8();
-    if (!st_id || !seq || !sent_at || !flags) return;
-    std::uint16_t frag_index = 0, frag_count = 1;
-    if (*flags & kFragment) {
-      auto fi = r.u16();
-      auto fc = r.u16();
-      if (!fi || !fc) return;
-      frag_index = *fi;
-      frag_count = *fc;
-    }
-    std::uint64_t ack_id = 0;
-    if (*flags & kAckRequest) {
-      auto a = r.u64();
-      if (!a) return;
-      ack_id = *a;
-    }
-    std::uint64_t mac = 0;
-    if (*flags & kMac) {
-      auto m = r.u64();
-      if (!m) return;
-      mac = *m;
-    }
-    auto size = r.u32();
-    if (!size) return;
-    const std::size_t body_at = r.pos();
-    if (!r.skip(*size)) return;
+    auto c = read_component(r);
+    if (!c) return;
     // Zero-copy receive: the body is a slice of the packet buffer the
     // network delivered; it travels upward without being materialized.
-    Buffer body = msg.data.slice(body_at, *size);
+    Buffer body = msg.data.slice(r.pos() - c->payload.size(), c->payload.size());
 
-    auto eit = demux_.find({src, *st_id});
+    auto eit = demux_.find({src, c->stream_id});
     if (eit == demux_.end()) {
       ++stats_.unknown_dropped;
       continue;
     }
     DemuxEntry& entry = eit->second;
 
-    if (*flags & kMac) {
-      if (xtea_mac(key, component_nonce(*st_id, *seq, frag_index), body.view()) !=
-          mac) {
-        ++stats_.auth_drops;
-        continue;
-      }
+    const std::uint64_t nonce = component_nonce(c->stream_id, c->seq, c->frag_index);
+    if ((c->flags & kMac) && xtea_mac(key, nonce, body.view()) != c->mac) {
+      ++stats_.auth_drops;
+      continue;
     }
-    if (*flags & kEncrypted) {
+    if (c->flags & kEncrypted) {
       // Decryption mutates; copy-on-write gives this component its own
       // storage (the packet buffer is still shared with the reader).
-      xtea_ctr_crypt(key, component_nonce(*st_id, *seq, frag_index), body.mutate());
+      xtea_ctr_crypt(key, nonce, body.mutate());
     }
 
     // Fast acknowledgement (§3.2): the receiving ST acks without involving
@@ -1470,42 +1392,44 @@ void SubtransportLayer::handle_data(rms::Message msg) {
     // returns over the fabric the data arrived on (entry.ack_fabric), so
     // ack loss implicates the path that actually carries the stream.
 
-    if ((*flags & kFragment) == 0) {
+    if ((c->flags & kFragment) == 0) {
       // §4.3: a newer message obsoletes the incomplete one.
       discard_partial(entry);
-      if (*seq < entry.next_expected_seq) {
+      if (c->seq < entry.next_expected_seq) {
         ++stats_.stale_dropped;
         continue;
       }
-      if (*flags & kAckRequest) queue_fast_ack(src, entry.ack_fabric, *st_id, ack_id);
-      entry.next_expected_seq = *seq + 1;
-      deliver_component(entry, *seq, std::move(body), *sent_at);
+      if (c->flags & kAckRequest) {
+        queue_fast_ack(src, entry.ack_fabric, c->stream_id, c->ack_id);
+      }
+      entry.next_expected_seq = c->seq + 1;
+      deliver_component(entry, std::move(body), c->sent_at);
       continue;
     }
 
     // Fragment path.
-    if (*seq < entry.next_expected_seq) {
+    if (c->seq < entry.next_expected_seq) {
       ++stats_.stale_dropped;
       continue;
     }
-    if (!entry.partial || entry.partial_seq != *seq) {
+    if (!entry.partial || entry.partial_seq != c->seq) {
       discard_partial(entry);
       entry.partial = true;
-      entry.partial_seq = *seq;
-      entry.partial_count = frag_count;
+      entry.partial_seq = c->seq;
+      entry.partial_count = c->frag_count;
       entry.partial_received = 0;
-      entry.partial_fragments.assign(frag_count, Buffer{});
-      entry.partial_sent_at = *sent_at;
+      entry.partial_fragments.assign(c->frag_count, Buffer{});
+      entry.partial_sent_at = c->sent_at;
     }
-    if (*flags & kAckRequest) {
+    if (c->flags & kAckRequest) {
       // Only fragment 0 carries the ack request; record it for the
       // reassembly-complete branch below.
       entry.partial_ack_requested = true;
-      entry.partial_ack_id = ack_id;
+      entry.partial_ack_id = c->ack_id;
     }
-    if (frag_index < entry.partial_count &&
-        entry.partial_fragments[frag_index].empty()) {
-      entry.partial_fragments[frag_index] = std::move(body);
+    if (c->frag_index < entry.partial_count &&
+        entry.partial_fragments[c->frag_index].empty()) {
+      entry.partial_fragments[c->frag_index] = std::move(body);
       ++entry.partial_received;
     }
     if (entry.partial_received == entry.partial_count) {
@@ -1514,17 +1438,18 @@ void SubtransportLayer::handle_data(rms::Message msg) {
       Buffer whole = Buffer::concat(entry.partial_fragments);
       entry.partial = false;
       entry.partial_fragments.clear();
-      entry.next_expected_seq = *seq + 1;
+      entry.next_expected_seq = c->seq + 1;
       ++stats_.reassembled;
       trace("st.reassemble", [&] {
-        return "stream " + std::to_string(*st_id) + " seq " + std::to_string(*seq) +
-               " complete (" + std::to_string(whole.size()) + " B)";
+        return "stream " + std::to_string(c->stream_id) + " seq " +
+               std::to_string(c->seq) + " complete (" + std::to_string(whole.size()) +
+               " B)";
       });
       if (entry.partial_ack_requested) {
         entry.partial_ack_requested = false;
-        queue_fast_ack(src, entry.ack_fabric, *st_id, entry.partial_ack_id);
+        queue_fast_ack(src, entry.ack_fabric, c->stream_id, entry.partial_ack_id);
       }
-      deliver_component(entry, *seq, std::move(whole), entry.partial_sent_at);
+      deliver_component(entry, std::move(whole), entry.partial_sent_at);
     }
   }
 }
@@ -1548,9 +1473,7 @@ void SubtransportLayer::discard_partial(DemuxEntry& entry) {
   entry.partial_ack_requested = false;
 }
 
-void SubtransportLayer::deliver_component(DemuxEntry& entry, std::uint64_t seq,
-                                          Buffer data, Time sent_at) {
-  (void)seq;
+void SubtransportLayer::deliver_component(DemuxEntry& entry, Buffer data, Time sent_at) {
   rms::Port* port = ports_.find(entry.target.port);
   if (port == nullptr) {
     ++stats_.unknown_dropped;
@@ -1588,7 +1511,7 @@ void SubtransportLayer::release_stream(StRms& rms) {
     Writer w(payload);
     w.u8(static_cast<std::uint8_t>(ControlType::kDelete));
     w.u64(rms.id_);
-    send_control(pit->second, std::move(payload));
+    send_on(pit->second, nullptr, std::move(payload));
   }
 
   detach_channel(rms);
@@ -1672,43 +1595,42 @@ void SubtransportLayer::fail_channel_streams(std::uint64_t channel_id, const Err
   // The failure came from the network: any idle cached channel to the same
   // peer *on that network* is equally dead, so drop them instead of handing
   // them out later. Cached channels on other networks stay valid.
-  if (peer != 0) {
-    for (auto it = channels_.begin(); it != channels_.end();) {
-      if (it->second->peer == peer && it->second->cached &&
-          (fabric == nullptr || it->second->fabric == fabric)) {
-        ++stats_.cache_invalidations;
-        cancel_channel_timers(*it->second);
-        it = channels_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  if (peer != 0) drop_cached_channels(peer, fabric);
 }
 
-void SubtransportLayer::invalidate_peer(HostId peer) {
+void SubtransportLayer::drop_cached_channels(HostId peer,
+                                             const netrms::NetRmsFabric* fabric) {
   for (auto it = channels_.begin(); it != channels_.end();) {
-    if (it->second->peer == peer && it->second->cached) {
+    Channel& ch = *it->second;
+    if (ch.peer == peer && ch.cached && (fabric == nullptr || ch.fabric == fabric)) {
       ++stats_.cache_invalidations;
-      cancel_channel_timers(*it->second);
+      cancel_channel_timers(ch);
       it = channels_.erase(it);
     } else {
       ++it;
     }
   }
+}
+
+void SubtransportLayer::cancel_peer_timers(PeerState& ps) {
+  for (auto& [req_id, pr] : ps.pending_replies) {
+    (void)req_id;
+    sim_.cancel(pr.retry_timer);
+  }
+  for (auto& [fabric, batch] : ps.ack_batches) {
+    (void)fabric;
+    sim_.cancel(batch.hold_timer);
+  }
+}
+
+void SubtransportLayer::invalidate_peer(HostId peer) {
+  drop_cached_channels(peer, nullptr);
   // Forget control and authentication state: the restarted peer has lost
   // its side of the handshake, so the next conversation re-authenticates.
   // Outstanding control retransmits and held fast acks die with it.
   auto pit = peers_.find(peer);
   if (pit != peers_.end()) {
-    for (auto& [req_id, pr] : pit->second.pending_replies) {
-      (void)req_id;
-      sim_.cancel(pr.retry_timer);
-    }
-    for (auto& [fabric, batch] : pit->second.ack_batches) {
-      (void)fabric;
-      sim_.cancel(batch.hold_timer);
-    }
+    cancel_peer_timers(pit->second);
     peers_.erase(pit);
   }
   for (auto it = demux_.begin(); it != demux_.end();) {

@@ -62,13 +62,6 @@ struct StConfig {
   bool enable_piggybacking = true;
   bool enable_caching = true;
 
-  /// Control-channel request/reply pacing: a request is retransmitted every
-  /// control_retry_timeout until answered, and gives up (failing the
-  /// dependent stream) after control_retries attempts. The defaults ride
-  /// out a partition that heals within ~1.25 s.
-  Time control_retry_timeout = msec(250);
-  int control_retries = 5;
-
   /// How much network-RMS capacity to provision beyond the first ST RMS's
   /// need, so later streams can multiplex onto the same network RMS (§4.2:
   /// its capacity must cover the sum of the ST capacities). Deterministic
@@ -261,6 +254,8 @@ class SubtransportLayer : public rms::Provider {
     std::uint64_t handoff_replayed = 0;        ///< messages re-emitted after failover
     std::uint64_t handoff_acks = 0;            ///< internal handoff-trim acks received
     std::uint64_t handoff_dropped = 0;         ///< handoff entries evicted (overflow)
+
+    friend bool operator==(const Stats&, const Stats&) = default;
   };
 
   SubtransportLayer(sim::Simulator& sim, HostId host, sim::CpuScheduler& cpu,
@@ -441,28 +436,23 @@ class SubtransportLayer : public rms::Provider {
   PeerState& peer_state(HostId peer);
   void ensure_authenticated(PeerState& ps, std::function<void()> then);
   void ensure_control_out(PeerState& ps);
+  /// Points `ps`'s control channel at `fabric`, dropping (and tracing) a
+  /// channel that lives on another network.
+  void move_control(PeerState& ps, netrms::NetRmsFabric& fabric);
   void send_request_with_retry(HostId peer, Bytes payload, std::uint64_t req_id,
                                int attempts);
+  /// Settles a pending control request: stops its retransmission and runs
+  /// its callback with `ok`. A no-op if it was already settled.
+  void complete_request(PeerState& ps, std::uint64_t req_id, bool ok);
   Result<Channel*> obtain_channel(HostId peer, netrms::NetRmsFabric& fabric,
                                   const StParamsPlan& plan);
   void establish(StRms& rms);
 
   // send path
-  /// Everything serialize_component needs to put one component on the wire.
-  /// `payload` aliases the client's message buffer; the gather-write into
-  /// the arena is the send path's only payload copy.
-  struct ComponentSpec {
-    std::uint64_t stream_id = 0;
-    std::uint64_t seq = 0;
-    Time sent_at = -1;
-    std::uint8_t flags = 0;
-    std::uint16_t frag_index = 0;
-    std::uint16_t frag_count = 1;
-    std::uint64_t ack_id = 0;
-    BytesView payload;
-    const Key* key = nullptr;
-  };
   Status submit(StRms& rms, rms::Message msg, std::uint64_t ack_id, bool acked);
+  /// Records when `ack_id` left, for the fast-ack RTT, keeping at most
+  /// StRms::kMaxTrackedAcks entries.
+  void track_ack(StRms& rms, std::uint64_t ack_id);
   void emit(StRms& rms, rms::Message msg, std::uint64_t ack_id, bool acked);
   /// emit() minus sequence allocation and handoff recording: puts one
   /// component on the wire under an explicit sequence number (used both by
@@ -476,19 +466,26 @@ class SubtransportLayer : public rms::Provider {
   void replay_handoff(StRms& rms);
   /// Serializes one component into `w`, encrypting the body in place and
   /// patching the MAC field (it precedes the body on the wire) afterwards.
-  void serialize_component(BufferWriter& w, const ComponentSpec& c);
-  void enqueue_component(Channel& ch, const ComponentSpec& c, Time eff_deadline,
-                         bool piggybackable);
+  /// `c.payload` aliases the client's message: this gather-write is the
+  /// send path's only payload copy.
+  void serialize_component(BufferWriter& w, const Component& c, const Key& key);
+  void enqueue_component(Channel& ch, const Component& c, const Key& key,
+                         Time eff_deadline, bool piggybackable);
   void flush_channel(Channel& ch);
+  /// Sends one data packet: the `len` bytes of `arena` from `start`, which
+  /// begin with the channel's headroom gap for the network RMS header.
+  void send_packet(Channel& ch, const Buffer& arena, std::size_t start, std::size_t len,
+                   Time deadline);
   /// Clamps a packet deadline so it is monotone for every ST RMS whose data
   /// the packet carries (§4.3.1 minimum transmission deadlines), then
   /// records it against those streams.
   Time clamp_packet_deadline(Time candidate,
                              const std::vector<std::uint64_t>& stream_ids);
-  void send_control(PeerState& ps, Bytes payload);
-  /// Sends a control payload over a channel pinned to `fabric` (used for
-  /// fast acks, which must share fate with the data path they answer).
-  void send_control_on(PeerState& ps, netrms::NetRmsFabric& fabric, Bytes payload);
+  /// Sends a control message to `ps.peer`: over the main control channel
+  /// when `fabric` is nullptr, else over a channel pinned to `fabric` (fast
+  /// acks, which must share fate with the data path they answer). Every
+  /// control message leaves through here.
+  void send_on(PeerState& ps, netrms::NetRmsFabric* fabric, Bytes payload);
   netrms::NetRmsFabric* fabric_named(BytesView name) const;
 
   // fast acks (§3.2)
@@ -508,8 +505,7 @@ class SubtransportLayer : public rms::Provider {
   void handle_control(rms::Message msg);
   void on_data_message(rms::Message msg);
   void handle_data(rms::Message msg);
-  void deliver_component(DemuxEntry& entry, std::uint64_t seq, Buffer data,
-                         Time sent_at);
+  void deliver_component(DemuxEntry& entry, Buffer data, Time sent_at);
   /// Drops an in-progress reassembly (§4.3), accounting for the fragments
   /// and bytes thrown away.
   void discard_partial(DemuxEntry& entry);
@@ -532,6 +528,11 @@ class SubtransportLayer : public rms::Provider {
   }
   void expire_channel(std::uint64_t channel_id);
   void cancel_channel_timers(Channel& ch);
+  /// Drops `peer`'s idle cached channels on `fabric` (nullptr: on every
+  /// network), counting each as a cache invalidation.
+  void drop_cached_channels(HostId peer, const netrms::NetRmsFabric* fabric);
+  /// Cancels `ps`'s control retransmissions and fast-ack holds.
+  void cancel_peer_timers(PeerState& ps);
   void fail_channel_streams(std::uint64_t channel_id, const Error& e);
 
   sim::Simulator& sim_;

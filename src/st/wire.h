@@ -25,8 +25,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include "rms/message.h"
+#include "util/serialize.h"
 
 namespace dash::st {
 
@@ -47,10 +49,11 @@ enum ComponentFlags : std::uint8_t {
 /// Control channel message types (§3.2: "a simple request/reply protocol
 /// on this channel to do authentication and ST RMS establishment").
 enum class ControlType : std::uint8_t {
-  kAuthChallenge = 1,  ///< u64 request id, u64 nonce
+  kAuthChallenge = 1,  ///< u64 request id, u64 nonce, u64 mac
   kAuthResponse = 2,   ///< u64 request id, u64 nonce echo, u64 mac
   kCreateRequest = 3,  ///< u64 request id, u64 st id, u64 target port,
-                       ///< u8 security flags, params blob
+                       ///< u8 security flags, u32-length-prefixed name
+                       ///< of the data channel's fabric
   kCreateReply = 4,    ///< u64 request id, u64 st id, u8 ok
   kDelete = 5,         ///< u64 st id
   kFastAck = 6,        ///< u8 count, count × (u64 st id, u64 ack id)
@@ -84,6 +87,59 @@ constexpr std::size_t component_bytes(std::size_t payload, std::uint8_t flags) {
   if (flags & kAckRequest) n += kAckExtraBytes;
   if (flags & kMac) n += kMacExtraBytes;
   return n;
+}
+
+/// One component of a data message. The send path fills it to serialize
+/// (computing the MAC as it writes); read_component fills it from a
+/// received message, `payload` aliasing the message bytes.
+struct Component {
+  std::uint64_t stream_id = 0;
+  std::uint64_t seq = 0;
+  Time sent_at = -1;
+  std::uint8_t flags = 0;
+  std::uint16_t frag_index = 0;
+  std::uint16_t frag_count = 1;
+  std::uint64_t ack_id = 0;
+  std::uint64_t mac = 0;
+  BytesView payload;
+};
+
+/// Reads the component at `r`'s position, in the layout above; nullopt if
+/// the bytes end before it does.
+inline std::optional<Component> read_component(Reader& r) {
+  auto stream_id = r.u64();
+  auto seq = r.u64();
+  auto sent_at = r.i64();
+  auto flags = r.u8();
+  if (!stream_id || !seq || !sent_at || !flags) return std::nullopt;
+  Component c;
+  c.stream_id = *stream_id;
+  c.seq = *seq;
+  c.sent_at = *sent_at;
+  c.flags = *flags;
+  if (c.flags & kFragment) {
+    auto index = r.u16();
+    auto count = r.u16();
+    if (!index || !count) return std::nullopt;
+    c.frag_index = *index;
+    c.frag_count = *count;
+  }
+  if (c.flags & kAckRequest) {
+    auto ack_id = r.u64();
+    if (!ack_id) return std::nullopt;
+    c.ack_id = *ack_id;
+  }
+  if (c.flags & kMac) {
+    auto mac = r.u64();
+    if (!mac) return std::nullopt;
+    c.mac = *mac;
+  }
+  auto size = r.u32();
+  if (!size) return std::nullopt;
+  auto payload = r.view(*size);
+  if (!payload) return std::nullopt;
+  c.payload = *payload;
+  return c;
 }
 
 }  // namespace dash::st

@@ -308,21 +308,6 @@ TEST(FaultPartition, StGivesUpCleanlyWhenThePartitionNeverHeals) {
   EXPECT_EQ(port.delivered(), 0u);
 }
 
-TEST(FaultPartition, ControlRetryBudgetIsConfigurable) {
-  // Shrink the retry budget so a partition the default budget would ride
-  // out becomes fatal: the knob genuinely governs the give-up point.
-  st::StConfig st_config;
-  st_config.control_retry_timeout = msec(50);
-  st_config.control_retries = 2;
-  auto world = st_world(2, net::ethernet_traits(), 42, st_config);
-  world.with_faults(fault::FaultPlan{}.partition({1}, {2}, 0, msec(600)));
-
-  auto stream = world.st(1).create(testing::loose_request(), {2, 50});
-  ASSERT_TRUE(stream.ok());
-  world.sim.run_until(sec(5));
-  EXPECT_TRUE(stream.value()->failed());
-}
-
 // ------------------------------------------------- peer-restart invalidation
 
 TEST(FaultRestart, InvalidatePeerDropsCachedChannelsAndReauthenticates) {

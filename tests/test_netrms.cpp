@@ -5,9 +5,11 @@
 
 #include <algorithm>
 
+#include "net/token_ring.h"
 #include "netrms/admission.h"
 #include "netrms/fabric.h"
 #include "test_helpers.h"
+#include "workload/udp_world.h"
 
 namespace dash::netrms {
 namespace {
@@ -468,6 +470,51 @@ TEST(NetRms, NetworkDownNotifiesClients) {
   const auto status = wrms.value()->send(text_message("too late"));
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, Errc::kRmsFailed);
+}
+
+/// Drives `world`'s first medium up→down, down again, up, and down: two
+/// transitions, so on_down fires twice and a network RMS on its fabric
+/// has failed.
+template <class Net>
+void expect_down_fires_once_per_transition(node::World<Net>& world) {
+  int notified = 0;
+  world.network->on_down([&] { ++notified; });
+  auto rms = world.fabric->create(1, loose_request(8192, 500, 1.0), {2, 10});
+  ASSERT_TRUE(rms.ok()) << rms.error().message;
+  world.network->set_down(true);
+  world.network->set_down(true);
+  world.network->set_down(false);
+  world.network->set_down(true);
+  EXPECT_EQ(notified, 2);
+  EXPECT_TRUE(rms.value()->failed());
+}
+
+TEST(NetRms, DownNotifiesOncePerTransitionOnEveryMedium) {
+  {
+    SCOPED_TRACE("ethernet");
+    auto world = st_world(2);
+    expect_down_fires_once_per_transition(world);
+  }
+  {
+    SCOPED_TRACE("token ring");
+    node::World<net::TokenRingNetwork> world(
+        {[](sim::Simulator& sim) {
+          return std::make_unique<net::TokenRingNetwork>(sim, net::token_ring_traits(), 1);
+        }},
+        node::host_ids(2));
+    expect_down_fires_once_per_transition(world);
+  }
+  {
+    SCOPED_TRACE("dumbbell internet");
+    auto world = wan_world({1}, {2});
+    expect_down_fires_once_per_transition(world);
+  }
+}
+
+TEST(NetRms, UdpDownNotifiesOncePerTransition) {
+  if (!net::udp_available()) GTEST_SKIP() << "UDP sockets unavailable here";
+  workload::UdpLoopbackWorld world;
+  expect_down_fires_once_per_transition(world);
 }
 
 // -------------------------------------------------------------- dumbbell

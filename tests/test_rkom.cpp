@@ -299,8 +299,8 @@ TEST(Rkom, InFlightCallSurvivesStreamDeathViaChannelRebuild) {
   RkomConfig config;
   config.retry_timeout = msec(100);
   // The zombie channel on the dead network only reports failure once ST
-  // exhausts its own establishment retries (control_retries x
-  // control_retry_timeout = 1.25 s); the call's retry budget must outlast
+  // exhausts its own establishment retries (kControlRetries x
+  // kControlRetryTimeout = 1.25 s); the call's retry budget must outlast
   // that so a later retry observes the failure and rebuilds.
   config.max_retries = 20;
   RkomNode client(world.st(1), world.node(1).ports, config);

@@ -1217,6 +1217,63 @@ TEST(StRobustness, MalformedFastAckIsDropped) {
   EXPECT_EQ(acked, (std::vector<std::uint64_t>{7, 8}));
 }
 
+TEST(StRobustness, TruncatedComponentIsDroppedBeforeDemux) {
+  // One component carrying every optional field (fragment index and count,
+  // ack id, MAC), cut short at each length in turn: the component decoder
+  // must refuse every cut before the demux sees it.
+  auto world = st_world(2);
+  rms::Port port;
+  world.node(2).ports.bind(50, &port);
+  auto stream = world.st(1).create(st_request(), {2, 50});
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE(stream.value()->send(text("before")).ok());
+  world.sim.run();
+  ASSERT_EQ(port.delivered(), 1u);
+
+  const auto flags = static_cast<std::uint8_t>(kFragment | kAckRequest | kMac);
+  const Bytes body = to_bytes("a fragment body");
+  Bytes wire;
+  Writer w(wire);
+  w.u8(kStDataTag);
+  w.u8(1);
+  w.u64(dynamic_cast<StRms*>(stream.value().get())->id());
+  w.u64(1);  // sequence
+  w.i64(world.sim.now());
+  w.u8(flags);
+  w.u16(0);       // fragment index
+  w.u16(2);       // fragment count
+  w.u64(77);      // ack id
+  w.u64(0xBAD);   // MAC: wrong, so the whole component is an auth drop
+  w.u32(static_cast<std::uint32_t>(body.size()));
+  w.bytes(body);
+  ASSERT_EQ(wire.size(), kEnvelopeBytes + component_bytes(body.size(), flags));
+
+  auto raw = world.fabric->create(1, dash::testing::loose_request(4096, 256),
+                                  {2, kDataPort});
+  ASSERT_TRUE(raw.ok());
+  auto send = [&](std::size_t len) {
+    rms::Message m;
+    m.data = Bytes(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len));
+    ASSERT_TRUE(raw.value()->send(std::move(m)).ok());
+    world.sim.run();
+  };
+  const SubtransportLayer::Stats before = world.st(2).stats();
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    send(len);
+    EXPECT_EQ(world.st(2).stats(), before) << "truncated at " << len << " bytes";
+  }
+  EXPECT_EQ(world.st(2).held_fast_acks(), 0u);
+  EXPECT_EQ(port.delivered(), 1u);
+
+  send(wire.size());  // whole: it reaches the demux, which checks the MAC
+  EXPECT_EQ(world.st(2).stats().auth_drops, before.auth_drops + 1);
+  EXPECT_EQ(world.st(2).stats().fast_acks_sent, before.fast_acks_sent);
+
+  ASSERT_TRUE(stream.value()->send(text("after")).ok());
+  world.sim.run();
+  EXPECT_EQ(port.delivered(), 2u);
+}
+
 TEST(StRobustness, ComponentForDeletedStreamCountsUnknown) {
   auto world = st_world(2);
   rms::Port port;

@@ -423,7 +423,7 @@ TEST(UdpStack, SurvivesGilbertElliottLossWithReliableDelivery) {
   // The seeded Gilbert–Elliott plan from test_fault.cpp, interposed on
   // real datagrams at arrival: bursts lose everything while they last.
   // The stream is established clean first — the control handshake gives
-  // up after StConfig::control_retries (that abandonment is the path
+  // up after the ST's kControlRetries (that abandonment is the path
   // manager's failover cue, not ARQ's problem), so the loss plan starts
   // once data is flowing and must be beaten by retransmission alone.
   UdpWorldConfig wc;
