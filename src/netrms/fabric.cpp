@@ -13,21 +13,6 @@ namespace {
 
 constexpr std::uint8_t kDataPacket = 1;
 
-/// Facade adapting a (fabric, host) pair to the rms::Provider interface.
-class HostProvider final : public rms::Provider {
- public:
-  HostProvider(NetRmsFabric& fabric, HostId host) : fabric_(fabric), host_(host) {}
-
-  Result<std::unique_ptr<rms::Rms>> create(const rms::Request& request,
-                                                const Label& target) override {
-    return fabric_.create(host_, request, target);
-  }
-
- private:
-  NetRmsFabric& fabric_;
-  HostId host_;
-};
-
 /// Static priority for the priority-discipline baseline: coarse classes
 /// derived from the delay bound, one class per 10 ms. This is exactly the
 /// granularity loss the paper attributes to priority schemes (§5:
@@ -64,15 +49,8 @@ void NetRmsFabric::register_host(HostId host, sim::CpuScheduler& cpu,
   HostEntry entry;
   entry.cpu = &cpu;
   entry.ports = &ports;
-  entry.provider = std::make_unique<HostProvider>(*this, host);
   hosts_[host] = std::move(entry);
   network_.attach(host, [this, host](net::Packet p) { host_receive(host, std::move(p)); });
-}
-
-rms::Provider& NetRmsFabric::provider(HostId host) {
-  auto it = hosts_.find(host);
-  assert(it != hosts_.end() && "host not registered with fabric");
-  return *it->second.provider;
 }
 
 Result<rms::Params> NetRmsFabric::negotiate(const rms::Request& request) const {

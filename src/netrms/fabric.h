@@ -5,8 +5,7 @@
 // capabilities, admission control per delay-bound type, per-stream
 // deadline-tagged transmission, optional software checksumming with
 // hardware elision, establishment cost (the thing the ST caches to avoid,
-// §4.2), and failure notification. One fabric per network; each attached
-// host gets an rms::Provider facade.
+// §4.2), and failure notification. One fabric per network.
 #pragma once
 
 #include <cstdint>
@@ -65,10 +64,6 @@ class NetRmsFabric {
   /// earlier sends are queued until then.
   Result<std::unique_ptr<rms::Rms>> create(HostId src, const rms::Request& request,
                                                 const Label& target);
-
-  /// An rms::Provider facade bound to one host (for layers that take a
-  /// Provider&).
-  rms::Provider& provider(HostId host);
 
   net::Network& network() { return network_; }
   const net::Network& network() const { return network_; }
@@ -133,7 +128,6 @@ class NetRmsFabric {
   struct HostEntry {
     sim::CpuScheduler* cpu = nullptr;
     rms::PortRegistry* ports = nullptr;
-    std::unique_ptr<rms::Provider> provider;
   };
 
   sim::Simulator& sim_;

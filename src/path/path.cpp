@@ -16,12 +16,30 @@ constexpr Time kFailoverCooldown = msec(500);
 /// Smoothing for the probe RTT estimate.
 constexpr double kRttEwmaAlpha = 0.3;
 
-BytesView name_view(const std::string& name) {
-  return BytesView(reinterpret_cast<const std::byte*>(name.data()), name.size());
+/// Folds one round-trip sample (a pong or an ST data ack) into `h`'s
+/// estimate. A sample also proves the path alive.
+void observe_rtt(ProbeHealth& h, double rtt_ns) {
+  h.ewma_rtt_ns = h.ewma_rtt_ns < 0
+                      ? rtt_ns
+                      : kRttEwmaAlpha * rtt_ns + (1.0 - kRttEwmaAlpha) * h.ewma_rtt_ns;
+  h.consecutive_timeouts = 0;
 }
 
-std::string name_string(const Bytes& b) {
-  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
+/// A ping or a pong (one layout, path/wire.h) from `self` to `peer`,
+/// naming the network it travels on.
+rms::Message probe_message(ProbeType type, std::uint64_t seq, Time t_sent,
+                           const std::string& network, HostId self, HostId peer) {
+  Bytes payload;
+  Writer w(payload);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u64(seq);
+  w.i64(t_sent);
+  w.sized_bytes(std::as_bytes(std::span(network)));
+  rms::Message m;
+  m.data = std::move(payload);
+  m.target = rms::Label{peer, kPathPort};
+  m.source = rms::Label{self, kPathPort};
+  return m;
 }
 
 }  // namespace
@@ -149,17 +167,8 @@ void PathManager::send_probe(HostId peer, std::size_t fabric_idx) {
   rms::Rms* ch = ensure_probe_channel(h, peer, fabric_idx);
   if (ch == nullptr) return;
 
-  Bytes payload;
-  Writer w(payload);
-  w.u8(static_cast<std::uint8_t>(ProbeType::kPing));
-  w.u64(h.next_seq);
-  w.i64(sim_.now());
-  w.sized_bytes(name_view(fabrics_[fabric_idx]->traits().name));
-
-  rms::Message m;
-  m.data = std::move(payload);
-  m.target = rms::Label{peer, kPathPort};
-  m.source = rms::Label{host_, kPathPort};
+  rms::Message m = probe_message(ProbeType::kPing, h.next_seq, sim_.now(),
+                                 fabrics_[fabric_idx]->traits().name, host_, peer);
   h.outstanding_seq = h.next_seq++;
   h.outstanding_sent_at = sim_.now();
   ++h.probes_sent;
@@ -175,7 +184,7 @@ void PathManager::on_probe_message(rms::Message msg) {
   auto t_sent = r.i64();
   auto name_bytes = r.sized_bytes();
   if (!type || !seq || !t_sent || !name_bytes) return;
-  const std::size_t idx = fabric_index_by_name(name_string(*name_bytes));
+  const std::size_t idx = fabric_index_by_name(to_string(*name_bytes));
   if (idx == kNoFabric) return;
   ProbeHealth& h = probes_[{src, idx}];
 
@@ -184,18 +193,10 @@ void PathManager::on_probe_message(rms::Message msg) {
       h.last_inbound = sim_.now();
       rms::Rms* ch = ensure_probe_channel(h, src, idx);
       if (ch == nullptr) return;
-      Bytes reply;
-      Writer w(reply);
-      w.u8(static_cast<std::uint8_t>(ProbeType::kPong));
-      w.u64(*seq);
-      w.i64(*t_sent);  // echoed so the pinger computes RTT statelessly
-      w.sized_bytes(name_view(fabrics_[idx]->traits().name));
-      rms::Message m;
-      m.data = std::move(reply);
-      m.target = rms::Label{src, kPathPort};
-      m.source = rms::Label{host_, kPathPort};
       ++stats_.pongs_sent;
-      (void)ch->send(std::move(m));
+      // t_sent is echoed so the pinger computes RTT statelessly.
+      (void)ch->send(probe_message(ProbeType::kPong, *seq, *t_sent,
+                                   fabrics_[idx]->traits().name, host_, src));
       break;
     }
     case ProbeType::kPong: {
@@ -203,12 +204,7 @@ void PathManager::on_probe_message(rms::Message msg) {
       if (h.outstanding_seq == 0 || *seq != h.outstanding_seq) return;  // stale
       h.outstanding_seq = 0;
       const auto rtt = static_cast<std::uint64_t>(sim_.now() - *t_sent);
-      const auto rtt_d = static_cast<double>(rtt);
-      h.ewma_rtt_ns = h.ewma_rtt_ns < 0
-                          ? rtt_d
-                          : kRttEwmaAlpha * rtt_d +
-                                (1.0 - kRttEwmaAlpha) * h.ewma_rtt_ns;
-      h.consecutive_timeouts = 0;
+      observe_rtt(h, static_cast<double>(rtt));
       ++h.pongs_received;
       ++stats_.pongs_received;
       if (probe_rtt_hist_ != nullptr) probe_rtt_hist_->observe(rtt);
@@ -389,12 +385,7 @@ void PathManager::on_data_ack(HostId peer, netrms::NetRmsFabric* fabric,
   const std::size_t idx = fabric_index(fabric);
   if (idx == kNoFabric || rtt < 0) return;
   ProbeHealth& h = probes_[{peer, idx}];
-  const auto rtt_d = static_cast<double>(rtt);
-  h.ewma_rtt_ns = h.ewma_rtt_ns < 0
-                      ? rtt_d
-                      : kRttEwmaAlpha * rtt_d +
-                            (1.0 - kRttEwmaAlpha) * h.ewma_rtt_ns;
-  h.consecutive_timeouts = 0;
+  observe_rtt(h, static_cast<double>(rtt));
   h.last_data_ack = sim_.now();
   ++h.data_ack_samples;
   ++stats_.data_ack_samples;

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -157,21 +156,6 @@ class Rms {
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::function<void(const Error&)> failure_cb_;
-};
-
-/// An RMS provider: "the hardware and software system supporting the
-/// creation and use of RMS" (§2). The creator of this RMS acts as the
-/// sender; receiver-created streams are arranged by higher layers (the ST
-/// control channel, §3.2) by asking the peer to create the sending end.
-class Provider {
- public:
-  virtual ~Provider() = default;
-
-  /// Creates a simplex RMS whose messages are delivered to `target`.
-  /// Rejects (kAdmissionRejected / kIncompatibleParams / kNoRoute) per
-  /// §2.3–2.4; never rejects best-effort requests for admission reasons.
-  virtual Result<std::unique_ptr<Rms>> create(const Request& request,
-                                              const Label& target) = 0;
 };
 
 /// Per-host registry mapping port labels to Port objects so providers can

@@ -171,7 +171,7 @@ std::size_t SubtransportLayer::held_fast_acks() const {
     (void)host;
     for (const auto& [fabric, batch] : ps.ack_batches) {
       (void)fabric;
-      n += batch.acks.size();
+      n += batch.held.acks.size();
     }
   }
   return n;
@@ -547,11 +547,10 @@ void SubtransportLayer::send_on(PeerState& ps, netrms::NetRmsFabric* fabric,
   (void)out->send(std::move(m));
 }
 
-netrms::NetRmsFabric* SubtransportLayer::fabric_named(BytesView name) const {
+netrms::NetRmsFabric* SubtransportLayer::fabric_named(const std::string& name) const {
   if (name.empty()) return nullptr;
-  const std::string wanted = to_string(name);
   for (netrms::NetRmsFabric* f : fabrics_) {
-    if (f->traits().name == wanted) return f;
+    if (f->traits().name == name) return f;
   }
   return nullptr;
 }
@@ -562,12 +561,12 @@ void SubtransportLayer::queue_fast_ack(HostId peer, netrms::NetRmsFabric* fabric
                                        std::uint64_t st_id, std::uint64_t ack_id) {
   PeerState& ps = peer_state(peer);
   PeerState::AckBatch& batch = ps.ack_batches[fabric];
-  batch.acks.emplace_back(st_id, ack_id);
-  if (batch.acks.size() == kFastAckMaxPairs) {
+  batch.held.acks.emplace_back(st_id, ack_id);
+  if (batch.held.acks.size() == kFastAckMaxPairs) {
     flush_fast_acks(ps, fabric, batch);
     return;
   }
-  if (batch.acks.size() > 1) return;  // the first ack's hold is already armed
+  if (batch.held.acks.size() > 1) return;  // the first ack's hold is already armed
   batch.hold_timer = sim_.timer_after(kFastAckHold, [this, peer, fabric] {
     auto pit = peers_.find(peer);
     if (pit == peers_.end()) return;
@@ -581,22 +580,16 @@ void SubtransportLayer::queue_fast_ack(HostId peer, netrms::NetRmsFabric* fabric
 void SubtransportLayer::flush_fast_acks(PeerState& ps, netrms::NetRmsFabric* fabric,
                                         PeerState::AckBatch& batch) {
   sim_.cancel(batch.hold_timer);
-  if (batch.acks.empty()) return;
-  Bytes ack;
-  ack.reserve(fast_ack_bytes(batch.acks.size()));
-  Writer w(ack);
-  w.u8(static_cast<std::uint8_t>(ControlType::kFastAck));
-  w.u8(static_cast<std::uint8_t>(batch.acks.size()));
-  for (const auto& [st_id, ack_id] : batch.acks) {
-    w.u64(st_id);
-    w.u64(ack_id);
+  if (batch.held.acks.empty()) return;
+  for (const auto& [st_id, ack_id] : batch.held.acks) {
     trace("st.fastack", [&] {
       return "ack " + std::to_string(ack_id) + " for stream " + std::to_string(st_id) +
              " -> host " + std::to_string(ps.peer);
     });
   }
-  stats_.fast_acks_sent += batch.acks.size();
-  batch.acks.clear();
+  Bytes ack = encode(batch.held);
+  stats_.fast_acks_sent += batch.held.acks.size();
+  batch.held.acks.clear();
   send_on(ps, fabric, std::move(ack));
 }
 
@@ -608,7 +601,7 @@ void SubtransportLayer::drop_fast_acks(netrms::NetRmsFabric* fabric) {
     auto it = ps.ack_batches.find(fabric);
     if (it == ps.ack_batches.end()) continue;
     sim_.cancel(it->second.hold_timer);
-    it->second.acks.clear();
+    it->second.held.acks.clear();
   }
 }
 
@@ -642,43 +635,14 @@ void SubtransportLayer::handle_fast_ack(HostId src, std::uint64_t st_id,
   }
 }
 
-void SubtransportLayer::send_request_with_retry(HostId peer, Bytes payload,
-                                                std::uint64_t req_id, int attempts) {
-  auto pit = peers_.find(peer);
-  if (pit == peers_.end()) return;
-  PeerState& ps = pit->second;
-  auto pending = ps.pending_replies.find(req_id);
-  if (pending == ps.pending_replies.end()) return;  // already answered
-  if (attempts == 0) {
-    complete_request(ps, req_id, false);  // gave up
-    return;
-  }
-  if (attempts < kControlRetries) ++stats_.control_retries;
-  // Arm before sending (simulated time cannot advance in between): the
-  // iterator must not be used after send_on touches peer state.
-  pending->second.retry_timer = sim_.timer_after(
-      kControlRetryTimeout, [this, peer, payload, req_id, attempts]() mutable {
-        send_request_with_retry(peer, std::move(payload), req_id, attempts - 1);
-      });
-  send_on(ps, nullptr, std::move(payload));
-}
-
-void SubtransportLayer::complete_request(PeerState& ps, std::uint64_t req_id, bool ok) {
-  auto it = ps.pending_replies.find(req_id);
-  if (it == ps.pending_replies.end()) return;
-  sim_.cancel(it->second.retry_timer);
-  auto cb = std::move(it->second.cb);
-  ps.pending_replies.erase(it);
-  cb(ok);
-}
-
-void SubtransportLayer::ensure_authenticated(PeerState& ps, std::function<void()> then) {
+void SubtransportLayer::establish(StRms& rms) {
+  PeerState& ps = peer_state(rms.peer_);
+  ps.waiting.push_back(rms.id_);
   if (ps.authenticated) {
-    then();
+    send_creates(ps);
     return;
   }
-  ps.waiting.push_back(std::move(then));
-  if (ps.auth_pending) return;
+  if (ps.waiting.size() > 1) return;  // the first waiting stream started the handshake
 
   ensure_control_out(ps);
   if (ps.fabric != nullptr && ps.fabric->traits().trusted) {
@@ -689,96 +653,98 @@ void SubtransportLayer::ensure_authenticated(PeerState& ps, std::function<void()
     trace("st.auth", [&] {
       return "elided: network is trusted (peer " + std::to_string(ps.peer) + ")";
     });
-    auto waiting = std::move(ps.waiting);
-    ps.waiting.clear();
-    for (auto& cb : waiting) cb();
+    send_creates(ps);
     return;
   }
 
-  ps.auth_pending = true;
   ++stats_.auth_handshakes;
   trace("st.auth", [&] { return "challenge -> host " + std::to_string(ps.peer); });
   const std::uint64_t req_id = ps.next_request++;
   // Deterministic per-pair nonce; uniqueness per request id is what matters.
   ps.auth_nonce = (host_ << 32) ^ (ps.peer << 16) ^ req_id ^ 0xA5A5A5A5ull;
-
   const Key key = derive_pair_key(host_, ps.peer);
-  Bytes payload;
-  Writer w(payload);
-  w.u8(static_cast<std::uint8_t>(ControlType::kAuthChallenge));
-  w.u64(req_id);
-  w.u64(ps.auth_nonce);
-  w.u64(xtea_mac(key, ps.auth_nonce, BytesView{}));  // proves we hold the pair key
-
-  const HostId peer = ps.peer;
-  ps.pending_replies[req_id].cb = [this, peer](bool ok) {
-    auto it = peers_.find(peer);
-    if (it == peers_.end()) return;
-    PeerState& state = it->second;
-    state.auth_pending = false;
-    state.authenticated = ok;
-    // Drain the parked work either way: on failure each establishment
-    // proceeds unauthenticated, is rejected (or times out) by the peer,
-    // and fails its stream — rather than hanging forever.
-    auto waiting = std::move(state.waiting);
-    state.waiting.clear();
-    for (auto& cb : waiting) cb();
-  };
-
   // Send with retransmission: the control channel may drop messages.
-  send_request_with_retry(ps.peer, std::move(payload), req_id, kControlRetries);
+  ps.pending[req_id] = PendingRequest{
+      0, encode(AuthChallenge{req_id, ps.auth_nonce, xtea_mac(key, ps.auth_nonce, BytesView{})}),
+      kControlRetries, {}};
+  transmit_request(ps.peer, req_id);
 }
 
-void SubtransportLayer::establish(StRms& rms) {
-  PeerState& ps = peer_state(rms.peer_);
-  const std::uint64_t id = rms.id_;
-  ensure_authenticated(ps, [this, id] {
+void SubtransportLayer::send_creates(PeerState& ps) {
+  const std::vector<std::uint64_t> waiting = std::move(ps.waiting);
+  ps.waiting.clear();
+  for (std::uint64_t id : waiting) {
     auto sit = streams_.find(id);
-    if (sit == streams_.end()) return;
-    StRms& stream = *sit->second;
-    PeerState& state = peer_state(stream.peer_);
-
-    const std::uint64_t req_id = state.next_request++;
-    Bytes payload;
-    Writer w(payload);
-    w.u8(static_cast<std::uint8_t>(ControlType::kCreateRequest));
-    w.u64(req_id);
-    w.u64(stream.id_);
-    w.u64(stream.target_.port);
-    w.u8(stream.security_);
+    if (sit == streams_.end()) continue;
+    const std::uint64_t req_id = ps.next_request++;
     // Name the fabric the data channel lives on, so the receiver returns
     // fast acks over the same network (shared fate with the data path).
-    netrms::NetRmsFabric* data_fabric = stream_fabric(stream.id_);
-    w.sized_bytes(to_bytes(data_fabric != nullptr ? data_fabric->traits().name
-                                                  : std::string{}));
+    netrms::NetRmsFabric* data_fabric = stream_fabric(id);
+    ps.pending[req_id] = PendingRequest{
+        id,
+        encode(CreateRequest{req_id, id, sit->second->target_.port, sit->second->security_,
+                             data_fabric != nullptr ? data_fabric->traits().name : ""}),
+        kControlRetries, {}};
+    transmit_request(ps.peer, req_id);
+  }
+}
 
-    state.pending_replies[req_id].cb = [this, id](bool ok) {
-      auto it = streams_.find(id);
-      if (it == streams_.end()) return;
-      StRms& s = *it->second;
-      if (!ok) {
-        s.fail(make_error(Errc::kRmsFailed, "peer rejected ST RMS establishment"));
-        return;
-      }
-      s.established_ = true;
-      trace("st.establish", [&] {
-        return "stream " + std::to_string(s.id_) + " confirmed by peer";
-      });
-      if (s.rebinding_) {
-        s.rebinding_ = false;
-        // Replay unacknowledged messages under their original sequence
-        // numbers before anything newer: the receiver's preserved
-        // next_expected_seq drops whatever it already delivered.
-        replay_handoff(s);
-        if (observer_ != nullptr) observer_->on_stream_rebound(s, s.rebind_downgraded_);
-      }
-      auto pending = std::move(s.pending_);
-      s.pending_.clear();
-      for (auto& p : pending) emit(s, std::move(p.msg), p.ack_id, p.acked);
-    };
+void SubtransportLayer::transmit_request(HostId peer, std::uint64_t req_id) {
+  auto pit = peers_.find(peer);
+  if (pit == peers_.end()) return;
+  PeerState& ps = pit->second;
+  auto it = ps.pending.find(req_id);
+  if (it == ps.pending.end()) return;  // already answered
+  PendingRequest& pending = it->second;
+  if (pending.attempts_left == 0) {
+    complete_request(ps, req_id, false);  // gave up
+    return;
+  }
+  if (pending.attempts_left < kControlRetries) ++stats_.control_retries;
+  --pending.attempts_left;
+  // Arm before sending, so same-time events keep their order.
+  pending.retry_timer = sim_.timer_after(
+      kControlRetryTimeout, [this, peer, req_id] { transmit_request(peer, req_id); });
+  send_on(ps, nullptr, pending.request);
+}
 
-    send_request_with_retry(state.peer, std::move(payload), req_id, kControlRetries);
+void SubtransportLayer::complete_request(PeerState& ps, std::uint64_t req_id, bool ok) {
+  auto it = ps.pending.find(req_id);
+  if (it == ps.pending.end()) return;
+  sim_.cancel(it->second.retry_timer);
+  const std::uint64_t stream_id = it->second.stream_id;
+  ps.pending.erase(it);
+
+  if (stream_id == 0) {
+    ps.authenticated = ok;
+    // Establish the parked streams either way: on failure each proceeds
+    // unauthenticated, is rejected (or times out) by the peer, and fails
+    // its stream — rather than hanging forever.
+    send_creates(ps);
+    return;
+  }
+  auto sit = streams_.find(stream_id);
+  if (sit == streams_.end()) return;
+  StRms& s = *sit->second;
+  if (!ok) {
+    s.fail(make_error(Errc::kRmsFailed, "peer rejected ST RMS establishment"));
+    return;
+  }
+  s.established_ = true;
+  trace("st.establish", [&] {
+    return "stream " + std::to_string(s.id_) + " confirmed by peer";
   });
+  if (s.rebinding_) {
+    s.rebinding_ = false;
+    // Replay unacknowledged messages under their original sequence
+    // numbers before anything newer: the receiver's preserved
+    // next_expected_seq drops whatever it already delivered.
+    replay_handoff(s);
+    if (observer_ != nullptr) observer_->on_stream_rebound(s, s.rebind_downgraded_);
+  }
+  auto pending = std::move(s.pending_);
+  s.pending_.clear();
+  for (auto& p : pending) emit(s, std::move(p.msg), p.ack_id, p.acked);
 }
 
 // ---------------------------------------------------------------- failover
@@ -1024,7 +990,8 @@ void SubtransportLayer::emit_component(StRms& rms, rms::Message msg,
       const BytesView whole = msg.data.view();
       const std::size_t region_cap =
           channel.headroom + kEnvelopeBytes + component_bytes(frag_payload, flags);
-      BufferWriter arena(static_cast<std::size_t>(count) * region_cap);
+      Bytes storage;
+      Writer arena(storage, static_cast<std::size_t>(count) * region_cap);
       std::vector<std::pair<std::size_t, std::size_t>> regions;
       regions.reserve(count);
       for (std::uint16_t i = 0; i < count; ++i) {
@@ -1044,7 +1011,7 @@ void SubtransportLayer::emit_component(StRms& rms, rms::Message msg,
         ++stats_.components_sent;
         ++stats_.fragments_sent;
       }
-      const Buffer burst = arena.finish();
+      const Buffer burst(std::move(storage));
       const Time passed = clamp_packet_deadline(eff, {stream_id});
       for (const auto& [start, len] : regions) {
         send_packet(channel, burst, start, len, passed);
@@ -1075,7 +1042,7 @@ Time SubtransportLayer::clamp_packet_deadline(
   return passed;
 }
 
-void SubtransportLayer::serialize_component(BufferWriter& w, const Component& c,
+void SubtransportLayer::serialize_component(Writer& w, const Component& c,
                                             const Key& key) {
   w.u64(c.stream_id);
   w.u64(c.seq);
@@ -1118,19 +1085,20 @@ void SubtransportLayer::enqueue_component(Channel& ch, const Component& c, const
   if (!piggybackable) {
     // Anything of this stream already queued must leave first.
     flush_channel(ch);
-    BufferWriter w(ch.headroom + kEnvelopeBytes + wire_size);
+    Bytes packet;
+    Writer w(packet, ch.headroom + kEnvelopeBytes + wire_size);
     w.skip(ch.headroom);
     w.u8(kStDataTag);
     w.u8(1);
     serialize_component(w, c, key);
-    const Buffer arena = w.finish();
+    const Buffer arena(std::move(packet));
     send_packet(ch, arena, 0, arena.size(),
                 clamp_packet_deadline(eff_deadline, {c.stream_id}));
     return;
   }
 
   const std::size_t queued =
-      ch.queue_count == 0 ? 0 : ch.queue.pos() - ch.headroom - kEnvelopeBytes;
+      ch.queue_count == 0 ? 0 : ch.queue.size() - ch.headroom - kEnvelopeBytes;
   if (queued + wire_size > space_limit) flush_channel(ch);
 
   // Piggybacking pays only when other traffic coexists within the window.
@@ -1141,15 +1109,16 @@ void SubtransportLayer::enqueue_component(Channel& ch, const Component& c, const
                               sim_.now() - ch.last_enqueue > config_.piggyback_window);
   ch.last_enqueue = sim_.now();
 
+  Writer queue(ch.queue);
   if (ch.queue_count == 0) {
-    // Start a fresh arena: headroom gap, then the envelope whose count
-    // field is patched at flush.
-    ch.queue = BufferWriter(ch.headroom + kEnvelopeBytes + space_limit);
-    ch.queue.skip(ch.headroom);
-    ch.queue.u8(kStDataTag);
-    ch.queue.u8(0);
+    // Start a fresh arena (flush moved the last one out): headroom gap,
+    // then the envelope whose count field is patched at flush.
+    ch.queue.reserve(ch.headroom + kEnvelopeBytes + space_limit);
+    queue.skip(ch.headroom);
+    queue.u8(kStDataTag);
+    queue.u8(0);
   }
-  serialize_component(ch.queue, c, key);
+  serialize_component(queue, c, key);
   ++ch.queue_count;
   ch.queue_streams.push_back(c.stream_id);
   ch.queue_min_deadline = std::min(ch.queue_min_deadline, eff_deadline);
@@ -1177,8 +1146,8 @@ void SubtransportLayer::flush_channel(Channel& ch) {
   sim_.cancel(ch.flush_timer);  // disarm: the queue goes out now
   if (ch.queue_count == 0) return;
 
-  ch.queue.patch_u8(ch.headroom + 1, ch.queue_count);  // envelope count
-  const Buffer arena = ch.queue.finish();
+  ch.queue[ch.headroom + 1] = static_cast<std::byte>(ch.queue_count);  // envelope count
+  const Buffer arena(std::move(ch.queue));
 
   // The packet carries the queue's *minimum* transmission deadline — the
   // most urgent component sets the urgency — clamped so it is monotone for
@@ -1219,108 +1188,55 @@ void SubtransportLayer::on_control_message(rms::Message msg) {
 
 void SubtransportLayer::handle_control(rms::Message msg) {
   const HostId src = msg.source.host;
-  Reader r(msg.data);
-  auto type = r.u8();
-  if (!type) return;
-
+  const std::optional<ControlMsg> decoded = decode(msg.data);
+  if (!decoded) return;
   PeerState& ps = peer_state(src);
+  const Key key = derive_pair_key(host_, src);
 
-  switch (static_cast<ControlType>(*type)) {
-    case ControlType::kAuthChallenge: {
-      auto req_id = r.u64();
-      auto nonce = r.u64();
-      auto mac = r.u64();
-      if (!req_id || !nonce || !mac) return;
-      const Key key = derive_pair_key(host_, src);
-      if (xtea_mac(key, *nonce, BytesView{}) != *mac) return;  // impostor challenge
-      ps.peer_verified = true;
-      Bytes reply;
-      Writer w(reply);
-      w.u8(static_cast<std::uint8_t>(ControlType::kAuthResponse));
-      w.u64(*req_id);
-      w.u64(*nonce);
-      w.u64(xtea_mac(key, *nonce + 1, BytesView{}));
-      send_on(ps, nullptr, std::move(reply));
-      break;
+  if (const auto* m = std::get_if<AuthChallenge>(&*decoded)) {
+    if (xtea_mac(key, m->nonce, BytesView{}) != m->mac) return;  // impostor challenge
+    ps.peer_verified = true;
+    send_on(ps, nullptr,
+            encode(AuthResponse{m->request_id, m->nonce,
+                                xtea_mac(key, m->nonce + 1, BytesView{})}));
+  } else if (const auto* m = std::get_if<AuthResponse>(&*decoded)) {
+    if (m->nonce != ps.auth_nonce || xtea_mac(key, m->nonce + 1, BytesView{}) != m->mac) {
+      ++stats_.auth_drops;
+      return;
     }
-    case ControlType::kAuthResponse: {
-      auto req_id = r.u64();
-      auto nonce = r.u64();
-      auto mac = r.u64();
-      if (!req_id || !nonce || !mac) return;
-      const Key key = derive_pair_key(host_, src);
-      if (*nonce != ps.auth_nonce || xtea_mac(key, *nonce + 1, BytesView{}) != *mac) {
-        ++stats_.auth_drops;
-        return;
-      }
-      ps.peer_verified = true;
-      complete_request(ps, *req_id, true);
-      break;
+    ps.peer_verified = true;
+    complete_request(ps, m->request_id, true);
+  } else if (const auto* m = std::get_if<CreateRequest>(&*decoded)) {
+    const bool trusted = ps.fabric != nullptr && ps.fabric->traits().trusted;
+    const bool ok = ps.peer_verified || trusted;
+    if (ok) {
+      // Re-establishment after a path failover arrives as a second
+      // kCreateRequest for the same (src, st_id). Preserve the entry's
+      // next_expected_seq so replayed messages this side already
+      // delivered are dropped as stale — the no-duplication half of the
+      // failover guarantee. A reassembly from the old network can never
+      // complete, so discard it.
+      auto [eit, inserted] = demux_.try_emplace({src, m->st_id});
+      DemuxEntry& entry = eit->second;
+      if (!inserted) discard_partial(entry);
+      entry.src = src;
+      entry.st_id = m->st_id;
+      entry.target = Label{host_, m->port};
+      entry.security = m->security;
+      entry.ack_fabric = fabric_named(m->fabric);
     }
-    case ControlType::kCreateRequest: {
-      auto req_id = r.u64();
-      auto st_id = r.u64();
-      auto port = r.u64();
-      auto security = r.u8();
-      if (!req_id || !st_id || !port || !security) return;
-      const bool trusted = ps.fabric != nullptr && ps.fabric->traits().trusted;
-      const bool ok = ps.peer_verified || trusted;
-      if (ok) {
-        // Re-establishment after a path failover arrives as a second
-        // kCreateRequest for the same (src, st_id). Preserve the entry's
-        // next_expected_seq so replayed messages this side already
-        // delivered are dropped as stale — the no-duplication half of the
-        // failover guarantee. A reassembly from the old network can never
-        // complete, so discard it.
-        auto [eit, inserted] = demux_.try_emplace({src, *st_id});
-        DemuxEntry& entry = eit->second;
-        if (!inserted) discard_partial(entry);
-        entry.src = src;
-        entry.st_id = *st_id;
-        entry.target = Label{host_, *port};
-        entry.security = *security;
-        if (auto net_name = r.sized_bytes()) {
-          entry.ack_fabric = fabric_named(*net_name);
-        }
-      }
-      Bytes reply;
-      Writer w(reply);
-      w.u8(static_cast<std::uint8_t>(ControlType::kCreateReply));
-      w.u64(*req_id);
-      w.u64(*st_id);
-      w.u8(ok ? 1 : 0);
-      send_on(ps, nullptr, std::move(reply));
-      break;
+    send_on(ps, nullptr, encode(CreateReply{m->request_id, m->st_id, ok}));
+  } else if (const auto* m = std::get_if<CreateReply>(&*decoded)) {
+    complete_request(ps, m->request_id, m->ok);
+  } else if (const auto* m = std::get_if<Delete>(&*decoded)) {
+    auto it = demux_.find({src, m->st_id});
+    if (it != demux_.end()) {
+      discard_partial(it->second);
+      demux_.erase(it);
     }
-    case ControlType::kCreateReply: {
-      auto req_id = r.u64();
-      auto st_id = r.u64();
-      auto ok = r.u8();
-      if (!req_id || !st_id || !ok) return;
-      complete_request(ps, *req_id, *ok != 0);
-      break;
-    }
-    case ControlType::kDelete: {
-      auto st_id = r.u64();
-      if (!st_id) return;
-      auto it = demux_.find({src, *st_id});
-      if (it != demux_.end()) {
-        discard_partial(it->second);
-        demux_.erase(it);
-      }
-      break;
-    }
-    case ControlType::kFastAck: {
-      // A batch: a count of 0, or one the length disagrees with, drops the
-      // whole message before any pair takes effect.
-      auto count = r.u8();
-      if (!count || *count == 0 || r.remaining() != *count * kFastAckPairBytes) return;
-      for (int i = 0; i < *count; ++i) {
-        const std::uint64_t st_id = *r.u64();
-        const std::uint64_t ack_id = *r.u64();
-        handle_fast_ack(src, st_id, ack_id);
-      }
-      break;
+  } else if (const auto* m = std::get_if<FastAck>(&*decoded)) {
+    for (const auto& [st_id, ack_id] : m->acks) {
+      handle_fast_ack(src, st_id, ack_id);
     }
   }
 }
@@ -1507,11 +1423,7 @@ void SubtransportLayer::release_stream(StRms& rms) {
   trace("st.close", [&] { return "stream " + std::to_string(rms.id_); });
   auto pit = peers_.find(rms.peer_);
   if (pit != peers_.end() && pit->second.control_out != nullptr) {
-    Bytes payload;
-    Writer w(payload);
-    w.u8(static_cast<std::uint8_t>(ControlType::kDelete));
-    w.u64(rms.id_);
-    send_on(pit->second, nullptr, std::move(payload));
+    send_on(pit->second, nullptr, encode(Delete{rms.id_}));
   }
 
   detach_channel(rms);
@@ -1613,9 +1525,9 @@ void SubtransportLayer::drop_cached_channels(HostId peer,
 }
 
 void SubtransportLayer::cancel_peer_timers(PeerState& ps) {
-  for (auto& [req_id, pr] : ps.pending_replies) {
+  for (auto& [req_id, pending] : ps.pending) {
     (void)req_id;
-    sim_.cancel(pr.retry_timer);
+    sim_.cancel(pending.retry_timer);
   }
   for (auto& [fabric, batch] : ps.ack_batches) {
     (void)fabric;

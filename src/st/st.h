@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -39,6 +38,7 @@
 #include "netrms/fabric.h"
 #include "sim/trace.h"
 #include "rms/rms.h"
+#include "st/control.h"
 #include "st/wire.h"
 #include "telemetry/metrics.h"
 #include "util/buffer.h"
@@ -217,7 +217,7 @@ class StRms final : public rms::Rms {
   std::deque<std::uint64_t> ack_order_;
 };
 
-class SubtransportLayer : public rms::Provider {
+class SubtransportLayer {
  public:
   struct Stats {
     std::uint64_t st_rms_created = 0;
@@ -260,7 +260,7 @@ class SubtransportLayer : public rms::Provider {
 
   SubtransportLayer(sim::Simulator& sim, HostId host, sim::CpuScheduler& cpu,
                     rms::PortRegistry& ports, StConfig config = {});
-  ~SubtransportLayer() override;
+  ~SubtransportLayer();
   SubtransportLayer(const SubtransportLayer&) = delete;
   SubtransportLayer& operator=(const SubtransportLayer&) = delete;
 
@@ -297,7 +297,7 @@ class SubtransportLayer : public rms::Provider {
   /// stream is usable immediately; messages queue until the peer's ST
   /// confirms establishment over the control channel.
   Result<std::unique_ptr<rms::Rms>> create(const rms::Request& request,
-                                           const Label& target) override;
+                                           const Label& target);
 
   HostId host() const { return host_; }
   sim::Simulator& simulator() { return sim_; }
@@ -347,7 +347,7 @@ class SubtransportLayer : public rms::Provider {
     // The arena leads with `headroom` bytes (the network RMS writes its
     // header there in place) and the 2-byte envelope whose count field is
     // patched at flush.
-    BufferWriter queue;
+    Bytes queue;
     std::size_t headroom = 0;         ///< net_rms->send_headroom(), cached
     std::uint8_t queue_count = 0;
     Time queue_min_deadline = kTimeNever;  ///< deadline passed to the network
@@ -361,12 +361,13 @@ class SubtransportLayer : public rms::Provider {
     sim::TimerHandle cache_timer;
   };
 
-  // ---- per-peer control state ----
-  /// An unanswered control request. The retransmit timer is a real
-  /// cancellable timer: the reply cancels it in O(1), so abandoned retries
-  /// never occupy the simulator's pending set.
-  struct PendingReply {
-    std::function<void(bool)> cb;
+  // ---- per-peer control state: plain data, no closures ----
+  /// An unanswered control request, re-sent verbatim on each retry. The
+  /// reply cancels the retry timer, so it leaves the pending set at once.
+  struct PendingRequest {
+    std::uint64_t stream_id = 0;  ///< the stream to establish; 0: the handshake
+    Bytes request;                ///< encoded, sent verbatim on every attempt
+    int attempts_left = 0;
     sim::TimerHandle retry_timer;
   };
   struct PeerState {
@@ -375,11 +376,10 @@ class SubtransportLayer : public rms::Provider {
     std::unique_ptr<rms::Rms> control_out;
     bool authenticated = false;       ///< we verified the peer
     bool peer_verified = false;       ///< receiver side: peer proved itself
-    bool auth_pending = false;
     std::uint64_t next_request = 1;
     std::uint64_t auth_nonce = 0;
-    std::vector<std::function<void()>> waiting;  ///< queued until authenticated
-    std::unordered_map<std::uint64_t, PendingReply> pending_replies;
+    std::vector<std::uint64_t> waiting;  ///< streams held for the handshake in flight
+    std::unordered_map<std::uint64_t, PendingRequest> pending;  ///< by request id
     // Fast acks ride a control channel on the fabric the data arrived on
     // (shared fate with the data path: an ack must not be lost to a fault
     // on some *other* network, or the sender misjudges this path's health).
@@ -389,7 +389,7 @@ class SubtransportLayer : public rms::Provider {
     // channel), leaving together as one kFastAck. A batch never mixes
     // fabrics, so batching keeps the shared-fate rule above.
     struct AckBatch {
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> acks;  ///< (st id, ack id)
+      FastAck held;
       sim::TimerHandle hold_timer;
     };
     std::map<netrms::NetRmsFabric*, AckBatch> ack_batches;
@@ -434,15 +434,17 @@ class SubtransportLayer : public rms::Provider {
                                    const rms::Request& request) const;
   netrms::NetRmsFabric* fabric_for(HostId peer) const;
   PeerState& peer_state(HostId peer);
-  void ensure_authenticated(PeerState& ps, std::function<void()> then);
   void ensure_control_out(PeerState& ps);
   /// Points `ps`'s control channel at `fabric`, dropping (and tracing) a
   /// channel that lives on another network.
   void move_control(PeerState& ps, netrms::NetRmsFabric& fabric);
-  void send_request_with_retry(HostId peer, Bytes payload, std::uint64_t req_id,
-                               int attempts);
-  /// Settles a pending control request: stops its retransmission and runs
-  /// its callback with `ok`. A no-op if it was already settled.
+  /// Sends the create requests of the streams in `ps.waiting` that still exist.
+  void send_creates(PeerState& ps);
+  /// One attempt of a pending request: (re)sends it and arms its retry, or
+  /// settles it as failed when no attempt is left.
+  void transmit_request(HostId peer, std::uint64_t req_id);
+  /// Settles a pending request: stops its retries, then by its kind ends
+  /// the handshake or the stream's establishment. No-op if already settled.
   void complete_request(PeerState& ps, std::uint64_t req_id, bool ok);
   Result<Channel*> obtain_channel(HostId peer, netrms::NetRmsFabric& fabric,
                                   const StParamsPlan& plan);
@@ -468,7 +470,7 @@ class SubtransportLayer : public rms::Provider {
   /// patching the MAC field (it precedes the body on the wire) afterwards.
   /// `c.payload` aliases the client's message: this gather-write is the
   /// send path's only payload copy.
-  void serialize_component(BufferWriter& w, const Component& c, const Key& key);
+  void serialize_component(Writer& w, const Component& c, const Key& key);
   void enqueue_component(Channel& ch, const Component& c, const Key& key,
                          Time eff_deadline, bool piggybackable);
   void flush_channel(Channel& ch);
@@ -486,7 +488,7 @@ class SubtransportLayer : public rms::Provider {
   /// acks, which must share fate with the data path they answer). Every
   /// control message leaves through here.
   void send_on(PeerState& ps, netrms::NetRmsFabric* fabric, Bytes payload);
-  netrms::NetRmsFabric* fabric_named(BytesView name) const;
+  netrms::NetRmsFabric* fabric_named(const std::string& name) const;
 
   // fast acks (§3.2)
   /// Adds one ack to `peer`'s batch for `fabric`; the batch leaves when it

@@ -20,7 +20,7 @@
 //     payload bytes
 //
 // Control messages (one per network message on the control channel):
-//   u8 type, then per-type fields (see ControlType).
+//   u8 type, then per-type fields (see ControlType; st/control.h is the codec).
 #pragma once
 
 #include <cstddef>
@@ -105,7 +105,8 @@ struct Component {
 };
 
 /// Reads the component at `r`'s position, in the layout above; nullopt if
-/// the bytes end before it does.
+/// the bytes end before it does, or if its fragment index is not below a
+/// nonzero fragment count.
 inline std::optional<Component> read_component(Reader& r) {
   auto stream_id = r.u64();
   auto seq = r.u64();
@@ -120,7 +121,7 @@ inline std::optional<Component> read_component(Reader& r) {
   if (c.flags & kFragment) {
     auto index = r.u16();
     auto count = r.u16();
-    if (!index || !count) return std::nullopt;
+    if (!index || !count || *index >= *count) return std::nullopt;
     c.frag_index = *index;
     c.frag_count = *count;
   }

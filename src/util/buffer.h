@@ -163,58 +163,4 @@ class Buffer {
   std::size_t headroom_ = 0;
 };
 
-/// Gather-style serializer that builds one Buffer (typically an arena
-/// holding several packet regions) and hands out slices of it. Mirrors
-/// `Writer`'s field API, plus the pieces the ST send path needs: `skip()`
-/// to reserve headroom, `patch_*` to fill fields whose values are known
-/// only after the body is written (the MAC precedes the body on the wire),
-/// and `span()` for in-place encryption of a just-written region.
-class BufferWriter {
- public:
-  BufferWriter() = default;
-  explicit BufferWriter(std::size_t reserve_bytes) { buf_.reserve(reserve_bytes); }
-
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
-  void u16(std::uint16_t v) { put(v, 2); }
-  void u32(std::uint32_t v) { put(v, 4); }
-  void u64(std::uint64_t v) { put(v, 8); }
-  void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v), 8); }
-  void bytes(BytesView v) { append(buf_, v); }
-
-  /// Current write position = offset of the next byte written.
-  std::size_t pos() const { return buf_.size(); }
-
-  /// Reserves `n` zero bytes (headroom gaps, placeholder fields).
-  void skip(std::size_t n) { buf_.resize(buf_.size() + n); }
-
-  void patch_u8(std::size_t at, std::uint8_t v) {
-    buf_[at] = static_cast<std::byte>(v);
-  }
-  void patch_u64(std::size_t at, std::uint64_t v) { patch(at, v, 8); }
-
-  /// Mutable view of an already-written region; invalidated by the next
-  /// write (growth may reallocate).
-  std::span<std::byte> span(std::size_t at, std::size_t n) {
-    return {buf_.data() + at, n};
-  }
-
-  /// Moves the accumulated bytes into a Buffer; the writer is empty after.
-  Buffer finish() { return Buffer(std::move(buf_)); }
-
- private:
-  void put(std::uint64_t v, int width) {
-    for (int i = 0; i < width; ++i) {
-      buf_.push_back(static_cast<std::byte>(v >> (8 * i)));
-    }
-  }
-  void patch(std::size_t at, std::uint64_t v, int width) {
-    for (int i = 0; i < width; ++i) {
-      buf_[at + static_cast<std::size_t>(i)] =
-          static_cast<std::byte>(v >> (8 * i));
-    }
-  }
-
-  Bytes buf_;
-};
-
 }  // namespace dash

@@ -17,7 +17,8 @@ namespace dash {
 /// Appends fixed-width little-endian fields to a byte buffer.
 class Writer {
  public:
-  explicit Writer(Bytes& out) : out_(out) {}
+  /// Appends to `out`, reserving capacity for `reserve` bytes first.
+  explicit Writer(Bytes& out, std::size_t reserve = 0) : out_(out) { out_.reserve(reserve); }
 
   void u8(std::uint8_t v) { out_.push_back(static_cast<std::byte>(v)); }
   void u16(std::uint16_t v) { put(v, 2); }
@@ -33,7 +34,20 @@ class Writer {
     bytes(v);
   }
 
-  std::size_t written() const { return out_.size(); }
+  std::size_t pos() const { return out_.size(); }
+
+  /// Appends `n` zero bytes (headroom gaps, placeholder fields).
+  void skip(std::size_t n) { out_.resize(out_.size() + n); }
+
+  /// Overwrites a u64 already written, whose value is known only after
+  /// later bytes are (the ST's MAC precedes the body it covers).
+  void patch_u64(std::size_t at, std::uint64_t v) {
+    for (std::size_t i = 0; i < 8; ++i) out_[at + i] = static_cast<std::byte>(v >> (8 * i));
+  }
+
+  /// Mutable view of an already-written region; invalidated by the next
+  /// write (growth may reallocate).
+  std::span<std::byte> span(std::size_t at, std::size_t n) { return {out_.data() + at, n}; }
 
  private:
   void put(std::uint64_t v, int width) {

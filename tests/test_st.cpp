@@ -1274,6 +1274,50 @@ TEST(StRobustness, TruncatedComponentIsDroppedBeforeDemux) {
   EXPECT_EQ(port.delivered(), 2u);
 }
 
+TEST(StRobustness, FragmentWithImpossibleIndexOrCountIsDropped) {
+  // A fragment header must name an index below a nonzero count. A count of
+  // 0 would "reassemble" at once: an empty message delivered in place of
+  // the real one, which then arrives stale and is dropped.
+  auto world = st_world(2);
+  rms::Port port;
+  world.node(2).ports.bind(50, &port);
+  auto stream = world.st(1).create(st_request(), {2, 50});
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE(stream.value()->send(text("before")).ok());
+  world.sim.run();
+  ASSERT_EQ(port.delivered(), 1u);
+
+  auto raw = world.fabric->create(1, dash::testing::loose_request(4096, 256),
+                                  {2, kDataPort});
+  ASSERT_TRUE(raw.ok());
+  const SubtransportLayer::Stats before = world.st(2).stats();
+  const std::vector<std::pair<std::uint16_t, std::uint16_t>> headers = {{0, 0}, {2, 2}, {9, 1}};
+  for (const auto& [index, count] : headers) {
+    Bytes wire;
+    Writer w(wire);
+    w.u8(kStDataTag);
+    w.u8(1);
+    w.u64(dynamic_cast<StRms*>(stream.value().get())->id());
+    w.u64(1);  // the sequence number the next genuine message carries
+    w.i64(world.sim.now());
+    w.u8(kFragment);
+    w.u16(index);
+    w.u16(count);
+    w.sized_bytes(to_bytes("forged"));
+    rms::Message m;
+    m.data = std::move(wire);
+    ASSERT_TRUE(raw.value()->send(std::move(m)).ok());
+    world.sim.run();
+    EXPECT_EQ(world.st(2).stats(), before) << "fragment " << index << " of " << count;
+  }
+
+  ASSERT_TRUE(stream.value()->send(text("after")).ok());
+  world.sim.run();
+  ASSERT_EQ(port.delivered(), 2u);
+  (void)port.poll();
+  EXPECT_EQ(dash::to_string(port.poll()->data), "after");
+}
+
 TEST(StRobustness, ComponentForDeletedStreamCountsUnknown) {
   auto world = st_world(2);
   rms::Port port;
