@@ -12,7 +12,7 @@
 //     to network B, and the ST handoff buffer replays the messages that
 //     were in flight when the path died;
 //   * fast-probe — the path manager with 50 ms probes that condemn the path
-//     on the second miss, so detection takes ~90 ms instead of ~600 ms.
+//     on the second miss, so detection takes 100 ms instead of 600 ms.
 //
 // The score is the fraction of messages delivered within the stream's
 // requested delay bound ("on time"). Numbers go to BENCH_c11_failover.json.

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Prints one "<binary> <sha256 of its stdout>" line for every deterministic
-# binary: the f1-f5, c1-c8, c11 and a1 benches and the eight simulated
-# examples, then one "<binary>/<file> <sha256>" line for each file that
-# binary wrote (its BENCH_*.json; telemetry_report's trace and JSONL
-# export), so trace records that stdout never shows are covered too. A
+# binary (the deterministic benches, then the simulated examples, in the
+# order scripts/benches.sh lists them), each followed by one
+# "<binary>/<file> <sha256>" line for each file that binary wrote (its
+# BENCH_*.json; telemetry_report's trace and JSONL export), so trace
+# records that stdout never shows are covered too. A
 # change that claims to leave every simulated trace bit-identical is checked
 # by diffing this script's output on a Release build of the parent and of
 # the change:
@@ -18,13 +19,7 @@ BUILD=$(cd "${1:-build}" && pwd)
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-BENCHES="bench_f1_layering bench_f2_architecture bench_f3_rms_levels
-bench_f4_multiplexing bench_f5_flow_control bench_c1_bandwidth_bound
-bench_c2_deadline_scheduling bench_c3_security_elision bench_c4_rms_caching
-bench_c5_fragmentation bench_c6_admission bench_c7_rkom bench_c8_congestion
-bench_c11_failover bench_a1_ablations"
-EXAMPLES="quickstart voice_conference bulk_transfer window_system rpc_service
-dashsim video_phone telemetry_report"
+. "$(dirname "$0")/benches.sh"
 
 failed=0
 digest() {  # <binary path> <name>
@@ -42,6 +37,6 @@ digest() {  # <binary path> <name>
   done
 }
 
-for b in $BENCHES; do digest "$BUILD/bench/$b" "$b"; done
-for e in $EXAMPLES; do digest "$BUILD/examples/$e" "$e"; done
+for b in $DETERMINISTIC_BENCHES; do digest "$BUILD/bench/$b" "$b"; done
+for e in $SIM_EXAMPLES; do digest "$BUILD/examples/$e" "$e"; done
 exit "$failed"

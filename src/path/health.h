@@ -27,11 +27,7 @@ struct ProbeHealth {
 
   std::uint64_t probes_sent = 0;
   std::uint64_t pongs_received = 0;
-  Time last_pong = -1;      ///< sender side: last pong from the peer
-  Time last_inbound = -1;   ///< receiver side: last ping seen from the peer
-  Time last_failure = -1;   ///< fabric-level failure notification
-  Time last_data_ack = -1;  ///< ST data-ack RTT sample observed (carried traffic)
-  std::uint64_t data_ack_samples = 0;
+  Time last_failure = -1;  ///< fabric-level failure notification
 };
 
 }  // namespace dash::path

@@ -16,15 +16,6 @@ constexpr Time kFailoverCooldown = msec(500);
 /// Smoothing for the probe RTT estimate.
 constexpr double kRttEwmaAlpha = 0.3;
 
-/// Folds one round-trip sample (a pong or an ST data ack) into `h`'s
-/// estimate. A sample also proves the path alive.
-void observe_rtt(ProbeHealth& h, double rtt_ns) {
-  h.ewma_rtt_ns = h.ewma_rtt_ns < 0
-                      ? rtt_ns
-                      : kRttEwmaAlpha * rtt_ns + (1.0 - kRttEwmaAlpha) * h.ewma_rtt_ns;
-  h.consecutive_timeouts = 0;
-}
-
 /// A ping or a pong (one layout, path/wire.h) from `self` to `peer`,
 /// naming the network it travels on.
 rms::Message probe_message(ProbeType type, std::uint64_t seq, Time t_sent,
@@ -110,11 +101,6 @@ const ProbeHealth* PathManager::probe_health(HostId peer,
   return it == probes_.end() ? nullptr : &it->second;
 }
 
-bool PathManager::recent_failure(const ProbeHealth& h) const {
-  return h.last_failure >= 0 &&
-         sim_.now() - h.last_failure <= 4 * config_.probe_interval;
-}
-
 // ----------------------------------------------------------------- scoring
 
 double PathManager::score(HostId peer, const netrms::NetRmsFabric& fabric) const {
@@ -126,10 +112,13 @@ double PathManager::score(HostId peer, const netrms::NetRmsFabric& fabric) const
   if (it != probes_.end()) {
     const ProbeHealth& h = it->second;
     // Each outstanding timeout is worth more than any RTT difference; a
-    // fabric-level failure inside the lookback window weighs the same as
-    // one timeout. Within a health class, lower smoothed RTT wins.
+    // fabric-level failure inside the lookback window (four probe
+    // intervals) weighs the same as one timeout. Within a health class,
+    // lower smoothed RTT wins.
     s -= 1e9 * h.consecutive_timeouts;
-    if (recent_failure(h)) s -= 1e9;
+    if (h.last_failure >= 0 && sim_.now() - h.last_failure <= 4 * config_.probe_interval) {
+      s -= 1e9;
+    }
     s -= h.ewma_rtt_ns >= 0 ? h.ewma_rtt_ns / 1e3 : 1e3;
   } else {
     // Never probed: below any probed-and-healthy path, above anything
@@ -140,11 +129,6 @@ double PathManager::score(HostId peer, const netrms::NetRmsFabric& fabric) const
   // better home for one more stream).
   s += fabric.admission().bps_headroom() / 1e9;
   return s;
-}
-
-double PathManager::fabric_penalty(HostId peer, netrms::NetRmsFabric& fabric) {
-  // The ST ranks creation candidates by ascending penalty.
-  return -score(peer, fabric);
 }
 
 // ------------------------------------------------------------------ probes
@@ -190,7 +174,6 @@ void PathManager::on_probe_message(rms::Message msg) {
 
   switch (static_cast<ProbeType>(*type)) {
     case ProbeType::kPing: {
-      h.last_inbound = sim_.now();
       rms::Rms* ch = ensure_probe_channel(h, src, idx);
       if (ch == nullptr) return;
       ++stats_.pongs_sent;
@@ -200,11 +183,15 @@ void PathManager::on_probe_message(rms::Message msg) {
       break;
     }
     case ProbeType::kPong: {
-      h.last_pong = sim_.now();
       if (h.outstanding_seq == 0 || *seq != h.outstanding_seq) return;  // stale
       h.outstanding_seq = 0;
+      // The answer proves the path alive and folds one RTT sample in.
       const auto rtt = static_cast<std::uint64_t>(sim_.now() - *t_sent);
-      observe_rtt(h, static_cast<double>(rtt));
+      const auto sample = static_cast<double>(rtt);
+      h.ewma_rtt_ns = h.ewma_rtt_ns < 0 ? sample
+                                        : kRttEwmaAlpha * sample +
+                                              (1.0 - kRttEwmaAlpha) * h.ewma_rtt_ns;
+      h.consecutive_timeouts = 0;
       ++h.pongs_received;
       ++stats_.pongs_received;
       if (probe_rtt_hist_ != nullptr) probe_rtt_hist_->observe(rtt);
@@ -253,11 +240,7 @@ void PathManager::tick() {
     }
   }
 
-  // 2. Probe idle (managed peer, attached network) pairs. A pair that
-  // produced an ST data-ack RTT sample within the last probe interval is
-  // carrying traffic — it already reports fresher health than a ping
-  // could, so active probing is suppressed there (the carried-item rule:
-  // probe only idle paths).
+  // 2. Probe every (managed peer, attached network) pair.
   std::set<HostId> peers;
   for (const auto& [id, ms] : streams_) {
     (void)id;
@@ -265,14 +248,7 @@ void PathManager::tick() {
   }
   for (HostId peer : peers) {
     for (std::size_t i = 0; i < fabrics_.size(); ++i) {
-      if (!fabrics_[i]->network().attached(peer)) continue;
-      auto pit = probes_.find({peer, i});
-      if (pit != probes_.end() && pit->second.last_data_ack >= 0 &&
-          now - pit->second.last_data_ack <= config_.probe_interval) {
-        ++stats_.probes_suppressed;
-        continue;
-      }
-      send_probe(peer, i);
+      if (fabrics_[i]->network().attached(peer)) send_probe(peer, i);
     }
   }
 
@@ -359,7 +335,7 @@ bool PathManager::on_channel_failed(st::StRms& rms, const Error& e) {
   return moved;
 }
 
-void PathManager::on_stream_rebound(st::StRms& rms, bool downgraded) {
+void PathManager::on_stream_rebound(st::StRms& rms) {
   auto it = streams_.find(rms.id());
   if (it == streams_.end()) return;
   ManagedStream& ms = it->second;
@@ -369,92 +345,8 @@ void PathManager::on_stream_rebound(st::StRms& rms, bool downgraded) {
     if (failover_latency_hist_ != nullptr) failover_latency_hist_->observe(latency);
     ms.failover_started = -1;
   }
-  if (downgraded) ++stats_.downgrades;
-  trace("path.rebound", [&] {
-    return "stream " + std::to_string(rms.id()) +
-           (downgraded ? " re-established (downgraded)" : " re-established");
-  });
-}
-
-void PathManager::on_data_ack(HostId peer, netrms::NetRmsFabric* fabric,
-                              Time rtt) {
-  // Carried traffic is better health evidence than a probe: it measures
-  // the path the stream actually uses, for free. Feed the same per-path
-  // EWMA the pong handler maintains and clear the timeout strike count —
-  // a path delivering data acks is alive whatever the probes say.
-  const std::size_t idx = fabric_index(fabric);
-  if (idx == kNoFabric || rtt < 0) return;
-  ProbeHealth& h = probes_[{peer, idx}];
-  observe_rtt(h, static_cast<double>(rtt));
-  h.last_data_ack = sim_.now();
-  ++h.data_ack_samples;
-  ++stats_.data_ack_samples;
-}
-
-netrms::NetRmsFabric* PathManager::preferred_control_fabric(
-    HostId peer, netrms::NetRmsFabric* current) {
-  // Prefer the network we most recently heard the peer on (pong to our
-  // probe, or inbound ping), skipping anything marked unhealthy.
-  std::size_t best = kNoFabric;
-  Time best_heard = -1;
-  for (std::size_t i = 0; i < fabrics_.size(); ++i) {
-    if (!fabrics_[i]->network().attached(peer)) continue;
-    if (fabrics_[i]->network().down()) continue;
-    auto it = probes_.find({peer, i});
-    if (it == probes_.end()) continue;
-    const ProbeHealth& h = it->second;
-    if (h.consecutive_timeouts >= config_.unhealthy_after) continue;
-    const Time heard =
-        std::max({h.last_inbound, h.last_pong, h.last_data_ack});
-    if (heard > best_heard) {
-      best_heard = heard;
-      best = i;
-    }
-  }
-
-  const std::size_t cur = fabric_index(current);
-  if (best == kNoFabric) {
-    // No live signal anywhere. Keep the current fabric unless it is
-    // known-bad; then fall back to the best-scored attached one.
-    bool current_bad = current == nullptr || current->network().down();
-    if (!current_bad && cur != kNoFabric) {
-      auto it = probes_.find({peer, cur});
-      current_bad = it != probes_.end() &&
-                    (it->second.consecutive_timeouts >= config_.unhealthy_after ||
-                     recent_failure(it->second));
-    }
-    if (!current_bad) return current;
-    netrms::NetRmsFabric* pick = current;
-    double best_score = -1e30;
-    for (std::size_t i = 0; i < fabrics_.size(); ++i) {
-      if (!fabrics_[i]->network().attached(peer)) continue;
-      const double s = score(peer, *fabrics_[i]);
-      if (s > best_score) {
-        best_score = s;
-        pick = fabrics_[i];
-      }
-    }
-    return pick;
-  }
-
-  // Keep the current fabric when it is healthy and about as fresh as the
-  // winner: control channels should not flap between equivalent networks.
-  // Any outstanding probe timeout disqualifies it from the stickiness —
-  // during a silent outage the control channel must move with the first
-  // missed pong, or re-establishment replies die on the old path.
-  if (cur != kNoFabric && cur != best) {
-    auto it = probes_.find({peer, cur});
-    if (it != probes_.end() && !current->network().down()) {
-      const ProbeHealth& h = it->second;
-      const Time heard =
-          std::max({h.last_inbound, h.last_pong, h.last_data_ack});
-      if (h.consecutive_timeouts == 0 && !recent_failure(h) &&
-          heard >= 0 && best_heard - heard <= 2 * config_.probe_interval) {
-        return current;
-      }
-    }
-  }
-  return fabrics_[best];
+  trace("path.rebound",
+        [&] { return "stream " + std::to_string(rms.id()) + " re-established"; });
 }
 
 }  // namespace dash::path

@@ -5,9 +5,10 @@
 // one at creation time, but nothing in the seed stack reacted when the
 // chosen network later died. The path manager closes that gap:
 //
-//   * it enumerates and scores the candidate networks per peer — a static
-//     admission/cost component (headroom) plus live health from probe
-//     RTTs, data-ack RTTs, and fabric failure notifications;
+//   * it probes every (managed peer, network) pair and scores the
+//     candidate networks per peer — a static admission/cost component
+//     (headroom) plus live health from probe RTTs and timeouts and fabric
+//     failure notifications;
 //   * when a stream's path dies (its network RMS fails, or unhealthy_after
 //     consecutive probes go unanswered on its network) it transparently
 //     fails the stream over to the best alternate network with
@@ -66,9 +67,6 @@ class PathManager final : public st::StreamObserver {
     std::uint64_t failovers = 0;           ///< successful stream rebinds
     std::uint64_t failover_failures = 0;   ///< no alternate network would take it
     std::uint64_t death_failovers = 0;     ///< triggered by channel failure
-    std::uint64_t downgrades = 0;          ///< rebinds with weaker actual params
-    std::uint64_t data_ack_samples = 0;    ///< ST data-ack RTTs fed into path health
-    std::uint64_t probes_suppressed = 0;   ///< probes skipped: path carrying traffic
   };
 
   /// Attaches to `st` (as its stream observer, when enabled) and binds the
@@ -84,8 +82,8 @@ class PathManager final : public st::StreamObserver {
   /// host joined, in the same order as SubtransportLayer::add_network.
   void add_network(netrms::NetRmsFabric& fabric);
 
-  /// Composite path score for creating/moving a stream to `peer` over
-  /// `fabric`: higher is better. Unknown health scores mildly negative;
+  /// Composite path score for moving a stream to `peer` over `fabric`:
+  /// higher is better. Unknown health scores mildly negative;
   /// a down network scores -inf for practical purposes.
   double score(HostId peer, const netrms::NetRmsFabric& fabric) const;
 
@@ -111,11 +109,7 @@ class PathManager final : public st::StreamObserver {
   void on_stream_created(st::StRms& rms) override;
   void on_stream_released(st::StRms& rms) override;
   bool on_channel_failed(st::StRms& rms, const Error& e) override;
-  void on_stream_rebound(st::StRms& rms, bool downgraded) override;
-  void on_data_ack(HostId peer, netrms::NetRmsFabric* fabric, Time rtt) override;
-  netrms::NetRmsFabric* preferred_control_fabric(
-      HostId peer, netrms::NetRmsFabric* current) override;
-  double fabric_penalty(HostId peer, netrms::NetRmsFabric& fabric) override;
+  void on_stream_rebound(st::StRms& rms) override;
 
  private:
   struct ManagedStream {
@@ -131,7 +125,6 @@ class PathManager final : public st::StreamObserver {
   void on_probe_message(rms::Message msg);
   void on_fabric_failure(std::size_t fabric_idx);
   bool try_failover(ManagedStream& ms, const char* reason);
-  bool recent_failure(const ProbeHealth& h) const;
   rms::Rms* ensure_probe_channel(ProbeHealth& h, HostId peer, std::size_t fabric_idx);
   std::size_t fabric_index(const netrms::NetRmsFabric* f) const;  ///< npos if unknown
   std::size_t fabric_index_by_name(const std::string& name) const;

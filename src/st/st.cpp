@@ -139,13 +139,10 @@ void SubtransportLayer::set_metrics(telemetry::MetricsRegistry* m) {
   fast_ack_rtt_hist_ = &m->histogram(prefix + "fast_ack_rtt_ns");
 }
 
-netrms::NetRmsFabric* SubtransportLayer::fabric_for(HostId peer) const {
-  // Used for the control channel: prefer a trusted network where the
-  // authentication handshake is elided (§2.5 case 3); otherwise the first
-  // network that reaches the peer.
+netrms::NetRmsFabric* SubtransportLayer::home_fabric(HostId peer) const {
   netrms::NetRmsFabric* first = nullptr;
   for (netrms::NetRmsFabric* f : fabrics_) {
-    if (!f->network().attached(peer)) continue;
+    if (!f->network().attached(peer) || f->network().down()) continue;
     if (f->traits().trusted) return f;
     if (first == nullptr) first = f;
   }
@@ -331,15 +328,14 @@ Result<std::unique_ptr<rms::Rms>> SubtransportLayer::create(const rms::Request& 
   // §3.1 allows multiple network types; rank the viable ones by how much
   // software machinery each needs (§2.5: "the optimal mechanism is used" —
   // a network providing privacy/authentication natively beats one where
-  // the ST must encrypt and MAC), breaking ties with the observer's live
-  // health penalty, then registration order. Candidates are then tried in
-  // rank order: a network whose admission control rejects the stream falls
-  // through to the next one instead of failing the creation.
+  // the ST must encrypt and MAC), breaking ties by registration order.
+  // Candidates are then tried in rank order: a network whose admission
+  // control rejects the stream falls through to the next one instead of
+  // failing the creation.
   struct Candidate {
     netrms::NetRmsFabric* fabric;
     StParamsPlan plan;
     int mechanisms;
-    double penalty;
   };
   std::vector<Candidate> candidates;
   Error last_error = make_error(
@@ -355,14 +351,11 @@ Result<std::unique_ptr<rms::Rms>> SubtransportLayer::create(const rms::Request& 
     StParamsPlan plan = std::move(attempt).value();
     const int mechanisms = static_cast<int>((plan.security & kEncrypted) != 0) +
                            static_cast<int>((plan.security & kMac) != 0);
-    const double penalty =
-        observer_ != nullptr ? observer_->fabric_penalty(target.host, *candidate) : 0.0;
-    candidates.push_back(Candidate{candidate, std::move(plan), mechanisms, penalty});
+    candidates.push_back(Candidate{candidate, std::move(plan), mechanisms});
   }
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const Candidate& a, const Candidate& b) {
-                     if (a.mechanisms != b.mechanisms) return a.mechanisms < b.mechanisms;
-                     return a.penalty < b.penalty;
+                     return a.mechanisms < b.mechanisms;
                    });
 
   for (Candidate& c : candidates) {
@@ -460,63 +453,14 @@ SubtransportLayer::PeerState& SubtransportLayer::peer_state(HostId peer) {
   if (it != peers_.end()) return it->second;
   PeerState ps;
   ps.peer = peer;
-  ps.fabric = fabric_for(peer);
   return peers_.emplace(peer, std::move(ps)).first->second;
-}
-
-void SubtransportLayer::ensure_control_out(PeerState& ps) {
-  if (observer_ != nullptr) {
-    // Path manager steering: control traffic migrates off a network whose
-    // probes stopped answering, so replies/acks keep flowing during and
-    // after a failover even when the original network is silently dead.
-    netrms::NetRmsFabric* preferred =
-        observer_->preferred_control_fabric(ps.peer, ps.fabric);
-    if (preferred != nullptr) move_control(ps, *preferred);
-  }
-  if (ps.control_out == nullptr &&
-      (ps.fabric == nullptr || ps.fabric->network().down())) {
-    // The control channel's network died and no path manager is steering:
-    // fall back to any attached network that is still up, or control
-    // traffic (including the create handshake for replacement streams)
-    // would be dropped forever.
-    for (netrms::NetRmsFabric* candidate : fabrics_) {
-      if (candidate == ps.fabric || candidate->network().down()) continue;
-      if (!candidate->network().attached(ps.peer)) continue;
-      ps.fabric = candidate;
-      trace("st.control", [&] {
-        return "control channel to host " + std::to_string(ps.peer) + " re-homed to " +
-               candidate->traits().name;
-      });
-      break;
-    }
-  }
-  if (ps.control_out != nullptr || ps.fabric == nullptr) return;
-  auto created =
-      ps.fabric->create(host_, control_channel_request(), Label{ps.peer, kControlPort});
-  if (!created) return;  // peer unreachable; requests will retry and give up
-  ps.control_out = std::move(created).value();
-}
-
-void SubtransportLayer::move_control(PeerState& ps, netrms::NetRmsFabric& fabric) {
-  if (ps.fabric == &fabric) return;
-  ps.fabric = &fabric;
-  if (ps.control_out == nullptr) return;
-  ps.control_out.reset();
-  ++stats_.control_channels_reset;
-  trace("st.control", [&] {
-    return "control channel to host " + std::to_string(ps.peer) + " migrated to " +
-           fabric.traits().name;
-  });
 }
 
 void SubtransportLayer::send_on(PeerState& ps, netrms::NetRmsFabric* fabric,
                                 Bytes payload) {
-  // A pinned message uses the main control channel when that already
-  // lives, working, on the wanted fabric.
-  const bool main = fabric == nullptr ||
-                    (fabric == ps.fabric && ps.control_out != nullptr &&
-                     !ps.control_out->failed());
-  std::unique_ptr<rms::Rms>& out = main ? ps.control_out : ps.ack_out[fabric];
+  if (fabric == nullptr) fabric = home_fabric(ps.peer);
+  if (fabric == nullptr) return;  // no live network reaches the peer
+  std::unique_ptr<rms::Rms>& out = ps.control[fabric];
   if (out != nullptr && out->failed()) {
     // The network RMS under the channel died (network failure or
     // partition). Drop it and re-create below: control traffic must not
@@ -528,17 +472,14 @@ void SubtransportLayer::send_on(PeerState& ps, netrms::NetRmsFabric* fabric,
              " failed; re-establishing";
     });
   }
-  if (main) {
-    ensure_control_out(ps);
-  } else if (out == nullptr) {
-    // Unreachable fabric: the message is dropped. That is the point — a
-    // fast ack shares the data path's fate, so the sender sees this path
-    // as unhealthy rather than blaming a healthy one.
+  if (out == nullptr) {
+    // An unreachable network drops the message; the request's retry, or
+    // the stream's move to another network, recovers.
     auto created =
         fabric->create(host_, control_channel_request(), Label{ps.peer, kControlPort});
-    if (created) out = std::move(created).value();
+    if (!created) return;
+    out = std::move(created).value();
   }
-  if (out == nullptr) return;
   rms::Message m;
   m.data = std::move(payload);
   m.target = Label{ps.peer, kControlPort};
@@ -611,15 +552,9 @@ void SubtransportLayer::handle_fast_ack(HostId src, std::uint64_t st_id,
   // Only the stream's own peer may acknowledge it.
   if (it == streams_.end() || it->second->peer_ != src) return;
   StRms& stream = *it->second;
-  // Any tracked ack — client-requested or internal handoff — measures a
-  // data round trip over the stream's current channel.
   if (auto sent = stream.ack_sent_at_.find(ack_id); sent != stream.ack_sent_at_.end()) {
-    const Time rtt = sim_.now() - sent->second;
-    if (fast_ack_rtt_hist_ != nullptr && (ack_id & kHandoffAckBit) == 0) {
-      fast_ack_rtt_hist_->observe(static_cast<std::uint64_t>(rtt));
-    }
-    if (observer_ != nullptr) {
-      observer_->on_data_ack(stream.peer_, stream_fabric(st_id), rtt);
+    if (fast_ack_rtt_hist_ != nullptr) {
+      fast_ack_rtt_hist_->observe(static_cast<std::uint64_t>(sim_.now() - sent->second));
     }
     stream.ack_sent_at_.erase(sent);
   }
@@ -644,11 +579,12 @@ void SubtransportLayer::establish(StRms& rms) {
   }
   if (ps.waiting.size() > 1) return;  // the first waiting stream started the handshake
 
-  ensure_control_out(ps);
-  if (ps.fabric != nullptr && ps.fabric->traits().trusted) {
-    // Trusted network: the handshake is elided (§2.5 case 3).
-    ps.authenticated = true;
-    ps.peer_verified = true;
+  const netrms::NetRmsFabric* home = home_fabric(ps.peer);
+  if (home != nullptr && home->traits().trusted) {
+    // Trusted home network: the handshake is elided (§2.5 case 3). The
+    // decision holds for these creates only, as the peer judges each
+    // create by its own home network: once no trusted network is up, the
+    // next create runs the handshake.
     ++stats_.auth_elided;
     trace("st.auth", [&] {
       return "elided: network is trusted (peer " + std::to_string(ps.peer) + ")";
@@ -677,8 +613,8 @@ void SubtransportLayer::send_creates(PeerState& ps) {
     auto sit = streams_.find(id);
     if (sit == streams_.end()) continue;
     const std::uint64_t req_id = ps.next_request++;
-    // Name the fabric the data channel lives on, so the receiver returns
-    // fast acks over the same network (shared fate with the data path).
+    // Name the stream's network, so the receiver returns the reply and the
+    // stream's fast acks over it (shared fate with the data path).
     netrms::NetRmsFabric* data_fabric = stream_fabric(id);
     ps.pending[req_id] = PendingRequest{
         id,
@@ -697,7 +633,7 @@ void SubtransportLayer::transmit_request(HostId peer, std::uint64_t req_id) {
   if (it == ps.pending.end()) return;  // already answered
   PendingRequest& pending = it->second;
   if (pending.attempts_left == 0) {
-    complete_request(ps, req_id, false);  // gave up
+    complete_request(ps, req_id, pending.stream_id, false);  // gave up
     return;
   }
   if (pending.attempts_left < kControlRetries) ++stats_.control_retries;
@@ -705,14 +641,15 @@ void SubtransportLayer::transmit_request(HostId peer, std::uint64_t req_id) {
   // Arm before sending, so same-time events keep their order.
   pending.retry_timer = sim_.timer_after(
       kControlRetryTimeout, [this, peer, req_id] { transmit_request(peer, req_id); });
-  send_on(ps, nullptr, pending.request);
+  send_on(ps, pending.stream_id == 0 ? nullptr : stream_fabric(pending.stream_id),
+          pending.request);
 }
 
-void SubtransportLayer::complete_request(PeerState& ps, std::uint64_t req_id, bool ok) {
+void SubtransportLayer::complete_request(PeerState& ps, std::uint64_t req_id,
+                                         std::uint64_t stream_id, bool ok) {
   auto it = ps.pending.find(req_id);
-  if (it == ps.pending.end()) return;
+  if (it == ps.pending.end() || it->second.stream_id != stream_id) return;
   sim_.cancel(it->second.retry_timer);
-  const std::uint64_t stream_id = it->second.stream_id;
   ps.pending.erase(it);
 
   if (stream_id == 0) {
@@ -740,7 +677,7 @@ void SubtransportLayer::complete_request(PeerState& ps, std::uint64_t req_id, bo
     // numbers before anything newer: the receiver's preserved
     // next_expected_seq drops whatever it already delivered.
     replay_handoff(s);
-    if (observer_ != nullptr) observer_->on_stream_rebound(s, s.rebind_downgraded_);
+    if (observer_ != nullptr) observer_->on_stream_rebound(s);
   }
   auto pending = std::move(s.pending_);
   s.pending_.clear();
@@ -793,7 +730,6 @@ Status SubtransportLayer::rebind_stream(std::uint64_t stream_id,
   rms.security_ = plan.value().security;
   rms.reset_params(plan.value().actual);
   const bool downgraded = !rms::compatible(rms.params(), old_params);
-  rms.rebind_downgraded_ = downgraded;
   if (downgraded) {
     ++stats_.rebind_downgrades;
     if (rms.downgrade_cb_) rms.downgrade_cb_(old_params, rms.params());
@@ -801,17 +737,27 @@ Status SubtransportLayer::rebind_stream(std::uint64_t stream_id,
   rms.established_ = false;
   rms.rebinding_ = true;
 
-  // Move the peer's control channel onto the new network too: the old one
-  // may be silently dead, and re-establishment needs a working
-  // request/reply path.
-  move_control(peer_state(rms.peer_), fabric);
-
   ++stats_.streams_rebound;
   trace("st.rebind", [&] {
     return "stream " + std::to_string(stream_id) + " -> " + fabric.traits().name +
            (downgraded ? " (downgraded)" : "");
   });
-  establish(rms);
+  // A create still in flight names the network the stream left, where the
+  // peer would return its reply: drop it, so only a create naming `fabric`
+  // settles the stream. A stream parked behind the handshake keeps its
+  // place: its create, sent when the handshake ends, names `fabric`.
+  PeerState& ps = peer_state(rms.peer_);
+  for (auto it = ps.pending.begin(); it != ps.pending.end();) {
+    if (it->second.stream_id != stream_id) {
+      ++it;
+      continue;
+    }
+    sim_.cancel(it->second.retry_timer);
+    it = ps.pending.erase(it);
+  }
+  if (std::find(ps.waiting.begin(), ps.waiting.end(), stream_id) == ps.waiting.end()) {
+    establish(rms);
+  }
   return Status::ok_status();
 }
 
@@ -823,9 +769,7 @@ Status SubtransportLayer::submit(StRms& rms, rms::Message msg, std::uint64_t ack
   if (msg.sent_at < 0) msg.sent_at = sim_.now();
   msg.source = Label{host_, rms.id_};
   msg.target = rms.target_;
-  if (acked && (fast_ack_rtt_hist_ != nullptr || observer_ != nullptr)) {
-    track_ack(rms, ack_id);
-  }
+  if (acked && fast_ack_rtt_hist_ != nullptr) track_ack(rms, ack_id);
   if (!rms.established_) {
     rms.pending_.push_back(StRms::PendingSend{std::move(msg), ack_id, acked});
     return Status::ok_status();
@@ -855,9 +799,6 @@ void SubtransportLayer::emit(StRms& rms, rms::Message msg, std::uint64_t ack_id,
     if (!acked) {
       ack_id = kHandoffAckBit | seq;
       acked = true;
-      // Internal handoff acks double as data-RTT probes for the path
-      // manager; client-requested acks were already tracked in submit.
-      track_ack(rms, ack_id);
     }
     StRms::HandoffEntry entry{seq, ack_id, msg};  // copy shares the refcounted buffer
     rms.handoff_bytes_ += entry.msg.size();
@@ -1205,10 +1146,11 @@ void SubtransportLayer::handle_control(rms::Message msg) {
       return;
     }
     ps.peer_verified = true;
-    complete_request(ps, m->request_id, true);
+    complete_request(ps, m->request_id, 0, true);
   } else if (const auto* m = std::get_if<CreateRequest>(&*decoded)) {
-    const bool trusted = ps.fabric != nullptr && ps.fabric->traits().trusted;
-    const bool ok = ps.peer_verified || trusted;
+    const netrms::NetRmsFabric* home = home_fabric(src);
+    const bool ok = ps.peer_verified || (home != nullptr && home->traits().trusted);
+    netrms::NetRmsFabric* stream_net = fabric_named(m->fabric);
     if (ok) {
       // Re-establishment after a path failover arrives as a second
       // kCreateRequest for the same (src, st_id). Preserve the entry's
@@ -1223,11 +1165,12 @@ void SubtransportLayer::handle_control(rms::Message msg) {
       entry.st_id = m->st_id;
       entry.target = Label{host_, m->port};
       entry.security = m->security;
-      entry.ack_fabric = fabric_named(m->fabric);
+      entry.ack_fabric = stream_net;
     }
-    send_on(ps, nullptr, encode(CreateReply{m->request_id, m->st_id, ok}));
+    send_on(ps, stream_net, encode(CreateReply{m->request_id, m->st_id, ok}));
   } else if (const auto* m = std::get_if<CreateReply>(&*decoded)) {
-    complete_request(ps, m->request_id, m->ok);
+    // Stream id 0 names no stream: it must not settle the handshake.
+    if (m->st_id != 0) complete_request(ps, m->request_id, m->st_id, m->ok);
   } else if (const auto* m = std::get_if<Delete>(&*decoded)) {
     auto it = demux_.find({src, m->st_id});
     if (it != demux_.end()) {
@@ -1305,8 +1248,7 @@ void SubtransportLayer::handle_data(rms::Message msg) {
     // delivered that never reached the client. Fragmented components ack
     // only at reassembly completion (fragments are never retransmitted, so
     // until the last one lands the message can still be lost). The ack
-    // returns over the fabric the data arrived on (entry.ack_fabric), so
-    // ack loss implicates the path that actually carries the stream.
+    // returns over the stream's network (entry.ack_fabric).
 
     if ((c->flags & kFragment) == 0) {
       // §4.3: a newer message obsoletes the incomplete one.
@@ -1410,6 +1352,7 @@ void SubtransportLayer::deliver_component(DemuxEntry& entry, Buffer data, Time s
 // ---------------------------------------------------------------- teardown
 
 void SubtransportLayer::release_stream(StRms& rms) {
+  netrms::NetRmsFabric* const fabric = stream_fabric(rms.id_);  // the kDelete's network
   if (streams_.erase(rms.id_) == 0) return;  // already released
   if (observer_ != nullptr) observer_->on_stream_released(rms);
   // In-flight ack timestamps and handoff entries die with the stream (they
@@ -1422,9 +1365,7 @@ void SubtransportLayer::release_stream(StRms& rms) {
 
   trace("st.close", [&] { return "stream " + std::to_string(rms.id_); });
   auto pit = peers_.find(rms.peer_);
-  if (pit != peers_.end() && pit->second.control_out != nullptr) {
-    send_on(pit->second, nullptr, encode(Delete{rms.id_}));
-  }
+  if (pit != peers_.end()) send_on(pit->second, fabric, encode(Delete{rms.id_}));
 
   detach_channel(rms);
 }

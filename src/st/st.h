@@ -4,9 +4,10 @@
 // DASH passes through the ST." It provides ST RMS to its clients,
 // multiplexed onto network RMS, with:
 //
-//   * a per-peer control channel (two low-delay network RMS, one per
-//     direction) running a request/reply protocol for authentication and
-//     ST RMS establishment — created on the first ST RMS request to a peer;
+//   * per-peer control channels (low-delay network RMS, one per direction
+//     and network) running a request/reply protocol for authentication and
+//     ST RMS establishment. A message about a stream rides that stream's
+//     network; the handshake rides the peer's home network;
 //   * network RMS caching — an idle network RMS is retained because hosts
 //     communicate repeatedly with a small set of peers and network RMS
 //     creation is slow (§4.2);
@@ -94,31 +95,7 @@ class StreamObserver {
   /// rebound to another network; false lets the stream fail as usual.
   virtual bool on_channel_failed(StRms&, const Error&) { return false; }
   /// Establishment over the new network completed after a rebind.
-  virtual void on_stream_rebound(StRms&, bool downgraded) { (void)downgraded; }
-  /// An ST fast acknowledgement measured a data round trip to `peer` over
-  /// `fabric` (nullptr if the channel is already gone). Lets a path
-  /// manager treat carried traffic as live health evidence instead of
-  /// actively probing a path that is demonstrably working.
-  virtual void on_data_ack(HostId peer, netrms::NetRmsFabric* fabric, Time rtt) {
-    (void)peer;
-    (void)fabric;
-    (void)rtt;
-  }
-  /// Which fabric the per-peer control channel should use. Called before
-  /// (re)creating the control RMS; return `current` to keep it.
-  virtual netrms::NetRmsFabric* preferred_control_fabric(
-      HostId peer, netrms::NetRmsFabric* current) {
-    (void)peer;
-    return current;
-  }
-  /// Additive score penalty for creating a new stream on `fabric` (live
-  /// health: probe timeouts, recent failures). Lower is better; ties keep
-  /// registration order, so the hook never breaks determinism.
-  virtual double fabric_penalty(HostId peer, netrms::NetRmsFabric& fabric) {
-    (void)peer;
-    (void)fabric;
-    return 0.0;
-  }
+  virtual void on_stream_rebound(StRms&) {}
 };
 
 /// The client handle for an ST RMS (sender side).
@@ -180,8 +157,7 @@ class StRms final : public rms::Rms {
   std::uint8_t security_;
   rms::Request request_;  ///< original request, kept for failover renegotiation
   bool established_ = false;
-  bool rebinding_ = false;         ///< failover in progress: re-establishing
-  bool rebind_downgraded_ = false; ///< last rebind weakened the actual params
+  bool rebinding_ = false;  ///< failover in progress: re-establishing
   std::uint64_t next_seq_ = 0;
   Time last_passed_deadline_ = 0;
   std::uint64_t channel_id_ = 0;  ///< which data channel carries this stream
@@ -372,22 +348,18 @@ class SubtransportLayer {
   };
   struct PeerState {
     HostId peer = 0;
-    netrms::NetRmsFabric* fabric = nullptr;
-    std::unique_ptr<rms::Rms> control_out;
-    bool authenticated = false;       ///< we verified the peer
+    bool authenticated = false;       ///< a handshake verified the peer (elision is per create)
     bool peer_verified = false;       ///< receiver side: peer proved itself
     std::uint64_t next_request = 1;
     std::uint64_t auth_nonce = 0;
     std::vector<std::uint64_t> waiting;  ///< streams held for the handshake in flight
     std::unordered_map<std::uint64_t, PendingRequest> pending;  ///< by request id
-    // Fast acks ride a control channel on the fabric the data arrived on
-    // (shared fate with the data path: an ack must not be lost to a fault
-    // on some *other* network, or the sender misjudges this path's health).
-    // One lazily-created channel per data fabric, beyond the main one.
-    std::map<netrms::NetRmsFabric*, std::unique_ptr<rms::Rms>> ack_out;
-    // Fast acks held for one ack fabric (nullptr: the main control
-    // channel), leaving together as one kFastAck. A batch never mixes
-    // fabrics, so batching keeps the shared-fate rule above.
+    /// One outgoing control channel per network, created when a message
+    /// first needs it (see send_on for which network a message takes).
+    std::map<netrms::NetRmsFabric*, std::unique_ptr<rms::Rms>> control;
+    // Fast acks held for one network (nullptr: the home network), leaving
+    // together as one kFastAck. A batch never mixes networks, so each ack
+    // shares its stream's fate.
     struct AckBatch {
       FastAck held;
       sim::TimerHandle hold_timer;
@@ -402,9 +374,8 @@ class SubtransportLayer {
     Label target;
     std::uint8_t security = 0;
     std::uint64_t next_expected_seq = 0;
-    /// The fabric the sender's channel lives on (named in the create
-    /// request); fast acks are returned over this fabric so the
-    /// ack path shares fate with the data path.
+    /// The stream's network, named in its create request: the create reply
+    /// and the stream's fast acks return over it.
     netrms::NetRmsFabric* ack_fabric = nullptr;
     // Reassembly (§4.3). Each fragment is a slice of the network packet it
     // arrived in (the packet storage stays alive as long as the slice
@@ -432,20 +403,22 @@ class SubtransportLayer {
   };
   Result<StParamsPlan> plan_params(netrms::NetRmsFabric& fabric,
                                    const rms::Request& request) const;
-  netrms::NetRmsFabric* fabric_for(HostId peer) const;
+  /// The peer's home network: the first attached network that is up,
+  /// trusted first (§2.5 case 3 elides the handshake there). The handshake
+  /// rides it, and the peer's trust is judged by it. nullptr if none.
+  netrms::NetRmsFabric* home_fabric(HostId peer) const;
   PeerState& peer_state(HostId peer);
-  void ensure_control_out(PeerState& ps);
-  /// Points `ps`'s control channel at `fabric`, dropping (and tracing) a
-  /// channel that lives on another network.
-  void move_control(PeerState& ps, netrms::NetRmsFabric& fabric);
   /// Sends the create requests of the streams in `ps.waiting` that still exist.
   void send_creates(PeerState& ps);
   /// One attempt of a pending request: (re)sends it and arms its retry, or
   /// settles it as failed when no attempt is left.
   void transmit_request(HostId peer, std::uint64_t req_id);
-  /// Settles a pending request: stops its retries, then by its kind ends
-  /// the handshake or the stream's establishment. No-op if already settled.
-  void complete_request(PeerState& ps, std::uint64_t req_id, bool ok);
+  /// Settles a pending request with the reply to it: stops its retries,
+  /// then ends the handshake (`stream_id` 0) or the stream's establishment.
+  /// A no-op unless `req_id` is pending for exactly `stream_id`, so a reply
+  /// settles only its own kind of request.
+  void complete_request(PeerState& ps, std::uint64_t req_id, std::uint64_t stream_id,
+                        bool ok);
   Result<Channel*> obtain_channel(HostId peer, netrms::NetRmsFabric& fabric,
                                   const StParamsPlan& plan);
   void establish(StRms& rms);
@@ -483,10 +456,11 @@ class SubtransportLayer {
   /// records it against those streams.
   Time clamp_packet_deadline(Time candidate,
                              const std::vector<std::uint64_t>& stream_ids);
-  /// Sends a control message to `ps.peer`: over the main control channel
-  /// when `fabric` is nullptr, else over a channel pinned to `fabric` (fast
-  /// acks, which must share fate with the data path they answer). Every
-  /// control message leaves through here.
+  /// Sends a control message to `ps.peer` over its control channel on
+  /// `fabric`. The one routing rule: a message about a stream passes the
+  /// stream's network, so it shares the stream's fate; the handshake passes
+  /// nullptr and rides the home network. Every control message leaves
+  /// through here.
   void send_on(PeerState& ps, netrms::NetRmsFabric* fabric, Bytes payload);
   netrms::NetRmsFabric* fabric_named(const std::string& name) const;
 

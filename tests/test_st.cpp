@@ -903,6 +903,36 @@ TEST(St, PicksNetworkWherePeerIsAttached) {
   EXPECT_EQ(lan_a.stats().delivered, 0u);
 }
 
+TEST(St, RebindCompletesWhenTheHomeNetworkGoesSilent) {
+  // Network A, both hosts' home network, silently stops delivering; a
+  // manual rebind then moves the stream to B. The re-establishment is
+  // about the stream, so its request and its reply both ride B, and the
+  // stream delivers on although A never answers again.
+  auto world = dash::testing::two_net_world(2, net::ethernet_traits("eth-a"),
+                                            net::ethernet_traits("eth-b"),
+                                            kNoPathManager.path);
+  world.with_faults(fault::FaultPlan().outage(msec(100), sec(30)), 7);
+  rms::Port inbox;
+  world.node(2).ports.bind(50, &inbox);
+  auto stream = world.st(1).create(st_request(), {2, 50});
+  ASSERT_TRUE(stream.ok()) << stream.error().message;
+  auto* st_rms = dynamic_cast<StRms*>(stream.value().get());
+  ASSERT_EQ(world.st(1).stream_fabric(st_rms->id()), world.fabric);
+  ASSERT_TRUE(st_rms->send(text("before")).ok());
+  world.sim.run_until(msec(200));
+  ASSERT_EQ(inbox.delivered(), 1u);
+
+  ASSERT_TRUE(world.st(1).rebind_stream(st_rms->id(), *world.media[1].fabric).ok());
+  ASSERT_TRUE(st_rms->send(text("after")).ok());
+  world.sim.run_until(sec(3));
+
+  EXPECT_TRUE(st_rms->established());
+  EXPECT_FALSE(st_rms->failed());
+  ASSERT_EQ(inbox.delivered(), 2u);
+  EXPECT_EQ(dash::to_string(inbox.poll()->data), "before");
+  EXPECT_EQ(dash::to_string(inbox.poll()->data), "after");
+}
+
 }  // namespace
 }  // namespace dash::st
 
@@ -1350,6 +1380,38 @@ TEST(StRobustness, ComponentForDeletedStreamCountsUnknown) {
 
   EXPECT_EQ(port.delivered(), 1u);  // nothing extra delivered
   EXPECT_GE(world.st(2).stats().unknown_dropped, 1u);
+}
+
+TEST(StRobustness, CreateReplyCannotSettleTheHandshake) {
+  // Host 2's genuine auth response is lost. A kCreateReply that names the
+  // handshake's request id (1) must not stand in for it, whether it names
+  // the stream or stream id 0: a reply settles only its own kind of
+  // request, so the stream waits for the challenge's retry and a verified
+  // response.
+  auto world = st_world(2);
+  world.with_faults(fault::FaultPlan().iid_loss(1.0, {.start = 0, .end = msec(50)},
+                                                {.src = 2, .symmetric = false}));
+  rms::Port port;
+  world.node(2).ports.bind(50, &port);
+  auto stream = world.st(1).create(st_request(), {2, 50});
+  ASSERT_TRUE(stream.ok());
+  auto* st_rms = dynamic_cast<StRms*>(stream.value().get());
+  world.sim.run_until(msec(60));
+  ASSERT_FALSE(st_rms->established());
+
+  auto forger = world.fabric->create(2, dash::testing::loose_request(4096, 256),
+                                     {1, kControlPort});
+  ASSERT_TRUE(forger.ok());
+  for (const std::uint64_t st_id : {st_rms->id(), std::uint64_t{0}}) {
+    rms::Message reply;
+    reply.data = encode(CreateReply{1, st_id, true});
+    ASSERT_TRUE(forger.value()->send(std::move(reply)).ok());
+  }
+  world.sim.run_until(msec(200));
+  EXPECT_FALSE(st_rms->established());
+
+  world.sim.run_until(sec(1));
+  EXPECT_TRUE(st_rms->established());
 }
 
 }  // namespace

@@ -491,8 +491,8 @@ TEST(UdpStack, PathManagerProbesOverRealSockets) {
       << path1.stats().pongs_received;
   EXPECT_EQ(f.received, payload);
   EXPECT_GT(path1.stats().probes_sent, 0u);
-  // Probes really crossed the second medium's sockets: with the data
-  // stream carrying one network, the idle one is what gets pinged.
+  // Probes really crossed the second medium's sockets: the data stream
+  // rides the first network, so only pings and pongs use the second.
   EXPECT_GT(f.world.media[1].network->udp_stats().datagrams_received, 0u);
   const auto* health = path1.probe_health(2, *f.world.fabric);
   ASSERT_NE(health, nullptr);
