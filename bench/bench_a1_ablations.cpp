@@ -40,8 +40,7 @@ void window_sweep() {
               "mean delay");
   for (Time window : {msec(0), msec(1), msec(2), msec(5), msec(10)}) {
     st::StConfig config;
-    config.piggyback_window = std::max<Time>(window, msec(1));
-    config.enable_piggybacking = window > 0;
+    config.piggyback_window = window;
     config.mux_provision_factor = 8;
     auto lan = node::ethernet_world(2, net::ethernet_traits(), 7,
                                     net::Discipline::kDeadline, {.st = config});

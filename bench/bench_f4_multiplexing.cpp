@@ -24,8 +24,7 @@ struct MuxResult {
 
 MuxResult run(int streams, bool piggyback) {
   st::StConfig config;
-  config.enable_piggybacking = piggyback;
-  config.piggyback_window = msec(4);
+  config.piggyback_window = piggyback ? msec(4) : 0;
   config.mux_provision_factor = 16;  // allow all streams on one network RMS
   auto lan = node::ethernet_world(2, net::ethernet_traits(), 7,
                                   net::Discipline::kDeadline, {.st = config});

@@ -34,9 +34,10 @@
 #include "net/token_ring.h"
 #include "netrms/accounting.h"
 #include "rkom/rkom.h"
-#include "rms/monitor.h"
 #include "sim/trace.h"
+#include "telemetry/ledger.h"
 #include "transport/stream.h"
+#include "util/stats.h"
 #include "workload/workload.h"
 
 using namespace dash;
@@ -159,11 +160,13 @@ using World = node::World<>;
 struct VoiceCall {
   std::unique_ptr<rms::Rms> stream;
   std::unique_ptr<rms::Port> port;
-  std::unique_ptr<rms::DelayMonitor> monitor;
+  std::unique_ptr<Samples> delays_ns;  ///< for the mean, p99 and max columns
+  const telemetry::StreamAccount* account = nullptr;  ///< misses and verdict
   std::unique_ptr<workload::PacedSource> source;
 };
 
-std::vector<VoiceCall> start_voice(World& world, int calls) {
+std::vector<VoiceCall> start_voice(World& world, telemetry::GuaranteeLedger& ledger,
+                                   int calls) {
   std::vector<VoiceCall> out;
   rms::PortId port_id = 70;
   for (int i = 0; i < calls; ++i) {
@@ -181,8 +184,15 @@ std::vector<VoiceCall> start_voice(World& world, int calls) {
       continue;
     }
     call.stream = std::move(created).value();
-    call.monitor = std::make_unique<rms::DelayMonitor>(
-        *call.port, call.stream->params(), [&world] { return world.sim.now(); });
+    call.account = &ledger.open(port_id, "voice " + std::to_string(i + 1),
+                                call.stream->params(), from, to);
+    call.delays_ns = std::make_unique<Samples>();
+    call.port->set_handler([&world, &ledger, id = port_id,
+                            delays = call.delays_ns.get()](rms::Message m) {
+      const Time delay = world.sim.now() - m.sent_at;
+      delays->add(static_cast<double>(delay));
+      ledger.on_delivery(id, delay, m.size());
+    });
     auto* stream = call.stream.get();
     call.source = std::make_unique<workload::PacedSource>(
         world.sim, workload::kVoiceFrameInterval, workload::kVoiceFrameBytes,
@@ -207,11 +217,11 @@ void report_voice(std::vector<VoiceCall>& calls) {
   int i = 0;
   for (auto& c : calls) {
     c.source->stop();
-    std::printf("%-6d %8zu %9.2f %9.2f %9.2f %10llu %10s\n", ++i,
-                c.monitor->count(), c.monitor->mean_ms(), c.monitor->p99_ms(),
-                c.monitor->max_ms(),
-                static_cast<unsigned long long>(c.monitor->misses()),
-                c.monitor->guarantee_holds() ? "held" : "VIOLATED");
+    Samples& d = *c.delays_ns;
+    std::printf("%-6d %8zu %9.2f %9.2f %9.2f %10llu %10s\n", ++i, d.count(),
+                d.mean() / 1e6, d.percentile(0.99) / 1e6, d.max() / 1e6,
+                static_cast<unsigned long long>(c.account->misses),
+                c.account->guarantee_holds() ? "held" : "VIOLATED");
   }
 }
 
@@ -238,8 +248,9 @@ int main(int argc, char** argv) {
   netrms::Accounting accounting;
   if (opt.bill) world.fabric->set_accounting(&accounting);
 
+  telemetry::GuaranteeLedger ledger;
   std::vector<VoiceCall> voice;
-  if (voice_on) voice = start_voice(world, opt.calls);
+  if (voice_on) voice = start_voice(world, ledger, opt.calls);
 
   // Bulk 1 -> 4 (same side pairing avoided on WAN by 1/4 split).
   std::unique_ptr<transport::StreamReceiver> bulk_rx;

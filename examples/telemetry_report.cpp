@@ -6,10 +6,9 @@
 // statistical, best-effort) run from host 1 to host 2 while a FaultPlan
 // impairs the segment (i.i.d. loss, reordering, corruption, and a link-down
 // window on host 3). An RKOM client on host 1 calls a server on host 3
-// through the outage, exercising retries. Each receiving port is watched by
-// both an rms::DelayMonitor and the telemetry::GuaranteeLedger — the
-// example checks that their verdicts agree — and every layer's stats are
-// collected into one MetricsRegistry. Output:
+// through the outage, exercising retries. The telemetry::GuaranteeLedger
+// watches each receiving port, and every layer's stats are collected into
+// one MetricsRegistry. Output:
 //   * the per-stream guarantee ledger and the full metric table on stdout;
 //   * telemetry_report.jsonl — one JSON object per metric / stream;
 //   * telemetry_trace.json — load in chrome://tracing or ui.perfetto.dev.
@@ -19,7 +18,6 @@
 #include "example_util.h"
 #include "fault/fault.h"
 #include "rkom/rkom.h"
-#include "rms/monitor.h"
 #include "telemetry/collect.h"
 #include "telemetry/export.h"
 #include "telemetry/ledger.h"
@@ -30,14 +28,12 @@ using namespace dash::examples;
 
 namespace {
 
-/// One monitored stream: the client handle plus both watchers on the
-/// receiving port.
+/// One watched stream: the client handle, its receiving port, and its
+/// ledger account id.
 struct Watched {
-  const char* name = "";
   std::uint64_t id = 0;
   std::unique_ptr<rms::Port> port;
   std::unique_ptr<rms::Rms> stream;
-  std::unique_ptr<rms::DelayMonitor> monitor;
   std::unique_ptr<workload::PacedSource> source;
 };
 
@@ -111,7 +107,6 @@ int main() {
   std::uint64_t next_id = 1;
   for (const Spec& spec : specs) {
     Watched w;
-    w.name = spec.name;
     w.id = next_id++;
     w.port = std::make_unique<rms::Port>();
     lan.node(2).ports.bind(spec.port, w.port.get());
@@ -125,16 +120,9 @@ int main() {
     }
     w.stream = std::move(created).value();
 
-    // Both watchers see the same deliveries: the monitor wraps the port
-    // handler and forwards each message to the ledger.
     ledger.open(w.id, spec.name, w.stream->params(), 1, 2);
+    ledger.watch(*w.port, w.id, now);
     const std::uint64_t id = w.id;
-    w.monitor = std::make_unique<rms::DelayMonitor>(
-        *w.port, w.stream->params(), now, [&ledger, &lan, id](rms::Message m) {
-          if (m.sent_at >= 0) {
-            ledger.on_delivery(id, lan.sim.now() - m.sent_at, m.size());
-          }
-        });
 
     // The statistical stream requests fast acknowledgements (§3.2) so the
     // "st.1.fast_ack_rtt_ns" histogram fills too.
@@ -174,20 +162,8 @@ int main() {
   for (auto& w : streams) w.source->stop();
   lan.sim.run_for(sec(1));
 
-  // ---- the ledger and the verdict cross-check --------------------------
+  // ---- the ledger -------------------------------------------------------
   std::printf("%s", ledger.report().c_str());
-
-  bool verdicts_match = true;
-  for (auto& w : streams) {
-    const telemetry::StreamAccount* acct = ledger.find(w.id);
-    const bool monitor_ok = w.monitor->guarantee_holds();
-    const bool ledger_ok = acct != nullptr && acct->guarantee_holds();
-    if (monitor_ok != ledger_ok) verdicts_match = false;
-    std::printf("%-10s DelayMonitor: %-8s ledger: %-8s %s\n", w.name,
-                monitor_ok ? "holds" : "VIOLATED", ledger_ok ? "holds" : "VIOLATED",
-                monitor_ok == ledger_ok ? "(agree)" : "(MISMATCH)");
-  }
-  std::printf("verdict cross-check: %s\n", verdicts_match ? "ok" : "FAILED");
 
   // ---- internet gateway section ----------------------------------------
   // A congested dumbbell with a mid-run trunk flap, so the per-cause drop
@@ -259,6 +235,5 @@ int main() {
   lan.fabric->set_metrics(nullptr);
   rk_client.set_metrics(nullptr);
   injector.set_trace(nullptr);
-
-  return verdicts_match ? 0 : 1;
+  return 0;
 }

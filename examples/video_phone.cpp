@@ -4,15 +4,16 @@
 // Two stations on a deterministic token ring run a duplex call: voice and
 // video each direction, established as §3.3 sessions, with user-level RMS
 // semantics (§3.4) — the measured delay includes the codec's CPU time at
-// both ends, scheduled by deadline. A file transfer shares the ring to
-// prove the isolation.
+// both ends, scheduled by deadline, and a guarantee ledger counts the
+// frames that missed their bound. A file transfer shares the ring to prove
+// the isolation.
 #include <cstdio>
 
 #include "example_util.h"
 #include "net/token_ring.h"
 #include "rkom/rkom.h"
-#include "rms/monitor.h"
 #include "session/session.h"
+#include "telemetry/ledger.h"
 #include "transport/stream.h"
 #include "userrms/user_rms.h"
 #include "util/stats.h"
@@ -47,8 +48,10 @@ int main() {
     std::unique_ptr<userrms::UserRms> rms;
     std::unique_ptr<userrms::UserEndpoint> endpoint;
     Samples delay_ms;
+    const telemetry::StreamAccount* account = nullptr;
     const char* name;
   };
+  telemetry::GuaranteeLedger ledger;  // one account per stream, keyed by its port
 
   auto open_media = [&](rms::HostId from, rms::HostId to, rms::PortId port,
                         const rms::Request& request, const char* name) {
@@ -61,6 +64,7 @@ int main() {
       std::exit(1);
     }
     media.rms = std::move(created).value();
+    media.account = &ledger.open(port, name, media.rms->params(), from, to);
     return media;
   };
 
@@ -80,9 +84,11 @@ int main() {
     auto* samples = &media.delay_ms;
     sim::Simulator* simp = &ring.sim;
     media.endpoint = std::make_unique<userrms::UserEndpoint>(
-        ring.sim, *ring.node(host).cpu, ring.node(host).ports, port, codec,
-        media.rms->user_bound(), [samples, simp](rms::Message m) {
-          samples->add(to_millis(simp->now() - m.sent_at));
+        *ring.node(host).cpu, ring.node(host).ports, port, codec,
+        media.rms->user_bound(), [samples, simp, &ledger, port](rms::Message m) {
+          const Time delay = simp->now() - m.sent_at;
+          samples->add(to_millis(delay));
+          ledger.on_delivery(port, delay, m.size());
         });
   };
   attach_endpoint(voice_up, 2, 70);
@@ -147,7 +153,7 @@ int main() {
     std::printf("%-12s %8zu %9.2f %9.2f %9.2f %10llu\n", m->name,
                 m->delay_ms.count(), m->delay_ms.mean(), m->delay_ms.percentile(0.99),
                 m->delay_ms.max(),
-                static_cast<unsigned long long>(m->endpoint->stats().bound_misses));
+                static_cast<unsigned long long>(m->account->misses));
   }
   std::printf("\nfile transfer moved %.2f MB over the same ring; token rotations: %llu\n",
               static_cast<double>(bulk_bytes) / 1e6,

@@ -1,5 +1,6 @@
 # The one list of benches and examples the scripts run. Sourced (not run)
-# by scripts/regenerate.sh and scripts/stdout_digest.sh:
+# by scripts/regenerate.sh, scripts/stdout_digest.sh and CI's bench-smoke
+# job:
 #
 #   . "$(dirname "$0")/benches.sh"
 #
@@ -8,7 +9,10 @@
 # of two builds diff line by line. WALLCLOCK_BENCHES read the wall clock
 # or real sockets: regenerate.sh runs them, stdout_digest.sh does not.
 # SIM_EXAMPLES are the examples that run wholly in simulation (udp_loopback
-# uses real sockets, so it is left out).
+# uses real sockets, so it is left out). GATED_BENCHES are the benches CI
+# gates: each runs with `--check bench/baselines/<id>_current.txt
+# $GATE_TOLERANCE`, where <id> is the name's second field (bench_c8_congestion
+# -> c8), and fails the job when its baseline is missed.
 DETERMINISTIC_BENCHES="bench_f1_layering bench_f2_architecture bench_f3_rms_levels
 bench_f4_multiplexing bench_f5_flow_control bench_c1_bandwidth_bound
 bench_c2_deadline_scheduling bench_c3_security_elision bench_c4_rms_caching
@@ -17,3 +21,6 @@ bench_c11_failover bench_a1_ablations"
 WALLCLOCK_BENCHES="bench_c9_datapath bench_c10_event_engine bench_c15_udp"
 SIM_EXAMPLES="quickstart voice_conference bulk_transfer window_system rpc_service
 dashsim video_phone telemetry_report"
+GATED_BENCHES="bench_c8_congestion bench_c9_datapath bench_c10_event_engine
+bench_c11_failover bench_c15_udp"
+GATE_TOLERANCE=20

@@ -64,7 +64,6 @@ class SimplexLink {
   /// RMS admission). Fails if reservations would exceed the buffer.
   bool reserve(std::uint64_t stream, std::uint64_t bytes);
   void release(std::uint64_t stream);
-  std::uint64_t reserved_total() const { return reserved_total_; }
 
   /// Failure injection: while down, sends and deliveries are dropped.
   void set_down(bool down);

@@ -33,7 +33,6 @@ class TxQueue {
   bool push(Packet p) {
     if (byte_capacity_ != 0 && bytes_ + p.size() > byte_capacity_) {
       ++dropped_;
-      dropped_bytes_ += p.size();
       return false;
     }
     bytes_ += p.size();
@@ -62,7 +61,6 @@ class TxQueue {
   std::uint64_t bytes() const { return bytes_; }
   std::uint64_t byte_capacity() const { return byte_capacity_; }
   std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t dropped_bytes() const { return dropped_bytes_; }
   std::uint64_t pushed() const { return pushed_; }
   Discipline discipline() const { return discipline_; }
 
@@ -96,7 +94,6 @@ class TxQueue {
   std::priority_queue<Entry, std::vector<Entry>, LessUrgent> heap_;
   std::uint64_t bytes_ = 0;
   std::uint64_t dropped_ = 0;
-  std::uint64_t dropped_bytes_ = 0;
   std::uint64_t pushed_ = 0;
   std::uint64_t next_arrival_ = 0;
 };

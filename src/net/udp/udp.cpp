@@ -126,22 +126,6 @@ Status UdpNetwork::bind_endpoint(HostId host, const std::string& ip,
   return open_socket(ep, host, ip, port);
 }
 
-Status UdpNetwork::add_peer(HostId host, const std::string& ip,
-                            std::uint16_t port) {
-  sockaddr_in a{};
-  a.sin_family = AF_INET;
-  a.sin_port = htons(port);
-  if (inet_pton(AF_INET, ip.c_str(), &a.sin_addr) != 1) {
-    return make_error(Errc::kNoRoute, "bad address: " + ip);
-  }
-  Endpoint& ep = endpoints_[host];
-  if (ep.fd >= 0) {
-    return make_error(Errc::kInternal, "host is locally bound");
-  }
-  ep.addr = a;
-  return Status::ok_status();
-}
-
 std::uint16_t UdpNetwork::local_port(HostId host) const {
   auto it = endpoints_.find(host);
   if (it == endpoints_.end() || it->second.fd < 0) return 0;
@@ -262,15 +246,6 @@ void UdpNetwork::flush(HostId host) {
     ep.want_writable = false;
     driver_.modify_fd(ep.fd, EPOLLIN);
   }
-}
-
-void UdpNetwork::flush_all() {
-  std::vector<HostId> hosts;
-  hosts.reserve(endpoints_.size());
-  for (const auto& [host, ep] : endpoints_) {
-    if (ep.fd >= 0 && !ep.backlog.empty()) hosts.push_back(host);
-  }
-  for (HostId h : hosts) flush(h);
 }
 
 void UdpNetwork::count_decode_error(udp::DecodeError e) {

@@ -78,10 +78,6 @@ class UdpNetwork final : public Network {
   Status bind_endpoint(HostId host, const std::string& ip,
                        std::uint16_t port);
 
-  /// Registers a remote host's address without a local socket, for
-  /// cross-process runs. Local sends can target it; it cannot attach here.
-  Status add_peer(HostId host, const std::string& ip, std::uint16_t port);
-
   /// Bound port of a local host's socket; 0 if `host` has no socket.
   std::uint16_t local_port(HostId host) const;
 
@@ -89,10 +85,6 @@ class UdpNetwork final : public Network {
   bool attached(HostId host) const override;
   void detach(HostId host) override;
   bool send(Packet p) override;
-
-  /// Sends any backlog now (bench teardown); normally the flush task and
-  /// EPOLLOUT do this.
-  void flush_all();
 
   const UdpStats& udp_stats() const { return ustats_; }
   rt::Driver& driver() { return driver_; }

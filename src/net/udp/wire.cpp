@@ -11,18 +11,6 @@ namespace {
 constexpr std::size_t kChecksumOffset = kHeaderBytes - 4;
 }  // namespace
 
-const char* decode_error_name(DecodeError e) {
-  switch (e) {
-    case DecodeError::kNone: return "none";
-    case DecodeError::kTruncated: return "truncated";
-    case DecodeError::kBadMagic: return "bad_magic";
-    case DecodeError::kBadVersion: return "bad_version";
-    case DecodeError::kBadLength: return "bad_length";
-    case DecodeError::kBadChecksum: return "bad_checksum";
-  }
-  return "?";
-}
-
 Bytes encode(const Packet& p) {
   Bytes out;
   out.reserve(kHeaderBytes + p.payload.size());

@@ -49,8 +49,6 @@ enum class DecodeError : std::uint8_t {
   kBadChecksum,  ///< CRC mismatch (bit damage in flight)
 };
 
-const char* decode_error_name(DecodeError e);
-
 /// Serializes `p` into one datagram (header + payload).
 Bytes encode(const Packet& p);
 

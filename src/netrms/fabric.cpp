@@ -13,16 +13,6 @@ namespace {
 
 constexpr std::uint8_t kDataPacket = 1;
 
-/// Static priority for the priority-discipline baseline: coarse classes
-/// derived from the delay bound, one class per 10 ms. This is exactly the
-/// granularity loss the paper attributes to priority schemes (§5:
-/// "compared to systems that use only priorities ... deadlines optimize
-/// usage").
-int priority_class(const rms::Params& p) {
-  if (p.delay.a == kTimeNever) return 100;
-  return static_cast<int>(std::min<Time>(p.delay.a / msec(10), 100));
-}
-
 }  // namespace
 
 NetRmsFabric::NetRmsFabric(sim::Simulator& sim, net::Network& network)
@@ -197,7 +187,7 @@ Result<std::unique_ptr<rms::Rms>> NetRmsFabric::create(HostId src,
   } else {
     s.checksum = ChecksumKind::kCrc32;
   }
-  s.priority = priority_class(actual);
+  s.priority = rms::priority_class(actual.delay.a);
   s.ready_at = sim_.now() + network_.traits().rms_setup_cost;
 
   // Deterministic streams reserve their capacity in gateway buffers along
@@ -268,13 +258,9 @@ void NetRmsFabric::send_now(Stream& s, rms::Message msg, Time deadline) {
         p.stream = stream.id;
         p.deadline = deadline;
         // For the static-priority baseline: the best a priority scheme can
-        // do is bucket the deadline slack into coarse classes (one per
-        // 10 ms) — the granularity loss §5 attributes to priorities.
-        p.priority = deadline == kTimeNever
-                         ? 100
-                         : static_cast<int>(std::min<Time>(
-                               std::max<Time>(deadline - sim_.now(), 0) / msec(10),
-                               100));
+        // do is bucket the deadline slack into coarse classes (no deadline
+        // leaves a slack past the last class).
+        p.priority = rms::priority_class(std::max<Time>(deadline - sim_.now(), 0));
         p.payload = msg.data.prepend(BytesView(header.data(), header.size()));
         network_.send(std::move(p));
       },

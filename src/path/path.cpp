@@ -66,17 +66,6 @@ void PathManager::add_network(netrms::NetRmsFabric& fabric) {
   arm_tick();  // a second network can make already-managed streams mobile
 }
 
-void PathManager::set_metrics(telemetry::MetricsRegistry* m) {
-  if (m == nullptr) {
-    probe_rtt_hist_ = nullptr;
-    failover_latency_hist_ = nullptr;
-    return;
-  }
-  const std::string prefix = "path." + std::to_string(host_) + ".";
-  probe_rtt_hist_ = &m->histogram(prefix + "probe_rtt_ns");
-  failover_latency_hist_ = &m->histogram(prefix + "failover_latency_ns");
-}
-
 // ------------------------------------------------------------------ lookup
 
 std::size_t PathManager::fabric_index(const netrms::NetRmsFabric* f) const {
@@ -194,7 +183,6 @@ void PathManager::on_probe_message(rms::Message msg) {
       h.consecutive_timeouts = 0;
       ++h.pongs_received;
       ++stats_.pongs_received;
-      if (probe_rtt_hist_ != nullptr) probe_rtt_hist_->observe(rtt);
       break;
     }
   }
@@ -342,7 +330,6 @@ void PathManager::on_stream_rebound(st::StRms& rms) {
   if (ms.failover_started >= 0) {
     const auto latency = static_cast<std::uint64_t>(sim_.now() - ms.failover_started);
     failover_latency_.observe(latency);
-    if (failover_latency_hist_ != nullptr) failover_latency_hist_->observe(latency);
     ms.failover_started = -1;
   }
   trace("path.rebound",

@@ -97,11 +97,8 @@ class PathManager final : public st::StreamObserver {
   const Stats& stats() const { return stats_; }
   const PathConfig& config() const { return config_; }
 
-  /// Failover latency (trigger -> peer re-confirmation), always maintained;
-  /// set_metrics mirrors it and the probe RTT distribution into a registry
-  /// as "path.<host>.*_ns".
+  /// Failover latency (trigger -> peer re-confirmation).
   const telemetry::Histogram& failover_latency() const { return failover_latency_; }
-  void set_metrics(telemetry::MetricsRegistry* m);
 
   void set_trace(sim::Trace* trace) { trace_ = trace; }
 
@@ -155,8 +152,6 @@ class PathManager final : public st::StreamObserver {
   bool tick_armed_ = false;  ///< ticks run only while streams are managed
   Stats stats_;
   telemetry::Histogram failover_latency_;
-  telemetry::Histogram* probe_rtt_hist_ = nullptr;      ///< registry mirror
-  telemetry::Histogram* failover_latency_hist_ = nullptr;
   sim::Trace* trace_ = nullptr;
 };
 

@@ -72,6 +72,16 @@ struct DelayBound {
   friend bool operator==(const DelayBound&, const DelayBound&) = default;
 };
 
+/// The static-priority class of a delay, for the priority-discipline
+/// baselines (lower = more urgent): one class per 10 ms, capped at 100, and
+/// kTimeNever in the last class. This is the granularity loss §5 charges to
+/// priorities ("compared to systems that use only priorities ... deadlines
+/// optimize usage").
+constexpr int priority_class(Time delay) {
+  const Time cls = delay / msec(10);
+  return cls < 100 ? static_cast<int>(cls) : 100;
+}
+
 /// Workload description and guarantee level for statistical bounds (§2.2).
 /// average_load / burstiness are supplied by the client; delay_probability
 /// is guaranteed by the provider.
@@ -120,8 +130,8 @@ bool well_formed(const Params& p);
 /// The §2.3 verdict on a delay bound after `samples` observed deliveries,
 /// `misses` of them over the bound: zero misses for a deterministic bound,
 /// a miss fraction within 1 - delay_probability for a statistical one,
-/// always true for best-effort. rms::DelayMonitor and the telemetry
-/// ledger both judge through this one rule.
+/// always true for best-effort. telemetry::GuaranteeLedger, the one
+/// checker of delivered delays, judges by this rule.
 bool delay_guarantee_holds(const Params& p, std::uint64_t misses,
                            std::uint64_t samples);
 

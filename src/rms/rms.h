@@ -137,10 +137,11 @@ class Rms {
   virtual void do_close() {}
 
   /// Provider implementations call this to signal failure to the client.
+  /// The callback runs from a local, so it may destroy this RMS.
   void fail(Error e) {
     if (failed_) return;
     failed_ = true;
-    if (failure_cb_) failure_cb_(e);
+    if (auto cb = std::move(failure_cb_)) cb(e);
   }
 
   /// Replaces the negotiated parameters. Providers that transparently

@@ -116,7 +116,6 @@ SubtransportLayer::~SubtransportLayer() {
     (void)host;
     cancel_peer_timers(ps);
   }
-  sim_.cancel(graveyard_timer_);
   for (std::size_t i = 0; i < fabrics_.size(); ++i) {
     fabrics_[i]->remove_failure_listener(fabric_listeners_[i]);
   }
@@ -184,7 +183,7 @@ Result<SubtransportLayer::StParamsPlan> SubtransportLayer::plan_params(
 
   const auto& traits = fabric.traits();
   const netrms::CostModel cost;
-  const Time window = config_.enable_piggybacking ? config_.piggyback_window : 0;
+  const Time window = config_.piggyback_window;
   const Time stage = kCpuStageAllowance;
 
   StParamsPlan plan;
@@ -880,11 +879,8 @@ void SubtransportLayer::emit_component(StRms& rms, rms::Message msg,
   const std::uint64_t channel_id = rms.channel_id_;
 
   // For hosts running a static-priority short-term scheduler (the paper's
-  // baseline), derive a coarse class from the delay bound — one class per
-  // 10 ms, exactly the granularity loss §5 attributes to priorities.
-  const Time bound_a = rms.params().delay.a;
-  const int cpu_priority = static_cast<int>(
-      bound_a == kTimeNever ? 100 : std::min<Time>(bound_a / msec(10), 100));
+  // baseline), the coarse class of the delay bound.
+  const int cpu_priority = rms::priority_class(rms.params().delay.a);
 
   cpu_.submit(eff, cpu_cost, [this, stream_id, channel_id, seq, eff, ack_id, acked,
                               msg = std::move(msg)]() mutable {
@@ -962,7 +958,7 @@ void SubtransportLayer::emit_component(StRms& rms, rms::Message msg,
 
     c.flags = static_cast<std::uint8_t>(base_security | (acked ? kAckRequest : 0));
     c.payload = msg.data.view();
-    enqueue_component(channel, c, key, eff, config_.enable_piggybacking);
+    enqueue_component(channel, c, key, eff);
   }, cpu_priority);
 }
 
@@ -1015,29 +1011,13 @@ void SubtransportLayer::serialize_component(Writer& w, const Component& c,
 }
 
 void SubtransportLayer::enqueue_component(Channel& ch, const Component& c, const Key& key,
-                                          Time eff_deadline, bool piggybackable) {
+                                          Time eff_deadline) {
   ++stats_.components_sent;
   const std::size_t space_limit =
       ch.net_params.max_message_size > kEnvelopeBytes
           ? ch.net_params.max_message_size - kEnvelopeBytes
           : 0;
   const std::size_t wire_size = component_bytes(c.payload.size(), c.flags);
-
-  if (!piggybackable) {
-    // Anything of this stream already queued must leave first.
-    flush_channel(ch);
-    Bytes packet;
-    Writer w(packet, ch.headroom + kEnvelopeBytes + wire_size);
-    w.skip(ch.headroom);
-    w.u8(kStDataTag);
-    w.u8(1);
-    serialize_component(w, c, key);
-    const Buffer arena(std::move(packet));
-    send_packet(ch, arena, 0, arena.size(),
-                clamp_packet_deadline(eff_deadline, {c.stream_id}));
-    return;
-  }
-
   const std::size_t queued =
       ch.queue_count == 0 ? 0 : ch.queue.size() - ch.headroom - kEnvelopeBytes;
   if (queued + wire_size > space_limit) flush_channel(ch);
@@ -1398,22 +1378,8 @@ void SubtransportLayer::cancel_channel_timers(Channel& ch) {
 }
 
 void SubtransportLayer::release_channel(Channel& ch) {
-  const std::uint64_t id = ch.id;
+  const std::uint64_t id = ch.id;  // ch dies with the map entry
   cancel_channel_timers(ch);
-  if (ch.net_rms != nullptr && ch.net_rms->failed()) {
-    // We may be executing inside this network RMS's own failure callback
-    // (path failover detaches the channel from within on_channel_failed);
-    // destroying it here would free the closure mid-execution. Park the
-    // handle and let the event loop reclaim it.
-    dead_net_rms_.push_back(std::move(ch.net_rms));
-    if (!graveyard_flush_scheduled_) {
-      graveyard_flush_scheduled_ = true;
-      graveyard_timer_ = sim_.timer_after(0, [this] {
-        graveyard_flush_scheduled_ = false;
-        dead_net_rms_.clear();
-      });
-    }
-  }
   channels_.erase(id);
 }
 

@@ -54,13 +54,13 @@ using rms::Label;
 struct StConfig {
   /// Queueing-delay budget the ST may spend waiting to piggyback
   /// additional messages (the difference between the ST RMS and network
-  /// RMS delay bounds, §4.2).
+  /// RMS delay bounds, §4.2). 0 turns piggybacking off: every component
+  /// leaves in its own packet at once.
   Time piggyback_window = msec(2);
 
   /// How long an idle network RMS stays cached before deletion (§4.2).
   Time cache_idle_timeout = sec(5);
 
-  bool enable_piggybacking = true;
   bool enable_caching = true;
 
   /// How much network-RMS capacity to provision beyond the first ST RMS's
@@ -444,8 +444,12 @@ class SubtransportLayer {
   /// `c.payload` aliases the client's message: this gather-write is the
   /// send path's only payload copy.
   void serialize_component(Writer& w, const Component& c, const Key& key);
+  /// Queues one component on the channel's piggyback arena. The arena
+  /// leaves when it is full, at its earliest deadline, when the window
+  /// ends, or at once on an idle channel; a zero window sends each
+  /// component alone.
   void enqueue_component(Channel& ch, const Component& c, const Key& key,
-                         Time eff_deadline, bool piggybackable);
+                         Time eff_deadline);
   void flush_channel(Channel& ch);
   /// Sends one data packet: the `len` bytes of `arena` from `start`, which
   /// begin with the channel's headroom gap for the network RMS header.
@@ -534,11 +538,6 @@ class SubtransportLayer {
   Stats stats_;
   sim::Trace* trace_ = nullptr;
   StreamObserver* observer_ = nullptr;
-  /// Failed network RMS whose channel was released from within their own
-  /// failure callback; reclaimed by the event loop (see release_channel).
-  std::vector<std::unique_ptr<rms::Rms>> dead_net_rms_;
-  bool graveyard_flush_scheduled_ = false;
-  sim::TimerHandle graveyard_timer_;
   telemetry::Histogram* delivery_delay_hist_ = nullptr;
   telemetry::Histogram* fast_ack_rtt_hist_ = nullptr;
 };

@@ -1,13 +1,14 @@
 // Per-RMS guarantee accounting (DESIGN.md §8).
 //
 // Every RMS carries a negotiated contract (§2.2–2.3): a delay bound
-// A + B·size with a bound type, a capacity, and a bit error rate. The
-// GuaranteeLedger keeps one StreamAccount per live stream and checks the
-// observed behaviour against that contract through the same verdict rule
-// as rms::DelayMonitor (rms::delay_guarantee_holds) — so a ledger row and
-// a monitor attached to the same port always agree. Unlike DelayMonitor (one stream, Samples-backed), the
-// ledger spans all streams and stores delays in O(1) log₂ histograms, so it
-// can stay attached for arbitrarily long runs.
+// A + B·size with a bound type, a capacity, and a bit error rate. A
+// provider need not report a missed bound (§2.3: "failure to observe the
+// delay bounds is not necessarily reported to the clients"), so a client
+// that cares checks its own deliveries. The GuaranteeLedger is that one
+// checker: it keeps one StreamAccount per stream, counts the deliveries
+// over the bound, and judges them by rms::delay_guarantee_holds. Delays go
+// into O(1) log₂ histograms, so a ledger can stay attached for arbitrarily
+// long runs.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +45,7 @@ struct StreamAccount {
                           : static_cast<double>(misses) / static_cast<double>(delivered);
   }
 
-  /// The §2.3 verdict over every delivery so far
-  /// (rms::delay_guarantee_holds, the rule rms::DelayMonitor applies too).
+  /// The §2.3 verdict over every delivery so far (rms::delay_guarantee_holds).
   bool guarantee_holds() const {
     return rms::delay_guarantee_holds(params, misses, delivered);
   }
@@ -107,9 +107,8 @@ class GuaranteeLedger {
     }
   }
 
-  /// Wraps `port`'s handler so every delivery is accounted to `id` (the
-  /// same chaining idiom as rms::DelayMonitor). The caller's `next`
-  /// handler, if any, receives each message afterwards.
+  /// Wraps `port`'s handler so every delivery is accounted to `id`. The
+  /// caller's `next` handler, if any, receives each message afterwards.
   void watch(rms::Port& port, std::uint64_t id, std::function<Time()> now,
              std::function<void(rms::Message)> next = {}) {
     port.set_handler([this, id, now = std::move(now),

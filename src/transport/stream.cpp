@@ -18,17 +18,19 @@ constexpr std::size_t kDataHeaderBytes = 1 + 8 + 8;
 /// the peer's StreamConfig::receive_buffer.
 constexpr std::size_t kReliableWindow = 32 * 1024;
 
-}  // namespace
-
-const char* capacity_mode_name(CapacityMode m) {
-  switch (m) {
-    case CapacityMode::kNone: return "none";
-    case CapacityMode::kRateBased: return "rate-based";
-    case CapacityMode::kAckBased: return "ack-based";
-    case CapacityMode::kTokenBucket: return "token-bucket";
-  }
-  return "?";
+/// One data message: the header, then `payload`.
+Bytes encode_data(std::uint64_t seq, rms::PortId ack_port, BytesView payload) {
+  Bytes wire;
+  wire.reserve(kDataHeaderBytes + payload.size());
+  Writer w(wire);
+  w.u8(kData);
+  w.u64(seq);
+  w.u64(ack_port);
+  w.bytes(payload);
+  return wire;
 }
+
+}  // namespace
 
 rms::Request bulk_data_request(std::uint64_t capacity, std::uint64_t max_message) {
   // §2.5: "A stream protocol for bulk data transfer should use a high
@@ -322,13 +324,7 @@ void StreamSender::pump() {
 
 void StreamSender::send_chunk(Bytes chunk) {
   const std::uint64_t seq = next_seq_++;
-  Bytes wire;
-  wire.reserve(kDataHeaderBytes + chunk.size());
-  Writer w(wire);
-  w.u8(kData);
-  w.u64(seq);
-  w.u64(ack_port_id_);
-  w.bytes(chunk);
+  Bytes wire = encode_data(seq, ack_port_id_, chunk);
 
   const std::size_t size = chunk.size();
   if (config_.reliable || config_.receiver_flow_control) {
@@ -427,13 +423,7 @@ void StreamSender::arm_rto() {
 }
 
 void StreamSender::retransmit(std::uint64_t seq, Unacked& entry) {
-  Bytes wire;
-  wire.reserve(kDataHeaderBytes + entry.data.size());
-  Writer w(wire);
-  w.u8(kData);
-  w.u64(seq);
-  w.u64(ack_port_id_);
-  w.bytes(entry.data);
+  Bytes wire = encode_data(seq, ack_port_id_, entry.data);
   // Ack-based capacity: if the seq's original charge is still pending (no
   // fast ack yet), the retransmitted copy rides it. If the charge was
   // already released (the original arrived but the transport ack raced

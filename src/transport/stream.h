@@ -43,8 +43,6 @@ enum class CapacityMode : std::uint8_t {
   kTokenBucket,
 };
 
-const char* capacity_mode_name(CapacityMode m);
-
 struct StreamConfig {
   bool reliable = true;
   CapacityMode capacity = CapacityMode::kAckBased;

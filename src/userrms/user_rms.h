@@ -32,21 +32,20 @@ struct UserConfig {
 /// The receiving user process: owns the port, charges its declared
 /// processing time on the host CPU (deadline-scheduled), then invokes the
 /// application handler. Delivery — for delay accounting — is when the
-/// handler runs, matching §3.4's definition.
+/// handler runs, matching §3.4's definition; a client that checks the
+/// bound feeds a telemetry::GuaranteeLedger from its handler.
 class UserEndpoint {
  public:
   struct Stats {
     std::uint64_t delivered = 0;
-    std::uint64_t bound_misses = 0;
   };
 
   /// `bound` is the user-level delay bound this endpoint's streams carry
   /// (used as the receive-processing deadline: sent_at + bound).
-  UserEndpoint(sim::Simulator& sim, sim::CpuScheduler& cpu, rms::PortRegistry& ports,
-               rms::PortId port_id, UserConfig config, rms::DelayBound bound,
+  UserEndpoint(sim::CpuScheduler& cpu, rms::PortRegistry& ports, rms::PortId port_id,
+               UserConfig config, rms::DelayBound bound,
                std::function<void(rms::Message)> handler)
-      : sim_(sim),
-        cpu_(cpu),
+      : cpu_(cpu),
         ports_(ports),
         port_id_(port_id),
         config_(config),
@@ -69,17 +68,12 @@ class UserEndpoint {
     const Time deadline = m.sent_at >= 0 && bound_.a != kTimeNever
                               ? m.sent_at + bound_.bound_for(m.size())
                               : kTimeNever;
-    cpu_.submit(deadline, config_.receive_processing,
-                [this, deadline, m = std::move(m)]() mutable {
-                  ++stats_.delivered;
-                  if (deadline != kTimeNever && sim_.now() > deadline) {
-                    ++stats_.bound_misses;
-                  }
-                  if (handler_) handler_(std::move(m));
-                });
+    cpu_.submit(deadline, config_.receive_processing, [this, m = std::move(m)]() mutable {
+      ++stats_.delivered;
+      if (handler_) handler_(std::move(m));
+    });
   }
 
-  sim::Simulator& sim_;
   sim::CpuScheduler& cpu_;
   rms::PortRegistry& ports_;
   rms::PortId port_id_;

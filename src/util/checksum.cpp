@@ -68,69 +68,29 @@ std::uint32_t crc32(ViewChain chain) {
 }
 
 std::uint16_t fletcher16(BytesView data) {
-  return fletcher16(ViewChain(&data, 1));
-}
-
-std::uint16_t fletcher16(ViewChain chain) {
   std::uint32_t sum1 = 0;
   std::uint32_t sum2 = 0;
-  for (BytesView part : chain) {
-    for (std::byte b : part) {
-      sum1 = (sum1 + static_cast<std::uint8_t>(b)) % 255u;
-      sum2 = (sum2 + sum1) % 255u;
-    }
+  for (std::byte b : data) {
+    sum1 = (sum1 + static_cast<std::uint8_t>(b)) % 255u;
+    sum2 = (sum2 + sum1) % 255u;
   }
   return static_cast<std::uint16_t>((sum2 << 8) | sum1);
 }
 
 std::uint16_t internet_checksum(BytesView data) {
-  return internet_checksum(ViewChain(&data, 1));
-}
-
-std::uint16_t internet_checksum(ViewChain chain) {
-  // Byte position parity carries across parts so the chain result matches
-  // the checksum of the concatenation even with odd-length parts.
   std::uint32_t sum = 0;
   bool high = true;
-  for (BytesView part : chain) {
-    for (std::byte b : part) {
-      const auto v = static_cast<std::uint32_t>(static_cast<std::uint8_t>(b));
-      sum += high ? (v << 8) : v;
-      high = !high;
-    }
+  for (std::byte b : data) {
+    const auto v = static_cast<std::uint32_t>(static_cast<std::uint8_t>(b));
+    sum += high ? (v << 8) : v;
+    high = !high;
   }
   while (sum >> 16) sum = (sum & 0xFFFFu) + (sum >> 16);
   return static_cast<std::uint16_t>(~sum & 0xFFFFu);
 }
 
-const char* checksum_kind_name(ChecksumKind k) {
-  switch (k) {
-    case ChecksumKind::kNone: return "none";
-    case ChecksumKind::kFletcher16: return "fletcher16";
-    case ChecksumKind::kInternet: return "internet";
-    case ChecksumKind::kCrc32: return "crc32";
-  }
-  return "?";
-}
-
 std::uint32_t compute_checksum(ChecksumKind kind, BytesView data) {
-  switch (kind) {
-    case ChecksumKind::kNone: return 0;
-    case ChecksumKind::kFletcher16: return fletcher16(data);
-    case ChecksumKind::kInternet: return internet_checksum(data);
-    case ChecksumKind::kCrc32: return crc32(data);
-  }
-  return 0;
-}
-
-std::uint32_t compute_checksum(ChecksumKind kind, ViewChain chain) {
-  switch (kind) {
-    case ChecksumKind::kNone: return 0;
-    case ChecksumKind::kFletcher16: return fletcher16(chain);
-    case ChecksumKind::kInternet: return internet_checksum(chain);
-    case ChecksumKind::kCrc32: return crc32(chain);
-  }
-  return 0;
+  return kind == ChecksumKind::kCrc32 ? crc32(data) : 0;
 }
 
 }  // namespace dash

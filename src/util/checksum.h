@@ -5,7 +5,7 @@
 // software layers elide their own. We provide three algorithms of different
 // strength/cost so benches can show the elision tradeoff:
 //   * CRC-32 (IEEE 802.3 polynomial) — what an Ethernet interface computes;
-//   * Fletcher-16 — a cheap software checksum;
+//   * Fletcher-16 — a cheap software checksum, for bench_micro's costs;
 //   * the 16-bit ones'-complement Internet checksum (RFC 1071 style) — what
 //     the TCP-like baseline always pays.
 #pragma once
@@ -28,22 +28,17 @@ std::uint16_t fletcher16(BytesView data);
 std::uint16_t internet_checksum(BytesView data);
 
 /// A non-contiguous payload: a sequence of views checksummed as if they
-/// were one concatenated byte string. The zero-copy datapath hands headers
-/// and payload slices around separately; these overloads let integrity
-/// checks run over the pieces without flattening them first.
+/// were one concatenated byte string. The UDP codec checksums its header
+/// and the payload slice without flattening them first.
 using ViewChain = std::span<const BytesView>;
 
 std::uint32_t crc32(ViewChain chain);
-std::uint16_t fletcher16(ViewChain chain);
-std::uint16_t internet_checksum(ViewChain chain);
 
-/// Which checksum a layer applies to a message. `kNone` models elision.
-enum class ChecksumKind : std::uint8_t { kNone, kFletcher16, kInternet, kCrc32 };
-
-const char* checksum_kind_name(ChecksumKind k);
+/// Which checksum the network RMS applies to a message. `kNone` models
+/// elision.
+enum class ChecksumKind : std::uint8_t { kNone, kCrc32 };
 
 /// Computes the selected checksum (kNone yields 0).
 std::uint32_t compute_checksum(ChecksumKind kind, BytesView data);
-std::uint32_t compute_checksum(ChecksumKind kind, ViewChain chain);
 
 }  // namespace dash

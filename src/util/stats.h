@@ -2,38 +2,10 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
 namespace dash {
-
-/// Streaming mean / variance / min / max (Welford's algorithm).
-class RunningStats {
- public:
-  void add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = n_ == 1 ? x : std::min(min_, x);
-    max_ = n_ == 1 ? x : std::max(max_, x);
-  }
-
-  std::uint64_t count() const { return n_; }
-  double mean() const { return mean_; }
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Stores samples and answers percentile queries; used for delay
 /// distributions (statistical delay bounds, §2.3). Sorted state survives
@@ -61,20 +33,6 @@ class Samples {
     const double rank = p * static_cast<double>(values_.size() - 1);
     const auto idx = static_cast<std::size_t>(rank);
     return values_[std::min(idx, values_.size() - 1)];
-  }
-
-  /// p in [0, 1]. Linearly interpolates between the two samples straddling
-  /// the rank (the histogram exporter's convention), so e.g. the median of
-  /// {1, 2} is 1.5 rather than 1.
-  double percentile_interpolated(double p) {
-    if (values_.empty()) return 0.0;
-    sort();
-    p = std::clamp(p, 0.0, 1.0);
-    const double rank = p * static_cast<double>(values_.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    if (lo + 1 >= values_.size()) return values_.back();
-    const double frac = rank - static_cast<double>(lo);
-    return values_[lo] * (1.0 - frac) + values_[lo + 1] * frac;
   }
 
   double max() {
@@ -111,39 +69,6 @@ class Samples {
 
   std::vector<double> values_;
   std::size_t sorted_prefix_ = 0;  ///< values_[0..sorted_prefix_) are sorted
-};
-
-/// Fixed-bucket histogram for report tables.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), counts_(buckets, 0) {}
-
-  void add(double x) {
-    if (x < lo_) {
-      ++under_;
-    } else if (x >= hi_) {
-      ++over_;
-    } else {
-      const double frac = (x - lo_) / (hi_ - lo_);
-      ++counts_[static_cast<std::size_t>(frac * static_cast<double>(counts_.size()))];
-    }
-    ++total_;
-  }
-
-  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  std::size_t buckets() const { return counts_.size(); }
-  std::uint64_t underflow() const { return under_; }
-  std::uint64_t overflow() const { return over_; }
-  std::uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t under_ = 0;
-  std::uint64_t over_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace dash

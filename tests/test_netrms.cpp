@@ -472,6 +472,25 @@ TEST(NetRms, NetworkDownNotifiesClients) {
   EXPECT_EQ(status.error().code, Errc::kRmsFailed);
 }
 
+TEST(NetRms, FailureCallbackMayDestroyItsRms) {
+  // A client may free the failed RMS from inside its failure callback, as
+  // an ST failover rebind does with its network RMS. The callback's
+  // captures must outlive that: it reads one after the reset.
+  auto world = st_world(2);
+  auto created = world.fabric->create(1, loose_request(), {2, 10});
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<rms::Rms> owner = std::move(created).value();
+  int failures = 0;
+  owner->on_failure([&owner, &failures](const Error&) {
+    owner.reset();
+    ++failures;
+  });
+
+  world.network->set_down(true);
+  EXPECT_EQ(owner, nullptr);
+  EXPECT_EQ(failures, 1);
+}
+
 /// Drives `world`'s first medium up→down, down again, up, and down: two
 /// transitions, so on_down fires twice and a network RMS on its fabric
 /// has failed.

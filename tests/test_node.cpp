@@ -1,13 +1,11 @@
-// Tests for the top-level DashNode bundle and its World assembly, the
-// DelayMonitor (§2.3 guarantee checking), and the ST's event tracing.
+// Tests for the top-level DashNode bundle and its World assembly, and the
+// ST's event tracing.
 #include <gtest/gtest.h>
 
 #include "net/ethernet.h"
 #include "node/node.h"
-#include "rms/monitor.h"
 #include "sim/trace.h"
 #include "test_helpers.h"
-#include "workload/workload.h"
 
 namespace dash {
 namespace {
@@ -95,123 +93,6 @@ TEST(World, DisabledPathConfigGivesNoManagerOnTwoMedia) {
     EXPECT_EQ(n->st->stream_observer(), nullptr);
     EXPECT_EQ(n->st->networks().size(), 2u);
   }
-}
-
-// ------------------------------------------------------------- DelayMonitor
-
-TEST(DelayMonitor, MeasuresAgainstTheBound) {
-  auto world = st_world(2);
-  rms::Port inbox;
-  world.node(2).ports.bind(50, &inbox);
-  auto stream =
-      world.node(1).st->create(dash::testing::loose_request(), {2, 50});
-  ASSERT_TRUE(stream.ok());
-
-  int passthrough = 0;
-  rms::DelayMonitor monitor(
-      inbox, stream.value()->params(), [&] { return world.sim.now(); },
-      [&](rms::Message) { ++passthrough; });
-
-  for (int i = 0; i < 20; ++i) {
-    world.sim.after(msec(5 * i), [&] {
-      rms::Message m;
-      m.data = patterned_bytes(200);
-      (void)stream.value()->send(std::move(m));
-    });
-  }
-  world.sim.run();
-
-  EXPECT_EQ(monitor.count(), 20u);
-  EXPECT_EQ(passthrough, 20);
-  EXPECT_EQ(monitor.misses(), 0u);  // idle LAN: bound easily met
-  EXPECT_TRUE(monitor.guarantee_holds());
-  EXPECT_GT(monitor.mean_ms(), 0.0);
-  EXPECT_GE(monitor.max_ms(), monitor.p99_ms());
-}
-
-TEST(DelayMonitor, DetectsDeterministicViolation) {
-  // A synthetic check: feed the monitor messages whose delays straddle a
-  // tight bound and verify the verdicts.
-  rms::Port port;
-  rms::Params params;
-  params.capacity = 1024;
-  params.max_message_size = 512;
-  params.delay.type = rms::BoundType::kDeterministic;
-  params.delay.a = msec(5);
-  params.delay.b_per_byte = 0;
-
-  Time fake_now = 0;
-  rms::DelayMonitor monitor(port, params, [&] { return fake_now; });
-
-  auto deliver_with_delay = [&](Time delay) {
-    rms::Message m;
-    m.data = patterned_bytes(64);
-    m.sent_at = fake_now;
-    fake_now += delay;
-    port.deliver(std::move(m), fake_now);
-  };
-
-  deliver_with_delay(msec(2));
-  deliver_with_delay(msec(4));
-  EXPECT_TRUE(monitor.guarantee_holds());
-  deliver_with_delay(msec(9));  // violation
-  EXPECT_FALSE(monitor.guarantee_holds());
-  EXPECT_EQ(monitor.misses(), 1u);
-}
-
-TEST(DelayMonitor, StatisticalGuaranteeTolerance) {
-  rms::Port port;
-  rms::Params params;
-  params.capacity = 1024;
-  params.max_message_size = 512;
-  params.delay.type = rms::BoundType::kStatistical;
-  params.delay.a = msec(5);
-  params.statistical.delay_probability = 0.9;  // 10% misses allowed
-
-  Time fake_now = 0;
-  rms::DelayMonitor monitor(port, params, [&] { return fake_now; });
-  auto deliver_with_delay = [&](Time delay) {
-    rms::Message m;
-    m.data = patterned_bytes(64);
-    m.sent_at = fake_now;
-    fake_now += delay;
-    port.deliver(std::move(m), fake_now);
-  };
-
-  for (int i = 0; i < 19; ++i) deliver_with_delay(msec(1));
-  deliver_with_delay(msec(50));  // 1 miss in 20 = 5% <= 10%
-  EXPECT_TRUE(monitor.guarantee_holds());
-  deliver_with_delay(msec(50));
-  deliver_with_delay(msec(50));  // 3 in 22 > 10%
-  EXPECT_FALSE(monitor.guarantee_holds());
-}
-
-TEST(DelayMonitor, StatisticalStreamHonorsItsProbabilityEndToEnd) {
-  // The §2.3 statistical contract verified empirically: a voice stream on
-  // a busy segment must miss its bound no more often than promised.
-  auto world = st_world(2);
-  rms::Port inbox;
-  world.node(2).ports.bind(70, &inbox);
-  auto stream =
-      world.node(1).st->create(workload::voice_request(msec(40)), {2, 70});
-  ASSERT_TRUE(stream.ok());
-  rms::DelayMonitor monitor(inbox, stream.value()->params(),
-                            [&] { return world.sim.now(); });
-
-  workload::PacedSource voice(world.sim, workload::kVoiceFrameInterval,
-                              workload::kVoiceFrameBytes, [&](Bytes f) {
-                                rms::Message m;
-                                m.data = std::move(f);
-                                (void)stream.value()->send(std::move(m));
-                              });
-  voice.start();
-  world.sim.run_until(sec(10));
-  voice.stop();
-  world.sim.run_for(msec(200));
-
-  EXPECT_GE(monitor.count(), 490u);
-  EXPECT_TRUE(monitor.guarantee_holds())
-      << "miss fraction " << monitor.miss_fraction();
 }
 
 // ------------------------------------------------------------------- trace

@@ -234,7 +234,7 @@ TEST(St, PiggybackingCombinesSmallMessages) {
 
 TEST(St, PiggybackingDisabledSendsOnePacketEach) {
   st::StConfig config;
-  config.enable_piggybacking = false;
+  config.piggyback_window = 0;
   auto world = st_world(2, net::ethernet_traits(), 42, config);
   rms::Port port;
   world.node(2).ports.bind(50, &port);

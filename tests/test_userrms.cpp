@@ -3,6 +3,7 @@
 // algebra across all three RMS levels.
 #include <gtest/gtest.h>
 
+#include "telemetry/ledger.h"
 #include "test_helpers.h"
 #include "userrms/user_rms.h"
 #include "util/stats.h"
@@ -29,6 +30,15 @@ rms::Request user_request(Time bound = msec(30)) {
   return {desired, acceptable};
 }
 
+/// A UserEndpoint handler that accounts each delivery to `ledger`'s
+/// account `id` at the moment the handler runs (§3.4's delivery).
+std::function<void(rms::Message)> account_to(telemetry::GuaranteeLedger& ledger,
+                                             std::uint64_t id, sim::Simulator& sim) {
+  return [&ledger, id, &sim](rms::Message m) {
+    ledger.on_delivery(id, sim.now() - m.sent_at, m.size());
+  };
+}
+
 TEST(UserRms, EndToEndDeliveryThroughUserProcesses) {
   auto world = st_world(2);
   UserConfig config;
@@ -41,9 +51,8 @@ TEST(UserRms, EndToEndDeliveryThroughUserProcesses) {
 
   Samples delay_ms;
   std::string last;
-  UserEndpoint endpoint(world.sim, *world.node(2).cpu, world.node(2).ports, 50,
-                        config, sender.value()->user_bound(),
-                        [&](rms::Message m) {
+  UserEndpoint endpoint(*world.node(2).cpu, world.node(2).ports, 50, config,
+                        sender.value()->user_bound(), [&](rms::Message m) {
                           last = dash::to_string(m.data);
                           delay_ms.add(to_millis(world.sim.now() - m.sent_at));
                         });
@@ -92,8 +101,10 @@ TEST(UserRms, MeetsItsBoundOnAnIdleHost) {
   auto sender = UserRms::create(world.st(1), *world.node(1).cpu, user_request(msec(30)),
                                 {2, 50}, config);
   ASSERT_TRUE(sender.ok());
-  UserEndpoint endpoint(world.sim, *world.node(2).cpu, world.node(2).ports, 50,
-                        config, sender.value()->user_bound(), {});
+  telemetry::GuaranteeLedger ledger;
+  ledger.open(1, "user", sender.value()->params(), 1, 2);
+  UserEndpoint endpoint(*world.node(2).cpu, world.node(2).ports, 50, config,
+                        sender.value()->user_bound(), account_to(ledger, 1, world.sim));
   for (int i = 0; i < 20; ++i) {
     world.sim.after(msec(5 * i), [&] {
       rms::Message m;
@@ -103,7 +114,7 @@ TEST(UserRms, MeetsItsBoundOnAnIdleHost) {
   }
   world.sim.run();
   EXPECT_EQ(endpoint.stats().delivered, 20u);
-  EXPECT_EQ(endpoint.stats().bound_misses, 0u);
+  EXPECT_EQ(ledger.find(1)->misses, 0u);
 }
 
 TEST(UserRms, ReceiverCpuContentionHandledByDeadlines) {
@@ -117,8 +128,8 @@ TEST(UserRms, ReceiverCpuContentionHandledByDeadlines) {
   auto lazy = UserRms::create(world.st(1), *world.node(1).cpu, user_request(sec(2)),
                               {2, 60}, heavy);
   ASSERT_TRUE(lazy.ok());
-  UserEndpoint lazy_endpoint(world.sim, *world.node(2).cpu, world.node(2).ports, 60,
-                             heavy, lazy.value()->user_bound(), {});
+  UserEndpoint lazy_endpoint(*world.node(2).cpu, world.node(2).ports, 60, heavy,
+                             lazy.value()->user_bound(), {});
 
   // Tight stream with light processing.
   UserConfig light;
@@ -126,8 +137,10 @@ TEST(UserRms, ReceiverCpuContentionHandledByDeadlines) {
   auto tight = UserRms::create(world.st(1), *world.node(1).cpu, user_request(msec(15)),
                                {2, 61}, light);
   ASSERT_TRUE(tight.ok());
-  UserEndpoint tight_endpoint(world.sim, *world.node(2).cpu, world.node(2).ports, 61,
-                              light, tight.value()->user_bound(), {});
+  telemetry::GuaranteeLedger ledger;
+  ledger.open(1, "tight", tight.value()->params(), 1, 2);
+  UserEndpoint tight_endpoint(*world.node(2).cpu, world.node(2).ports, 61, light,
+                              tight.value()->user_bound(), account_to(ledger, 1, world.sim));
 
   // Lazy load: ~80% of the receiving CPU. Tight probe every 10 ms.
   workload::PacedSource noise(world.sim, usec(2500), 512, [&](Bytes f) {
@@ -148,7 +161,7 @@ TEST(UserRms, ReceiverCpuContentionHandledByDeadlines) {
   world.sim.run_for(sec(1));
 
   EXPECT_GE(tight_endpoint.stats().delivered, 490u);
-  EXPECT_EQ(tight_endpoint.stats().bound_misses, 0u)
+  EXPECT_EQ(ledger.find(1)->misses, 0u)
       << "EDF user-process scheduling must keep the tight stream inside "
          "its bound (§3.4/§4.1)";
   EXPECT_GT(lazy_endpoint.stats().delivered, 0u);
