@@ -32,6 +32,7 @@ Row run(net::Discipline discipline) {
     std::unique_ptr<workload::PacedSource> src;
   };
   Samples voice_ms;
+  telemetry::GuaranteeLedger voice_ledger;
   std::vector<Call> calls;
   const std::pair<rms::HostId, rms::HostId> pairs[] = {{1, 2}, {3, 4}, {2, 3}, {4, 1}};
   rms::PortId port_id = 70;
@@ -39,12 +40,15 @@ Row run(net::Discipline discipline) {
     Call call;
     call.port = std::make_unique<rms::Port>();
     lan.node(to).ports.bind(port_id, call.port.get());
-    call.port->set_handler([&voice_ms, &lan](rms::Message m) {
-      voice_ms.add(to_millis(lan.sim.now() - m.sent_at));
-    });
     auto created =
         lan.node(from).st->create(workload::voice_request(msec(40)), {to, port_id});
     call.stream = std::move(created).value();
+    voice_ledger.open(port_id, "voice", call.stream->params(), from, to);
+    call.port->set_handler([&voice_ms, &voice_ledger, &lan, id = port_id](rms::Message m) {
+      const Time delay = lan.sim.now() - m.sent_at;
+      voice_ms.add(to_millis(delay));
+      voice_ledger.on_delivery(id, delay, m.size());
+    });
     auto* stream = call.stream.get();
     call.src = std::make_unique<workload::PacedSource>(
         lan.sim, workload::kVoiceFrameInterval, workload::kVoiceFrameBytes,
@@ -92,7 +96,7 @@ Row run(net::Discipline discipline) {
   Row out{};
   out.voice_mean_ms = voice_ms.mean();
   out.voice_p99_ms = voice_ms.percentile(0.99);
-  out.voice_miss = voice_ms.fraction_above(40.0);
+  out.voice_miss = miss_fraction(voice_ledger);
   out.bulk_mbps = static_cast<double>(bulk_total) * 8.0 / 15.0 / 1e6;
   return out;
 }
@@ -104,7 +108,7 @@ int main() {
 
   BenchJson json("c2_deadline_scheduling");
   std::printf("%-12s %14s %14s %16s %12s\n", "discipline", "voice mean ms",
-              "voice p99 ms", "miss rate (40ms)", "bulk Mb/s");
+              "voice p99 ms", "miss (A+B*size)", "bulk Mb/s");
   for (auto d : {net::Discipline::kDeadline, net::Discipline::kPriority,
                  net::Discipline::kFifo}) {
     const Row r = run(d);

@@ -43,8 +43,7 @@ rms::Request session_request() {
 CacheResult run(Time session_gap, bool caching, Time idle_timeout,
                 Time rms_setup_cost) {
   st::StConfig config;
-  config.enable_caching = caching;
-  config.cache_idle_timeout = idle_timeout;
+  config.cache_idle_timeout = caching ? idle_timeout : 0;
   auto traits = net::ethernet_traits();
   traits.rms_setup_cost = rms_setup_cost;
   auto lan =

@@ -36,6 +36,7 @@ AdmissionRow run(rms::BoundType type, int offered) {
   };
   std::vector<Stream> streams;
   Samples delay_ms;
+  telemetry::GuaranteeLedger ledger;
   const Time bound = msec(40);
 
   for (int i = 0; i < offered; ++i) {
@@ -52,13 +53,16 @@ AdmissionRow run(rms::BoundType type, int offered) {
     s.port = std::make_unique<rms::Port>();
     const rms::PortId port_id = 100 + static_cast<rms::PortId>(i);
     lan.node(2).ports.bind(port_id, s.port.get());
-    s.port->set_handler([&delay_ms, &lan](rms::Message m) {
-      delay_ms.add(to_millis(lan.sim.now() - m.sent_at));
-    });
 
     auto created = lan.node(1).st->create(request, {2, port_id});
     if (!created) break;  // provider said no; stop offering
     s.rms = std::move(created).value();
+    ledger.open(port_id, "voice", s.rms->params(), 1, 2);
+    s.port->set_handler([&delay_ms, &ledger, &lan, port_id](rms::Message m) {
+      const Time delay = lan.sim.now() - m.sent_at;
+      delay_ms.add(to_millis(delay));
+      ledger.on_delivery(port_id, delay, m.size());
+    });
     auto* stream = s.rms.get();
     s.source = std::make_unique<workload::OnOffSource>(
         lan.sim, workload::kVoiceFrameInterval, workload::kVoiceFrameBytes,
@@ -79,7 +83,7 @@ AdmissionRow run(rms::BoundType type, int offered) {
 
   out.mean_ms = delay_ms.mean();
   out.p99_ms = delay_ms.percentile(0.99);
-  out.miss_rate = delay_ms.fraction_above(to_millis(bound));
+  out.miss_rate = miss_fraction(ledger);
   return out;
 }
 

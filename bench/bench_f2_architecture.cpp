@@ -25,8 +25,12 @@ int main() {
     return 1;
   }
   Samples voice_ms;
+  telemetry::GuaranteeLedger voice_ledger;
+  voice_ledger.open(1, "voice", voice_rms.value()->params(), 1, 2);
   voice_port.set_handler([&](rms::Message m) {
-    voice_ms.add(to_millis(lan.sim.now() - m.sent_at));
+    const Time delay = lan.sim.now() - m.sent_at;
+    voice_ms.add(to_millis(delay));
+    voice_ledger.on_delivery(1, delay, m.size());
   });
   workload::PacedSource voice(lan.sim, workload::kVoiceFrameInterval,
                               workload::kVoiceFrameBytes, [&](Bytes f) {
@@ -76,8 +80,8 @@ int main() {
               rpc_ms.mean(), rpc_ms.percentile(0.99));
   std::printf("%-34s %9.2f MB %12s %12s\n", "bulk stream delivered",
               static_cast<double>(bulk_bytes) / 1e6, "-", "-");
-  std::printf("%-34s %9.2f %%\n", "voice miss rate (40 ms)",
-              100.0 * voice_ms.fraction_above(40.0));
+  std::printf("%-34s %9.2f %%\n", "voice miss rate (A+B*size)",
+              100.0 * voice_ledger.find(1)->miss_fraction());
   std::printf("%-34s %9.2f kB/s\n", "bulk goodput",
               static_cast<double>(bulk_bytes) / elapsed / 1e3);
 

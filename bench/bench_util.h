@@ -211,4 +211,17 @@ inline void title(const char* id, const char* what) {
 
 inline void note(const char* text) { std::printf("%s\n", text); }
 
+/// Deliveries over their stream's negotiated delay bound (A + B·size), as a
+/// fraction of every delivery `ledger` accounted.
+inline double miss_fraction(const telemetry::GuaranteeLedger& ledger) {
+  std::uint64_t misses = 0;
+  std::uint64_t delivered = 0;
+  for (const auto& [id, account] : ledger.accounts()) {
+    misses += account.misses;
+    delivered += account.delivered;
+  }
+  return delivered == 0 ? 0.0
+                        : static_cast<double>(misses) / static_cast<double>(delivered);
+}
+
 }  // namespace dash::bench

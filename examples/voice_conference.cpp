@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "example_util.h"
+#include "telemetry/ledger.h"
 #include "transport/stream.h"
 #include "util/stats.h"
 #include "workload/workload.h"
@@ -25,8 +26,10 @@ int main() {
     rms::Port inbox;
     std::unique_ptr<workload::PacedSource> source;
     Samples delays_ms;
+    rms::PortId port = 0;  ///< its ledger account
   };
   std::vector<std::unique_ptr<Call>> calls;
+  telemetry::GuaranteeLedger ledger;  // one account per call, by its port
 
   // Calls: 1->2, 2->1, 3->4, 4->3, each on its own statistical RMS.
   const std::pair<rms::HostId, rms::HostId> pairs[] = {{1, 2}, {2, 1}, {3, 4}, {4, 3}};
@@ -34,6 +37,7 @@ int main() {
   for (auto [from, to] : pairs) {
     auto call = std::make_unique<Call>();
     const rms::PortId port = next_port++;
+    call->port = port;
     lan.node(to).ports.bind(port, &call->inbox);
 
     auto created = lan.node(from).st->create(workload::voice_request(msec(40)),
@@ -52,8 +56,11 @@ int main() {
                 rms::to_string(call->stream->params()).c_str());
 
     Call* raw = call.get();
-    call->inbox.set_handler([raw, &lan](rms::Message m) {
-      raw->delays_ms.add(to_millis(lan.sim.now() - m.sent_at));
+    ledger.open(port, "voice", call->stream->params(), from, to);
+    call->inbox.set_handler([raw, &lan, &ledger, port](rms::Message m) {
+      const Time delay = lan.sim.now() - m.sent_at;
+      raw->delays_ms.add(to_millis(delay));
+      ledger.on_delivery(port, delay, m.size());
     });
     call->source = std::make_unique<workload::PacedSource>(
         lan.sim, workload::kVoiceFrameInterval, workload::kVoiceFrameBytes,
@@ -96,11 +103,9 @@ int main() {
   int idx = 0;
   for (auto& call : calls) {
     auto& d = call->delays_ms;
-    const double bound_ms = to_millis(call->stream->params().delay.bound_for(
-        workload::kVoiceFrameBytes));
     std::printf("%-8d %10zu %10.2f %10.2f %10.2f %11.2f%%\n", ++idx, d.count(),
                 d.mean(), d.percentile(0.99), d.max(),
-                100.0 * d.fraction_above(bound_ms));
+                100.0 * ledger.find(call->port)->miss_fraction());
   }
   std::printf("\nbulk transfer delivered %.1f MB alongside the calls\n",
               static_cast<double>(bulk_bytes) / 1e6);

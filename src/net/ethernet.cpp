@@ -31,15 +31,6 @@ bool EthernetNetwork::attached(HostId host) const {
   return interfaces_.count(host) != 0;
 }
 
-void EthernetNetwork::detach(HostId host) {
-  auto it = interfaces_.find(host);
-  if (it == interfaces_.end()) return;
-  // Frames still queued at the interface never reach the medium. In-flight
-  // frames (already popped by transmit) deliver or drop via find() below.
-  stats_.dropped += it->second->queue.packets();
-  interfaces_.erase(it);
-}
-
 std::uint64_t EthernetNetwork::interface_backlog(HostId host) const {
   auto it = interfaces_.find(host);
   return it == interfaces_.end() ? 0 : it->second->queue.bytes();

@@ -26,7 +26,6 @@ class EthernetNetwork final : public Network {
 
   void attach(HostId host, PacketSink sink) override;
   bool attached(HostId host) const override;
-  void detach(HostId host) override;
   bool send(Packet p) override;
 
   /// Queued bytes at one host's interface (tests).

@@ -71,17 +71,6 @@ void InternetNetwork::attach(HostId host, PacketSink sink) {
   auto it = hosts_.find(host);
   assert(it != hosts_.end() && "attach_host(host, router, config) must come first");
   it->second.sink = std::move(sink);
-  it->second.detached = false;
-}
-
-void InternetNetwork::detach(HostId host) {
-  auto it = hosts_.find(host);
-  if (it == hosts_.end()) return;
-  // The access links stay alive — in-flight transmissions hold closures
-  // over them — but nothing is delivered (hand_to drops on a null sink)
-  // and the host may no longer inject packets.
-  it->second.sink = nullptr;
-  it->second.detached = true;
 }
 
 bool InternetNetwork::attached(HostId host) const {
@@ -95,7 +84,7 @@ bool InternetNetwork::send(Packet p) {
     return false;
   }
   auto it = hosts_.find(p.src);
-  if (it == hosts_.end() || it->second.detached) {
+  if (it == hosts_.end()) {
     ++stats_.dropped;
     return false;
   }

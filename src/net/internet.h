@@ -46,7 +46,6 @@ class InternetNetwork final : public Network {
   // Network interface --------------------------------------------------
   void attach(HostId host, PacketSink sink) override;
   bool attached(HostId host) const override;
-  void detach(HostId host) override;
   bool send(Packet p) override;
   bool reserve_stream(std::uint64_t stream, HostId src, HostId dst,
                       std::uint64_t bytes) override;
@@ -106,9 +105,6 @@ class InternetNetwork final : public Network {
     RouterId router = 0;
     std::unique_ptr<SimplexLink> access_up;  // host -> router
     PacketSink sink;
-    // Detached hosts keep their port (in-flight link closures reference the
-    // access links) but lose the sink and the right to send.
-    bool detached = false;
   };
 
   void forward(RouterId at, Packet p);

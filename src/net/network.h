@@ -51,12 +51,6 @@ class Network {
   virtual void attach(HostId host, PacketSink sink) = 0;
   virtual bool attached(HostId host) const = 0;
 
-  /// Detaches a host without destroying the network: its sink is dropped
-  /// and packets addressed to it count as `dropped` from then on. In-flight
-  /// deliveries must stay safe (dropped on arrival, never a crash). Default
-  /// is a no-op for media with nothing to tear down.
-  virtual void detach(HostId host) { (void)host; }
-
   /// Injects a packet from `p.src`. Returns false if dropped immediately.
   virtual bool send(Packet p) = 0;
 
@@ -114,7 +108,7 @@ class Network {
   virtual void dispatch(Packet p) = 0;
 
   /// Passes `p` to `sink` and counts it delivered; a missing (nullptr) or
-  /// detached (empty) sink counts it dropped.
+  /// empty sink counts it dropped.
   void hand_to(const PacketSink* sink, Packet p) {
     if (sink == nullptr || !*sink) {
       ++stats_.dropped;

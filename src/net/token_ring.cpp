@@ -54,22 +54,6 @@ bool TokenRingNetwork::attached(HostId host) const {
   return index_of_.find(host) != index_of_.end();
 }
 
-void TokenRingNetwork::detach(HostId host) {
-  auto it = index_of_.find(host);
-  if (it == index_of_.end()) return;
-  // The station stays on the ring as a passive repeater: pending grant()
-  // closures hold indices into stations_, and the rotation bound is a
-  // physical property of the loop length. It just stops sourcing and
-  // sinking frames.
-  Station& station = stations_[it->second];
-  station.sink = nullptr;
-  while (!station.queue->empty()) {
-    station.queue->pop();
-    ++stats_.dropped;
-  }
-  index_of_.erase(it);
-}
-
 Time TokenRingNetwork::worst_case_rotation() const {
   return static_cast<Time>(stations_.size()) *
          (ring_.token_holding_time + kTokenPassTime);

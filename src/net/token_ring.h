@@ -42,7 +42,6 @@ class TokenRingNetwork final : public Network {
 
   void attach(HostId host, PacketSink sink) override;
   bool attached(HostId host) const override;
-  void detach(HostId host) override;
   bool send(Packet p) override;
 
   /// Worst-case token rotation time with the current station count.

@@ -148,19 +148,6 @@ bool UdpNetwork::attached(HostId host) const {
          static_cast<bool>(it->second.sink);
 }
 
-void UdpNetwork::detach(HostId host) {
-  auto it = endpoints_.find(host);
-  if (it == endpoints_.end()) return;
-  Endpoint& ep = it->second;
-  // Unsent backlog dies with the socket.
-  stats_.dropped += ep.backlog.size();
-  if (ep.fd >= 0) {
-    driver_.remove_fd(ep.fd);
-    close(ep.fd);
-  }
-  endpoints_.erase(it);
-}
-
 bool UdpNetwork::send(Packet p) {
   if (down()) {
     ++stats_.dropped;
@@ -194,9 +181,7 @@ bool UdpNetwork::send(Packet p) {
     // Zero-delay task: every send in this event batch shares one sendmmsg.
     ep.flush_scheduled = true;
     sim_.after(0, [this, host = p.src] {
-      auto it = endpoints_.find(host);
-      if (it == endpoints_.end()) return;  // detached before the flush ran
-      it->second.flush_scheduled = false;
+      endpoints_.at(host).flush_scheduled = false;
       flush(host);
     });
   }
@@ -285,11 +270,6 @@ void UdpNetwork::on_readable(HostId host) {
       }
       deliver(std::move(p));
     }
-    // Sockets owned by other hosts of this network may have been detached
-    // by a delivery above; our own fd can only have been detached too —
-    // re-check before another recvmmsg round.
-    it = endpoints_.find(host);
-    if (it == endpoints_.end() || it->second.fd != fd) return;
     if (got < kBatch) return;  // drained
   }
 }

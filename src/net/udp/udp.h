@@ -83,7 +83,6 @@ class UdpNetwork final : public Network {
 
   void attach(HostId host, PacketSink sink) override;
   bool attached(HostId host) const override;
-  void detach(HostId host) override;
   bool send(Packet p) override;
 
   const UdpStats& udp_stats() const { return ustats_; }

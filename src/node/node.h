@@ -46,7 +46,7 @@ class DashNode {
         st(std::make_unique<st::SubtransportLayer>(sim, id, *cpu, ports, config.st)),
         rkom_config_(config.rkom) {
     if (config.path.enabled && fabrics.size() >= 2) {
-      path = std::make_unique<path::PathManager>(sim, *st, ports, config.path);
+      path = std::make_unique<path::PathManager>(sim, *st, config.path);
     }
     for (netrms::NetRmsFabric* fabric : fabrics) join(*fabric);
   }
@@ -84,7 +84,7 @@ class DashNode {
  public:
   /// nullptr unless the constructor gave the node a manager. Declared
   /// last: destroyed first, so its destructor can still detach the
-  /// observer from `st` and unbind its probe port from `ports`.
+  /// observer from `st`.
   std::unique_ptr<path::PathManager> path;
 };
 

@@ -2,21 +2,15 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "rms/rms.h"
 #include "util/time.h"
 
 namespace dash::path {
 
 /// Everything the path manager knows about one (peer, network) direction,
 /// fed by the ping/pong probe loop and fabric failure notifications. One
-/// record per pair, created lazily on first probe or first inbound ping.
+/// record per pair, created lazily on the pair's first probe.
 struct ProbeHealth {
-  /// Lazy best-effort network RMS carrying pings out / pongs back. Reset
-  /// and re-created on the next probe after it fails.
-  std::unique_ptr<rms::Rms> channel;
-
   std::uint64_t next_seq = 1;
   std::uint64_t outstanding_seq = 0;  ///< 0 = no probe in flight
   Time outstanding_sent_at = -1;

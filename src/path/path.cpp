@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "util/serialize.h"
-
 namespace dash::path {
 namespace {
 
@@ -16,31 +14,15 @@ constexpr Time kFailoverCooldown = msec(500);
 /// Smoothing for the probe RTT estimate.
 constexpr double kRttEwmaAlpha = 0.3;
 
-/// A ping or a pong (one layout, path/wire.h) from `self` to `peer`,
-/// naming the network it travels on.
-rms::Message probe_message(ProbeType type, std::uint64_t seq, Time t_sent,
-                           const std::string& network, HostId self, HostId peer) {
-  Bytes payload;
-  Writer w(payload);
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(seq);
-  w.i64(t_sent);
-  w.sized_bytes(std::as_bytes(std::span(network)));
-  rms::Message m;
-  m.data = std::move(payload);
-  m.target = rms::Label{peer, kPathPort};
-  m.source = rms::Label{self, kPathPort};
-  return m;
-}
+/// Score of a path with no RTT sample yet (never probed, or no ping
+/// answered): below any answered path (an RTT under 500 s) and above any
+/// path with a strike (-1e9 each).
+constexpr double kUnknownRttPenalty = 5e8;
 
 }  // namespace
 
-PathManager::PathManager(sim::Simulator& sim, st::SubtransportLayer& st,
-                         rms::PortRegistry& ports, PathConfig config)
-    : sim_(sim), st_(st), ports_(ports), config_(config), host_(st.host()) {
-  if (!config_.enabled) return;
-  ports_.bind(kPathPort, &probe_port_);
-  probe_port_.set_handler([this](rms::Message m) { on_probe_message(std::move(m)); });
+PathManager::PathManager(sim::Simulator& sim, st::SubtransportLayer& st, PathConfig config)
+    : sim_(sim), st_(st), config_(config) {
   st_.set_stream_observer(this);
   // The probe tick is armed on demand (first managed stream) and stops
   // re-arming once the last stream is released, so an idle manager leaves
@@ -52,10 +34,7 @@ PathManager::~PathManager() {
   for (std::size_t i = 0; i < fabrics_.size(); ++i) {
     fabrics_[i]->remove_failure_listener(listener_tokens_[i]);
   }
-  if (config_.enabled) {
-    ports_.unbind(kPathPort);
-    if (st_.stream_observer() == this) st_.set_stream_observer(nullptr);
-  }
+  if (st_.stream_observer() == this) st_.set_stream_observer(nullptr);
 }
 
 void PathManager::add_network(netrms::NetRmsFabric& fabric) {
@@ -71,13 +50,6 @@ void PathManager::add_network(netrms::NetRmsFabric& fabric) {
 std::size_t PathManager::fabric_index(const netrms::NetRmsFabric* f) const {
   for (std::size_t i = 0; i < fabrics_.size(); ++i) {
     if (fabrics_[i] == f) return i;
-  }
-  return kNoFabric;
-}
-
-std::size_t PathManager::fabric_index_by_name(const std::string& name) const {
-  for (std::size_t i = 0; i < fabrics_.size(); ++i) {
-    if (fabrics_[i]->traits().name == name) return i;
   }
   return kNoFabric;
 }
@@ -108,11 +80,9 @@ double PathManager::score(HostId peer, const netrms::NetRmsFabric& fabric) const
     if (h.last_failure >= 0 && sim_.now() - h.last_failure <= 4 * config_.probe_interval) {
       s -= 1e9;
     }
-    s -= h.ewma_rtt_ns >= 0 ? h.ewma_rtt_ns / 1e3 : 1e3;
+    s -= h.ewma_rtt_ns >= 0 ? h.ewma_rtt_ns / 1e3 : kUnknownRttPenalty;
   } else {
-    // Never probed: below any probed-and-healthy path, above anything
-    // with a strike against it.
-    s -= 1e3;
+    s -= kUnknownRttPenalty;  // never probed
   }
   // Static admission headroom as the final tie-break (more spare bps =
   // better home for one more stream).
@@ -122,70 +92,31 @@ double PathManager::score(HostId peer, const netrms::NetRmsFabric& fabric) const
 
 // ------------------------------------------------------------------ probes
 
-rms::Rms* PathManager::ensure_probe_channel(ProbeHealth& h, HostId peer,
-                                            std::size_t fabric_idx) {
-  if (h.channel != nullptr && h.channel->failed()) h.channel.reset();
-  if (h.channel == nullptr) {
-    auto created =
-        fabrics_[fabric_idx]->create(host_, probe_request(), rms::Label{peer, kPathPort});
-    if (!created) return nullptr;
-    h.channel = std::move(created).value();
-  }
-  return h.channel.get();
-}
-
 void PathManager::send_probe(HostId peer, std::size_t fabric_idx) {
   ProbeHealth& h = probes_[{peer, fabric_idx}];
   if (h.outstanding_seq != 0) return;  // previous ping not yet resolved
-  rms::Rms* ch = ensure_probe_channel(h, peer, fabric_idx);
-  if (ch == nullptr) return;
-
-  rms::Message m = probe_message(ProbeType::kPing, h.next_seq, sim_.now(),
-                                 fabrics_[fabric_idx]->traits().name, host_, peer);
+  if (!st_.probe(peer, *fabrics_[fabric_idx], h.next_seq)) return;
   h.outstanding_seq = h.next_seq++;
   h.outstanding_sent_at = sim_.now();
   ++h.probes_sent;
   ++stats_.probes_sent;
-  (void)ch->send(std::move(m));
 }
 
-void PathManager::on_probe_message(rms::Message msg) {
-  const HostId src = msg.source.host;
-  Reader r(msg.data);
-  auto type = r.u8();
-  auto seq = r.u64();
-  auto t_sent = r.i64();
-  auto name_bytes = r.sized_bytes();
-  if (!type || !seq || !t_sent || !name_bytes) return;
-  const std::size_t idx = fabric_index_by_name(to_string(*name_bytes));
-  if (idx == kNoFabric) return;
-  ProbeHealth& h = probes_[{src, idx}];
-
-  switch (static_cast<ProbeType>(*type)) {
-    case ProbeType::kPing: {
-      rms::Rms* ch = ensure_probe_channel(h, src, idx);
-      if (ch == nullptr) return;
-      ++stats_.pongs_sent;
-      // t_sent is echoed so the pinger computes RTT statelessly.
-      (void)ch->send(probe_message(ProbeType::kPong, *seq, *t_sent,
-                                   fabrics_[idx]->traits().name, host_, src));
-      break;
-    }
-    case ProbeType::kPong: {
-      if (h.outstanding_seq == 0 || *seq != h.outstanding_seq) return;  // stale
-      h.outstanding_seq = 0;
-      // The answer proves the path alive and folds one RTT sample in.
-      const auto rtt = static_cast<std::uint64_t>(sim_.now() - *t_sent);
-      const auto sample = static_cast<double>(rtt);
-      h.ewma_rtt_ns = h.ewma_rtt_ns < 0 ? sample
-                                        : kRttEwmaAlpha * sample +
-                                              (1.0 - kRttEwmaAlpha) * h.ewma_rtt_ns;
-      h.consecutive_timeouts = 0;
-      ++h.pongs_received;
-      ++stats_.pongs_received;
-      break;
-    }
-  }
+void PathManager::on_probe_reply(HostId peer, netrms::NetRmsFabric& fabric,
+                                 std::uint64_t seq) {
+  auto it = probes_.find({peer, fabric_index(&fabric)});
+  if (it == probes_.end()) return;  // a pair never probed
+  ProbeHealth& h = it->second;
+  if (h.outstanding_seq == 0 || seq != h.outstanding_seq) return;  // stale
+  h.outstanding_seq = 0;
+  // The answer proves the path alive and folds one RTT sample in.
+  const auto sample = static_cast<double>(sim_.now() - h.outstanding_sent_at);
+  h.ewma_rtt_ns = h.ewma_rtt_ns < 0 ? sample
+                                    : kRttEwmaAlpha * sample +
+                                          (1.0 - kRttEwmaAlpha) * h.ewma_rtt_ns;
+  h.consecutive_timeouts = 0;
+  ++h.pongs_received;
+  ++stats_.pongs_received;
 }
 
 void PathManager::on_fabric_failure(std::size_t fabric_idx) {
@@ -198,8 +129,8 @@ void PathManager::on_fabric_failure(std::size_t fabric_idx) {
     h.last_failure = sim_.now();
     h.consecutive_timeouts = std::max(h.consecutive_timeouts, config_.unhealthy_after);
     h.outstanding_seq = 0;
-    // The probe channel was failed with the fabric; it is reset and
-    // re-created on the next probe once the network is usable again.
+    // The ST's control channel on the network failed with the fabric; the
+    // next probe re-creates it once the network is usable again.
   }
 }
 

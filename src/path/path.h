@@ -8,7 +8,9 @@
 //   * it probes every (managed peer, network) pair and scores the
 //     candidate networks per peer — a static admission/cost component
 //     (headroom) plus live health from probe RTTs and timeouts and fabric
-//     failure notifications;
+//     failure notifications. A probe is an ST control message
+//     (SubtransportLayer::probe): the manager opens no network RMS of its
+//     own, and every peer's ST answers, managed or not;
 //   * when a stream's path dies (its network RMS fails, or unhealthy_after
 //     consecutive probes go unanswered on its network) it transparently
 //     fails the stream over to the best alternate network with
@@ -25,14 +27,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "netrms/fabric.h"
 #include "path/health.h"
-#include "path/wire.h"
 #include "rms/rms.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
@@ -44,8 +43,8 @@ namespace dash::path {
 using rms::HostId;
 
 struct PathConfig {
-  /// Master switch: a disabled manager binds nothing, probes nothing, and
-  /// never attaches to the ST.
+  /// Master switch, read by node::DashNode: a host gets a manager only
+  /// when this is set (and it joins two or more networks).
   bool enabled = true;
 
   /// Probe pacing: one ping per (managed peer, attached network) every
@@ -60,7 +59,6 @@ class PathManager final : public st::StreamObserver {
  public:
   struct Stats {
     std::uint64_t probes_sent = 0;
-    std::uint64_t pongs_sent = 0;
     std::uint64_t pongs_received = 0;
     std::uint64_t probe_timeouts = 0;
     std::uint64_t fabric_failures = 0;     ///< fabric-level death notifications
@@ -69,11 +67,9 @@ class PathManager final : public st::StreamObserver {
     std::uint64_t death_failovers = 0;     ///< triggered by channel failure
   };
 
-  /// Attaches to `st` (as its stream observer, when enabled) and binds the
-  /// probe port in `ports`. Must outlive neither; destroy the manager
-  /// before the ST and registry (DashNode declares it after them).
-  PathManager(sim::Simulator& sim, st::SubtransportLayer& st,
-              rms::PortRegistry& ports, PathConfig config = {});
+  /// Attaches to `st` as its stream observer. Destroy the manager before
+  /// the ST (DashNode declares it after it).
+  PathManager(sim::Simulator& sim, st::SubtransportLayer& st, PathConfig config = {});
   ~PathManager() override;
   PathManager(const PathManager&) = delete;
   PathManager& operator=(const PathManager&) = delete;
@@ -83,12 +79,13 @@ class PathManager final : public st::StreamObserver {
   void add_network(netrms::NetRmsFabric& fabric);
 
   /// Composite path score for moving a stream to `peer` over `fabric`:
-  /// higher is better. Unknown health scores mildly negative;
-  /// a down network scores -inf for practical purposes.
+  /// higher is better. A path with no answered probe scores below every
+  /// answered one and above any path with a strike; a down network scores
+  /// -inf for practical purposes.
   double score(HostId peer, const netrms::NetRmsFabric& fabric) const;
 
-  /// Probe health for one (peer, fabric) direction; nullptr if no probe
-  /// or inbound ping has touched the pair yet.
+  /// Probe health for one (peer, fabric) direction; nullptr if the pair
+  /// was never probed.
   const ProbeHealth* probe_health(HostId peer,
                                   const netrms::NetRmsFabric& fabric) const;
 
@@ -107,6 +104,8 @@ class PathManager final : public st::StreamObserver {
   void on_stream_released(st::StRms& rms) override;
   bool on_channel_failed(st::StRms& rms, const Error& e) override;
   void on_stream_rebound(st::StRms& rms) override;
+  void on_probe_reply(HostId peer, netrms::NetRmsFabric& fabric,
+                      std::uint64_t seq) override;
 
  private:
   struct ManagedStream {
@@ -119,12 +118,9 @@ class PathManager final : public st::StreamObserver {
   void tick();
   void arm_tick();
   void send_probe(HostId peer, std::size_t fabric_idx);
-  void on_probe_message(rms::Message msg);
   void on_fabric_failure(std::size_t fabric_idx);
   bool try_failover(ManagedStream& ms, const char* reason);
-  rms::Rms* ensure_probe_channel(ProbeHealth& h, HostId peer, std::size_t fabric_idx);
   std::size_t fabric_index(const netrms::NetRmsFabric* f) const;  ///< npos if unknown
-  std::size_t fabric_index_by_name(const std::string& name) const;
   /// Records a trace event; `detail` builds the detail string and runs only
   /// when a trace is attached and enabled.
   template <typename Detail>
@@ -138,10 +134,7 @@ class PathManager final : public st::StreamObserver {
 
   sim::Simulator& sim_;
   st::SubtransportLayer& st_;
-  rms::PortRegistry& ports_;
   PathConfig config_;
-  HostId host_;
-  rms::Port probe_port_;
   std::vector<netrms::NetRmsFabric*> fabrics_;
   std::vector<std::uint64_t> listener_tokens_;  ///< parallel to fabrics_
   // Ordered maps: tick() iterates these, and iteration order must be

@@ -11,6 +11,8 @@ std::size_t wire_size(const CreateRequest& m) { return 1 + 3 * 8 + 1 + 4 + m.fab
 std::size_t wire_size(const CreateReply&) { return 1 + 2 * 8 + 1; }
 std::size_t wire_size(const Delete&) { return 1 + 8; }
 std::size_t wire_size(const FastAck& m) { return fast_ack_bytes(m.acks.size()); }
+template <ControlType T>
+std::size_t wire_size(const Probe<T>& m) { return 1 + 8 + 4 + m.fabric.size(); }
 
 // The fields after the type byte.
 template <ControlType T>
@@ -38,6 +40,11 @@ void put(Writer& w, const FastAck& m) {
     w.u64(st_id);
     w.u64(ack_id);
   }
+}
+template <ControlType T>
+void put(Writer& w, const Probe<T>& m) {
+  w.u64(m.seq);
+  w.sized_bytes(std::as_bytes(std::span(m.fabric)));
 }
 
 template <typename M>
@@ -82,6 +89,8 @@ std::optional<ControlMsg> read_message(Fields& f) {
       if (m.acks.empty()) return std::nullopt;
       return m;
     }
+    case ControlType::kPing: return Ping{f.u64(), f.text()};
+    case ControlType::kPong: return Pong{f.u64(), f.text()};
   }
   return std::nullopt;
 }

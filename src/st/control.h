@@ -54,9 +54,21 @@ struct FastAck {
   friend bool operator==(const FastAck&, const FastAck&) = default;
 };
 
+/// kPing and kPong share a layout: a path probe (DESIGN.md §11) names the
+/// network it travels on. The receiving ST answers a ping over that network
+/// and no other, echoing `seq` and the name.
+template <ControlType>
+struct Probe {
+  std::uint64_t seq = 0;
+  std::string fabric;
+  friend bool operator==(const Probe&, const Probe&) = default;
+};
+using Ping = Probe<ControlType::kPing>;
+using Pong = Probe<ControlType::kPong>;
+
 /// One alternative per ControlType, in ControlType order.
 using ControlMsg = std::variant<AuthChallenge, AuthResponse, CreateRequest,
-                                CreateReply, Delete, FastAck>;
+                                CreateReply, Delete, FastAck, Ping, Pong>;
 
 /// Encodes `m` into a buffer reserved to its exact size. The FastAck
 /// overload encodes a held batch without copying it into a ControlMsg.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "netrms/cost_model.h"
 #include "util/serialize.h"
@@ -122,6 +123,11 @@ SubtransportLayer::~SubtransportLayer() {
 }
 
 void SubtransportLayer::add_network(netrms::NetRmsFabric& fabric) {
+  if (fabric_named(fabric.traits().name) != nullptr) {
+    throw std::invalid_argument("host " + std::to_string(host_) +
+                                " already joined a network named '" +
+                                fabric.traits().name + "'");
+  }
   fabrics_.push_back(&fabric);
   fabric_listeners_.push_back(fabric.add_failure_listener(
       [this, f = &fabric](const Error&) { drop_fast_acks(f); }));
@@ -455,10 +461,10 @@ SubtransportLayer::PeerState& SubtransportLayer::peer_state(HostId peer) {
   return peers_.emplace(peer, std::move(ps)).first->second;
 }
 
-void SubtransportLayer::send_on(PeerState& ps, netrms::NetRmsFabric* fabric,
+bool SubtransportLayer::send_on(PeerState& ps, netrms::NetRmsFabric* fabric,
                                 Bytes payload) {
   if (fabric == nullptr) fabric = home_fabric(ps.peer);
-  if (fabric == nullptr) return;  // no live network reaches the peer
+  if (fabric == nullptr) return false;  // no live network reaches the peer
   std::unique_ptr<rms::Rms>& out = ps.control[fabric];
   if (out != nullptr && out->failed()) {
     // The network RMS under the channel died (network failure or
@@ -476,7 +482,7 @@ void SubtransportLayer::send_on(PeerState& ps, netrms::NetRmsFabric* fabric,
     // the stream's move to another network, recovers.
     auto created =
         fabric->create(host_, control_channel_request(), Label{ps.peer, kControlPort});
-    if (!created) return;
+    if (!created) return false;
     out = std::move(created).value();
   }
   rms::Message m;
@@ -485,6 +491,12 @@ void SubtransportLayer::send_on(PeerState& ps, netrms::NetRmsFabric* fabric,
   m.source = Label{host_, kControlPort};
   ++stats_.control_messages;
   (void)out->send(std::move(m));
+  return true;
+}
+
+bool SubtransportLayer::probe(HostId peer, netrms::NetRmsFabric& fabric,
+                              std::uint64_t seq) {
+  return send_on(peer_state(peer), &fabric, encode(Ping{seq, fabric.traits().name}));
 }
 
 netrms::NetRmsFabric* SubtransportLayer::fabric_named(const std::string& name) const {
@@ -1161,6 +1173,15 @@ void SubtransportLayer::handle_control(rms::Message msg) {
     for (const auto& [st_id, ack_id] : m->acks) {
       handle_fast_ack(src, st_id, ack_id);
     }
+  } else if (const auto* m = std::get_if<Ping>(&*decoded)) {
+    // Answer over the network the ping names, never another: the pong
+    // vouches for that network alone. Any ST answers, managed or not.
+    if (netrms::NetRmsFabric* f = fabric_named(m->fabric)) {
+      send_on(ps, f, encode(Pong{m->seq, m->fabric}));
+    }
+  } else if (const auto* m = std::get_if<Pong>(&*decoded)) {
+    netrms::NetRmsFabric* f = fabric_named(m->fabric);
+    if (f != nullptr && observer_ != nullptr) observer_->on_probe_reply(src, *f, m->seq);
   }
 }
 
@@ -1358,7 +1379,7 @@ void SubtransportLayer::detach_channel(StRms& rms) {
   ch.capacity_used -= std::min(ch.capacity_used, rms.params().capacity);
   if (--ch.ref_count > 0) return;
 
-  if (config_.enable_caching && ch.net_rms != nullptr && !ch.net_rms->failed()) {
+  if (config_.cache_idle_timeout > 0 && ch.net_rms != nullptr && !ch.net_rms->failed()) {
     // §4.2: retain the idle network RMS; expire it after the idle timeout.
     // A failed network RMS is never worth caching — a later cache hit
     // would hand the client a dead stream.

@@ -7,7 +7,9 @@
 //   * per-peer control channels (low-delay network RMS, one per direction
 //     and network) running a request/reply protocol for authentication and
 //     ST RMS establishment. A message about a stream rides that stream's
-//     network; the handshake rides the peer's home network;
+//     network; the handshake rides the peer's home network. They also carry
+//     the path manager's probes: a ping names its network, and every ST
+//     answers it over that network, with or without a path manager;
 //   * network RMS caching — an idle network RMS is retained because hosts
 //     communicate repeatedly with a small set of peers and network RMS
 //     creation is slow (§4.2);
@@ -58,10 +60,9 @@ struct StConfig {
   /// leaves in its own packet at once.
   Time piggyback_window = msec(2);
 
-  /// How long an idle network RMS stays cached before deletion (§4.2).
+  /// How long an idle network RMS stays cached before deletion (§4.2). 0
+  /// turns caching off: an idle network RMS is released at once.
   Time cache_idle_timeout = sec(5);
-
-  bool enable_caching = true;
 
   /// How much network-RMS capacity to provision beyond the first ST RMS's
   /// need, so later streams can multiplex onto the same network RMS (§4.2:
@@ -81,11 +82,12 @@ class SubtransportLayer;
 inline constexpr std::uint64_t kHandoffAckBit = 1ull << 63;
 
 /// Hooks for a per-host path manager (src/path). The ST consults the
-/// observer at stream lifecycle points and on channel failure; returning
-/// true from on_channel_failed means the observer re-homed the stream
-/// (SubtransportLayer::rebind_stream) and the failure must not propagate
-/// to the client. All hooks are optional; with no observer attached the ST
-/// behaves exactly as before the path subsystem existed.
+/// observer at stream lifecycle points, on channel failure and when a probe
+/// is answered; returning true from on_channel_failed means the observer
+/// re-homed the stream (SubtransportLayer::rebind_stream) and the failure
+/// must not propagate to the client. All hooks are optional; with no
+/// observer attached the ST behaves exactly as before the path subsystem
+/// existed.
 class StreamObserver {
  public:
   virtual ~StreamObserver() = default;
@@ -96,6 +98,10 @@ class StreamObserver {
   virtual bool on_channel_failed(StRms&, const Error&) { return false; }
   /// Establishment over the new network completed after a rebind.
   virtual void on_stream_rebound(StRms&) {}
+  /// `peer` answered the ping `seq` sent by SubtransportLayer::probe over
+  /// `fabric`.
+  virtual void on_probe_reply(HostId /*peer*/, netrms::NetRmsFabric& /*fabric*/,
+                              std::uint64_t /*seq*/) {}
 };
 
 /// The client handle for an ST RMS (sender side).
@@ -242,6 +248,8 @@ class SubtransportLayer {
 
   /// Makes a network (via its RMS fabric) available to this host's ST.
   /// The ST picks a suitable network per peer (§3.1: multiple types).
+  /// Control messages name networks, so a host's network names must be
+  /// unique: throws std::invalid_argument for a name already joined.
   void add_network(netrms::NetRmsFabric& fabric);
 
   /// The registered fabrics, in registration order (path manager, tests).
@@ -261,6 +269,12 @@ class SubtransportLayer {
   /// Fires the stream's downgrade callback when only weaker acceptable
   /// parameters fit. The stream keeps queueing sends throughout.
   Status rebind_stream(std::uint64_t stream_id, netrms::NetRmsFabric& fabric);
+
+  /// Sends the path probe `seq` to `peer` over its control channel on
+  /// `fabric` (DESIGN.md §11). The peer's ST answers over the same network,
+  /// and the answer reaches the stream observer's on_probe_reply. False if
+  /// no control channel could be opened on `fabric`.
+  bool probe(HostId peer, netrms::NetRmsFabric& fabric, std::uint64_t seq);
 
   /// Sender-side stream lookup (path manager, tests); nullptr if unknown.
   StRms* find_stream(std::uint64_t stream_id);
@@ -463,9 +477,10 @@ class SubtransportLayer {
   /// Sends a control message to `ps.peer` over its control channel on
   /// `fabric`. The one routing rule: a message about a stream passes the
   /// stream's network, so it shares the stream's fate; the handshake passes
-  /// nullptr and rides the home network. Every control message leaves
-  /// through here.
-  void send_on(PeerState& ps, netrms::NetRmsFabric* fabric, Bytes payload);
+  /// nullptr and rides the home network, and a probe passes the network it
+  /// measures. Every control message leaves through here. False if no
+  /// control channel could be opened.
+  bool send_on(PeerState& ps, netrms::NetRmsFabric* fabric, Bytes payload);
   netrms::NetRmsFabric* fabric_named(const std::string& name) const;
 
   // fast acks (§3.2)

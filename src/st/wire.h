@@ -57,6 +57,10 @@ enum class ControlType : std::uint8_t {
   kCreateReply = 4,    ///< u64 request id, u64 st id, u8 ok
   kDelete = 5,         ///< u64 st id
   kFastAck = 6,        ///< u8 count, count × (u64 st id, u64 ack id)
+  kPing = 7,           ///< u64 seq, u32-length-prefixed name of the network
+                       ///< the ping travels on
+  kPong = 8,           ///< u64 seq echo, u32-length-prefixed name of the
+                       ///< network the pong travels on
 };
 
 /// Largest control message: the control RMS's maximum message size.

@@ -47,17 +47,6 @@ class Samples {
     return values_.front();
   }
 
-  /// Fraction of samples strictly greater than `threshold` — the miss rate
-  /// against a delay bound.
-  double fraction_above(double threshold) const {
-    if (values_.empty()) return 0.0;
-    std::size_t over = 0;
-    for (double v : values_) {
-      if (v > threshold) ++over;
-    }
-    return static_cast<double>(over) / static_cast<double>(values_.size());
-  }
-
  private:
   void sort() {
     if (sorted_prefix_ == values_.size()) return;

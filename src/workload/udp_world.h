@@ -17,10 +17,11 @@
 namespace dash::workload {
 
 struct UdpWorldConfig {
-  /// Also builds a second UdpNetwork/fabric pair (`media[1]`): a second
-  /// "NIC" on 127.0.0.1 with its own sockets. A node gets a path manager
-  /// only with two networks (nowhere to fail over otherwise), so
-  /// with_path_manager implies this.
+  /// Also builds a second UdpNetwork/fabric pair (`media[1]`, named
+  /// `udp-b`: a host's network names are unique): a second "NIC" on
+  /// 127.0.0.1 with its own sockets. A node gets a path manager only with
+  /// two networks (nowhere to fail over otherwise), so with_path_manager
+  /// implies this.
   bool with_path_manager = false;
   path::PathConfig path_config = {};
 };

@@ -38,7 +38,9 @@ std::vector<ControlMsg> one_of_each() {
           CreateRequest{2, 7, 50, kMac | kEncrypted, "ethernet"},
           CreateReply{2, 7, true},
           Delete{7},
-          FastAck{{{7, 1}, {9, kHandoffAckBit | 3}}}};
+          FastAck{{{7, 1}, {9, kHandoffAckBit | 3}}},
+          Ping{11, "eth-b"},
+          Pong{11, "eth-b"}};
 }
 
 /// Decodes a copy of `b` in an allocation of exactly its size, so a read
@@ -47,7 +49,7 @@ std::optional<ControlMsg> decode_exact(const Bytes& b) { return decode(Bytes(b))
 
 TEST(StControl, EveryMessageRoundTripsInItsLayout) {
   const std::vector<std::size_t> sizes = {25, 25, 1 + 3 * 8 + 1 + 4 + 8, 18, 9,
-                                          fast_ack_bytes(2)};
+                                          fast_ack_bytes(2), 1 + 8 + 4 + 5, 1 + 8 + 4 + 5};
   const std::vector<ControlMsg> messages = one_of_each();
   for (std::size_t i = 0; i < messages.size(); ++i) {
     const Bytes wire = encode(messages[i]);
@@ -55,7 +57,7 @@ TEST(StControl, EveryMessageRoundTripsInItsLayout) {
     EXPECT_EQ(std::to_integer<std::size_t>(wire[0]), i + 1) << "ControlType order";
     EXPECT_TRUE(decode_exact(wire) == messages[i]) << "type " << i + 1;
   }
-  EXPECT_EQ(encode(std::get<FastAck>(messages.back())), encode(messages.back()));
+  EXPECT_EQ(encode(std::get<FastAck>(messages[5])), encode(messages[5]));
 }
 
 TEST(StControl, EveryStrictPrefixAndATrailingByteAreRejected) {
@@ -73,7 +75,7 @@ TEST(StControl, EveryStrictPrefixAndATrailingByteAreRejected) {
 }
 
 TEST(StControl, UnknownTypesAndEmptyFastAcksAreRejected) {
-  for (int type : {0, 7, 0x80, 0xFF}) {
+  for (int type : {0, static_cast<int>(ControlType::kPong) + 1, 0x80, 0xFF}) {
     Bytes wire(1 + 3 * 8);
     wire[0] = static_cast<std::byte>(type);
     EXPECT_FALSE(decode_exact(wire)) << "type " << type;
@@ -108,24 +110,36 @@ void mutate(Rng& rng, Bytes& b, const std::vector<std::size_t>& counts) {
 
 ControlMsg random_control(Rng& rng) {
   auto u64 = [&rng] { return rng.next(); };
-  switch (rng.below(6)) {
+  auto name = [&rng] {
+    std::string fabric(rng.below(24), ' ');
+    for (char& c : fabric) c = static_cast<char>(rng.below(256));
+    return fabric;
+  };
+  switch (rng.below(8)) {
     case 0: return AuthChallenge{u64(), u64(), u64()};
     case 1: return AuthResponse{u64(), u64(), u64()};
-    case 2: {
-      std::string fabric(rng.below(24), ' ');
-      for (char& c : fabric) c = static_cast<char>(rng.below(256));
+    case 2:
       return CreateRequest{u64(), u64(), u64(), static_cast<std::uint8_t>(rng.below(256)),
-                           fabric};
-    }
+                           name()};
     case 3: return CreateReply{u64(), u64(), rng.chance(0.5)};
     case 4: return Delete{u64()};
-    default: {
+    case 5: {
       FastAck m;
       m.acks.resize(static_cast<std::size_t>(rng.range(1, kFastAckMaxPairs)));
       for (auto& pair : m.acks) pair = {u64(), u64()};
       return m;
     }
+    case 6: return Ping{u64(), name()};
+    default: return Pong{u64(), name()};
   }
+}
+
+/// The offset of the count or length field a mutation may nudge: the low
+/// byte of a network name's length, or the kFastAck pair count.
+std::size_t count_field(const ControlMsg& m) {
+  if (std::holds_alternative<CreateRequest>(m)) return 26;
+  if (std::holds_alternative<Ping>(m) || std::holds_alternative<Pong>(m)) return 9;
+  return 1;
 }
 
 TEST(StControlFuzz, MutatedControlMessagesReencodeStably) {
@@ -134,8 +148,7 @@ TEST(StControlFuzz, MutatedControlMessagesReencodeStably) {
   for (int i = 0; i < 20000; ++i) {
     const ControlMsg original = random_control(rng);
     Bytes wire = encode(original);
-    // The kFastAck pair count, or the low byte of kCreateRequest's name length.
-    mutate(rng, wire, {std::holds_alternative<CreateRequest>(original) ? 26u : 1u});
+    mutate(rng, wire, {count_field(original)});
     const std::optional<ControlMsg> first = decode_exact(wire);
     if (!first) continue;
     ++survivors;

@@ -8,6 +8,7 @@
 #include "baseline/sliding_window.h"
 #include "util/stats.h"
 #include "rkom/rkom.h"
+#include "telemetry/ledger.h"
 #include "test_helpers.h"
 #include "transport/stream.h"
 #include "workload/workload.h"
@@ -29,9 +30,11 @@ TEST(Integration, MixedWorkloadCoexists) {
   world.node(2).ports.bind(70, &voice_port);
   auto voice = world.st(1).create(workload::voice_request(msec(40)), {2, 70});
   ASSERT_TRUE(voice.ok()) << voice.error().message;
-  Samples voice_ms;
+  telemetry::GuaranteeLedger ledger;
+  const telemetry::StreamAccount& voice_account =
+      ledger.open(1, "voice", voice.value()->params(), 1, 2);
   voice_port.set_handler([&](rms::Message m) {
-    voice_ms.add(to_millis(world.sim.now() - m.sent_at));
+    ledger.on_delivery(1, world.sim.now() - m.sent_at, m.size());
   });
   workload::PacedSource voice_src(world.sim, workload::kVoiceFrameInterval,
                                   workload::kVoiceFrameBytes, [&](Bytes f) {
@@ -80,8 +83,8 @@ TEST(Integration, MixedWorkloadCoexists) {
   voice_src.stop();
   world.sim.run_for(msec(500));
 
-  EXPECT_GE(voice_ms.count(), 490u);
-  EXPECT_LT(voice_ms.fraction_above(40.0), 0.01);  // voice met its bound
+  EXPECT_GE(voice_account.delivered, 490u);
+  EXPECT_LT(voice_account.miss_fraction(), 0.01);  // voice met its bound
   EXPECT_GT(bulk_bytes, 5'000'000u);               // bulk moved megabytes
   EXPECT_GT(rpc_done, 200);                        // RPC stayed responsive
   EXPECT_LT(rpc_ms.percentile(0.99), 50.0);
@@ -168,8 +171,13 @@ TEST(Integration, ReservedStreamSurvivesMultiHopCongestion) {
   // bounds do not cover stream setup (§4.2 covers that via caching).
   sim.run_until(msec(500));
   Samples voice_ms;
+  telemetry::GuaranteeLedger ledger;
+  const telemetry::StreamAccount& voice_account =
+      ledger.open(1, "voice", voice.value()->params(), 1, 9);
   voice_port.set_handler([&](rms::Message m) {
-    voice_ms.add(to_millis(sim.now() - m.sent_at));
+    const Time delay = sim.now() - m.sent_at;
+    voice_ms.add(to_millis(delay));
+    ledger.on_delivery(1, delay, m.size());
   });
   workload::PacedSource voice_src(sim, workload::kVoiceFrameInterval,
                                   workload::kVoiceFrameBytes, [&](Bytes f) {
@@ -199,8 +207,8 @@ TEST(Integration, ReservedStreamSurvivesMultiHopCongestion) {
   const double bound_ms =
       to_millis(voice.value()->params().delay.bound_for(workload::kVoiceFrameBytes));
   // (10 s - 500 ms warmup) / 20 ms = 476 frames; all must arrive.
-  EXPECT_GE(voice_ms.count(), 476u);
-  EXPECT_LT(voice_ms.fraction_above(bound_ms), 0.01)
+  EXPECT_GE(voice_account.delivered, 476u);
+  EXPECT_LT(voice_account.miss_fraction(), 0.01)
       << "p99=" << voice_ms.percentile(0.99) << " bound=" << bound_ms;
   EXPECT_GT(net.gateway_drops(), 0u);  // the flood did hurt someone
 }

@@ -76,11 +76,44 @@ TEST(Path, ProbesTrackHealthOnEveryNetwork) {
   EXPECT_EQ(hb->consecutive_timeouts, 0);
   EXPECT_GT(pm.stats().probes_sent, 0u);
   EXPECT_EQ(pm.stats().probe_timeouts, 0u);
-  // The peer answers pings without managing any stream of its own.
-  EXPECT_GT(world.node(2).path->stats().pongs_sent, 0u);
-  // Healthy paths on both networks: both better than the unknown floor.
-  EXPECT_GT(pm.score(2, *world.fabric), -1e3);
-  EXPECT_GT(pm.score(2, *world.media[1].fabric), -1e3);
+  // Healthy paths on both networks: both better than a pair never probed
+  // (host 3 is on neither network's probe list).
+  EXPECT_GT(pm.score(2, *world.fabric), pm.score(3, *world.fabric));
+  EXPECT_GT(pm.score(2, *world.media[1].fabric), pm.score(3, *world.media[1].fabric));
+}
+
+TEST(Path, PeerWithoutManagerAnswersProbes) {
+  // Host 2 joins both networks but runs no path manager. Its ST still
+  // answers host 1's pings, each over the network the ping names, so host
+  // 1 sees both networks healthy and never moves its stream.
+  node::World<net::EthernetNetwork> world(
+      {node::ethernet(net::ethernet_traits("eth-a"), 1),
+       node::ethernet(net::ethernet_traits("eth-b"), 2)},
+      {1});
+  world.add_node(2, {.path = {.enabled = false}});
+  ASSERT_EQ(world.node(2).path, nullptr);
+  rms::Port inbox;
+  world.node(2).ports.bind(50, &inbox);
+
+  auto stream = world.st(1).create(reliable_request(), {2, 50});
+  ASSERT_TRUE(stream.ok()) << stream.error().message;
+  constexpr int kMessages = 500;  // one every 10 ms
+  rms::Rms* raw = stream.value().get();
+  for (int i = 0; i < kMessages; ++i) {
+    world.sim.at(msec(10) * (i + 1), [raw, i] { (void)raw->send(numbered(i)); });
+  }
+  world.sim.run_until(sec(6));
+
+  PathManager& pm = *world.node(1).path;
+  const ProbeHealth* ha = pm.probe_health(2, *world.fabric);
+  const ProbeHealth* hb = pm.probe_health(2, *world.media[1].fabric);
+  ASSERT_NE(ha, nullptr);
+  ASSERT_NE(hb, nullptr);
+  EXPECT_GT(ha->pongs_received, 0u);
+  EXPECT_GT(hb->pongs_received, 0u);
+  EXPECT_EQ(pm.stats().probe_timeouts, 0u);
+  EXPECT_EQ(pm.stats().failovers, 0u);
+  EXPECT_EQ(collect_ints(inbox).size(), static_cast<std::size_t>(kMessages));
 }
 
 TEST(Path, IdleManagerLeavesSimulationQuiescent) {
@@ -217,7 +250,7 @@ TEST(Path, FailoverFailureLeavesStreamFailedWhenNoAlternate) {
   // Only one network: channel death has nowhere to go, the observer
   // declines, and the stream fails exactly as it did pre-path-manager.
   auto world = dash::testing::st_world(2, net::ethernet_traits("only"), 1);
-  PathManager pm(world.sim, world.st(1), world.node(1).ports);
+  PathManager pm(world.sim, world.st(1));
   pm.add_network(*world.fabric);
 
   rms::Port inbox;

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "session/session.h"
+#include "telemetry/ledger.h"
 #include "test_helpers.h"
-#include "util/stats.h"
 #include "workload/workload.h"
 
 namespace dash::session {
@@ -120,13 +120,15 @@ TEST(Session, DuplexVoiceCallMeetsBoundsBothWays) {
   // The session abstraction carrying what it was designed for: a duplex
   // real-time voice call established with one connect().
   SessionWorld w;
-  Samples up_ms, down_ms;
+  // One account per direction, opened once the session has negotiated.
+  telemetry::GuaranteeLedger ledger;
+  constexpr std::uint64_t kUp = 1, kDown = 2;
 
   std::unique_ptr<Session> callee;
   w.host2->listen("voice", [&](std::unique_ptr<Session> s) {
     callee = std::move(s);
     callee->on_message([&](rms::Message m) {
-      up_ms.add(to_millis(w.world.sim.now() - m.sent_at));
+      ledger.on_delivery(kUp, w.world.sim.now() - m.sent_at, m.size());
     });
   });
 
@@ -136,12 +138,16 @@ TEST(Session, DuplexVoiceCallMeetsBoundsBothWays) {
     ASSERT_TRUE(r.ok()) << r.error().message;
     caller = std::move(r).value();
     caller->on_message([&](rms::Message m) {
-      down_ms.add(to_millis(w.world.sim.now() - m.sent_at));
+      ledger.on_delivery(kDown, w.world.sim.now() - m.sent_at, m.size());
     });
   });
   w.world.sim.run_until(sec(1));
   ASSERT_NE(caller, nullptr);
   ASSERT_NE(callee, nullptr);
+  const telemetry::StreamAccount& up_account =
+      ledger.open(kUp, "up", caller->params(), 1, 2);
+  const telemetry::StreamAccount& down_account =
+      ledger.open(kDown, "down", callee->params(), 2, 1);
 
   workload::PacedSource up(w.world.sim, workload::kVoiceFrameInterval,
                            workload::kVoiceFrameBytes,
@@ -156,10 +162,10 @@ TEST(Session, DuplexVoiceCallMeetsBoundsBothWays) {
   down.stop();
   w.world.sim.run_for(msec(200));
 
-  EXPECT_GE(up_ms.count(), 240u);
-  EXPECT_GE(down_ms.count(), 240u);
-  EXPECT_LT(up_ms.fraction_above(40.0), 0.01);
-  EXPECT_LT(down_ms.fraction_above(40.0), 0.01);
+  EXPECT_GE(up_account.delivered, 240u);
+  EXPECT_GE(down_account.delivered, 240u);
+  EXPECT_LT(up_account.miss_fraction(), 0.01);
+  EXPECT_LT(down_account.miss_fraction(), 0.01);
 }
 
 TEST(Session, FailureSurfacesThroughTheSession) {

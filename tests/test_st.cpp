@@ -7,6 +7,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -433,7 +434,7 @@ TEST(St, CachedChannelExpiresAfterIdleTimeout) {
 
 TEST(St, CachingDisabledClosesChannelImmediately) {
   st::StConfig config;
-  config.enable_caching = false;
+  config.cache_idle_timeout = 0;
   auto world = st_world(2, net::ethernet_traits(), 42, config);
   auto rms = world.st(1).create(st_request(), {2, 50});
   ASSERT_TRUE(rms.ok());
@@ -901,6 +902,19 @@ TEST(St, PicksNetworkWherePeerIsAttached) {
   EXPECT_EQ(port.delivered(), 1u);
   EXPECT_GT(lan_b.stats().delivered, 0u);
   EXPECT_EQ(lan_a.stats().delivered, 0u);
+}
+
+TEST(St, DuplicateNetworkNameThrows) {
+  // Control messages name networks, so one host may not join two networks
+  // of the same name.
+  sim::Simulator sim;
+  net::EthernetNetwork lan_a(sim, net::ethernet_traits("lan"), 1);
+  net::EthernetNetwork lan_b(sim, net::ethernet_traits("lan"), 2);
+  netrms::NetRmsFabric fab_a(sim, lan_a);
+  netrms::NetRmsFabric fab_b(sim, lan_b);
+  node::DashNode h1(sim, 1, {&fab_a});
+  EXPECT_THROW(h1.st->add_network(fab_b), std::invalid_argument);
+  EXPECT_EQ(h1.st->networks().size(), 1u);
 }
 
 TEST(St, RebindCompletesWhenTheHomeNetworkGoesSilent) {
@@ -1412,6 +1426,71 @@ TEST(StRobustness, CreateReplyCannotSettleTheHandshake) {
 
   world.sim.run_until(sec(1));
   EXPECT_TRUE(st_rms->established());
+}
+
+/// Records every answered probe the ST reports to its observer.
+struct ProbeLog final : StreamObserver {
+  struct Reply {
+    HostId peer = 0;
+    netrms::NetRmsFabric* fabric = nullptr;
+    std::uint64_t seq = 0;
+  };
+  std::vector<Reply> replies;
+  void on_probe_reply(HostId peer, netrms::NetRmsFabric& fabric,
+                      std::uint64_t seq) override {
+    replies.push_back({peer, &fabric, seq});
+  }
+};
+
+TEST(StRobustness, PingIsAnsweredOnlyOnTheNetworkItNames) {
+  // Host 1 forges pings to host 2's control port over network A. Host 2
+  // answers a ping that names B over B, and a ping that names a network it
+  // never joined on no network at all.
+  ProbeLog log;
+  auto world = dash::testing::two_net_world(2, net::ethernet_traits("eth-a"),
+                                            net::ethernet_traits("eth-b"),
+                                            kNoPathManager.path);
+  world.st(1).set_stream_observer(&log);
+  auto forger = world.fabric->create(1, dash::testing::loose_request(4096, 256),
+                                     {2, kControlPort});
+  ASSERT_TRUE(forger.ok());
+  auto ping = [&](std::uint64_t seq, std::string network) {
+    rms::Message m;
+    m.data = encode(Ping{seq, std::move(network)});
+    ASSERT_TRUE(forger.value()->send(std::move(m)).ok());
+  };
+
+  ping(1, "eth-c");
+  world.sim.run();
+  EXPECT_EQ(world.st(2).stats().control_messages, 0u);
+  EXPECT_EQ(world.media[1].network->stats().delivered, 0u);
+  EXPECT_TRUE(log.replies.empty());
+
+  ping(2, "eth-b");
+  world.sim.run();
+  EXPECT_EQ(world.st(2).stats().control_messages, 1u);
+  EXPECT_GT(world.media[1].network->stats().delivered, 0u);
+  ASSERT_EQ(log.replies.size(), 1u);
+  EXPECT_EQ(log.replies[0].peer, 2u);
+  EXPECT_EQ(log.replies[0].fabric, world.media[1].fabric.get());
+  EXPECT_EQ(log.replies[0].seq, 2u);
+}
+
+TEST(StRobustness, StrayPongCreatesNoProbeHealth) {
+  // Host 1 manages no stream, so it never probed host 2. A pong from host
+  // 2 answers nothing and must leave no probe state behind.
+  auto world = dash::testing::two_net_world(2);
+  auto forger = world.fabric->create(2, dash::testing::loose_request(4096, 256),
+                                     {1, kControlPort});
+  ASSERT_TRUE(forger.ok());
+  rms::Message m;
+  m.data = encode(Pong{1, "eth-a"});
+  ASSERT_TRUE(forger.value()->send(std::move(m)).ok());
+  world.sim.run();
+
+  const path::PathManager& pm = *world.node(1).path;
+  EXPECT_EQ(pm.probe_health(2, *world.fabric), nullptr);
+  EXPECT_EQ(pm.stats().pongs_received, 0u);
 }
 
 }  // namespace

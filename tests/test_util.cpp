@@ -332,13 +332,6 @@ TEST(Stats, SamplesInterleavedAddAndQuery) {
   EXPECT_DOUBLE_EQ(s.percentile(0.5), 5.0);
 }
 
-TEST(Stats, FractionAbove) {
-  Samples s;
-  for (int i = 1; i <= 10; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.fraction_above(8.0), 0.2);  // 9 and 10
-  EXPECT_DOUBLE_EQ(s.fraction_above(100.0), 0.0);
-}
-
 // --------------------------------------------------------------- result
 
 TEST(Result, ValueAndError) {
