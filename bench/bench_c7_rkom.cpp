@@ -10,6 +10,10 @@
 // under loss the shared byte stream head-of-line blocks all outstanding
 // calls behind one lost segment, while RKOM calls fail and retransmit
 // independently on the high-delay streams — its p99 stays far lower.
+//
+// CLI: the shared baseline gate (bench_util.h Gate; the CI gate uses
+// --check) over every row's mean and p99 call time. Lower is better: a
+// call time that rises more than the tolerance above its baseline fails.
 #include <deque>
 
 #include "bench_util.h"
@@ -126,7 +130,9 @@ RpcRow run_stream_rpc(net::NetworkTraits traits, bool wan, int calls,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const Gate gate(argc, argv, Gate::Better::kLower, 0.001);
+
   title("C7", "request/reply: RKOM four-stream channel vs stream-based RPC");
 
   constexpr int kCalls = 200;
@@ -134,25 +140,30 @@ int main() {
               "completed");
 
   BenchJson json("c7_rkom");
-  auto emit = [&json](const char* config, const RpcRow& r) {
+  std::map<std::string, double> current;  // gate metrics, all lower-is-better
+  auto emit = [&json, &current](const char* config, const char* key, const RpcRow& r) {
     std::printf("%-26s %12.2f %12.2f %12d\n", config, r.mean_ms, r.p99_ms,
                 r.completed);
     const std::map<std::string, std::string> params = {{"configuration", config}};
     json.record("call_mean", r.mean_ms, "ms", params);
     json.record("call_p99", r.p99_ms, "ms", params);
     json.record("completed", r.completed, "calls", params);
+    current[std::string(key) + "_mean_ms"] = r.mean_ms;
+    current[std::string(key) + "_p99_ms"] = r.p99_ms;
   };
 
   {
     auto lan = node::ethernet_world(2);
-    emit("RKOM / LAN", run_rkom(lan, 1, 2, kCalls));
+    emit("RKOM / LAN", "rkom_lan", run_rkom(lan, 1, 2, kCalls));
   }
-  emit("stream RPC / LAN", run_stream_rpc(net::ethernet_traits(), false, kCalls));
+  emit("stream RPC / LAN", "stream_lan",
+       run_stream_rpc(net::ethernet_traits(), false, kCalls));
   {
     auto wan = node::dumbbell_world({1}, {2});
-    emit("RKOM / WAN (40ms RTT)", run_rkom(wan, 1, 2, kCalls));
+    emit("RKOM / WAN (40ms RTT)", "rkom_wan", run_rkom(wan, 1, 2, kCalls));
   }
-  emit("stream RPC / WAN", run_stream_rpc(net::internet_traits(), true, kCalls));
+  emit("stream RPC / WAN", "stream_wan",
+       run_stream_rpc(net::internet_traits(), true, kCalls));
 
   // Lossy WAN with concurrent callers: the regime RKOM's four-stream
   // channel was designed for.
@@ -160,17 +171,19 @@ int main() {
   lossy.bit_error_rate = 2e-6;
   {
     auto wan = node::dumbbell_world({1}, {2}, lossy);
-    emit("RKOM / lossy WAN x8", run_rkom(wan, 1, 2, kCalls, /*concurrency=*/8));
+    emit("RKOM / lossy WAN x8", "rkom_lossy_wan_x8",
+         run_rkom(wan, 1, 2, kCalls, /*concurrency=*/8));
   }
-  emit("stream RPC / lossy WAN x8",
+  emit("stream RPC / lossy WAN x8", "stream_lossy_wan_x8",
        run_stream_rpc(lossy, true, kCalls, /*concurrency=*/8));
 
-  note("\nShape check: on a clean network both cost about one RTT + service —");
-  note("a thin byte stream is even slightly cheaper per record. The paper's");
-  note("point appears under loss with concurrent callers: the byte stream's");
-  note("single go-back-N sequence space head-of-line blocks every outstanding");
-  note("call behind one lost segment (p99 blows up), while RKOM calls are");
-  note("independent — retransmissions ride the high-delay streams and only the");
-  note("affected call waits (§3.3).");
-  return 0;
+  note("\nShape check: on a clean network both cost about one RTT + service;");
+  note("the thin byte stream stays cheaper per record, as a datagram pays one");
+  note("protocol CPU stage at each end and an RKOM message two (ST and network");
+  note("RMS). The paper's point appears under loss with concurrent callers:");
+  note("the byte stream's single go-back-N sequence space head-of-line blocks");
+  note("every outstanding call behind one lost segment (p99 blows up), while");
+  note("RKOM calls are independent — retransmissions ride the high-delay");
+  note("streams and only the affected call waits (§3.3).");
+  return gate.finish(current, "call-time");
 }

@@ -25,6 +25,6 @@ bench_c11_failover bench_a1_ablations"
 WALLCLOCK_BENCHES="bench_c9_datapath bench_c10_event_engine bench_c15_udp"
 SIM_EXAMPLES="quickstart voice_conference bulk_transfer window_system rpc_service
 dashsim video_phone telemetry_report"
-EXACT_GATED_BENCHES="bench_c8_congestion bench_c11_failover"
+EXACT_GATED_BENCHES="bench_c7_rkom bench_c8_congestion bench_c11_failover"
 GATED_BENCHES="bench_c9_datapath bench_c10_event_engine bench_c15_udp"
 GATE_TOLERANCE=20

@@ -126,7 +126,9 @@ void RkomNode::call(HostId peer, std::uint64_t op, Bytes args,
 
   rms::Message m;
   m.data = pending_[call_id].request_wire;
-  (void)ch.low->send(std::move(m));  // initial request: low-delay stream
+  // Initial request: low-delay stream, with a transmission deadline of now
+  // (§4.3.1), so the ST sends it without waiting for company.
+  (void)ch.low->send(std::move(m), sim_.now());
   arm_retry(call_id);
 }
 
@@ -235,10 +237,12 @@ void RkomNode::handle_request(HostId client, std::uint64_t call_id, std::uint64_
     Channel& ch = channel(client);
     rms::Message m;
     m.data = rit->second.wire;
-    // Initial reply goes low-delay; a reply to a retry is itself a
-    // retransmission and rides the high-delay stream.
+    // Initial reply goes low-delay and, like the request, leaves at once; a
+    // reply to a retry is itself a retransmission and rides the high-delay
+    // stream with no deadline of its own.
     rms::Rms* stream = is_retry ? ch.high.get() : ch.low.get();
-    if (stream != nullptr) (void)stream->send(std::move(m));
+    const Time deadline = is_retry ? kTimeNever : sim_.now();
+    if (stream != nullptr) (void)stream->send(std::move(m), deadline);
 
     // Evict the at-most-once state if no ack ever arrives.
     sim_.cancel(rit->second.expiry_timer);

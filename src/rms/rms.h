@@ -92,7 +92,12 @@ class Rms {
   Status send(Message msg) { return send(std::move(msg), kTimeNever); }
 
   /// Sends with an explicit transmission deadline (§4.3.1: "a transmission
-  /// deadline parameter is passed to the network RMS send routine").
+  /// deadline parameter is passed to the network RMS send routine"). A
+  /// network RMS gives its packet this deadline. An ST RMS takes it as the
+  /// latest time the message may wait in the piggyback queue for company:
+  /// the queue leaves by then, carrying whatever joined it. The packet's
+  /// deadline still comes from the stream's negotiated bound, so an early
+  /// deadline ends the wait but buys no priority over other streams.
   Status send(Message msg, Time transmission_deadline) {
     if (closed_) return make_error(Errc::kClosed, "send on closed RMS");
     if (failed_) return make_error(Errc::kRmsFailed, "send on failed RMS");

@@ -69,9 +69,8 @@ StRms::~StRms() {
 }
 
 Status StRms::do_send(rms::Message msg, Time transmission_deadline) {
-  (void)transmission_deadline;  // the ST derives deadlines from the bounds
   if (st_ == nullptr) return make_error(Errc::kClosed, "subtransport destroyed");
-  return st_->submit(*this, std::move(msg), 0, false);
+  return st_->submit(*this, std::move(msg), 0, false, transmission_deadline);
 }
 
 Status StRms::send_acked(rms::Message msg, std::uint64_t ack_id) {
@@ -81,7 +80,7 @@ Status StRms::send_acked(rms::Message msg, std::uint64_t ack_id) {
   if (msg.size() > params().max_message_size) {
     return make_error(Errc::kMessageTooLarge, "message exceeds ST maximum");
   }
-  return st_->submit(*this, std::move(msg), ack_id, true);
+  return st_->submit(*this, std::move(msg), ack_id, true, kTimeNever);
 }
 
 void StRms::do_close() {
@@ -692,7 +691,7 @@ void SubtransportLayer::complete_request(PeerState& ps, std::uint64_t req_id,
   }
   auto pending = std::move(s.pending_);
   s.pending_.clear();
-  for (auto& p : pending) emit(s, std::move(p.msg), p.ack_id, p.acked);
+  for (auto& p : pending) emit(s, std::move(p.msg), p.ack_id, p.acked, p.client_deadline);
 }
 
 // ---------------------------------------------------------------- failover
@@ -775,17 +774,18 @@ Status SubtransportLayer::rebind_stream(std::uint64_t stream_id,
 // --------------------------------------------------------------- send path
 
 Status SubtransportLayer::submit(StRms& rms, rms::Message msg, std::uint64_t ack_id,
-                                 bool acked) {
+                                 bool acked, Time client_deadline) {
   ++stats_.messages_sent;
   if (msg.sent_at < 0) msg.sent_at = sim_.now();
   msg.source = Label{host_, rms.id_};
   msg.target = rms.target_;
   if (acked && fast_ack_rtt_hist_ != nullptr) track_ack(rms, ack_id);
   if (!rms.established_) {
-    rms.pending_.push_back(StRms::PendingSend{std::move(msg), ack_id, acked});
+    rms.pending_.push_back(
+        StRms::PendingSend{std::move(msg), ack_id, acked, client_deadline});
     return Status::ok_status();
   }
-  emit(rms, std::move(msg), ack_id, acked);
+  emit(rms, std::move(msg), ack_id, acked, client_deadline);
   return Status::ok_status();
 }
 
@@ -801,7 +801,7 @@ void SubtransportLayer::track_ack(StRms& rms, std::uint64_t ack_id) {
 }
 
 void SubtransportLayer::emit(StRms& rms, rms::Message msg, std::uint64_t ack_id,
-                             bool acked) {
+                             bool acked, Time client_deadline) {
   const std::uint64_t seq = rms.next_seq_++;
   if (observer_ != nullptr && rms.params().quality.reliable) {
     // Failover handoff: retain the message until its fast ack arrives. A
@@ -821,7 +821,7 @@ void SubtransportLayer::emit(StRms& rms, rms::Message msg, std::uint64_t ack_id,
       ++stats_.handoff_dropped;
     }
   }
-  emit_component(rms, std::move(msg), ack_id, acked, seq);
+  emit_component(rms, std::move(msg), ack_id, acked, seq, client_deadline);
 }
 
 void SubtransportLayer::trim_handoff(StRms& rms, std::uint64_t ack_id) {
@@ -857,13 +857,13 @@ void SubtransportLayer::replay_handoff(StRms& rms) {
   // second failover mid-replay replays again from the same buffer.
   for (const StRms::HandoffEntry& e : rms.handoff_) {
     ++stats_.handoff_replayed;
-    emit_component(rms, e.msg, e.ack_id, true, e.seq);
+    emit_component(rms, e.msg, e.ack_id, true, e.seq, kTimeNever);
   }
 }
 
 void SubtransportLayer::emit_component(StRms& rms, rms::Message msg,
                                        std::uint64_t ack_id, bool acked,
-                                       std::uint64_t seq) {
+                                       std::uint64_t seq, Time client_deadline) {
   auto cit = channels_.find(rms.channel_id_);
   if (cit == channels_.end()) return;  // channel failed and was torn down
   Channel& ch = *cit->second;
@@ -894,8 +894,8 @@ void SubtransportLayer::emit_component(StRms& rms, rms::Message msg,
   // baseline), the coarse class of the delay bound.
   const int cpu_priority = rms::priority_class(rms.params().delay.a);
 
-  cpu_.submit(eff, cpu_cost, [this, stream_id, channel_id, seq, eff, ack_id, acked,
-                              msg = std::move(msg)]() mutable {
+  cpu_.submit(eff, cpu_cost, [this, stream_id, channel_id, seq, eff, client_deadline,
+                              ack_id, acked, msg = std::move(msg)]() mutable {
     auto sit = streams_.find(stream_id);
     auto chit = channels_.find(channel_id);
     if (chit == channels_.end()) return;
@@ -970,7 +970,7 @@ void SubtransportLayer::emit_component(StRms& rms, rms::Message msg,
 
     c.flags = static_cast<std::uint8_t>(base_security | (acked ? kAckRequest : 0));
     c.payload = msg.data.view();
-    enqueue_component(channel, c, key, eff);
+    enqueue_component(channel, c, key, eff, client_deadline);
   }, cpu_priority);
 }
 
@@ -981,12 +981,12 @@ Time SubtransportLayer::clamp_packet_deadline(
   for (std::uint64_t id : stream_ids) {
     auto it = streams_.find(id);
     if (it != streams_.end()) {
-      passed = std::max(passed, it->second->last_passed_deadline_);
+      passed = std::max(passed, it->second->last_packet_deadline_);
     }
   }
   for (std::uint64_t id : stream_ids) {
     auto it = streams_.find(id);
-    if (it != streams_.end()) it->second->last_passed_deadline_ = passed;
+    if (it != streams_.end()) it->second->last_packet_deadline_ = passed;
   }
   return passed;
 }
@@ -1023,7 +1023,7 @@ void SubtransportLayer::serialize_component(Writer& w, const Component& c,
 }
 
 void SubtransportLayer::enqueue_component(Channel& ch, const Component& c, const Key& key,
-                                          Time eff_deadline) {
+                                          Time eff_deadline, Time client_deadline) {
   ++stats_.components_sent;
   const std::size_t space_limit =
       ch.net_params.max_message_size > kEnvelopeBytes
@@ -1033,6 +1033,22 @@ void SubtransportLayer::enqueue_component(Channel& ch, const Component& c, const
   const std::size_t queued =
       ch.queue_count == 0 ? 0 : ch.queue.size() - ch.headroom - kEnvelopeBytes;
   if (queued + wire_size > space_limit) flush_channel(ch);
+
+  // Share the queued packet only when it keeps the deadline its more urgent
+  // side would have alone. The §4.3.1 clamp raises a packet to every
+  // carried stream's previous packet deadline, so a stream that last left
+  // lazily would hand its laziness to the packet and, through the clamps,
+  // to its companions' later packets.
+  auto sit = streams_.find(c.stream_id);
+  const Time stream_floor =
+      sit != streams_.end() ? sit->second->last_packet_deadline_ : 0;
+  if (ch.queue_count > 0) {
+    const Time alone = std::max(eff_deadline, stream_floor);
+    const Time queued_alone = std::max(ch.queue_min_deadline, ch.queue_floor);
+    const Time shared = std::max(
+        {std::min(ch.queue_min_deadline, eff_deadline), ch.queue_floor, stream_floor});
+    if (shared > std::min(alone, queued_alone)) flush_channel(ch);
+  }
 
   // Piggybacking pays only when other traffic coexists within the window.
   // If the channel has been idle longer than a window, nothing will join
@@ -1055,10 +1071,14 @@ void SubtransportLayer::enqueue_component(Channel& ch, const Component& c, const
   ++ch.queue_count;
   ch.queue_streams.push_back(c.stream_id);
   ch.queue_min_deadline = std::min(ch.queue_min_deadline, eff_deadline);
-  // Flush by the earliest transmission deadline, but never hold a message
-  // longer than the piggyback window — waiting out a loose bound would
-  // trade the whole delay budget for a chance to piggyback.
-  ch.queue_flush_at = std::min({ch.queue_flush_at, eff_deadline,
+  ch.queue_floor = std::max(ch.queue_floor, stream_floor);
+  // Flush by the earliest transmission deadline, the bound's or the
+  // client's own (§4.3.1), but never hold a message longer than the
+  // piggyback window — waiting out a loose bound would trade the whole
+  // delay budget for a chance to piggyback. A client deadline only ends
+  // the wait: the packet still carries the bound deadlines, so a
+  // best-effort client cannot jump a deterministic stream.
+  ch.queue_flush_at = std::min({ch.queue_flush_at, eff_deadline, client_deadline,
                                 sim_.now() + config_.piggyback_window});
 
   if (channel_idle || ch.queue_flush_at <= sim_.now()) {
@@ -1083,9 +1103,10 @@ void SubtransportLayer::flush_channel(Channel& ch) {
   const Buffer arena(std::move(ch.queue));
 
   // The packet carries the queue's *minimum* transmission deadline — the
-  // most urgent component sets the urgency — clamped so it is monotone for
-  // every ST RMS it carries (§4.3.1's ordering rules). Independent streams
-  // on the same network RMS keep independent urgency.
+  // most urgent component sets the urgency — raised only as far as each
+  // carried ST RMS's previous packet deadline, so it is monotone for every
+  // stream it carries (§4.3.1's ordering rules). Independent streams on the
+  // same network RMS keep independent urgency.
   const Time passed = clamp_packet_deadline(ch.queue_min_deadline, ch.queue_streams);
   stats_.piggybacked += ch.queue_count - 1;
   trace("st.flush", [&] {
@@ -1097,6 +1118,7 @@ void SubtransportLayer::flush_channel(Channel& ch) {
   ch.queue_count = 0;
   ch.queue_streams.clear();
   ch.queue_min_deadline = kTimeNever;
+  ch.queue_floor = 0;
   ch.queue_flush_at = kTimeNever;
   send_packet(ch, arena, 0, arena.size(), passed);
 }

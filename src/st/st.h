@@ -165,7 +165,11 @@ class StRms final : public rms::Rms {
   bool established_ = false;
   bool rebinding_ = false;  ///< failover in progress: re-establishing
   std::uint64_t next_seq_ = 0;
+  /// Minimum transmission deadlines (§4.3.1), one per stage: the CPU
+  /// deadline of this stream's previous component, and the deadline of the
+  /// previous packet that carried its data.
   Time last_passed_deadline_ = 0;
+  Time last_packet_deadline_ = 0;
   std::uint64_t channel_id_ = 0;  ///< which data channel carries this stream
   std::function<void(std::uint64_t)> ack_cb_;
   std::function<void(const rms::Params&, const rms::Params&)> downgrade_cb_;
@@ -173,6 +177,7 @@ class StRms final : public rms::Rms {
     rms::Message msg;
     std::uint64_t ack_id;
     bool acked;
+    Time client_deadline;  ///< the sender's transmission deadline, or kTimeNever
   };
   std::deque<PendingSend> pending_;  ///< sends queued until established
 
@@ -341,6 +346,7 @@ class SubtransportLayer {
     std::size_t headroom = 0;         ///< net_rms->send_headroom(), cached
     std::uint8_t queue_count = 0;
     Time queue_min_deadline = kTimeNever;  ///< deadline passed to the network
+    Time queue_floor = 0;  ///< latest previous packet deadline of a queued stream
     Time queue_flush_at = kTimeNever;      ///< when the timer sends the queue
     std::vector<std::uint64_t> queue_streams;  ///< ST RMS ids with queued data
     Time last_enqueue = kTimeNever;            ///< recent-activity tracking
@@ -437,17 +443,22 @@ class SubtransportLayer {
                                   const StParamsPlan& plan);
   void establish(StRms& rms);
 
-  // send path
-  Status submit(StRms& rms, rms::Message msg, std::uint64_t ack_id, bool acked);
+  // send path. `client_deadline` is the transmission deadline the client
+  // passed to send (kTimeNever: none): it ends the component's piggyback
+  // wait, but never makes a CPU or packet deadline earlier than the
+  // stream's negotiated bound gives.
+  Status submit(StRms& rms, rms::Message msg, std::uint64_t ack_id, bool acked,
+                Time client_deadline);
   /// Records when `ack_id` left, for the fast-ack RTT, keeping at most
   /// StRms::kMaxTrackedAcks entries.
   void track_ack(StRms& rms, std::uint64_t ack_id);
-  void emit(StRms& rms, rms::Message msg, std::uint64_t ack_id, bool acked);
+  void emit(StRms& rms, rms::Message msg, std::uint64_t ack_id, bool acked,
+            Time client_deadline);
   /// emit() minus sequence allocation and handoff recording: puts one
   /// component on the wire under an explicit sequence number (used both by
   /// fresh sends and by handoff replay after a rebind).
   void emit_component(StRms& rms, rms::Message msg, std::uint64_t ack_id,
-                      bool acked, std::uint64_t seq);
+                      bool acked, std::uint64_t seq, Time client_deadline);
   /// Drops handoff entries up to and including the one acknowledged by
   /// `ack_id` (cumulative: in-order delivery means everything earlier was
   /// delivered too).
@@ -459,19 +470,26 @@ class SubtransportLayer {
   /// send path's only payload copy.
   void serialize_component(Writer& w, const Component& c, const Key& key);
   /// Queues one component on the channel's piggyback arena. The arena
-  /// leaves when it is full, at its earliest deadline, when the window
-  /// ends, or at once on an idle channel; a zero window sends each
-  /// component alone.
+  /// leaves when it is full, at the earliest of its components' bound
+  /// deadlines and client deadlines, when the window ends, or at once on
+  /// an idle channel; a zero window sends each component alone. The packet
+  /// carries the earliest bound deadline, never a client deadline, and the
+  /// arena leaves first when sharing it would make that deadline later
+  /// than the more urgent side's own.
   void enqueue_component(Channel& ch, const Component& c, const Key& key,
-                         Time eff_deadline);
+                         Time eff_deadline, Time client_deadline);
   void flush_channel(Channel& ch);
   /// Sends one data packet: the `len` bytes of `arena` from `start`, which
   /// begin with the channel's headroom gap for the network RMS header.
   void send_packet(Channel& ch, const Buffer& arena, std::size_t start, std::size_t len,
                    Time deadline);
   /// Clamps a packet deadline so it is monotone for every ST RMS whose data
-  /// the packet carries (§4.3.1 minimum transmission deadlines), then
-  /// records it against those streams.
+  /// the packet carries (§4.3.1 minimum transmission deadlines): it is
+  /// raised to each carried stream's previous packet deadline, then
+  /// recorded as theirs. The streams' CPU-stage clamps are not touched, and
+  /// enqueue_component keeps a component out of a packet that its stream's
+  /// clamp would raise, so a lazy companion never makes an urgent stream's
+  /// later messages lazy.
   Time clamp_packet_deadline(Time candidate,
                              const std::vector<std::uint64_t>& stream_ids);
   /// Sends a control message to `ps.peer` over its control channel on

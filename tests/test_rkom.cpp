@@ -3,6 +3,8 @@
 // the user-level RPC facade.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "rkom/rkom.h"
 #include "test_helpers.h"
 
@@ -458,6 +460,36 @@ TEST(Rkom, CallbacksAreIndependentAcrossOutstandingCalls) {
   ASSERT_GE(slow_done, 0);
   ASSERT_GE(fast_done, 0);
   EXPECT_LT(fast_done, slow_done);  // no head-of-line blocking in RKOM
+}
+
+TEST(Rkom, CallsOnABusyChannelDoNotWaitTheWindow) {
+  // Calls every 1 ms keep both directions of the channel busy, so the ST
+  // would hold each message for company. Initial requests and replies pass
+  // a transmission deadline of now (§2.5, §4.3.1): each call completes
+  // inside the piggyback window instead of waiting it out.
+  RkomFixture f;
+  f.server->register_operation(1, {echo_upper, 0});
+  bool warm = false;
+  f.client->call(2, 1, to_bytes("warm-up"), [&](Result<Bytes> r) { warm = r.ok(); });
+  f.world.sim.run_until(sec(1));
+  ASSERT_TRUE(warm);
+
+  constexpr int kCalls = 50;
+  std::vector<Time> durations;
+  const Time t0 = f.world.sim.now();
+  for (int i = 0; i < kCalls; ++i) {
+    f.world.sim.at(t0 + msec(i), [&f, &durations] {
+      const Time started = f.world.sim.now();
+      f.client->call(2, 1, to_bytes("busy"), [&f, &durations, started](Result<Bytes> r) {
+        ASSERT_TRUE(r.ok());
+        durations.push_back(f.world.sim.now() - started);
+      });
+    });
+  }
+  f.world.sim.run_until(t0 + sec(1));
+  ASSERT_EQ(durations.size(), static_cast<std::size_t>(kCalls));
+  const Time window = st::StConfig{}.piggyback_window;
+  for (Time d : durations) EXPECT_LT(d, window);
 }
 
 }  // namespace

@@ -302,6 +302,183 @@ TEST(St, UrgentMessageNotDelayedPastItsDeadline) {
             rms.value()->params().delay.bound_for(12));
 }
 
+/// Two streams multiplexed on one channel with a `window`: `a` sends at t0
+/// (the idle channel sends it at once) and at t0 + 1 ms (the busy channel
+/// queues it); `b` sends at t0 + 2 ms, with a transmission deadline of now
+/// when `client_deadline` is set. Records when the last message of each
+/// arrived, and the packets and piggybacked components the sender's ST
+/// counted from t0.
+struct PiggybackWait {
+  Time t0 = 0;
+  Time a_delivered = -1;  ///< when `a`'s queued message arrived
+  Time b_delivered = -1;
+  std::uint64_t packets = 0;
+  std::uint64_t piggybacked = 0;
+};
+
+PiggybackWait run_piggyback_wait(bool client_deadline, Time window) {
+  st::StConfig config;
+  config.piggyback_window = window;
+  auto world = st_world(2, net::ethernet_traits(), 42, config);
+  rms::Port pa, pb;
+  world.node(2).ports.bind(50, &pa);
+  world.node(2).ports.bind(51, &pb);
+  auto a = world.st(1).create(st_request(8 * 1024, 64), {2, 50});
+  auto b = world.st(1).create(st_request(8 * 1024, 64), {2, 51});
+  EXPECT_TRUE(a.ok());
+  EXPECT_TRUE(b.ok());
+  world.sim.run();
+  EXPECT_EQ(world.st(1).stats().mux_joins, 1u);
+
+  PiggybackWait out;
+  out.t0 = world.sim.now();
+  const auto before = world.st(1).stats();
+  (void)a.value()->send(text("a0"));
+  world.sim.at(out.t0 + msec(1), [&] { (void)a.value()->send(text("a1")); });
+  world.sim.at(out.t0 + msec(2), [&] {
+    (void)b.value()->send(text("b0"), client_deadline ? world.sim.now() : kTimeNever);
+  });
+  world.sim.run();
+  EXPECT_EQ(pa.delivered(), 2u);
+  EXPECT_EQ(pb.delivered(), 1u);
+  out.a_delivered = pa.last_delivery();
+  out.b_delivered = pb.last_delivery();
+  out.packets = world.st(1).stats().network_messages - before.network_messages;
+  out.piggybacked = world.st(1).stats().piggybacked - before.piggybacked;
+  return out;
+}
+
+TEST(St, ClientTransmissionDeadlineEndsThePiggybackWait) {
+  // §4.3.1: a transmission deadline passed to send caps the message's wait
+  // for company. With one of now, `b0` leaves as soon as the CPU stages
+  // have run, and takes `a1`, already queued, along in its packet.
+  const Time window = msec(5);
+  const PiggybackWait urgent = run_piggyback_wait(true, window);
+  EXPECT_EQ(urgent.packets, 2u);
+  EXPECT_EQ(urgent.piggybacked, 1u);
+  EXPECT_EQ(urgent.a_delivered, urgent.b_delivered);  // one packet
+  EXPECT_LT(urgent.b_delivered - (urgent.t0 + msec(2)), msec(1));
+
+  // Without a deadline the busy channel still holds both for the window
+  // `a1` opened.
+  const PiggybackWait lazy = run_piggyback_wait(false, window);
+  EXPECT_EQ(lazy.packets, 2u);
+  EXPECT_EQ(lazy.piggybacked, 1u);
+  EXPECT_EQ(lazy.a_delivered, lazy.b_delivered);
+  EXPECT_GE(lazy.a_delivered, lazy.t0 + msec(1) + window);
+}
+
+/// A 10 ms and a 500 ms best-effort stream from host 1 to host 2,
+/// multiplexed on one channel (default 2 ms window), with a wiretap on the
+/// Ethernet.
+struct UrgentAndLazy {
+  node::World<net::EthernetNetwork> world = st_world(2);
+  net::Eavesdropper tap{*world.network};
+  rms::Port urgent_port;
+  rms::Port lazy_port;
+  std::unique_ptr<rms::Rms> urgent_rms;
+  std::unique_ptr<rms::Rms> lazy_rms;
+
+  UrgentAndLazy() {
+    world.node(2).ports.bind(50, &urgent_port);
+    world.node(2).ports.bind(51, &lazy_port);
+    auto urgent_req = st_request(8 * 1024, 64);
+    urgent_req.desired.delay.a = msec(10);
+    auto lazy_req = st_request(8 * 1024, 64);
+    lazy_req.desired.delay.a = msec(500);
+    urgent_rms = std::move(world.st(1).create(urgent_req, {2, 50})).value();
+    lazy_rms = std::move(world.st(1).create(lazy_req, {2, 51})).value();
+    world.sim.run();
+    EXPECT_EQ(world.st(1).stats().mux_joins, 1u);
+  }
+  StRms& urgent() { return dynamic_cast<StRms&>(*urgent_rms); }
+  StRms& lazy() { return dynamic_cast<StRms&>(*lazy_rms); }
+
+  /// Host 1's data packets carrying urgent data: how many, how many of
+  /// them carry lazy data too, and how many leave with a deadline past the
+  /// urgent stream's bound of an urgent component's send time.
+  struct Scan {
+    int carrying = 0;
+    int shared = 0;
+    int late = 0;
+  };
+  Scan scan() {
+    Scan out;
+    for (const net::Packet& p : tap.captured()) {
+      if (p.src != 1 || p.size() <= netrms::kHeaderBytes) continue;
+      Reader r(p.payload.view().subspan(netrms::kHeaderBytes));
+      auto tag = r.u8();
+      auto count = r.u8();
+      if (!tag || *tag != kStDataTag || !count) continue;  // a control message
+      bool carries_lazy = false;
+      Time limit = kTimeNever;
+      for (int i = 0; i < *count; ++i) {
+        auto c = read_component(r);
+        EXPECT_TRUE(c.has_value());
+        if (!c) break;
+        if (c->stream_id == lazy().id()) carries_lazy = true;
+        if (c->stream_id == urgent().id()) {
+          limit = std::min(limit,
+                           c->sent_at + urgent().params().delay.bound_for(c->payload.size()));
+        }
+      }
+      if (limit == kTimeNever) continue;
+      ++out.carrying;
+      if (carries_lazy) ++out.shared;
+      if (p.deadline > limit) ++out.late;
+    }
+    return out;
+  }
+};
+
+TEST(St, LazyCompanionDoesNotRatchetAnUrgentStream) {
+  // The two streams share one packet. §4.3.1's minimum transmission
+  // deadline keeps each stream's packet deadlines monotone, but it must not
+  // hand the lazy stream's deadline to the urgent one: every packet carrying
+  // urgent data, the shared one and the ten after it, leaves with a
+  // deadline inside the urgent stream's bound of its send time.
+  UrgentAndLazy w;
+  // u0 leaves alone on the idle channel; l0 and u1 then wait together for
+  // the window; u2..u11 follow alone, 10 ms apart.
+  const Time t0 = w.world.sim.now();
+  (void)w.urgent().send(text("u0"));
+  w.world.sim.at(t0 + usec(500), [&] { (void)w.lazy().send(text("l0")); });
+  w.world.sim.at(t0 + usec(600), [&] { (void)w.urgent().send(text("u1")); });
+  for (int i = 1; i <= 10; ++i) {
+    w.world.sim.at(t0 + msec(10 * i), [&] { (void)w.urgent().send(text("u")); });
+  }
+  w.world.sim.run();
+  ASSERT_EQ(w.urgent_port.delivered(), 12u);
+  ASSERT_EQ(w.lazy_port.delivered(), 1u);
+  const UrgentAndLazy::Scan scan = w.scan();
+  EXPECT_EQ(scan.carrying, 12);
+  EXPECT_EQ(scan.shared, 1);
+  EXPECT_EQ(scan.late, 0);
+}
+
+TEST(St, PacketKeepsItsMostUrgentComponentsDeadline) {
+  // The lazy stream's previous packet left alone at its lazy deadline, so
+  // a packet carrying its next component must not leave earlier (§4.3.1).
+  // Sharing that packet would hand the lazy deadline to the urgent
+  // component and, through the urgent stream's own clamp, to its later
+  // packets; the queued lazy component leaves first instead.
+  UrgentAndLazy w;
+  const Time t0 = w.world.sim.now();
+  (void)w.lazy().send(text("l0"));  // the idle channel sends it at once
+  w.world.sim.at(t0 + usec(500), [&] { (void)w.lazy().send(text("l1")); });
+  w.world.sim.at(t0 + usec(600), [&] { (void)w.urgent().send(text("u1")); });
+  for (int i = 1; i <= 10; ++i) {
+    w.world.sim.at(t0 + msec(10 * i), [&] { (void)w.urgent().send(text("u")); });
+  }
+  w.world.sim.run();
+  ASSERT_EQ(w.urgent_port.delivered(), 11u);
+  ASSERT_EQ(w.lazy_port.delivered(), 2u);
+  const UrgentAndLazy::Scan scan = w.scan();
+  EXPECT_EQ(scan.carrying, 11);
+  EXPECT_EQ(scan.shared, 0);
+  EXPECT_EQ(scan.late, 0);
+}
+
 // ----------------------------------------------------------- fragmentation
 
 TEST(St, LargeMessageFragmentsAndReassembles) {
