@@ -2,17 +2,15 @@
 // "interactive high-bandwidth traffic such as digitized audio and video").
 //
 // Two stations on a deterministic token ring run a duplex call: voice and
-// video each direction, established as §3.3 sessions, with user-level RMS
-// semantics (§3.4) — the measured delay includes the codec's CPU time at
-// both ends, scheduled by deadline, and a guarantee ledger counts the
-// frames that missed their bound. A file transfer shares the ring to prove
-// the isolation.
+// video each direction, each opened directly as a user-level RMS (§3.4) —
+// the measured delay includes the codec's CPU time at both ends, scheduled
+// by deadline, and a guarantee ledger counts the frames that missed their
+// bound. A file transfer shares the ring to prove the isolation.
 #include <cstdio>
 
 #include "example_util.h"
 #include "net/token_ring.h"
 #include "rkom/rkom.h"
-#include "session/session.h"
 #include "telemetry/ledger.h"
 #include "transport/stream.h"
 #include "userrms/user_rms.h"

@@ -93,7 +93,6 @@ void SimplexLink::set_down(bool down) {
       note_popped(*p);
       ++stats_.dropped_down;
     }
-    for (const auto& cb : down_cbs_) cb();
   }
 }
 

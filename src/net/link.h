@@ -8,9 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <vector>
 
 #include "net/packet.h"
 #include "net/queue.h"
@@ -69,9 +67,6 @@ class SimplexLink {
   void set_down(bool down);
   bool down() const { return down_; }
 
-  /// Invoked (once per transition) when the link goes down.
-  void on_down(std::function<void()> cb) { down_cbs_.push_back(std::move(cb)); }
-
   const Config& config() const { return config_; }
   const Stats& stats() const { return stats_; }
   std::uint64_t queue_dropped() const { return queue_.dropped(); }
@@ -91,7 +86,6 @@ class SimplexLink {
   bool busy_ = false;
   bool down_ = false;
   Stats stats_;
-  std::vector<std::function<void()>> down_cbs_;
 
   // Per-stream buffer accounting (reservation and current occupancy).
   std::map<std::uint64_t, std::uint64_t> reservation_;

@@ -386,33 +386,6 @@ void NetRmsFabric::fail_all(const Error& e) {
     if (it == streams_.end() || it->second.sender == nullptr) continue;
     it->second.sender->fail_from_fabric(e);
   }
-  // Listener callbacks may add/remove listeners; iterate a copy of tokens.
-  std::vector<std::uint64_t> tokens;
-  tokens.reserve(failure_listeners_.size());
-  for (const auto& [token, cb] : failure_listeners_) {
-    (void)cb;
-    tokens.push_back(token);
-  }
-  for (std::uint64_t token : tokens) {
-    for (auto& [t, cb] : failure_listeners_) {
-      if (t == token && cb) {
-        cb(e);
-        break;
-      }
-    }
-  }
-}
-
-std::uint64_t NetRmsFabric::add_failure_listener(
-    std::function<void(const Error&)> cb) {
-  const std::uint64_t token = next_listener_token_++;
-  failure_listeners_.emplace_back(token, std::move(cb));
-  return token;
-}
-
-void NetRmsFabric::remove_failure_listener(std::uint64_t token) {
-  std::erase_if(failure_listeners_,
-                [token](const auto& entry) { return entry.first == token; });
 }
 
 NetworkRms::~NetworkRms() {

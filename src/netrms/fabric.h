@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -89,13 +88,6 @@ class NetRmsFabric {
   /// telemetry::collect_fabric instead.
   void set_metrics(telemetry::MetricsRegistry* m);
 
-  /// Registers a fabric-level failure listener, called once per fail_all
-  /// (network death) after the per-stream failure callbacks ran. Several
-  /// hosts share one fabric, so listeners are token-addressed; remove the
-  /// token before the listener's owner dies.
-  std::uint64_t add_failure_listener(std::function<void(const Error&)> cb);
-  void remove_failure_listener(std::uint64_t token);
-
  private:
   friend class NetworkRms;
 
@@ -142,9 +134,6 @@ class NetRmsFabric {
   Stats stats_;
   Accounting* accounting_ = nullptr;
   telemetry::Histogram* delivery_delay_hist_ = nullptr;
-  std::vector<std::pair<std::uint64_t, std::function<void(const Error&)>>>
-      failure_listeners_;
-  std::uint64_t next_listener_token_ = 1;
 };
 
 /// The sender handle for a network RMS. Obtained from NetRmsFabric::create.

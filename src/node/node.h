@@ -55,13 +55,12 @@ class DashNode {
   DashNode& operator=(const DashNode&) = delete;
 
   /// Attaches this node to a network: registers the host with the fabric
-  /// and makes the network available to the subtransport layer (and the
-  /// path manager, which scores it as a failover candidate; both index
-  /// fabrics by join order).
+  /// and makes the network available to the subtransport layer. The path
+  /// manager keeps no list of its own: it probes and scores the ST's
+  /// networks, so it sees the new one at once.
   void join(netrms::NetRmsFabric& fabric) {
     fabric.register_host(id, *cpu, ports);
     st->add_network(fabric);
-    if (path != nullptr) path->add_network(fabric);
   }
 
   /// The RKOM request/reply endpoint, constructed on first use (§3.3).

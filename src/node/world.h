@@ -3,8 +3,8 @@
 //
 // Owns the simulator, the media — each a network with its network RMS
 // fabric — the nodes in creation order, and an optional fault injector.
-// Every node joins every medium, in the order the media were added, so a
-// node's ST and path manager see the same fabric order. Parameterised by
+// Every node joins every medium, in the order the media were added, so
+// every node's ST lists the networks in the same order. Parameterised by
 // the network type so `network` is typed (World<> mixes kinds).
 #pragma once
 

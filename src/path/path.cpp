@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 namespace dash::path {
 namespace {
@@ -31,25 +32,15 @@ PathManager::PathManager(sim::Simulator& sim, st::SubtransportLayer& st, PathCon
 
 PathManager::~PathManager() {
   sim_.cancel(tick_timer_);
-  for (std::size_t i = 0; i < fabrics_.size(); ++i) {
-    fabrics_[i]->remove_failure_listener(listener_tokens_[i]);
-  }
   if (st_.stream_observer() == this) st_.set_stream_observer(nullptr);
-}
-
-void PathManager::add_network(netrms::NetRmsFabric& fabric) {
-  const std::size_t idx = fabrics_.size();
-  fabrics_.push_back(&fabric);
-  listener_tokens_.push_back(
-      fabric.add_failure_listener([this, idx](const Error&) { on_fabric_failure(idx); }));
-  arm_tick();  // a second network can make already-managed streams mobile
 }
 
 // ------------------------------------------------------------------ lookup
 
 std::size_t PathManager::fabric_index(const netrms::NetRmsFabric* f) const {
-  for (std::size_t i = 0; i < fabrics_.size(); ++i) {
-    if (fabrics_[i] == f) return i;
+  const auto& fabrics = st_.networks();
+  for (std::size_t i = 0; i < fabrics.size(); ++i) {
+    if (fabrics[i] == f) return i;
   }
   return kNoFabric;
 }
@@ -72,14 +63,9 @@ double PathManager::score(HostId peer, const netrms::NetRmsFabric& fabric) const
   auto it = probes_.find({peer, idx});
   if (it != probes_.end()) {
     const ProbeHealth& h = it->second;
-    // Each outstanding timeout is worth more than any RTT difference; a
-    // fabric-level failure inside the lookback window (four probe
-    // intervals) weighs the same as one timeout. Within a health class,
-    // lower smoothed RTT wins.
+    // Each outstanding timeout is worth more than any RTT difference.
+    // Within a health class, lower smoothed RTT wins.
     s -= 1e9 * h.consecutive_timeouts;
-    if (h.last_failure >= 0 && sim_.now() - h.last_failure <= 4 * config_.probe_interval) {
-      s -= 1e9;
-    }
     s -= h.ewma_rtt_ns >= 0 ? h.ewma_rtt_ns / 1e3 : kUnknownRttPenalty;
   } else {
     s -= kUnknownRttPenalty;  // never probed
@@ -95,7 +81,7 @@ double PathManager::score(HostId peer, const netrms::NetRmsFabric& fabric) const
 void PathManager::send_probe(HostId peer, std::size_t fabric_idx) {
   ProbeHealth& h = probes_[{peer, fabric_idx}];
   if (h.outstanding_seq != 0) return;  // previous ping not yet resolved
-  if (!st_.probe(peer, *fabrics_[fabric_idx], h.next_seq)) return;
+  if (!st_.probe(peer, *st_.networks()[fabric_idx], h.next_seq)) return;
   h.outstanding_seq = h.next_seq++;
   h.outstanding_sent_at = sim_.now();
   ++h.probes_sent;
@@ -119,28 +105,13 @@ void PathManager::on_probe_reply(HostId peer, netrms::NetRmsFabric& fabric,
   ++stats_.pongs_received;
 }
 
-void PathManager::on_fabric_failure(std::size_t fabric_idx) {
-  ++stats_.fabric_failures;
-  trace("path.fabric", [&] {
-    return "network " + fabrics_[fabric_idx]->traits().name + " reported failure";
-  });
-  for (auto& [key, h] : probes_) {
-    if (key.second != fabric_idx) continue;
-    h.last_failure = sim_.now();
-    h.consecutive_timeouts = std::max(h.consecutive_timeouts, config_.unhealthy_after);
-    h.outstanding_seq = 0;
-    // The ST's control channel on the network failed with the fabric; the
-    // next probe re-creates it once the network is usable again.
-  }
-}
-
 // -------------------------------------------------------------- event loop
 
 void PathManager::arm_tick() {
   // Nothing to monitor without a managed stream, and nowhere to fail over
   // with fewer than two networks — in both cases stay quiescent so an
   // event-driven sim::Simulator::run() can drain and terminate.
-  if (tick_armed_ || streams_.empty() || fabrics_.size() < 2) return;
+  if (tick_armed_ || streams_.empty() || st_.networks().size() < 2) return;
   tick_armed_ = true;
   tick_timer_ = sim_.timer_after(config_.probe_interval, [this] { tick(); });
 }
@@ -165,28 +136,25 @@ void PathManager::tick() {
     (void)id;
     peers.insert(ms.peer);
   }
+  const auto& fabrics = st_.networks();
   for (HostId peer : peers) {
-    for (std::size_t i = 0; i < fabrics_.size(); ++i) {
-      if (fabrics_[i]->network().attached(peer)) send_probe(peer, i);
+    for (std::size_t i = 0; i < fabrics.size(); ++i) {
+      if (fabrics[i]->network().attached(peer)) send_probe(peer, i);
     }
   }
 
-  // 3. Fail over every stream whose current path is dead: its network is
-  // down, or `unhealthy_after` consecutive probes on it went unanswered
-  // (the silent outage nothing else detects). Channel death is handled
-  // as it happens, in on_channel_failed.
+  // 3. Fail over every stream whose current path went silent:
+  // `unhealthy_after` consecutive probes on it went unanswered. A network
+  // that goes down fails the stream's channel, which on_channel_failed
+  // handles as it happens.
   for (auto& [id, ms] : streams_) {
     st::StRms* s = st_.find_stream(id);
     if (s == nullptr || s->rebinding() || now < ms.cooldown_until) continue;
-    const std::size_t cur = fabric_index(st_.stream_fabric(id));
-    if (cur == kNoFabric) continue;
-    bool unhealthy = fabrics_[cur]->network().down();
-    auto pit = probes_.find({ms.peer, cur});
+    auto pit = probes_.find({ms.peer, fabric_index(st_.stream_fabric(id))});
     if (pit != probes_.end() &&
         pit->second.consecutive_timeouts >= config_.unhealthy_after) {
-      unhealthy = true;
+      (void)try_failover(ms, "probe-timeout");
     }
-    if (unhealthy) (void)try_failover(ms, "probe-timeout");
   }
 
   arm_tick();
@@ -201,10 +169,11 @@ bool PathManager::try_failover(ManagedStream& ms, const char* reason) {
     double score;
   };
   std::vector<Candidate> candidates;
-  for (std::size_t i = 0; i < fabrics_.size(); ++i) {
-    if (fabrics_[i] == current) continue;
-    if (!fabrics_[i]->network().attached(ms.peer)) continue;
-    candidates.push_back(Candidate{i, score(ms.peer, *fabrics_[i])});
+  const auto& fabrics = st_.networks();
+  for (std::size_t i = 0; i < fabrics.size(); ++i) {
+    if (fabrics[i] == current) continue;
+    if (!fabrics[i]->network().attached(ms.peer)) continue;
+    candidates.push_back(Candidate{i, score(ms.peer, *fabrics[i])});
   }
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const Candidate& a, const Candidate& b) {
@@ -212,12 +181,12 @@ bool PathManager::try_failover(ManagedStream& ms, const char* reason) {
                    });
   for (const Candidate& c : candidates) {
     ms.failover_started = sim_.now();
-    if (st_.rebind_stream(ms.id, *fabrics_[c.idx]).ok()) {
+    if (st_.rebind_stream(ms.id, *fabrics[c.idx]).ok()) {
       ++stats_.failovers;
       ms.cooldown_until = sim_.now() + kFailoverCooldown;
       trace("path.failover", [&] {
         return "stream " + std::to_string(ms.id) + " -> " +
-               fabrics_[c.idx]->traits().name + " (" + reason + ")";
+               fabrics[c.idx]->traits().name + " (" + reason + ")";
       });
       return true;
     }

@@ -5,15 +5,17 @@
 // one at creation time, but nothing in the seed stack reacted when the
 // chosen network later died. The path manager closes that gap:
 //
-//   * it probes every (managed peer, network) pair and scores the
-//     candidate networks per peer — a static admission/cost component
-//     (headroom) plus live health from probe RTTs and timeouts and fabric
-//     failure notifications. A probe is an ST control message
+//   * it probes every (managed peer, network) pair over the ST's networks
+//     (SubtransportLayer::networks) and scores the candidate networks per
+//     peer — a static admission/cost component (headroom) plus live health
+//     from probe RTTs and timeouts. A probe is an ST control message
 //     (SubtransportLayer::probe): the manager opens no network RMS of its
 //     own, and every peer's ST answers, managed or not;
-//   * when a stream's path dies (its network RMS fails, or unhealthy_after
-//     consecutive probes go unanswered on its network) it transparently
-//     fails the stream over to the best alternate network with
+//   * when a stream's path dies it transparently fails the stream over to
+//     the best alternate network. Two triggers: the stream's network RMS
+//     fails (on_channel_failed, the one way a network's death reaches the
+//     manager), or unhealthy_after consecutive probes go unanswered on its
+//     network (a silent outage). The move is
 //     SubtransportLayer::rebind_stream: §2.4 negotiation is re-run against
 //     the stream's original acceptable parameters, unacknowledged
 //     reliable-stream messages are replayed from the ST's bounded handoff
@@ -28,7 +30,6 @@
 #include <cstdint>
 #include <map>
 #include <utility>
-#include <vector>
 
 #include "netrms/fabric.h"
 #include "path/health.h"
@@ -61,7 +62,6 @@ class PathManager final : public st::StreamObserver {
     std::uint64_t probes_sent = 0;
     std::uint64_t pongs_received = 0;
     std::uint64_t probe_timeouts = 0;
-    std::uint64_t fabric_failures = 0;     ///< fabric-level death notifications
     std::uint64_t failovers = 0;           ///< successful stream rebinds
     std::uint64_t failover_failures = 0;   ///< no alternate network would take it
     std::uint64_t death_failovers = 0;     ///< triggered by channel failure
@@ -74,10 +74,6 @@ class PathManager final : public st::StreamObserver {
   PathManager(const PathManager&) = delete;
   PathManager& operator=(const PathManager&) = delete;
 
-  /// Registers a fabric as a candidate path. Call once per network the
-  /// host joined, in the same order as SubtransportLayer::add_network.
-  void add_network(netrms::NetRmsFabric& fabric);
-
   /// Composite path score for moving a stream to `peer` over `fabric`:
   /// higher is better. A path with no answered probe scores below every
   /// answered one and above any path with a strike; a down network scores
@@ -89,8 +85,6 @@ class PathManager final : public st::StreamObserver {
   const ProbeHealth* probe_health(HostId peer,
                                   const netrms::NetRmsFabric& fabric) const;
 
-  /// The candidate fabrics, in add_network order (indexes are positions).
-  const std::vector<netrms::NetRmsFabric*>& networks() const { return fabrics_; }
   const Stats& stats() const { return stats_; }
   const PathConfig& config() const { return config_; }
 
@@ -118,9 +112,9 @@ class PathManager final : public st::StreamObserver {
   void tick();
   void arm_tick();
   void send_probe(HostId peer, std::size_t fabric_idx);
-  void on_fabric_failure(std::size_t fabric_idx);
   bool try_failover(ManagedStream& ms, const char* reason);
-  std::size_t fabric_index(const netrms::NetRmsFabric* f) const;  ///< npos if unknown
+  /// Position of `f` in the ST's networks; kNoFabric if the ST has none such.
+  std::size_t fabric_index(const netrms::NetRmsFabric* f) const;
   /// Records a trace event; `detail` builds the detail string and runs only
   /// when a trace is attached and enabled.
   template <typename Detail>
@@ -135,10 +129,9 @@ class PathManager final : public st::StreamObserver {
   sim::Simulator& sim_;
   st::SubtransportLayer& st_;
   PathConfig config_;
-  std::vector<netrms::NetRmsFabric*> fabrics_;
-  std::vector<std::uint64_t> listener_tokens_;  ///< parallel to fabrics_
   // Ordered maps: tick() iterates these, and iteration order must be
   // deterministic for reproducible runs.
+  /// Keyed by (peer, position in the ST's networks).
   std::map<std::pair<HostId, std::size_t>, ProbeHealth> probes_;
   std::map<std::uint64_t, ManagedStream> streams_;
   sim::TimerHandle tick_timer_;

@@ -106,8 +106,8 @@ SubtransportLayer::~SubtransportLayer() {
     (void)id;
     rms->st_ = nullptr;
   }
-  // Cancel every outstanding timer and failure listener: their closures
-  // capture `this` and must not survive the layer.
+  // Cancel every outstanding timer: their closures capture `this` and must
+  // not survive the layer.
   for (auto& [id, ch] : channels_) {
     (void)id;
     cancel_channel_timers(*ch);
@@ -115,9 +115,6 @@ SubtransportLayer::~SubtransportLayer() {
   for (auto& [host, ps] : peers_) {
     (void)host;
     cancel_peer_timers(ps);
-  }
-  for (std::size_t i = 0; i < fabrics_.size(); ++i) {
-    fabrics_[i]->remove_failure_listener(fabric_listeners_[i]);
   }
 }
 
@@ -128,8 +125,6 @@ void SubtransportLayer::add_network(netrms::NetRmsFabric& fabric) {
                                 fabric.traits().name + "'");
   }
   fabrics_.push_back(&fabric);
-  fabric_listeners_.push_back(fabric.add_failure_listener(
-      [this, f = &fabric](const Error&) { drop_fast_acks(f); }));
 }
 
 void SubtransportLayer::set_metrics(telemetry::MetricsRegistry* m) {
@@ -538,22 +533,11 @@ void SubtransportLayer::flush_fast_acks(PeerState& ps, netrms::NetRmsFabric* fab
              " -> host " + std::to_string(ps.peer);
     });
   }
+  const std::size_t pairs = batch.held.acks.size();
   Bytes ack = encode(batch.held);
-  stats_.fast_acks_sent += batch.held.acks.size();
   batch.held.acks.clear();
-  send_on(ps, fabric, std::move(ack));
-}
-
-void SubtransportLayer::drop_fast_acks(netrms::NetRmsFabric* fabric) {
-  // A lost ack is survivable: cumulative transport acks also release
-  // capacity, and a failover replays whatever the handoff buffer holds.
-  for (auto& [host, ps] : peers_) {
-    (void)host;
-    auto it = ps.ack_batches.find(fabric);
-    if (it == ps.ack_batches.end()) continue;
-    sim_.cancel(it->second.hold_timer);
-    it->second.held.acks.clear();
-  }
+  // A batch bound for a network that went down dies here, uncounted.
+  if (send_on(ps, fabric, std::move(ack))) stats_.fast_acks_sent += pairs;
 }
 
 void SubtransportLayer::handle_fast_ack(HostId src, std::uint64_t st_id,

@@ -257,7 +257,9 @@ class SubtransportLayer {
   /// unique: throws std::invalid_argument for a name already joined.
   void add_network(netrms::NetRmsFabric& fabric);
 
-  /// The registered fabrics, in registration order (path manager, tests).
+  /// The registered fabrics, in registration order. Fabrics are only ever
+  /// appended, so a position never changes: the path manager keys its
+  /// probe records by it.
   const std::vector<netrms::NetRmsFabric*>& networks() const { return fabrics_; }
 
   /// Attaches the path manager's stream observer (nullptr detaches). With
@@ -379,7 +381,8 @@ class SubtransportLayer {
     std::map<netrms::NetRmsFabric*, std::unique_ptr<rms::Rms>> control;
     // Fast acks held for one network (nullptr: the home network), leaving
     // together as one kFastAck. A batch never mixes networks, so each ack
-    // shares its stream's fate.
+    // shares its stream's fate: a batch bound for a dead network dies at
+    // its hold, when send_on finds no channel that can carry it.
     struct AckBatch {
       FastAck held;
       sim::TimerHandle hold_timer;
@@ -508,8 +511,6 @@ class SubtransportLayer {
                       std::uint64_t ack_id);
   void flush_fast_acks(PeerState& ps, netrms::NetRmsFabric* fabric,
                        PeerState::AckBatch& batch);
-  /// Drops every batch bound for `fabric` (its network failed).
-  void drop_fast_acks(netrms::NetRmsFabric* fabric);
   /// The sender's side of one acknowledged (st id, ack id) pair from `src`.
   void handle_fast_ack(HostId src, std::uint64_t st_id, std::uint64_t ack_id);
 
@@ -554,7 +555,6 @@ class SubtransportLayer {
   rms::PortRegistry& ports_;
   StConfig config_;
   std::vector<netrms::NetRmsFabric*> fabrics_;
-  std::vector<std::uint64_t> fabric_listeners_;  ///< failure-listener tokens, per fabric
 
   rms::Port control_port_;
   rms::Port data_port_;

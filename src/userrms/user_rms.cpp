@@ -49,16 +49,17 @@ Result<std::unique_ptr<UserRms>> UserRms::create(st::SubtransportLayer& st,
 }
 
 Status UserRms::do_send(rms::Message msg, Time transmission_deadline) {
-  (void)transmission_deadline;
   // Sending is defined as the moment the user process starts (§3.4): stamp
   // now, then charge the sending process's CPU with the message's
-  // user-level deadline before the ST sees it.
+  // user-level deadline before the ST sees it. The client's transmission
+  // deadline passes through to the ST, where it caps the message's wait
+  // for piggyback company (§4.3.1).
   if (msg.sent_at < 0) msg.sent_at = sim_.now();
   const Time bound = params().delay.bound_for(msg.size());
   const Time deadline = bound == kTimeNever ? kTimeNever : msg.sent_at + bound;
   cpu_.submit(deadline, config_.send_processing,
-              [this, msg = std::move(msg)]() mutable {
-                (void)inner_->send(std::move(msg));
+              [this, msg = std::move(msg), transmission_deadline]() mutable {
+                (void)inner_->send(std::move(msg), transmission_deadline);
               });
   return Status::ok_status();
 }

@@ -167,6 +167,53 @@ TEST(UserRms, ReceiverCpuContentionHandledByDeadlines) {
   EXPECT_GT(lazy_endpoint.stats().delivered, 0u);
 }
 
+TEST(UserRms, TransmissionDeadlineEndsThePiggybackWait) {
+  // §4.3.1 one level up: a transmission deadline passed to a user-level
+  // send reaches the ST after the sending process's CPU stage, and there
+  // caps the message's wait for piggyback company. A lazy ST stream on
+  // the same channel keeps the channel busy, so a user message sent
+  // without one would wait out the 20 ms window.
+  st::StConfig st_config;
+  st_config.piggyback_window = msec(20);
+  auto world = st_world(2, net::ethernet_traits(), 42, st_config);
+  auto sender = UserRms::create(world.st(1), *world.node(1).cpu, user_request(msec(100)),
+                                {2, 50}, {});
+  ASSERT_TRUE(sender.ok()) << sender.error().message;
+  auto lazy = world.st(1).create(user_request(msec(100)), {2, 51});
+  ASSERT_TRUE(lazy.ok()) << lazy.error().message;
+  rms::Port lazy_inbox;
+  world.node(2).ports.bind(51, &lazy_inbox);
+  std::vector<Time> delays;
+  UserEndpoint endpoint(*world.node(2).cpu, world.node(2).ports, 50, {},
+                        sender.value()->user_bound(), [&](rms::Message m) {
+                          delays.push_back(world.sim.now() - m.sent_at);
+                        });
+  world.sim.run();
+  ASSERT_EQ(world.st(1).stats().mux_joins, 1u);  // one channel carries both
+
+  constexpr int kSends = 50;
+  workload::PacedSource chatter(world.sim, usec(500), 16, [&](Bytes f) {
+    rms::Message m;
+    m.data = std::move(f);
+    (void)lazy.value()->send(std::move(m));
+  });
+  chatter.start();
+  const Time t0 = world.sim.now();
+  for (int i = 0; i < kSends; ++i) {
+    world.sim.at(t0 + msec(10) * i + usec(250), [&] {
+      rms::Message m;
+      m.data = patterned_bytes(64);
+      (void)sender.value()->send(std::move(m), world.sim.now());
+    });
+  }
+  world.sim.run_until(t0 + msec(10) * kSends);
+  chatter.stop();
+  world.sim.run();
+
+  ASSERT_EQ(delays.size(), static_cast<std::size_t>(kSends));
+  for (Time d : delays) EXPECT_LT(d, st_config.piggyback_window / 2);
+}
+
 TEST(UserRms, CloseClosesInnerStream) {
   auto world = st_world(2);
   auto sender = UserRms::create(world.st(1), *world.node(1).cpu, user_request(),
