@@ -254,7 +254,8 @@ void RkomNode::handle_request(HostId client, std::uint64_t call_id, std::uint64_
   };
 
   if (operation.service_time > 0) {
-    // Charge the service time before replying (the kernel operation runs).
+    // Wait out the service time on a timer, then run the handler and reply.
+    // No CPU is charged: the host CPU is free for other work meanwhile.
     sim_.after(operation.service_time,
                [handler = operation.handler, args = std::move(args), finish]() mutable {
                  finish(handler(args));

@@ -39,8 +39,10 @@ struct RkomConfig {
 
 class RkomNode {
  public:
-  /// Server-side operation: args in, result out. `service_time` of host
-  /// CPU is charged before the reply is sent.
+  /// Server-side operation: args in, result out. The handler runs
+  /// `service_time` after the request arrives and the reply leaves at
+  /// once. That wait is a timer, not CPU work: the host CPU stays free
+  /// for other tasks meanwhile (under rt::Driver it is a real timer).
   struct Operation {
     std::function<Bytes(BytesView)> handler;
     Time service_time = 0;

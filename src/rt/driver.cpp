@@ -1,6 +1,7 @@
 #include "rt/driver.h"
 
 #include <sys/epoll.h>
+#include <sys/prctl.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -18,9 +19,17 @@ Time monotonic_now() {
 Driver::Driver(sim::Simulator& sim) : sim_(sim) {
   sim_.wall_clock_ = true;
   epfd_ = epoll_create1(EPOLL_CLOEXEC);
+  // The kernel may end a timed wait up to the thread's timer slack late
+  // (50 us by default). At 1 ns it adds only its own 0.1% of the timeout
+  // (DESIGN.md §16); 0 would mean "reset to the default".
+  saved_timer_slack_ = prctl(PR_GET_TIMERSLACK);
+  if (saved_timer_slack_ > 0) prctl(PR_SET_TIMERSLACK, 1UL);
 }
 
 Driver::~Driver() {
+  if (saved_timer_slack_ > 0) {
+    prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(saved_timer_slack_));
+  }
   if (epfd_ >= 0) close(epfd_);
 }
 

@@ -13,7 +13,9 @@
 // epoll-wait on the registered file descriptors for at most that long.
 // Socket readiness wakes the loop early; the fd's callback runs between
 // event bursts and typically injects new simulator work at the current
-// time (a received packet entering the delivery path).
+// time (a received packet entering the delivery path). That wait is the
+// only sleep in the stack, so the driver runs its thread with 1 ns timer
+// slack: a due timer wakes on time, not up to the default 50 us late.
 //
 // Timebase: the simulator's nanosecond clock is anchored to the monotonic
 // clock on the first run_* call (epoch = monotonic_now - sim.now()), so a
@@ -59,7 +61,9 @@ class Driver {
   /// Receives the ready EPOLL* event mask for its file descriptor.
   using IoCallback = std::function<void(std::uint32_t)>;
 
-  /// Takes over `sim`'s clock for good: marks it wall_clock().
+  /// Takes over `sim`'s clock for good: marks it wall_clock(). Also sets
+  /// the calling thread's timer slack to 1 ns; the destructor puts the
+  /// previous slack back, so drivers on one thread must nest.
   explicit Driver(sim::Simulator& sim);
   ~Driver();
   Driver(const Driver&) = delete;
@@ -114,6 +118,7 @@ class Driver {
   int epfd_ = -1;
   std::unordered_map<int, FdEntry> fds_;
   Time epoch_ = -1;  ///< monotonic ns corresponding to sim time 0; -1 unset
+  int saved_timer_slack_ = -1;  ///< thread's slack (ns) before us; -1 untouched
   bool stopped_ = false;
   Stats stats_;
 };

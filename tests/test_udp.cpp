@@ -10,12 +10,14 @@
 
 #include <arpa/inet.h>
 #include <sys/epoll.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include "fault/fault.h"
 #include "net/udp/udp.h"
 #include "net/udp/wire.h"
+#include "rkom/rkom.h"
 #include "rt/driver.h"
 #include "sim/cpu_scheduler.h"
 #include "telemetry/collect.h"
@@ -153,6 +155,31 @@ TEST(Driver, RunForAdvancesTheClockWithNoEvents) {
   driver.run_for(msec(15));
   EXPECT_GE(sim.now(), msec(15));
   EXPECT_GE(driver.stats().wakeups_timer, 1u);
+}
+
+// The driver's epoll wait is the stack's only sleep, and the kernel may end
+// a timed wait up to the thread's timer slack late: 50 us by default, more
+// than half of an RKOM call over loopback. A driver runs its thread at
+// 1 ns and puts the old slack back when it goes. How late a wake really
+// runs is not asserted: that would be flaky on shared runners.
+TEST(Driver, SleepsWithSubMicrosecondTimerSlack) {
+  const int before = prctl(PR_GET_TIMERSLACK);
+  if (before < 0 || prctl(PR_SET_TIMERSLACK, 50'000UL) != 0) {
+    GTEST_SKIP() << "prctl timer slack unavailable here";
+  }
+  {
+    sim::Simulator outer_sim;
+    rt::Driver outer(outer_sim);
+    EXPECT_LE(prctl(PR_GET_TIMERSLACK), 1000);
+    {
+      sim::Simulator inner_sim;
+      rt::Driver inner(inner_sim);
+      EXPECT_LE(prctl(PR_GET_TIMERSLACK), 1000);
+    }
+    EXPECT_LE(prctl(PR_GET_TIMERSLACK), 1000);  // nested drivers keep it
+  }
+  EXPECT_EQ(prctl(PR_GET_TIMERSLACK), 50'000);
+  prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(before));
 }
 
 // Under the wall clock a CPU task's modelled duration is not waited out:
@@ -471,6 +498,48 @@ TEST(UdpStack, PathManagerProbesOverRealSockets) {
   EXPECT_GT(f.world.media[1].network->udp_stats().datagrams_received, 0u);
   const auto* health = path1.probe_health(2, *f.world.fabric);
   ASSERT_NE(health, nullptr);
+}
+
+// RKOM over real sockets (§3.3): paced echo calls each run exactly once,
+// and the server's at-most-once reply cache drains once the reply acks
+// land. Retransmissions are not asserted: a stalled runner may hold a
+// reply past the retry timeout, and the at-most-once checks hold anyway.
+TEST(UdpStack, RkomCallsOverRealSocketsRunExactlyOnce) {
+  REQUIRE_UDP();
+  UdpLoopbackWorld world;
+  rkom::RkomNode server(world.st(1), world.node(1).ports);
+  rkom::RkomNode client(world.st(2), world.node(2).ports);
+  constexpr std::uint64_t kEcho = 7;
+  server.register_operation(
+      kEcho, {[](BytesView args) { return Bytes(args.begin(), args.end()); }, 0});
+
+  constexpr int kCalls = 200;
+  int replied = 0, failed = 0, wrong = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    world.sim.after(msec(i), [&, i] {
+      Bytes args = patterned_bytes(128, static_cast<std::uint64_t>(i));
+      client.call(1, kEcho, args, [&, args](Result<Bytes> reply) {
+        if (!reply.ok()) {
+          ++failed;
+        } else {
+          ++replied;
+          if (reply.value() != args) ++wrong;
+        }
+      });
+    });
+  }
+  // Done once every call is answered and every reply ack has landed.
+  ASSERT_TRUE(world.driver.run_until(
+      [&] { return replied + failed == kCalls && server.cached_replies() == 0; },
+      sec(30)))
+      << "replied " << replied << " failed " << failed << " cached "
+      << server.cached_replies();
+
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(wrong, 0);  // every reply equals its args
+  EXPECT_EQ(client.stats().calls, static_cast<std::uint64_t>(kCalls));
+  EXPECT_EQ(server.stats().executions, client.stats().calls);
+  EXPECT_EQ(client.stats().replies_received, client.stats().calls);
 }
 
 TEST(UdpStack, TelemetryCollectorsExportUdpAndDriverCounters) {
